@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,6 @@ class RunConfig:
     infile: str | None
     backend: str
     out: str | None
-    fmt: str
     seed: int
     budget_k: int
 
@@ -69,18 +67,9 @@ def _fmt_scalar(x) -> str:
     return _fmt_float(x)
 
 
-def _threads() -> int:
-    raw = os.environ.get("KUSUOKA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-        if val < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring KUSUOKA_THREADS={raw!r} (need a positive integer)", file=sys.stderr)
-        return 1
-    return val
+def _fmt_certified(exact, value) -> str:
+    """The exact value when one was certified, else the float."""
+    return format_exact(exact) if exact is not None else _fmt_float(value)
 
 
 def _load_system(cfg: RunConfig) -> matsys.MatrixSystem:
@@ -126,7 +115,7 @@ def _budget_for(cfg: RunConfig, system: matsys.MatrixSystem) -> int:
 def _cmd_validate(cfg: RunConfig, args) -> int:
     sys_ = _load_system(cfg)
     report = matsys.validate(sys_, args.tol)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(cfg, _json_dump({"ok": report.ok, "checks": report.lines()}))
     else:
         _emit(cfg, "\n".join(report.lines() + [f"overall: {'pass' if report.ok else 'FAIL'}"]))
@@ -154,8 +143,7 @@ def _cmd_ck(cfg: RunConfig, args) -> int:
     res = spectral.c_k(sys_, args.k, _budget_for(cfg, sys_))
     if not res.applicable:
         raise ValueError("c_k is undefined: no trace-free symmetric directions (dim 1)")
-    shown = format_exact(res.exact) if res.exact is not None else _fmt_float(res.value)
-    _emit(cfg, f"c_{args.k} = {shown}")
+    _emit(cfg, f"c_{args.k} = {_fmt_certified(res.exact, res.value)}")
     return EXIT_OK
 
 
@@ -164,9 +152,10 @@ def _cmd_theta2(cfg: RunConfig, args) -> int:
     res = spectral.theta2(sys_, args.kmax, _budget_for(cfg, sys_))
     if not res.applicable:
         raise ValueError("theta2 is undefined: c_1 = 0 for this system")
-    lemma = format_exact(res.lemma_exact) if res.lemma_exact is not None else _fmt_float(res.lemma_value)
-    thm = format_exact(res.thm_exact) if res.thm_exact is not None else _fmt_float(res.thm_value)
-    lines = [f"theta2_lemma = {lemma}", f"theta2_theorem = {thm}"]
+    lines = [
+        f"theta2_lemma = {_fmt_certified(res.lemma_exact, res.lemma_value)}",
+        f"theta2_theorem = {_fmt_certified(res.thm_exact, res.thm_value)}",
+    ]
     if not res.irreducibility_ok:
         lines.append("warning: some c_k vanished; rates may be vacuous")
     _emit(cfg, "\n".join(lines))
@@ -286,10 +275,7 @@ def _cmd_dilation(cfg: RunConfig, args) -> int:
 
 def _cmd_qdecay(cfg: RunConfig, args) -> int:
     sys_ = _load_system(cfg)
-    table = procspace.q_decay_check(
-        sys_, args.k, args.jmax, args.trials, cfg.seed,
-        workers=_threads(), budget=_budget_for(cfg, sys_),
-    )
+    table = procspace.q_decay_check(sys_, args.k, args.jmax, args.trials, cfg.seed, _budget_for(cfg, sys_))
     rows = ["j,max_ratio,bound,ok"]
     for r in table:
         rows.append(f"{r.j},{_fmt_float(r.max_ratio)},{_fmt_float(r.bound)},{r.ok}")
@@ -311,7 +297,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         "backend": sys_.backend,
         "seed": cfg.seed,
         "valid": True,
-        "theta1": format_exact(t1.exact) if t1.exact is not None else _fmt_float(t1.value),
+        "theta1": _fmt_certified(t1.exact, t1.value),
         "theta1_float": _fmt_float(t1.value),
         "theta1_irreducible": t1.irreducible,
         "theta1_parts": {p: _fmt_float(v) for p, v in t1.part_radius.items()},
@@ -322,20 +308,11 @@ def _cmd_report(cfg: RunConfig, args) -> int:
             for p in (1, 2, "inf")
         }
     if sys_.dim > 1:
-        cks = {}
-        for k in (1, 2):
-            res = spectral.c_k(sys_, k, budget)
-            if res.applicable:
-                cks[str(k)] = format_exact(res.exact) if res.exact is not None else _fmt_float(res.value)
-        body["c"] = cks
         t2 = spectral.theta2(sys_, 2, budget)
+        body["c"] = {str(k): _fmt_certified(r.exact, r.value) for k, r in t2.c_values.items() if r.applicable}
         if t2.applicable:
-            body["theta2_lemma"] = (
-                format_exact(t2.lemma_exact) if t2.lemma_exact is not None else _fmt_float(t2.lemma_value)
-            )
-            body["theta2_theorem"] = (
-                format_exact(t2.thm_exact) if t2.thm_exact is not None else _fmt_float(t2.thm_value)
-            )
+            body["theta2_lemma"] = _fmt_certified(t2.lemma_exact, t2.lemma_value)
+            body["theta2_theorem"] = _fmt_certified(t2.thm_exact, t2.thm_value)
 
     for depth in (1, 2):
         masses = m.level_nu(depth, budget)
@@ -388,13 +365,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--in", dest="infile", help="system JSON file")
         p.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-k", dest="budget_k", type=int, default=0,
                        help="cap word enumeration at |S|^K words")
 
     p = sub.add_parser("validate", help="check the two fixed-point identities")
     common(p)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("theta1", help="certified contraction rate of the averaging map")
@@ -477,7 +454,6 @@ def main(argv=None) -> int:
         infile=getattr(args, "infile", None),
         backend=getattr(args, "backend", EXACT),
         out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "csv"),
         seed=getattr(args, "seed", 0),
         budget_k=budget_k,
     )

@@ -189,9 +189,49 @@ def rational_roots(coeffs: list[Fraction]):
 
 def _cauchy_bound(coeffs: list[Fraction]) -> float:
     lead = coeffs[-1]
-    if len(coeffs) == 1:
-        return 0.0
     return 1.0 + max(abs(float(c / lead)) for c in coeffs[:-1])
+
+
+def _split_spectrum(m: np.ndarray):
+    """Split the characteristic polynomial of an exact matrix into exact roots.
+
+    Returns (reals, moduli, rest): the exact real eigenvalues found, the
+    exact moduli of the complex-conjugate pairs found, and the factor of
+    the characteristic polynomial left unsplit (empty when it split
+    completely).  The roots come from the rational root search, a linear
+    or quadratic rational remainder, or, for surd coefficients, the 1x1
+    and 2x2 closed forms; ``rest`` is rational whenever ``reals`` is not
+    empty.
+    """
+    n = m.shape[0]
+    coeffs = char_poly(m)
+    if not all(c.is_rational() for c in coeffs):
+        if n == 1:
+            return [m[0, 0]], [], []
+        if n == 2:
+            tr = m[0, 0] + m[1, 1]
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            try:
+                sq = (tr * tr - 4 * det).sqrt()
+            except ValueError:
+                return [], [], coeffs
+            return [(tr + sq) / 2, (tr - sq) / 2], [], []
+        return [], [], coeffs
+    roots, rem = rational_roots([c.as_fraction() for c in coeffs])
+    reals = [Radical(r) for r in roots]
+    moduli: list[Radical] = []
+    deg = len(rem) - 1
+    if deg == 1:
+        reals.append(Radical(-rem[0] / rem[1]))
+    elif deg == 2:
+        a, b, c = rem[2], rem[1], rem[0]
+        disc = Fraction(b * b - 4 * a * c)
+        if disc >= 0:
+            sq = Radical.root(disc)
+            reals += [(sq - b) / (2 * a), (-sq - b) / (2 * a)]
+        else:
+            moduli.append(Radical.root(Fraction(c, a)))
+    return reals, moduli, (rem if deg > 2 else [])
 
 
 def certified_spectral_radius(rep: np.ndarray):
@@ -203,61 +243,13 @@ def certified_spectral_radius(rep: np.ndarray):
     factor, or when the largest rational root provably dominates the
     rest (Cauchy bound).
     """
-    n = rep.shape[0]
-    if n == 0:
-        return 0.0, Radical(0)
-    coeffs = char_poly(rep)
-    float_radius = float(max(abs(np.linalg.eigvals(to_float_matrix(rep))), default=0.0))
-    if not all(c.is_rational() for c in coeffs):
-        if n == 1:
-            x = rep[0, 0]
-            return abs(float(x)), abs(x)
-        if n == 2:
-            tr = rep[0, 0] + rep[1, 1]
-            det = rep[0, 0] * rep[1, 1] - rep[0, 1] * rep[1, 0]
-            disc = tr * tr - 4 * det
-            try:
-                sq = disc.sqrt()
-            except ValueError:
-                return float_radius, None
-            cands = [abs((tr + sq) / 2), abs((tr - sq) / 2)]
-            best = cands[0] if (cands[0] - cands[1]).sign() >= 0 else cands[1]
-            return float(best), best
-        return float_radius, None
-    rat = [c.as_fraction() for c in coeffs]
-    roots, rem = rational_roots(rat)
-    best: Radical | None = None
-    if roots:
-        best = Radical(max((abs(r) for r in roots)))
-    deg = len(rem) - 1
-    if deg <= 0:
-        return (float(best), best) if best is not None else (0.0, Radical(0))
-    if deg == 1:
-        r = Radical(-rem[0] / rem[1])
-        cand = abs(r)
-        best = cand if best is None or (cand - best).sign() > 0 else best
+    reals, moduli, rest = _split_spectrum(rep)
+    best = max([abs(x) for x in reals] + moduli, default=Radical(0))
+    # the float guard only backs a rigorous-by-margin comparison; if the
+    # margin is thin we decline to certify
+    if not rest or (reals and float(best) > _cauchy_bound(rest) + 1e-9):
         return float(best), best
-    if deg == 2:
-        a, b, c = rem[2], rem[1], rem[0]
-        disc = Fraction(b * b - 4 * a * c)
-        if disc >= 0:
-            sq = Radical.root(disc)
-            for r in ((sq - b) / (2 * a), (-sq - b) / (2 * a)):
-                cand = abs(r)
-                if best is None or (cand - best).sign() > 0:
-                    best = cand
-        else:
-            modulus_sq = Fraction(c, a)
-            cand = Radical.root(modulus_sq)
-            if best is None or (cand - best).sign() > 0:
-                best = cand
-        return float(best), best
-    if best is not None and float(best) >= _cauchy_bound(rem) - 1e-12:
-        # float guard only backs a rigorous-by-margin comparison; if the
-        # margin is thin we decline to certify
-        if float(best) > _cauchy_bound(rem) + 1e-9:
-            return float(best), best
-    return float_radius, None
+    return float(max(abs(np.linalg.eigvals(to_float_matrix(rep))), default=0.0)), None
 
 
 def exact_eigenvalues_symmetric(m: np.ndarray) -> list[Radical] | None:
@@ -266,67 +258,57 @@ def exact_eigenvalues_symmetric(m: np.ndarray) -> list[Radical] | None:
     Succeeds when the characteristic polynomial splits into rational
     roots and at most one quadratic factor with representable surd.
     """
-    n = m.shape[0]
-    if n == 0:
-        return []
-    coeffs = char_poly(m)
-    if not all(c.is_rational() for c in coeffs):
-        if n == 1:
-            return [m[0, 0]]
-        if n == 2:
-            tr = m[0, 0] + m[1, 1]
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            disc = tr * tr - 4 * det
-            try:
-                sq = disc.sqrt()
-            except ValueError:
-                return None
-            return [(tr + sq) / 2, (tr - sq) / 2]
-        return None
-    roots, rem = rational_roots([c.as_fraction() for c in coeffs])
-    out = [Radical(r) for r in roots]
-    deg = len(rem) - 1
-    if deg == 0:
-        return out
-    if deg == 1:
-        return out + [Radical(-rem[0] / rem[1])]
-    if deg == 2:
-        a, b, c = rem[2], rem[1], rem[0]
-        disc = Fraction(b * b - 4 * a * c)
-        if disc < 0:
-            return None
-        sq = Radical.root(disc)
-        return out + [(sq - b) / (2 * a), (-sq - b) / (2 * a)]
-    return None
+    reals, moduli, rest = _split_spectrum(m)
+    return None if moduli or rest else reals
 
 
-def nullspace_exact(m: np.ndarray) -> list[np.ndarray]:
-    """Basis of the kernel of an exact matrix (Gaussian elimination)."""
-    rows, cols = m.shape
-    a = [[Radical(m[i, j]) for j in range(cols)] for i in range(rows)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not a[i][c].is_zero()), None)
-        if pivot is None:
+def _gauss_jordan(a: list[list[Radical]], n_pivot: int):
+    """Reduce the rows ``a`` (consumed) to reduced row echelon form.
+
+    Pivots on the first ``n_pivot`` columns.  Each pivot is the first
+    remaining row with a nonzero entry in its column; that row is scaled
+    to a leading one and the column is cleared in every other row.
+    Returns (reduced rows, pivot columns, det), where det is the product
+    of the pivots signed by the row swaps: the determinant of a square
+    matrix, zero as soon as a column has no pivot.
+    """
+    pivots: list[int] = []
+    det = Radical(1)
+    for c in range(n_pivot):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if not a[i][c].is_zero()), None)
+        if p is None:
+            det = Radical(0)
             continue
-        a[r], a[pivot] = a[pivot], a[r]
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            det = -det
+        det = det * a[r][c]
         inv = Radical(1) / a[r][c]
         a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
+        for i in range(len(a)):
             if i != r and not a[i][c].is_zero():
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivot_cols]
+        pivots.append(c)
+    return a, pivots, det
+
+
+def _rows(m: np.ndarray) -> list[list[Radical]]:
+    return [[Radical(x) for x in row] for row in m]
+
+
+def nullspace_exact(m: np.ndarray) -> list[np.ndarray]:
+    """Basis of the kernel of an exact matrix (Gauss-Jordan elimination)."""
+    cols = m.shape[1]
+    a, pivots, _ = _gauss_jordan(_rows(m), cols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Radical(0)] * cols
         v[fc] = Radical(1)
-        for i, pc in enumerate(pivot_cols):
+        for i, pc in enumerate(pivots):
             v[pc] = -a[i][fc]
         vec = np.empty(cols, dtype=object)
         vec[:] = v
@@ -338,44 +320,17 @@ def solve_exact(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve m x = b exactly; m square nonsingular, b a matrix or vector."""
     n = m.shape[0]
     bmat = b.reshape(n, -1)
-    a = [[Radical(m[i, j]) for j in range(n)] + [Radical(bmat[i, k]) for k in range(bmat.shape[1])]
-         for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular system in exact solve")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Radical(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and not a[i][col].is_zero():
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = np.empty((n, bmat.shape[1]), dtype=object)
-    for i in range(n):
-        for k in range(bmat.shape[1]):
-            out[i, k] = a[i][n + k]
+    a, pivots, _ = _gauss_jordan([row + rhs for row, rhs in zip(_rows(m), _rows(bmat))], n)
+    if len(pivots) < n:
+        raise ValueError("singular system in exact solve")
+    out = np.empty(bmat.shape, dtype=object)
+    for i, row in enumerate(a):
+        out[i, :] = row[n:]
     return out.reshape(b.shape)
 
 
 def det_exact(m: np.ndarray) -> Radical:
-    n = m.shape[0]
-    a = [[Radical(m[i, j]) for j in range(n)] for i in range(n)]
-    det = Radical(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
-        if pivot is None:
-            return Radical(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = Radical(1) / a[col][col]
-        for i in range(col + 1, n):
-            if not a[i][col].is_zero():
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+    return _gauss_jordan(_rows(m), m.shape[0])[2]
 
 
 def leading_minors(m: np.ndarray) -> list[Radical]:

@@ -67,9 +67,6 @@ class MatrixSystem:
     def n_symbols(self) -> int:
         return len(self.alphabet)
 
-    def map_for(self, symbol: int) -> np.ndarray:
-        return self.maps[symbol]
-
 
 def _is_sym(a: np.ndarray) -> bool:
     if a.dtype == object:
@@ -390,11 +387,7 @@ def schatten_norm(b: np.ndarray, p):
         if eigs is not None:
             mags = [abs(x) for x in eigs]
             if p == float("inf"):
-                top = mags[0]
-                for m in mags[1:]:
-                    if (m - top).sign() > 0:
-                        top = m
-                return top
+                return max(mags)
             if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
                 total = Radical(0)
                 for m in mags:

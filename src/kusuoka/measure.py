@@ -73,8 +73,7 @@ class KusuokaMeasure:
         if k == 0:
             table = [linalg.identity(self.system.dim, self.system.backend)]
         else:
-            prev = self.level_matrices(k - 1, budget)
-            table = [a @ m for m in prev for a in self.system.maps]
+            table = symbolic.next_level(self.level_matrices(k - 1, budget), self.system.maps)
         self._level_mats[k] = table
         return table
 
@@ -143,10 +142,10 @@ class HState:
 def h_state(m: KusuokaMeasure, prefix: Word) -> HState:
     prefix = tuple(prefix)
     a = symbolic.word_matrix(m.system, prefix)
-    mass = np.trace(a.T @ m.system.energy @ a)
+    h = a.T @ m.system.energy @ a
+    mass = np.trace(h)
     if (mass.is_zero() if isinstance(mass, Radical) else mass == 0):
         raise ValueError("prefix has zero mass")
-    h = a.T @ m.system.energy @ a
     if m.system.backend == EXACT:
         h = (Radical(1) / mass) * h
     else:
@@ -218,10 +217,6 @@ def _le(lhs, rhs, slack: float = 0.0) -> bool:
     return float(lhs) <= float(rhs) + slack
 
 
-def _abs_scalar(x):
-    return abs(x)
-
-
 def mixing_bound_check(
     m: KusuokaMeasure, k: int, n_max: int, budget: int = symbolic.DEFAULT_BUDGET
 ) -> list[MixingRow]:
@@ -263,8 +258,7 @@ def mixing_bound_check(
         for i in alphas:
             pa = a_mats[i] @ a_mats[i].T
             for w, bmass in zip(weights, b_mass):
-                gap = np.trace(w @ pa) - a_mass[i] * bmass
-                gap = _abs_scalar(gap)
+                gap = abs(np.trace(w @ pa) - a_mass[i] * bmass)
                 if max_gap is None or not _le(gap, max_gap):
                     max_gap = gap
         gap_bound = two * t1_pow

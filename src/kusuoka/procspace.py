@@ -15,7 +15,6 @@ fresh-innovation process has geometrically decaying martingale components.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +92,8 @@ def extend(f: FiniteProcess, levels: int = 1, budget: int = symbolic.DEFAULT_BUD
     symbolic.check_budget(sys_.n_symbols, f.degree + levels, budget)
     vals = f.values
     for _ in range(levels):
-        vals = tuple(a @ v for v in vals for a in sys_.maps)
-    return FiniteProcess(sys_, f.degree + levels, vals)
+        vals = symbolic.next_level(vals, sys_.maps)
+    return FiniteProcess(sys_, f.degree + levels, tuple(vals))
 
 
 def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
@@ -293,12 +292,7 @@ def gamma_norm(rep: MartingaleRep, gamma):
 
 def _abs_max(values, backend: str):
     if backend == EXACT:
-        best = Radical(0)
-        for v in values:
-            a = abs(v)
-            if (a - best).sign() > 0:
-                best = a
-        return best
+        return max((abs(v) for v in values), default=Radical(0))
     return max((abs(float(v)) for v in values), default=0.0)
 
 
@@ -326,6 +320,8 @@ def dilation_check(
         raise ValueError("cylinder function and system disagree on the alphabet")
     if level is None:
         level = f.depth
+    if level < 0:
+        raise ValueError("level must be >= 0")
     n = sys_.n_symbols
 
     g = embed_phi(sys_, f, budget)
@@ -448,7 +444,6 @@ def q_decay_check(
     j_max: int,
     trials: int,
     seed: int,
-    workers: int = 1,
     budget: int = symbolic.DEFAULT_BUDGET,
 ) -> list[QDecayRow]:
     """Monte Carlo check of geometric martingale decay after projection.
@@ -457,7 +452,7 @@ def q_decay_check(
     it to a scalar martingale and records ||component_j|| / ||G|| for
     k <= j <= j_max.  Rates come from the one-step irreducibility constant;
     the comparison allows 1e-12 of float slack.  Trials are independently
-    seeded streams, so the result does not depend on ``workers``.
+    seeded streams.
     """
     if k < 0 or j_max < k:
         raise ValueError("need 0 <= k <= j_max")
@@ -470,20 +465,14 @@ def q_decay_check(
 
     fsys = matsys.to_float_system(system)
     m = measure.kusuoka_measure(fsys, check=False)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
 
-    def one_trial(i: int) -> list[float]:
-        rng = np.random.Generator(np.random.Philox(seeds[i]))
+    results = []
+    for trial_seed in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.Philox(trial_seed))
         g = random_innovation_process(fsys, k, rng)
         norm = float(process_norm_sq(g, budget)) ** 0.5
         rep = project_Q(m, g, up_to_level=j_max, budget=budget)
-        return [float(rep.component_norm_sq(j)) ** 0.5 / norm for j in range(k, j_max + 1)]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(i) for i in range(trials)]
+        results.append([float(rep.component_norm_sq(j)) ** 0.5 / norm for j in range(k, j_max + 1)])
 
     rows = []
     for idx, j in enumerate(range(k, j_max + 1)):

@@ -97,10 +97,7 @@ def theta1(system: matsys.MatrixSystem) -> Theta1Result:
     value = max(radius.values())
     overall: Radical | None = None
     if all(exact[p] is not None for p in TRACE_FREE_PARTS):
-        overall = exact[TRACE_FREE_PARTS[0]]
-        for p in TRACE_FREE_PARTS[1:]:
-            if (exact[p] - overall).sign() > 0:
-                overall = exact[p]
+        overall = max(exact[p] for p in TRACE_FREE_PARTS)
     if overall is not None:
         irreducible = (Radical(1) - overall).sign() > 0
     else:
@@ -213,10 +210,7 @@ def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDG
     if system.backend == EXACT:
         eigs = linalg.exact_eigenvalues_symmetric(gram)
         if eigs is not None:
-            low = eigs[0]
-            for e in eigs[1:]:
-                if (e - low).sign() < 0:
-                    low = e
+            low = min(eigs)
             return CkResult(k, True, float(low), low)
         vals = np.linalg.eigvalsh(linalg.to_float_matrix(gram))
         return CkResult(k, True, float(vals[0]), None)
@@ -387,10 +381,6 @@ def _perron_float(rep):
     return float(mu.real), vec
 
 
-def _inverse_exact(mat):
-    return linalg.solve_exact(mat, linalg.identity(mat.shape[0], EXACT))
-
-
 def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-10) -> matsys.MatrixSystem:
     """Build a system satisfying both fixed-point equations from raw restriction maps.
 
@@ -432,7 +422,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
                 "scaling factor mu^(-1/2) leaves the exact scalar field; use the float backend"
             )
         upper = linalg.cholesky_exact(r0)  # r0 = U^T U
-        upper_inv = _inverse_exact(upper)
+        upper_inv = linalg.solve_exact(upper, linalg.identity(d, EXACT))
         new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
         energy = upper @ e0 @ upper.T
         energy = (Radical(1) / np.trace(energy)) * energy

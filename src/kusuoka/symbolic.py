@@ -58,6 +58,8 @@ class BudgetError(RuntimeError):
 
 
 def check_budget(n_symbols: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
+    if k < 0:
+        raise ValueError(f"word length must be >= 0, got {k}")
     count = n_symbols**k
     if count > budget:
         raise BudgetError(
@@ -110,21 +112,21 @@ def word_matrix(system: MatrixSystem, word: Word) -> np.ndarray:
     return out
 
 
-def word_matrices_level(system: MatrixSystem, k: int, budget: int = DEFAULT_BUDGET):
-    """All word matrices of length k, indexed by word index.
+def next_level(table, maps) -> list:
+    """One level deeper: entry ``i * n + s`` is ``maps[s] @ table[i]``.
 
-    Built incrementally (children reuse the parent product), so the
-    whole table costs one matrix multiply per word.
+    The step every word-indexed matrix table is built by, one matrix
+    multiply per child word.
     """
+    return [a @ m for m in table for a in maps]
+
+
+def word_matrices_level(system: MatrixSystem, k: int, budget: int = DEFAULT_BUDGET):
+    """All word matrices of length k, indexed by word index."""
     check_budget(system.n_symbols, k, budget)
-    n = system.n_symbols
     level = [linalg.identity(system.dim, system.backend)]
     for _ in range(k):
-        nxt = []
-        for m in level:
-            for s in range(n):
-                nxt.append(system.maps[s] @ m)
-        level = nxt
+        level = next_level(level, system.maps)
     return level
 
 

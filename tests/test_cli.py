@@ -70,6 +70,11 @@ def test_validate_json_format(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_format_is_validate_only(capsys):
+    code, _, _ = run(capsys, "theta1", "--builtin", "sg", "--format", "json")
+    assert code == 65
+
+
 def test_ck_and_theta2(capsys):
     code, out, _ = run(capsys, "ck", "--builtin", "sg", "--k", "1")
     assert code == 0
@@ -99,6 +104,13 @@ def test_measure_budget_exit(capsys):
     assert "budget exceeded" in err
     code, _, _ = run(capsys, "measure", "--builtin", "sg", "--depth", "4", "--budget-k", "-1")
     assert code == 65
+
+
+def test_measure_negative_depth_is_config_error(capsys):
+    code, out, err = run(capsys, "measure", "--builtin", "sg", "--depth", "-1")
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gfun_csv(capsys):
@@ -214,6 +226,13 @@ def test_dilation_custom_function(capsys, tmp_path):
     assert out.strip() == "residual = 0"
 
 
+def test_dilation_negative_level_is_config_error(capsys):
+    code, out, err = run(capsys, "dilation", "--builtin", "sg", "--k", "1", "--level", "-1")
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_qdecay_csv(capsys):
     code, out, _ = run(capsys, "qdecay", "--builtin", "sg", "--k", "1",
                        "--jmax", "3", "--trials", "5", "--seed", "2")
@@ -222,18 +241,6 @@ def test_qdecay_csv(capsys):
     assert lines[0] == "j,max_ratio,bound,ok"
     assert len(lines) == 4
     assert all(line.endswith("True") for line in lines[1:])
-
-
-def test_threads_env_warning(capsys, monkeypatch):
-    monkeypatch.setenv("KUSUOKA_THREADS", "bogus")
-    code, _, err = run(capsys, "qdecay", "--builtin", "sg", "--k", "1",
-                       "--jmax", "2", "--trials", "3")
-    assert code == 0
-    assert "KUSUOKA_THREADS" in err
-    monkeypatch.setenv("KUSUOKA_THREADS", "2")
-    code, out, _ = run(capsys, "qdecay", "--builtin", "sg", "--k", "1",
-                       "--jmax", "2", "--trials", "3")
-    assert code == 0
 
 
 def test_report_deterministic(capsys, tmp_path):

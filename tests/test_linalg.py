@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import (
@@ -27,6 +29,42 @@ from kusuoka.linalg import (
 
 def _exact(rows):
     return as_matrix([[Fraction(x) for x in row] for row in rows], EXACT)
+
+
+_entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _square(draw, max_n=3):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return _exact(draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(), st.lists(_entries, min_size=3, max_size=3))
+def test_elimination_views_agree(m, rhs):
+    n = m.shape[0]
+    b = as_matrix([[x] for x in rhs[:n]], EXACT)
+    singular = det_exact(m).is_zero()
+    assert singular == (len(nullspace_exact(m)) > 0)
+    if singular:
+        with pytest.raises(ValueError):
+            solve_exact(m, b)
+    else:
+        x = solve_exact(m, b)
+        assert all(e.is_zero() for e in (m @ x - b).ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square())
+def test_splitter_views_agree(m):
+    sym = m + m.T
+    eigs = exact_eigenvalues_symmetric(sym)
+    if eigs is None:
+        return
+    _, exact = certified_spectral_radius(sym)
+    top = max(abs(e) for e in eigs)
+    assert exact is not None and exact == top
 
 
 def test_char_poly_matches_numpy():

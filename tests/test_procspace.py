@@ -278,12 +278,6 @@ def test_q_decay_rows(sg):
         assert r.max_ratio <= r.bound + 1e-12
 
 
-def test_q_decay_workers_deterministic(sg):
-    a = q_decay_check(sg, k=1, j_max=3, trials=8, seed=11, workers=1)
-    b = q_decay_check(sg, k=1, j_max=3, trials=8, seed=11, workers=4)
-    assert a == b
-
-
 def test_q_decay_guards(sg, bern):
     with pytest.raises(ValueError):
         q_decay_check(sg, k=3, j_max=2, trials=5, seed=0)

@@ -8,8 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kusuoka.exactnum import Radical
+from kusuoka.gasket import generate_system
 from kusuoka.linalg import frobenius_sq
 from kusuoka.matsys import sg_system
+from kusuoka.measure import kusuoka_measure
+from kusuoka.procspace import extend, identity_process
 from kusuoka.symbolic import (
     BudgetError,
     CylinderFunction,
@@ -79,6 +82,25 @@ def test_word_matrices_level_matches_pointwise():
     for i, m in enumerate(mats):
         w = index_word(i, 2, 3)
         assert frobenius_sq(m - word_matrix(sys_, w)).is_zero()
+
+
+@pytest.mark.parametrize("system,k_max", [(sg_system(), 3), (generate_system(3), 2)])
+def test_word_tables_agree(system, k_max):
+    m = kusuoka_measure(system)
+    for k in range(k_max + 1):
+        tables = (
+            m.level_matrices(k),
+            word_matrices_level(system, k),
+            extend(identity_process(system), k).values,
+        )
+        assert all(len(t) == system.n_symbols**k for t in tables)
+        for a, b, c in zip(*tables):
+            assert (a == b).all() and (a == c).all()
+
+
+def test_negative_word_length_rejected():
+    with pytest.raises(ValueError):
+        word_matrices_level(sg_system(), -1)
 
 
 def test_enumerate_words_budget():
