@@ -13,10 +13,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import gasket, matsys, measure, procspace, spectral, symbolic, systems
-from .exactnum import Radical, format_exact, parse_exact
+from . import gasket, linalg, matsys, measure, procspace, spectral, symbolic, systems
+from .exactnum import Radical, format_exact
 from .linalg import EXACT, FLOAT
 from .measure import SystemInvalidError
 from .symbolic import BudgetError
@@ -203,14 +202,14 @@ def _cmd_correlate(cfg: RunConfig, args) -> int:
     m = measure.kusuoka_measure(sys_)
     alpha = symbolic.parse_word(args.alpha, sys_.alphabet)
     beta = symbolic.parse_word(args.beta, sys_.alphabet)
+    if args.nmax < 0:
+        raise ValueError("separation --nmax must be >= 0")
     t1 = spectral.theta1(sys_)
+    rate = t1.exact if t1.exact is not None else t1.value
     rows = ["n,alpha,beta,gap,bound"]
     for n in range(args.nmax + 1):
         gap = measure.correlation_gap(m, alpha, beta, n)
-        if sys_.backend == EXACT and t1.exact is not None:
-            bound = Radical(2) * t1.exact**n
-        else:
-            bound = 2.0 * t1.value**n
+        bound = 2 * rate**n
         rows.append(f"{n},{args.alpha},{args.beta},{_fmt_scalar(gap)},{_fmt_scalar(bound)}")
     _emit(cfg, "\n".join(rows))
     return EXIT_OK
@@ -243,18 +242,12 @@ def _cmd_renormalize(cfg: RunConfig, args) -> int:
     with open(cfg.infile, encoding="utf-8") as fh:
         data = json.load(fh)
     raw = data["maps"] if isinstance(data, dict) else data
-    if isinstance(raw, dict):
-        alphabet = sorted(raw)
-        mats = [raw[k] for k in alphabet]
-    else:
-        alphabet = None
-        mats = raw
-    parsed = []
-    for mat in mats:
-        if cfg.backend == EXACT:
-            parsed.append([[parse_exact(x) if isinstance(x, str) else Radical(Fraction(str(x))) for x in row] for row in mat])
-        else:
-            parsed.append([[float(x) if not isinstance(x, str) else float(parse_exact(x)) for x in row] for row in mat])
+    alphabet = sorted(raw) if isinstance(raw, dict) else None
+    try:
+        mats = [raw[k] for k in alphabet] if alphabet is not None else list(raw)
+        parsed = [matsys.matrix_from_json(mat, linalg.FIELDS[cfg.backend]) for mat in mats]
+    except TypeError as exc:
+        raise ValueError(f"malformed raw maps: {exc}") from exc
     sys_ = spectral.renormalize(parsed, backend=cfg.backend, alphabet=alphabet)
     _emit(cfg, _json_dump(matsys.system_to_json(sys_)))
     return EXIT_OK

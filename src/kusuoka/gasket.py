@@ -91,12 +91,12 @@ class HarmonicBasis:
 
 def harmonic_basis() -> HarmonicBasis:
     r2 = sqrt_fraction(2)
-    h1 = linalg.as_vector(
-        [r2 * Radical(Fraction(1, 3)), r2 * Radical(Fraction(-1, 6)), r2 * Radical(Fraction(-1, 6))],
-        EXACT,
+    exact = linalg.FIELDS[EXACT]
+    h1 = exact.array(
+        [r2 * Radical(Fraction(1, 3)), r2 * Radical(Fraction(-1, 6)), r2 * Radical(Fraction(-1, 6))]
     )
     inv_r6 = Radical(1) / sqrt_fraction(6)
-    h2 = linalg.as_vector([Radical(0), inv_r6, -inv_r6], EXACT)
+    h2 = exact.array([Radical(0), inv_r6, -inv_r6])
     return HarmonicBasis(h1, h2)
 
 

@@ -3,7 +3,9 @@
 Float matrices are plain ``float64`` numpy arrays.  Exact matrices are
 ``object`` numpy arrays whose entries are :class:`~kusuoka.exactnum.Radical`;
 the usual ``@``, ``+``, ``.T`` and ``np.trace`` then dispatch through the
-scalar operators, so most callers never branch on the backend.
+scalar operators, so most callers never branch on the backend.  The rest
+(zero and one, lifting, square roots, division, JSON scalars) is asked of
+the backend's :class:`Field` in ``FIELDS``.
 
 The exact eigen machinery works through characteristic polynomials:
 Faddeev-LeVerrier for the coefficients, rational root reconstruction
@@ -15,11 +17,12 @@ small operator representations this package produces.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import Radical
+from .exactnum import Radical, format_exact, parse_exact
 
 EXACT = "exact"
 FLOAT = "float"
@@ -27,6 +30,7 @@ FLOAT = "float"
 __all__ = [
     "EXACT",
     "FLOAT",
+    "FIELDS",
     "as_matrix",
     "identity",
     "zeros",
@@ -45,59 +49,99 @@ __all__ = [
 ]
 
 
-def _lift_entry(x) -> Radical:
-    if isinstance(x, Radical):
-        return x
-    return Radical(x)
+class Field:
+    """The scalars of one backend and the arrays built from them.
+
+    ``FIELDS[EXACT]`` holds :class:`~kusuoka.exactnum.Radical` entries in
+    object arrays, ``FIELDS[FLOAT]`` float64.  Arithmetic needs no field:
+    ``Radical`` overloads the operators.  What does differ between the two
+    backends (lifting a number, square roots, division, JSON) lives here.
+    """
+
+    __slots__ = ()
+
+    def array(self, rows) -> np.ndarray:
+        """A vector or matrix of lifted entries; ``ValueError`` on ragged rows."""
+        src = np.asarray(rows, dtype=object)
+        if src.ndim not in (1, 2) or any(isinstance(x, (list, tuple, np.ndarray)) for x in src.flat):
+            raise ValueError("expected a vector or a matrix with rows of equal length")
+        return np.asarray(np.frompyfunc(self.lift, 1, 1)(src), dtype=self.dtype)
+
+    def zeros(self, shape) -> np.ndarray:
+        out = np.empty(shape, dtype=self.dtype)
+        out[...] = self.zero
+        return out
+
+    def identity(self, d: int) -> np.ndarray:
+        out = self.zeros((d, d))
+        out.flat[:: d + 1] = self.one
+        return out
+
+    def from_json(self, x):
+        """Read one JSON scalar.
+
+        A string goes through :func:`parse_exact`, an int is lifted, and a
+        number with a fractional part is read as the decimal written
+        (``Fraction(str(x))``); anything else raises ``ValueError``.
+        """
+        if isinstance(x, str):
+            return self.lift(parse_exact(x))
+        if isinstance(x, int):
+            return self.lift(x)
+        if isinstance(x, float):
+            return self.lift(Fraction(str(x)))
+        raise ValueError(f"expected a number or an exact scalar string, got {x!r}")
+
+
+class _ExactField(Field):
+    __slots__ = ()
+    dtype, zero, one = object, Radical(0), Radical(1)
+    lift = staticmethod(Radical)
+    to_json = staticmethod(format_exact)
+
+    def sqrt(self, x):
+        """The square root in the field, or None when it leaves the field."""
+        try:
+            return Radical(x).sqrt()
+        except ValueError:
+            return None
+
+    def div(self, a, c):
+        """a / c for a scalar or an array a, through one inverse of c."""
+        return (Radical(1) / c) * a
+
+
+class _FloatField(Field):
+    __slots__ = ()
+    dtype, zero, one = float, 0.0, 1.0
+    lift = staticmethod(float)
+    to_json = staticmethod(float)
+
+    def sqrt(self, x):
+        return math.sqrt(x)
+
+    def div(self, a, c):
+        return a / c
+
+
+FIELDS = {EXACT: _ExactField(), FLOAT: _FloatField()}
 
 
 def as_matrix(rows, backend: str) -> np.ndarray:
     """Build a matrix for the given backend, coercing entries."""
-    if backend == FLOAT:
-        return np.array(rows, dtype=float)
-    arr = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            arr[i, j] = _lift_entry(x)
-    return arr
-
-
-def as_vector(entries, backend: str) -> np.ndarray:
-    if backend == FLOAT:
-        return np.array(entries, dtype=float)
-    arr = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        arr[i] = _lift_entry(x)
-    return arr
+    return FIELDS[backend].array(rows)
 
 
 def identity(d: int, backend: str) -> np.ndarray:
-    if backend == FLOAT:
-        return np.eye(d)
-    arr = np.empty((d, d), dtype=object)
-    one, zero = Radical(1), Radical(0)
-    for i in range(d):
-        for j in range(d):
-            arr[i, j] = one if i == j else zero
-    return arr
+    return FIELDS[backend].identity(d)
 
 
 def zeros(shape, backend: str) -> np.ndarray:
-    if backend == FLOAT:
-        return np.zeros(shape)
-    arr = np.empty(shape, dtype=object)
-    arr[...] = Radical(0)
-    return arr.copy()
+    return FIELDS[backend].zeros(shape)
 
 
 def to_float_matrix(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return np.array([[float(x) for x in row] for row in a], dtype=float)
     return np.asarray(a, dtype=float)
-
-
-def scalar_zero(backend: str):
-    return Radical(0) if backend == EXACT else 0.0
 
 
 def frobenius_sq(a: np.ndarray):
@@ -310,9 +354,7 @@ def nullspace_exact(m: np.ndarray) -> list[np.ndarray]:
         v[fc] = Radical(1)
         for i, pc in enumerate(pivots):
             v[pc] = -a[i][fc]
-        vec = np.empty(cols, dtype=object)
-        vec[:] = v
-        basis.append(vec)
+        basis.append(FIELDS[EXACT].array(v))
     return basis
 
 
@@ -323,10 +365,7 @@ def solve_exact(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, pivots, _ = _gauss_jordan([row + rhs for row, rhs in zip(_rows(m), _rows(bmat))], n)
     if len(pivots) < n:
         raise ValueError("singular system in exact solve")
-    out = np.empty(bmat.shape, dtype=object)
-    for i, row in enumerate(a):
-        out[i, :] = row[n:]
-    return out.reshape(b.shape)
+    return FIELDS[EXACT].array([row[n:] for row in a]).reshape(b.shape)
 
 
 def det_exact(m: np.ndarray) -> Radical:
@@ -354,8 +393,4 @@ def cholesky_exact(m: np.ndarray) -> np.ndarray:
         for j in range(k + 1, n):
             s = a[k][j] - sum((u[i][k] * u[i][j] for i in range(k)), Radical(0))
             u[k][j] = s * inv
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = u[i][j]
-    return out
+    return FIELDS[EXACT].array(u)

@@ -25,13 +25,13 @@ via :func:`to_float_system`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .exactnum import Radical, format_exact, parse_exact
+from .exactnum import Radical
 from .linalg import EXACT, FLOAT
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "sg_system",
     "bernoulli_system",
     "to_float_system",
+    "matrix_from_json",
     "system_to_json",
     "system_from_json",
 ]
@@ -67,14 +68,12 @@ class MatrixSystem:
     def n_symbols(self) -> int:
         return len(self.alphabet)
 
+    @property
+    def field(self) -> linalg.Field:
+        return linalg.FIELDS[self.backend]
+
 
 def _is_sym(a: np.ndarray) -> bool:
-    if a.dtype == object:
-        return all(
-            (a[i, j] - a[j, i]).is_zero()
-            for i in range(a.shape[0])
-            for j in range(i + 1, a.shape[1])
-        )
     return bool(np.array_equal(a, a.T))
 
 
@@ -225,18 +224,16 @@ def _diag_weights(system: MatrixSystem):
         for j in range(d):
             if i == j:
                 continue
-            x = e[i, j]
-            if (isinstance(x, Radical) and not x.is_zero()) or (
-                not isinstance(x, Radical) and x != 0
-            ):
+            if e[i, j] != 0:
                 return None
     return [e[i, i] for i in range(d)]
 
 
 def _unit(system, mat, norm_sq):
-    if system.backend == EXACT:
-        return mat * (Radical(1) / norm_sq.sqrt())
-    return mat / np.sqrt(norm_sq)
+    root = system.field.sqrt(norm_sq)
+    if root is None:
+        raise ValueError(f"sqrt of {norm_sq} is not representable in this field")
+    return system.field.div(mat, root)
 
 
 def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
@@ -249,10 +246,10 @@ def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
     """
     if part not in REP_PARTS:
         raise ValueError(f"unknown subspace {part!r}; expected one of {REP_PARTS}")
-    d, bk = system.dim, system.backend
+    d, fld = system.dim, system.field
     w = _diag_weights(system)
     if w is None:
-        if bk == EXACT:
+        if system.backend == EXACT:
             raise ValueError(
                 "closed-form orthonormal bases need a diagonal weight on the "
                 "exact backend; use the float backend for this system"
@@ -260,15 +257,15 @@ def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
         return _gram_basis_float(system, part)
 
     def e_mat(i, j):
-        m = linalg.zeros((d, d), bk)
-        m[i, j] = Radical(1) if bk == EXACT else 1.0
+        m = fld.zeros((d, d))
+        m[i, j] = fld.one
         return m
 
     basis: list[np.ndarray] = []
     if part == "full":
         for i in range(d):
             for j in range(d):
-                basis.append(_unit(system, e_mat(i, j), w[i] if bk == EXACT else float(w[i])))
+                basis.append(_unit(system, e_mat(i, j), w[i]))
         return basis
     if part in ("symmetric", "antisymmetric"):
         if part == "symmetric":
@@ -286,9 +283,9 @@ def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
     for k in range(1, d):
         partial.append(partial[-1] + w[k])
     for k in range(d - 1):
-        m = linalg.zeros((d, d), bk)
+        m = fld.zeros((d, d))
         for i in range(k + 1):
-            m[i, i] = Radical(1) if bk == EXACT else 1.0
+            m[i, i] = fld.one
         m[k + 1, k + 1] = -(partial[k] / w[k + 1])
         norm_sq = partial[k] + partial[k] * partial[k] / w[k + 1]
         basis.append(_unit(system, m, norm_sq))
@@ -461,59 +458,34 @@ def to_float_system(system: MatrixSystem) -> MatrixSystem:
 # -- JSON interchange ------------------------------------------------------
 
 
-def _entry_to_json(x, backend: str):
-    if backend == EXACT:
-        return format_exact(x)
-    return float(x)
-
-
-def _entry_from_json(x, backend: str):
-    if backend == EXACT:
-        if isinstance(x, str):
-            return parse_exact(x)
-        if isinstance(x, int):
-            return Radical(x)
-        raise ValueError(
-            f"exact systems need string or integer entries, got {x!r}"
-        )
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, str):
-        return float(parse_exact(x))
-    raise ValueError(f"cannot read float entry {x!r}")
+def matrix_from_json(rows, field: linalg.Field) -> np.ndarray:
+    """A matrix from JSON rows, each entry read by ``field.from_json``."""
+    return field.array([[field.from_json(x) for x in row] for row in rows])
 
 
 def system_to_json(system: MatrixSystem) -> dict:
-    bk = system.backend
+    out = system.field.to_json
     return {
         "alphabet": list(system.alphabet),
         "dim": system.dim,
         "maps": {
-            sym: [[_entry_to_json(x, bk) for x in row] for row in map_]
+            sym: [[out(x) for x in row] for row in map_]
             for sym, map_ in zip(system.alphabet, system.maps)
         },
-        "energy": [[_entry_to_json(x, bk) for x in row] for row in system.energy],
-        "backend": bk,
+        "energy": [[out(x) for x in row] for row in system.energy],
+        "backend": system.backend,
     }
 
 
 def system_from_json(data: dict) -> MatrixSystem:
     try:
         backend = data.get("backend", FLOAT)
+        fld = linalg.FIELDS[backend]
         alphabet = [str(a) for a in data["alphabet"]]
         dim = int(data["dim"])
-        maps = []
-        for sym in alphabet:
-            rows = data["maps"][sym]
-            maps.append(
-                linalg.as_matrix(
-                    [[_entry_from_json(x, backend) for x in row] for row in rows], backend
-                )
-            )
-        energy = linalg.as_matrix(
-            [[_entry_from_json(x, backend) for x in row] for row in data["energy"]], backend
-        )
-    except (KeyError, TypeError, IndexError) as exc:
+        maps = [matrix_from_json(data["maps"][sym], fld) for sym in alphabet]
+        energy = matrix_from_json(data["energy"], fld)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed system description: {exc}") from exc
     system = make_system(alphabet, maps, energy, backend)
     if system.dim != dim:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg, matsys, spectral, symbolic
 from .exactnum import Radical
-from .linalg import EXACT
 from .matsys import MatrixSystem
 from .symbolic import BudgetError, CylinderFunction, Word
 
@@ -108,7 +107,7 @@ def level_masses(m: KusuokaMeasure, k: int, budget: int = symbolic.DEFAULT_BUDGE
 def conditional(m: KusuokaMeasure, word: Word, s: int):
     """nu(word + s) / nu(word)."""
     base = nu(m, word)
-    if (base.is_zero() if isinstance(base, Radical) else base == 0):
+    if base == 0:
         raise ValueError("conditioning on a zero-mass cylinder")
     return nu(m, tuple(word) + (s,)) / base
 
@@ -144,13 +143,9 @@ def h_state(m: KusuokaMeasure, prefix: Word) -> HState:
     a = symbolic.word_matrix(m.system, prefix)
     h = a.T @ m.system.energy @ a
     mass = np.trace(h)
-    if (mass.is_zero() if isinstance(mass, Radical) else mass == 0):
+    if mass == 0:
         raise ValueError("prefix has zero mass")
-    if m.system.backend == EXACT:
-        h = (Radical(1) / mass) * h
-    else:
-        h = h / mass
-    return HState(prefix, h)
+    return HState(prefix, m.system.field.div(h, mass))
 
 
 def correlation_gap(m: KusuokaMeasure, alpha: Word, beta: Word, n: int):
@@ -183,7 +178,7 @@ def correlation_gap_brute(
     a = symbolic.word_matrix(sys_, alpha)
     b = symbolic.word_matrix(sys_, beta)
     e = sys_.energy
-    total = linalg.scalar_zero(sys_.backend)
+    total = sys_.field.zero
     for g in m.level_matrices(n, budget):
         w = b @ g @ a
         total = total + np.trace(w.T @ e @ w)
@@ -230,9 +225,8 @@ def mixing_bound_check(
     if k < 0 or n_max < 0:
         raise ValueError("depth and separation must be >= 0")
     sys_ = m.system
-    backend = sys_.backend
     t1 = spectral.theta1(sys_)
-    t1_scalar = t1.exact if (backend == EXACT and t1.exact is not None) else t1.value
+    t1_scalar = t1.exact if t1.exact is not None else t1.value
 
     alphas = list(range(sys_.n_symbols ** k))
     a_mats = m.level_matrices(k, budget)
@@ -245,14 +239,12 @@ def mixing_bound_check(
             weights.append(bm.T @ sys_.energy @ bm)
             b_mass.append(bmass)
 
-    ident = linalg.identity(sys_.dim, backend)
+    ident = linalg.identity(sys_.dim, sys_.backend)
     centered = [a_mats[i] @ a_mats[i].T - a_mass[i] * ident for i in alphas]
 
-    one = Radical(1) if backend == EXACT else 1.0
-    two = Radical(2) if backend == EXACT else 2.0
-    dim = Radical(sys_.dim) if backend == EXACT else float(sys_.dim)
+    two, dim = sys_.field.lift(2), sys_.field.lift(sys_.dim)
     rows = []
-    t1_pow = one
+    t1_pow = sys_.field.one
     for n in range(n_max + 1):
         max_gap = None
         for i in alphas:
@@ -308,7 +300,7 @@ def transfer_apply(
     h = h_state(m, prefix).h
     for _ in range(mshift):
         h = matsys.apply_M_star(m.system, h)
-    total = linalg.scalar_zero(m.system.backend)
+    total = m.system.field.zero
     for i, a in enumerate(m.level_matrices(f.depth, budget)):
         total = total + f.values[i] * np.trace(h @ (a @ a.T))
     return total
@@ -328,9 +320,7 @@ def _sampler_node(m: KusuokaMeasure, word: Word, parent, s: int | None):
     else:
         _, conds, pstate = parent
         a = sys_.maps[s]
-        state = a @ pstate @ a.T
-        c = conds[s]
-        state = (Radical(1) / c) * state if sys_.backend == EXACT else state / c
+        state = sys_.field.div(a @ pstate @ a.T, conds[s])
     conds = tuple(
         np.trace(a.T @ sys_.energy @ a @ state) for a in sys_.maps
     )

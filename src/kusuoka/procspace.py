@@ -24,7 +24,7 @@ from .exactnum import Radical
 from .linalg import EXACT
 from .matsys import MatrixSystem
 from .measure import KusuokaMeasure
-from .symbolic import CylinderFunction, Word
+from .symbolic import CylinderFunction
 
 __all__ = [
     "FiniteProcess",
@@ -107,7 +107,7 @@ def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEF
     fv = extend(f, level - f.degree, budget).values
     gv = extend(g, level - g.degree, budget).values
     e = f.system.energy
-    total = linalg.scalar_zero(f.system.backend)
+    total = f.system.field.zero
     for a, b in zip(fv, gv):
         total = total + np.trace(b.T @ e @ a)
     return total
@@ -179,7 +179,7 @@ class MartingaleRep:
     def component_norm_sq(self, j: int):
         comp = self.components[j]
         masses = self.measure.level_nu(comp.depth)
-        total = linalg.scalar_zero(comp.backend)
+        total = linalg.FIELDS[comp.backend].zero
         for v, w in zip(comp.values, masses):
             total = total + v * v * w
         return total
@@ -218,7 +218,7 @@ def martingale_decompose(m: KusuokaMeasure, f: CylinderFunction, budget: int = s
             for s in range(1, n):
                 acc = acc + levels[j][p * n + s] * nu_j[p * n + s]
             up.append(acc / nu_up[p])
-        levels[j - 1] = np.array(up, dtype=object) if m.system.backend == EXACT else np.array(up)
+        levels[j - 1] = np.array(up, dtype=m.system.field.dtype)
     comps = [CylinderFunction(0, n, levels[0], f.backend)]
     for j in range(1, f.depth + 1):
         diff = levels[j] - np.repeat(levels[j - 1], n)
@@ -246,19 +246,15 @@ def project_Q(
     masses = m.level_nu(level, budget)
     e = m.system.energy
     q = [np.trace(a.T @ e @ v) / w for v, a, w in zip(ext.values, mats, masses)]
-    arr = np.array(q, dtype=object) if m.system.backend == EXACT else np.array(q)
+    arr = np.array(q, dtype=m.system.field.dtype)
     qf = CylinderFunction(level, m.system.n_symbols, arr, m.system.backend)
     return martingale_decompose(m, qf, budget)
 
 
-def _norm_scalar(x, backend: str):
+def _norm_scalar(x, field):
     """sqrt on the backend, falling back to float when it leaves the field."""
-    if backend == EXACT:
-        try:
-            return x.sqrt()
-        except (ValueError, AttributeError):
-            return float(x) ** 0.5
-    return float(x) ** 0.5
+    root = field.sqrt(x)
+    return float(x) ** 0.5 if root is None else root
 
 
 def gamma_norm(rep: MartingaleRep, gamma):
@@ -270,11 +266,11 @@ def gamma_norm(rep: MartingaleRep, gamma):
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie strictly between 0 and 1")
-    backend = rep.measure.system.backend
-    norms = [_norm_scalar(rep.component_norm_sq(j), backend) for j in range(len(rep.components))]
-    if backend == EXACT and all(isinstance(x, Radical) for x in norms):
+    sys_ = rep.measure.system
+    norms = [_norm_scalar(rep.component_norm_sq(j), sys_.field) for j in range(len(rep.components))]
+    if sys_.backend == EXACT and all(isinstance(x, Radical) for x in norms):
         try:
-            gam = gamma if isinstance(gamma, Radical) else Radical(gamma)
+            gam = Radical(gamma)
         except TypeError:
             gam = None  # float weight requested on exact components
         if gam is not None:
@@ -288,12 +284,6 @@ def gamma_norm(rep: MartingaleRep, gamma):
         total += weight * float(x)
         weight /= g
     return total
-
-
-def _abs_max(values, backend: str):
-    if backend == EXACT:
-        return max((abs(v) for v in values), default=Radical(0))
-    return max((abs(float(v)) for v in values), default=0.0)
 
 
 def dilation_check(
@@ -340,19 +330,19 @@ def dilation_check(
         masses = m.level_nu(big, budget)
         f_div = n ** (big - f.depth)
         b_div = n ** (big - k - level)
-        num = [linalg.scalar_zero(sys_.backend) for _ in range(n ** level)]
+        num = [sys_.field.zero] * (n ** level)
         for w in range(n ** big):
             beta = (w // b_div) % (n ** level)
             num[beta] = num[beta] + f.values[w // f_div] * masses[w]
         level_mass = m.level_nu(level, budget)
         vals = [num[i] / level_mass[i] for i in range(n ** level)]
-    arr = np.array(vals, dtype=object) if sys_.backend == EXACT else np.array(vals)
+    arr = np.array(vals, dtype=sys_.field.dtype)
     rep_b = martingale_decompose(m, CylinderFunction(level, n, arr, sys_.backend), budget)
 
     diffs = []
     for j in range(level + 1):
         diffs.extend(rep_a.components[j].values - rep_b.components[j].values)
-    return _abs_max(diffs, sys_.backend)
+    return max((abs(v) for v in diffs), default=sys_.field.zero)
 
 
 # -- fresh-innovation subspace ------------------------------------------------

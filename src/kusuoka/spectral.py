@@ -14,13 +14,12 @@ satisfying both fixed-point equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg, matsys, symbolic
 from .exactnum import Radical
-from .linalg import EXACT, FLOAT
+from .linalg import EXACT
 
 __all__ = [
     "Theta1Result",
@@ -135,7 +134,7 @@ def theta1_schatten(system: matsys.MatrixSystem, p, trials: int = 256, seed: int
         raise ValueError("p must be >= 1 or 'inf'")
     rep, _ = matsys.matrix_rep_M(system, "traceless-symmetric")
     if rep.shape[0] == 0:
-        return Radical(0) if system.backend == EXACT else 0.0
+        return system.field.zero
     c = _scalar_action(rep, system.backend)
     if c is not None:
         return abs(c)
@@ -231,13 +230,6 @@ class Theta2Result:
     c_values: dict
 
 
-def _exact_sqrt(x: Radical) -> Radical | None:
-    try:
-        return x.sqrt()
-    except ValueError:
-        return None
-
-
 def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAULT_BUDGET) -> Theta2Result:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -250,7 +242,7 @@ def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAU
     c1 = cs[1]
     if c1.exact is not None:
         rem = Radical(1) - c1.exact
-        lemma_exact = _exact_sqrt(rem)
+        lemma_exact = system.field.sqrt(rem)
         lemma_value = float(lemma_exact) if lemma_exact is not None else float(rem) ** 0.5
     else:
         lemma_exact = None
@@ -266,7 +258,7 @@ def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAU
             if k == 1:
                 ex = rem
             elif k == 2:
-                ex = _exact_sqrt(rem)
+                ex = system.field.sqrt(rem)
         cands[k] = (fval, ex)
     k_best = min(cands, key=lambda k: cands[k][0])
     thm_value, thm_exact = cands[k_best]
@@ -317,30 +309,24 @@ def _sym_coords(mat, pairs):
     return [mat[i, j] for (i, j) in pairs]
 
 
-def _sym_from_coords(coords, pairs, d, backend):
-    out = linalg.zeros((d, d), backend)
+def _sym_from_coords(coords, pairs, d, field):
+    out = field.zeros((d, d))
     for c, (i, j) in zip(coords, pairs):
         out[i, j] = c
         out[j, i] = c
     return out
 
 
-def _sym_rep(maps, d, backend, star: bool):
+def _sym_rep(maps, d, field, star: bool):
     """Matrix of B -> sum_s A_s* B A_s (star) or sum_s A_s B A_s* in plain symmetric coords."""
     pairs = _sym_pairs(d)
     m = len(pairs)
-    rep = linalg.zeros((m, m), backend)
+    rep = field.zeros((m, m))
     for v, (i, j) in enumerate(pairs):
-        basis = linalg.zeros((d, d), backend)
-        one = Radical(1) if backend == EXACT else 1.0
-        basis[i, j] = one
-        basis[j, i] = one
-        if backend == EXACT:
-            img = linalg.zeros((d, d), backend)
-            for a in maps:
-                img = img + (a.T @ basis @ a if star else a @ basis @ a.T)
-        else:
-            img = sum((a.T @ basis @ a if star else a @ basis @ a.T) for a in maps)
+        basis = field.zeros((d, d))
+        basis[i, j] = field.one
+        basis[j, i] = field.one
+        img = sum((a.T @ basis @ a if star else a @ basis @ a.T) for a in maps)
         for u, c in enumerate(_sym_coords(img, pairs)):
             rep[u, v] = c
     return rep
@@ -360,7 +346,7 @@ def _perron_exact(rep, pairs, d):
     null = linalg.nullspace_exact(shifted)
     if len(null) != 1:
         raise ValueError("Perron eigenspace is degenerate; the raw maps are reducible")
-    form = _sym_from_coords(null[0], pairs, d, EXACT)
+    form = _sym_from_coords(null[0], pairs, d, linalg.FIELDS[EXACT])
     tr = np.trace(form)
     if tr.sign() < 0:
         form = -1 * form
@@ -396,7 +382,8 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     member satisfies this (the form is a rational multiple of the identity);
     for raw maps where it fails, a ValueError points at the float backend.
     """
-    mats = [linalg.as_matrix(m, backend) for m in raw_maps]
+    field = linalg.FIELDS[backend]
+    mats = [field.array(m) for m in raw_maps]
     if not mats:
         raise ValueError("need at least one raw map")
     d = mats[0].shape[0]
@@ -409,14 +396,13 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
         for a in mats:
             if linalg.det_exact(a).is_zero():
                 raise ValueError("raw maps must be injective")
-        rep_primal = _sym_rep(mats, d, EXACT, star=True)
-        rep_dual = _sym_rep(mats, d, EXACT, star=False)
+        rep_primal = _sym_rep(mats, d, field, star=True)
+        rep_dual = _sym_rep(mats, d, field, star=False)
         mu, e0 = _perron_exact(rep_primal, pairs, d)
         mu_dual, r0 = _perron_exact(rep_dual, pairs, d)
         if not (mu - mu_dual).is_zero():
             raise ValueError("primal and dual Perron eigenvalues disagree")
-        lam_sq = Radical(1) / mu
-        lam = _exact_sqrt(lam_sq)
+        lam = field.sqrt(Radical(1) / mu)
         if lam is None:
             raise ValueError(
                 "scaling factor mu^(-1/2) leaves the exact scalar field; use the float backend"
@@ -425,19 +411,18 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
         upper_inv = linalg.solve_exact(upper, linalg.identity(d, EXACT))
         new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
         energy = upper @ e0 @ upper.T
-        energy = (Radical(1) / np.trace(energy)) * energy
     else:
         for a in mats:
             if abs(np.linalg.det(a)) < tol:
                 raise ValueError("raw maps must be injective")
-        rep_primal = _sym_rep(mats, d, FLOAT, star=True)
-        rep_dual = _sym_rep(mats, d, FLOAT, star=False)
+        rep_primal = _sym_rep(mats, d, field, star=True)
+        rep_dual = _sym_rep(mats, d, field, star=False)
         mu, v_primal = _perron_float(rep_primal)
         mu_dual, v_dual = _perron_float(rep_dual)
         if abs(mu - mu_dual) > tol * max(1.0, abs(mu)):
             raise ValueError("primal and dual Perron eigenvalues disagree beyond tolerance")
-        e0 = _sym_from_coords(v_primal, pairs, d, FLOAT)
-        r0 = _sym_from_coords(v_dual, pairs, d, FLOAT)
+        e0 = _sym_from_coords(v_primal, pairs, d, field)
+        r0 = _sym_from_coords(v_dual, pairs, d, field)
         if np.trace(e0) < 0:
             e0 = -e0
         if np.trace(r0) < 0:
@@ -450,7 +435,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
         upper_inv = np.linalg.inv(upper)
         new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
         energy = upper @ e0 @ upper.T
-        energy = energy / np.trace(energy)
+    energy = field.div(energy, np.trace(energy))
 
     if alphabet is None:
         alphabet = tuple(str(i) for i in range(len(new_maps)))

@@ -22,13 +22,10 @@ length k, stored as a flat array in word-index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .exactnum import Radical, format_exact, parse_exact
-from .linalg import EXACT, FLOAT
 from .matsys import MatrixSystem
 
 __all__ = [
@@ -218,59 +215,37 @@ class CylinderFunction:
 
 
 def cylinder_from_values(system: MatrixSystem, depth: int, values) -> CylinderFunction:
-    if system.backend == EXACT:
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = v if isinstance(v, Radical) else Radical(v)
-    else:
-        arr = np.asarray(values, dtype=float)
-    return CylinderFunction(depth, system.n_symbols, arr, system.backend)
+    return CylinderFunction(depth, system.n_symbols, system.field.array(values), system.backend)
 
 
 def indicator(system: MatrixSystem, word: Word) -> CylinderFunction:
     """Indicator of the initial cylinder named by ``word``."""
     k = len(word)
-    n = system.n_symbols**k
-    if system.backend == EXACT:
-        vals = np.empty(n, dtype=object)
-        vals[:] = Radical(0)
-        vals[word_index(word, system.n_symbols)] = Radical(1)
-    else:
-        vals = np.zeros(n)
-        vals[word_index(word, system.n_symbols)] = 1.0
+    vals = system.field.zeros(system.n_symbols**k)
+    vals[word_index(word, system.n_symbols)] = system.field.one
     return CylinderFunction(k, system.n_symbols, vals, system.backend)
 
 
 def cylinder_to_json(f: CylinderFunction, alphabet) -> dict:
+    out = linalg.FIELDS[f.backend].to_json
     vals = {}
     for i in range(len(f.values)):
         w = index_word(i, f.depth, f.n_symbols)
-        x = f.values[i]
-        vals[format_word(w, alphabet)] = format_exact(x) if f.backend == EXACT else float(x)
+        vals[format_word(w, alphabet)] = out(f.values[i])
     return {"depth": f.depth, "values": vals}
 
 
 def cylinder_from_json(data: dict, system: MatrixSystem) -> CylinderFunction:
     try:
         depth = int(data["depth"])
-        raw = data["values"]
-    except (KeyError, TypeError) as exc:
+        raw = data["values"].items()
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed cylinder function: {exc}") from exc
     n = system.n_symbols
-    count = n**depth
-    if system.backend == EXACT:
-        vals = np.empty(count, dtype=object)
-        vals[:] = Radical(0)
-    else:
-        vals = np.zeros(count)
-    for key, x in raw.items():
+    vals = system.field.zeros(check_budget(n, depth))
+    for key, x in raw:
         w = parse_word(key, system.alphabet)
         if len(w) != depth:
             raise ValueError(f"word {key!r} does not have declared depth {depth}")
-        if system.backend == EXACT:
-            vals[word_index(w, n)] = (
-                parse_exact(x) if isinstance(x, str) else Radical(Fraction(x) if isinstance(x, int) else Fraction(str(x)))
-            )
-        else:
-            vals[word_index(w, n)] = float(parse_exact(x)) if isinstance(x, str) else float(x)
+        vals[word_index(w, n)] = system.field.from_json(x)
     return CylinderFunction(depth, n, vals, system.backend)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kusuoka import cli
 
 
@@ -145,6 +147,14 @@ def test_correlate_csv(capsys):
     assert lines[2].startswith("1,0,0,64/1125,8/5")
 
 
+def test_correlate_negative_nmax_is_config_error(capsys):
+    code, out, err = run(capsys, "correlate", "--builtin", "sg",
+                         "--alpha", "0", "--beta", "0", "--nmax", "-1")
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_mixing_bound_csv(capsys):
     code, out, _ = run(capsys, "mixing-bound", "--builtin", "sg", "--k", "1", "--nmax", "3")
     assert code == 0
@@ -205,6 +215,34 @@ def test_renormalize_from_file(capsys, tmp_path):
     assert out.strip() == "4/5 (exact)"
 
 
+def test_renormalize_reads_decimals_and_integers(capsys, tmp_path):
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps([[[0.6, 0], [0, 0.2]],
+                               [[0.3, "-1/10*sqrt(3)"], ["-1/10*sqrt(3)", 0.5]],
+                               [[0.3, "1/10*sqrt(3)"], ["1/10*sqrt(3)", 0.5]]]))
+    for backend in ("exact", "float"):
+        code, out, _ = run(capsys, "renormalize", "--in", str(raw), "--backend", backend)
+        assert code == 0
+        sysfile = tmp_path / f"sys-{backend}.json"
+        sysfile.write_text(out)
+        code, out, _ = run(capsys, "theta1", "--in", str(sysfile), "--backend", backend)
+        assert code == 0
+        if backend == "exact":
+            assert out.strip() == "4/5 (exact)"
+        else:
+            assert float(out.split()[0]) == pytest.approx(0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("content", ["5", '{"maps": [[[1, 2], [3]]]}'])
+def test_renormalize_malformed_file_is_config_error(capsys, tmp_path, content):
+    raw = tmp_path / "raw.json"
+    raw.write_text(content)
+    code, out, err = run(capsys, "renormalize", "--in", str(raw))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_renormalize_needs_file(capsys):
     code, _, err = run(capsys, "renormalize", "--builtin", "sg")
     assert code == 65
@@ -224,6 +262,19 @@ def test_dilation_custom_function(capsys, tmp_path):
                        "--f", str(ffile), "--level", "2")
     assert code == 0
     assert out.strip() == "residual = 0"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("body", [{"depth": 1, "values": {"0": None, "1": 1, "2": 0}},
+                                  {"depth": -1, "values": {}}])
+def test_dilation_bad_function_is_config_error(capsys, tmp_path, backend, body):
+    ffile = tmp_path / "c.json"
+    ffile.write_text(json.dumps(body))
+    code, out, err = run(capsys, "dilation", "--builtin", "sg", "--k", "1",
+                         "--backend", backend, "--f", str(ffile))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_dilation_negative_level_is_config_error(capsys):
@@ -274,3 +325,8 @@ def test_missing_file_is_config_error(capsys, tmp_path):
     garbled.write_text("{not json")
     code, _, _ = run(capsys, "theta1", "--in", str(garbled))
     assert code == 65
+    garbled.write_text("[1]")
+    code, out, err = run(capsys, "theta1", "--in", str(garbled))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: malformed system description") and err.count("\n") == 1

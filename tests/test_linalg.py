@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import (
     EXACT,
+    FIELDS,
     FLOAT,
     as_matrix,
     certified_spectral_radius,
@@ -171,3 +172,77 @@ def test_identity_backends():
     assert ie[0, 0] == Radical(1)
     iff = identity(3, FLOAT)
     assert iff.dtype == np.float64
+
+
+# -- the scalar field of each backend ----------------------------------------
+
+_JSON_SAMPLES = {
+    EXACT: [Radical(0), Radical(Fraction(-7, 3)), Radical.root(2),
+            Radical(Fraction(1, 2)) - Radical.root(Fraction(5, 3))],
+    FLOAT: [0.0, -2.5, 0.1, 1 / 3, 2.0**0.5, 1e-300, -7e22],
+}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_field_json_roundtrip(backend):
+    field = FIELDS[backend]
+    for x in _JSON_SAMPLES[backend]:
+        back = field.from_json(field.to_json(x))
+        assert back == x and type(back) is type(x)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("bad", [None, [1], {"a": 1}, "1/", "sqrt(2"])
+def test_field_from_json_rejects(backend, bad):
+    with pytest.raises(ValueError):
+        FIELDS[backend].from_json(bad)
+
+
+def test_field_from_json_reads_decimals_as_written():
+    assert FIELDS[EXACT].from_json(0.1) == Radical(Fraction(1, 10))
+    assert FIELDS[EXACT].from_json(3) == Radical(3)
+    assert FIELDS[EXACT].from_json("1/2*sqrt(3)") == Radical.root(Fraction(3, 4))
+    assert FIELDS[FLOAT].from_json(0.1) == 0.1
+    assert FIELDS[FLOAT].from_json("1/4") == 0.25
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_field_array_shapes(backend):
+    field = FIELDS[backend]
+    assert field.array([1, 2, 3]).shape == (3,)
+    m = field.array([[1, 2], [3, 4]])
+    assert m.shape == (2, 2) and m.dtype == field.dtype
+    assert all(isinstance(x, type(field.one)) for x in m.flat)
+    for ragged in ([[1, 2], [3]], [[1, [2]], [3, 4]], [[[1]]]):
+        with pytest.raises(ValueError):
+            field.array(ragged)
+    assert np.array_equal(field.identity(2), field.array([[1, 0], [0, 1]]))
+    assert np.array_equal(field.zeros((2, 3)), field.array([[0, 0, 0], [0, 0, 0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_field_arrays_agree_across_backends(rows, cols, data):
+    entries = data.draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows))
+    exact, flt = FIELDS[EXACT].array(entries), FIELDS[FLOAT].array(entries)
+    assert np.array_equal(to_float_matrix(exact), flt)
+    assert flt.dtype == np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(), _entries.filter(lambda c: c != 0))
+def test_field_div_matches_true_division(m, c):
+    ce = Radical(c)
+    assert np.array_equal(FIELDS[EXACT].div(m, ce), m / ce)
+    assert FIELDS[EXACT].div(ce * ce, ce) == ce
+    mf, cf = to_float_matrix(m), float(c)
+    got, want = FIELDS[FLOAT].div(mf, cf), mf / cf
+    assert got.tobytes() == want.tobytes()
+
+
+def test_field_sqrt():
+    assert FIELDS[EXACT].sqrt(Radical(Fraction(9, 4))) == Radical(Fraction(3, 2))
+    assert FIELDS[EXACT].sqrt(Radical(2)) == Radical.root(2)
+    assert FIELDS[EXACT].sqrt(Radical(1) + Radical.root(2)) is None
+    assert FIELDS[FLOAT].sqrt(2.25) == 1.5

@@ -1,0 +1,35 @@
+"""Static checks on the package source that need no third-party linter."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kusuoka"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_reported():
+    src = "import os\nfrom fractions import Fraction\nfrom . import linalg\nprint(linalg.EXACT)\n"
+    assert _unused_imports(src) == ["line 1: os", "line 2: Fraction"]

@@ -184,6 +184,20 @@ def test_json_roundtrip_float(sg_float):
         assert np.allclose(a, b)
 
 
+def test_json_reads_decimals_as_written():
+    data = {"alphabet": ["0", "1"], "dim": 1, "backend": EXACT,
+            "maps": {"0": [[0.5]], "1": [["1/2*sqrt(3)"]]}, "energy": [[1]]}
+    system = system_from_json(data)
+    assert system.maps[0][0, 0] == Radical(Fraction(1, 2))
+    assert validate(system).ok
+    system = system_from_json(dict(data, backend=FLOAT))
+    assert system.maps[0][0, 0] == 0.5
+    with pytest.raises(ValueError):
+        system_from_json(dict(data, energy=[[None]]))
+    with pytest.raises(ValueError):
+        system_from_json(dict(data, maps={"0": [[1, 2], [3]], "1": [[1]]}))
+
+
 def test_to_float_system(sg):
     f = to_float_system(sg)
     assert f.backend == FLOAT
