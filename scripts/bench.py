@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Time each layer of kusuoka and write the timings to BENCH_<label>.json.
+
+The layers, from the scalar up:
+
+  scalar     2x2 matrix product (Radical entries on exact, float64 on float)
+  tables     level_nu(sg3, 5): every depth-5 cylinder mass
+  operation  mixing_bound_check(sg, k, nmax=12) for k = 2, 3;
+             sample_many(sg): 1000 words of length 16, seed 0
+  cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6, as a subprocess
+
+Each layer runs on both backends.  A record keeps the minimum over
+``--repeats`` runs of the wall time (perf_counter) and of the process CPU
+time (process_time; for the CLI the child's CPU time).  Every run builds a
+fresh measure, so no level table or sampler node is reused between runs.
+Seeds are fixed, so two files differ only in the code they timed.
+
+    python3 scripts/bench.py --label mine
+    python3 scripts/bench.py --label base --src ../base/src   # another checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _timed(fn, repeats: int, inner: int = 1) -> dict:
+    wall, cpu = [], []
+    for _ in range(repeats):
+        w0, c0 = time.perf_counter(), time.process_time()
+        for _ in range(inner):
+            fn()
+        cpu.append((time.process_time() - c0) / inner)
+        wall.append((time.perf_counter() - w0) / inner)
+    return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": inner}
+
+
+def _cpu_name() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor()
+
+
+def _child_cpu() -> float:
+    use = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return use.ru_utime + use.ru_stime
+
+
+def _timed_cli(argv: list[str], src: Path, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    wall, cpu = [], []
+    for _ in range(repeats):
+        w0, c0 = time.perf_counter(), _child_cpu()
+        subprocess.run([sys.executable, "-m", "kusuoka.cli", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        cpu.append(_child_cpu() - c0)
+        wall.append(time.perf_counter() - w0)
+    return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": 1}
+
+
+def run(src: Path, repeats: int) -> list[dict]:
+    sys.path.insert(0, str(src))
+    from kusuoka import gasket, matsys, measure
+    from kusuoka.linalg import EXACT, FLOAT
+
+    records = []
+
+    def add(layer: str, name: str, backend: str, timing: dict) -> None:
+        records.append({"layer": layer, "name": name, "backend": backend, **timing})
+        print(f"{layer:9s} {backend:5s} {timing['cpu_s']:10.4f} s cpu  {name}", flush=True)
+
+    for backend in (EXACT, FLOAT):
+        sg = matsys.sg_system(backend)
+        sg3 = gasket.generate_system(3, backend)
+        a, b = sg.maps[0], sg.maps[1]
+        add("scalar", "2x2 matmul", backend, _timed(lambda: a @ b, repeats, inner=2000))
+        add("tables", "level_nu(sg3, 5)", backend,
+            _timed(lambda: measure.kusuoka_measure(sg3).level_nu(5), repeats))
+        for k in (2, 3):
+            add("operation", f"mixing_bound_check(sg, k={k}, nmax=12)", backend,
+                _timed(lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12), repeats))
+        add("operation", "sample_many(sg, 16, 1000, seed=0)", backend,
+            _timed(lambda: measure.sample_many(measure.kusuoka_measure(sg), 16, 1000, 0), repeats))
+        argv = ["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6", "--backend", backend]
+        add("cli", "kusuoka " + " ".join(argv), backend, _timed_cli(argv, src, repeats))
+    return records
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to time")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--out-dir", type=Path, default=ROOT)
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+
+    records = run(args.src.resolve(), args.repeats)
+    import numpy
+
+    body = {
+        "label": args.label,
+        "context": {
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "processor": _cpu_name(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+        "records": records,
+    }
+    out = args.out_dir / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(body, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -92,9 +92,16 @@ class Radical:
         self._t = ((1, q),) if q else ()
 
     @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "Radical":
+    def from_terms(cls, terms: dict[int, Fraction]) -> "Radical":
+        """The element sum_r terms[r] * sqrt(r); radicands must be squarefree."""
         obj = object.__new__(cls)
         obj._t = tuple(sorted((r, c) for r, c in terms.items() if c))
+        return obj
+
+    @classmethod
+    def _from_int(cls, n: int) -> "Radical":
+        obj = object.__new__(cls)
+        obj._t = ((1, Fraction(n)),) if n else ()
         return obj
 
     @classmethod
@@ -108,9 +115,13 @@ class Radical:
         if q == 0:
             return cls(0)
         s, r = _squarefree(q.numerator * q.denominator)
-        return cls._raw({r: Fraction(s, q.denominator)})
+        return cls.from_terms({r: Fraction(s, q.denominator)})
 
     # -- queries ---------------------------------------------------------
+
+    def terms(self) -> tuple:
+        """The (squarefree radicand, nonzero rational coefficient) pairs, by radicand."""
+        return self._t
 
     def is_zero(self) -> bool:
         return not self._t
@@ -162,13 +173,13 @@ class Radical:
             return NotImplemented
         terms = self._terms_dict()
         for r, c in o._t:
-            terms[r] = terms.get(r, Fraction(0)) + c
-        return Radical._raw(terms)
+            terms[r] = terms.get(r, 0) + c
+        return Radical.from_terms(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical._raw({r: -c for r, c in self._t})
+        return Radical.from_terms({r: -c for r, c in self._t})
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -183,6 +194,10 @@ class Radical:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            obj = object.__new__(Radical)
+            obj._t = tuple((r, c * other) for r, c in self._t) if other else ()
+            return obj
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -191,9 +206,9 @@ class Radical:
             for r2, c2 in o._t:
                 g = math.gcd(r1, r2)
                 r3 = (r1 // g) * (r2 // g)
-                c3 = c1 * c2 * g
-                terms[r3] = terms.get(r3, Fraction(0)) + c3
-        return Radical._raw(terms)
+                c3 = c1 * c2 if g == 1 else c1 * c2 * g
+                terms[r3] = terms.get(r3, 0) + c3
+        return Radical.from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -204,9 +219,9 @@ class Radical:
             return Radical(1 / self._t[0][1])
         if len(self._t) == 1:
             r, c = self._t[0]
-            return Radical._raw({r: 1 / (c * r)})
+            return Radical.from_terms({r: 1 / (c * r)})
         p = min(_smallest_prime_factor(r) for r, _ in self._t if r > 1)
-        conj = Radical._raw(
+        conj = Radical.from_terms(
             {r: (-c if r % p == 0 else c) for r, c in self._t}
         )
         norm = self * conj
@@ -266,7 +281,7 @@ class Radical:
                         if not a.is_rational() or a.is_zero():
                             continue
                         b = v / (2 * a.as_fraction())
-                        cand = Radical(a.as_fraction()) + Radical._raw({r: b})
+                        cand = Radical(a.as_fraction()) + Radical.from_terms({r: b})
                         if cand * cand == self:
                             return cand if cand.sign() > 0 else -cand
         raise ValueError(f"sqrt of {self} is not representable in this field")
@@ -276,6 +291,8 @@ class Radical:
     def _lift(self, other):
         if isinstance(other, Radical):
             return other
+        if type(other) is int:
+            return Radical._from_int(other)
         q = _coerce_fraction(other)
         if q is not None:
             return Radical(q)
@@ -287,12 +304,16 @@ class Radical:
         return None
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self._t == ((1, other),) if other else not self._t
         o = self._lift(other)
         if o is None:
             return NotImplemented
         return self._t == o._t
 
     def __ne__(self, other):
+        if type(other) is int:
+            return self._t != ((1, other),) if other else bool(self._t)
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 

@@ -242,24 +242,26 @@ def _split_spectrum(m: np.ndarray):
     Returns (reals, moduli, rest): the exact real eigenvalues found, the
     exact moduli of the complex-conjugate pairs found, and the factor of
     the characteristic polynomial left unsplit (empty when it split
-    completely).  The roots come from the rational root search, a linear
-    or quadratic rational remainder, or, for surd coefficients, the 1x1
-    and 2x2 closed forms; ``rest`` is rational whenever ``reals`` is not
-    empty.
+    completely).  A 2x2 matrix with real eigenvalues takes the closed form
+    (tr +- sqrt(tr^2 - 4 det)) / 2 first, whatever its coefficients.  Other
+    roots come from the rational root search, a linear or quadratic
+    rational remainder, or, for surd coefficients, the 1x1 closed form;
+    ``rest`` is rational whenever ``reals`` is not empty.
     """
     n = m.shape[0]
+    if n == 2:
+        tr = m[0, 0] + m[1, 1]
+        disc = tr * tr - 4 * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        if disc.sign() >= 0:
+            try:
+                sq = disc.sqrt()
+            except ValueError:
+                return [], [], char_poly(m)
+            return [(tr + sq) / 2, (tr - sq) / 2], [], []
     coeffs = char_poly(m)
     if not all(c.is_rational() for c in coeffs):
         if n == 1:
             return [m[0, 0]], [], []
-        if n == 2:
-            tr = m[0, 0] + m[1, 1]
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            try:
-                sq = (tr * tr - 4 * det).sqrt()
-            except ValueError:
-                return [], [], coeffs
-            return [(tr + sq) / 2, (tr - sq) / 2], [], []
         return [], [], coeffs
     roots, rem = rational_roots([c.as_fraction() for c in coeffs])
     reals = [Radical(r) for r in roots]

@@ -117,3 +117,33 @@ def test_hash_consistent_with_eq():
     b = Radical(2)
     assert a == b
     assert hash(a) == hash(b)
+
+
+_ints = st.one_of(st.integers(min_value=-50, max_value=50), st.integers(min_value=-10**30, max_value=10**30))
+
+
+@given(rationals, rationals, _ints)
+def test_int_operands_agree_with_fraction_lift(a, b, n):
+    x = Radical(a) + Radical(b) * Radical.root(3)
+    y = Radical(Fraction(n))
+    assert (x == n) == (x == y) and (n == x) == (y == x)
+    assert (x != n) == (x != y) and (n != x) == (y != x)
+    assert (x < n, x <= n, x > n, x >= n) == (x < y, x <= y, x > y, x >= y)
+    assert x + n == x + y and n + x == y + x
+    assert x - n == x - y and n - x == y - x
+    assert x * n == x * y and n * x == y * x
+    if n:
+        assert x / n == x / y
+    if not x.is_zero():
+        assert n / x == y / x
+    assert Radical(n) == n and hash(Radical(n)) == hash(n)
+
+
+def test_non_int_operands_keep_their_rules():
+    half = Radical(Fraction(1, 2))
+    assert Radical(1) == True and Radical(0) == False and Radical(1) != False  # noqa: E712
+    assert half * True == half and half + False == half
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    for op in (lambda: half == 0.5, lambda: half != 0.5, lambda: half * 2.0, lambda: 2.0 + half):
+        with pytest.raises(TypeError):
+            op()

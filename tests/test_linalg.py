@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import (
+    _split_spectrum,
     EXACT,
     FIELDS,
     FLOAT,
@@ -23,6 +24,7 @@ from kusuoka.linalg import (
     leading_minors,
     nullspace_exact,
     poly_eval,
+    rational_roots,
     solve_exact,
     to_float_matrix,
 )
@@ -246,3 +248,59 @@ def test_field_sqrt():
     assert FIELDS[EXACT].sqrt(Radical(2)) == Radical.root(2)
     assert FIELDS[EXACT].sqrt(Radical(1) + Radical.root(2)) is None
     assert FIELDS[FLOAT].sqrt(2.25) == 1.5
+
+
+def _old_radius_2x2(m):
+    """The 2x2 radius by the route taken before the closed form came first."""
+    coeffs = char_poly(m)
+    if not all(c.is_rational() for c in coeffs):
+        tr, det = m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        try:
+            sq = (tr * tr - 4 * det).sqrt()
+        except ValueError:
+            return None
+        return max(abs((tr + sq) / 2), abs((tr - sq) / 2))
+    roots, rem = rational_roots([c.as_fraction() for c in coeffs])
+    vals = [abs(Radical(r)) for r in roots]
+    if len(rem) == 2:
+        vals.append(abs(Radical(-rem[0] / rem[1])))
+    elif len(rem) == 3:
+        a, b, c = rem[2], rem[1], rem[0]
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            sq = Radical.root(disc)
+            vals += [abs((sq - b) / (2 * a)), abs((-sq - b) / (2 * a))]
+        else:
+            vals.append(Radical.root(Fraction(c, a)))
+    return max(vals)
+
+
+@st.composite
+def _surd_2x2(draw):
+    """S diag(l1, l2) S^-1 with l in Q(sqrt 3), S rational: splits in the field; or random surds."""
+    def surd():
+        return Radical(draw(_entries)) + Radical(draw(_entries)) * Radical.root(3)
+    if draw(st.booleans()):
+        return as_matrix([[surd(), surd()], [surd(), surd()]], EXACT)
+    s = _exact(draw(st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=2, max_size=2)))
+    if det_exact(s).is_zero():
+        s = identity(2, EXACT)
+    d = as_matrix([[surd(), 0], [0, surd()]], EXACT)
+    return s @ d @ solve_exact(s, identity(2, EXACT))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_square(max_n=2).filter(lambda m: m.shape[0] == 2), _surd_2x2()))
+def test_split_2x2_closed_form(m):
+    reals, moduli, rest = _split_spectrum(m)
+    coeffs = char_poly(m)
+    for x in reals:
+        assert poly_eval(coeffs, x).is_zero()
+    if reals:
+        assert len(reals) == 2 and not moduli and not rest
+        assert reals[0] + reals[1] == m[0, 0] + m[1, 1]
+    old = _old_radius_2x2(m)
+    value, exact = certified_spectral_radius(m)
+    assert (exact is None) == (old is None)
+    if old is not None:
+        assert exact == old

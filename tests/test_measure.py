@@ -3,11 +3,15 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kusuoka import cli, spectral
 from kusuoka.exactnum import Radical
+from kusuoka.gasket import generate_system
+from kusuoka.linalg import EXACT, as_matrix
 from kusuoka.matsys import bernoulli_system, make_system, sg_system
 from kusuoka.measure import (
     SystemInvalidError,
@@ -24,7 +28,8 @@ from kusuoka.measure import (
     sample_many,
     transfer_apply,
 )
-from kusuoka.symbolic import BudgetError, all_words, indicator
+from kusuoka.spectral import renormalize
+from kusuoka.symbolic import BudgetError, CylinderFunction, all_words, indicator, word_index, word_matrix
 
 
 def test_invalid_system_rejected(sg):
@@ -244,3 +249,138 @@ def test_h_state_sweep_trace_one_and_psd(sg_measure):
             det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
             assert h[0, 0].sign() >= 0
             assert det.sign() >= 0
+
+
+# -- the quadratic-form kernel against the word-matrix oracles ----------------
+
+RAW_170 = (((0, 3), (1, -2)), ((2, -1), (0, -3)), ((-2, -1), (1, 2)))
+
+
+def _two_radicand_system():
+    """Psi needs sqrt(15) and sqrt(30), so the kernel's field is Q(sqrt 15, sqrt 30)."""
+    maps = [
+        [[Radical.root(Fraction(1, 3)), 0], [0, Radical.root(Fraction(1, 5))]],
+        [[Radical.root(Fraction(2, 3)), 0], [0, Radical.root(Fraction(4, 5))]],
+    ]
+    energy = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    return make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
+
+
+_ORACLE_SYSTEMS = {
+    "sg": (sg_system, 3, 2),
+    "sg3": (lambda: generate_system(3), 2, 1),
+    "sg4": (lambda: generate_system(4), 2, 1),
+    "bernoulli": (lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]), 3, 2),
+    "raw170": (lambda: renormalize([[list(r) for r in a] for a in RAW_170]), 3, 2),
+    "two-radicand": (_two_radicand_system, 3, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_ORACLE_SYSTEMS))
+def oracle_case(request):
+    build, depth, mix_k = _ORACLE_SYSTEMS[request.param]
+    return request.param, kusuoka_measure(build()), depth, mix_k
+
+
+def test_kernel_fields():
+    assert kusuoka_measure(sg_system())._quad.gens == [3]
+    assert kusuoka_measure(generate_system(4))._quad.gens == [3]
+    assert kusuoka_measure(renormalize([[list(r) for r in a] for a in RAW_170]))._quad.gens == [170]
+    assert kusuoka_measure(_two_radicand_system())._quad.radicand == [1, 15, 30, 2]
+
+
+def test_level_nu_equals_word_oracle(oracle_case):
+    _, m, depth, _ = oracle_case
+    n = m.system.n_symbols
+    for k in range(depth + 1):
+        assert m.level_nu(k) == [nu(m, w) for w in all_words(n, k)]
+
+
+def test_mixing_max_gap_equals_pair_oracle(oracle_case, monkeypatch):
+    name, m, _, k = oracle_case
+    if name in ("raw170", "two-radicand"):
+        # theta1 is not certified on these (ROADMAP item 3); the gap column does not use it
+        monkeypatch.setattr(spectral, "theta1", lambda s: SimpleNamespace(exact=Radical(Fraction(9, 10))))
+    n_sym, n_max = m.system.n_symbols, 2
+    rows = mixing_bound_check(m, k, n_max)
+    alphas = list(all_words(n_sym, k))
+    betas = [b for j in range(k + 1) for b in all_words(n_sym, j)]
+    for row in rows:
+        want = max(abs(correlation_gap(m, a, b, row.n)) for a in alphas for b in betas)
+        assert row.max_gap == want
+
+
+def test_transfer_apply_equals_preimage_sum(oracle_case):
+    _, m, depth, _ = oracle_case
+    sys_, n = m.system, m.system.n_symbols
+    f_depth = 2 if n <= 3 else 1
+    rng = np.random.default_rng(5)
+    f = CylinderFunction(f_depth, n, sys_.field.array([Fraction(int(x), 3) for x in rng.integers(-3, 4, n**f_depth)]), sys_.backend)
+    for mshift in (0, 1):
+        for prefix in [(0,), (n - 1, 0)]:
+            h = h_state(m, prefix).h
+            brute = Radical(0)
+            for w in all_words(n, f_depth + mshift):
+                a = word_matrix(sys_, w)
+                brute = brute + f.values[word_index(w[:f_depth], n)] * np.trace(h @ (a @ a.T))
+            assert transfer_apply(m, f, mshift, prefix) == brute
+
+
+def test_kernel_sign_matches_radical_sign():
+    q = kusuoka_measure(_two_radicand_system())._quad
+    rng = np.random.default_rng(11)
+    # near-cancelling elements: a + b sqrt15 + c sqrt30 + d sqrt2 with a ~ -c sqrt30, etc.
+    coords = rng.integers(-40, 41, (400, 4)).astype(object)
+    coords[:100, 0] = [-int(c * 5477) // 1000 for c in coords[:100, 2]]
+    signs = q.sign(coords)
+    for row, s in zip(coords, signs):
+        assert s == q.unpack(row[None], 1)[0].sign()
+
+
+def test_float_kernel_agrees_with_exact(sg_measure, sg_float_measure):
+    for k in range(4):
+        for x, y in zip(sg_measure.level_nu(k), sg_float_measure.level_nu(k)):
+            assert abs(float(x) - y) <= 1e-12 * abs(float(x))
+    for ex, fl in zip(mixing_bound_check(sg_measure, 2, 8), mixing_bound_check(sg_float_measure, 2, 8)):
+        for attr in ("max_gap", "pointwise_max", "pointwise_bound"):
+            x, y = float(getattr(ex, attr)), getattr(fl, attr)
+            assert abs(x - y) <= 1e-12 * abs(x)
+        assert (ex.gap_ok, ex.pointwise_ok) == (fl.gap_ok, fl.pointwise_ok)
+    ind = indicator(sg_measure.system, (1, 0))
+    ind_f = indicator(sg_float_measure.system, (1, 0))
+    for mshift in (0, 3):
+        x = float(transfer_apply(sg_measure, ind, mshift, (2, 1)))
+        assert abs(transfer_apply(sg_float_measure, ind_f, mshift, (2, 1)) - x) <= 1e-12 * x
+    assert sample_many(sg_float_measure, 8, 6, 3) == sample_many(sg_measure, 8, 6, 3)
+
+
+def test_sampler_words_pinned():
+    # exact words as drawn before the sampler ran on packed quadratic forms
+    assert sample_many(kusuoka_measure(sg_system()), 8, 6, 3) == [
+        (0, 0, 0, 2, 2, 2, 2, 2), (2, 2, 1, 2, 1, 1, 1, 1), (0, 2, 2, 2, 2, 0, 1, 2),
+        (2, 2, 2, 2, 2, 2, 2, 2), (2, 2, 2, 1, 2, 2, 0, 0), (2, 1, 2, 2, 2, 2, 1, 2),
+    ]
+    assert sample_many(kusuoka_measure(generate_system(3)), 6, 6, 4) == [
+        (1, 3, 5, 1, 1, 4), (1, 5, 1, 3, 1, 4), (2, 3, 2, 2, 2, 2),
+        (0, 4, 4, 4, 4, 0), (2, 2, 2, 1, 2, 5), (1, 4, 0, 0, 2, 5),
+    ]
+
+
+def test_kernel_budget_checked_before_allocating(capsys):
+    m = kusuoka_measure(sg_system())
+    with pytest.raises(BudgetError):
+        m.level_nu(20)
+    with pytest.raises(BudgetError):
+        mixing_bound_check(m, 20, 1)
+    with pytest.raises(BudgetError):
+        mixing_bound_check(m, 3, 1, budget=26)
+    assert not m._level_p and not m._level_mass
+    assert cli.main(["mixing-bound", "--builtin", "sg", "--budget-k", "1", "--k", "2"]) == 3
+
+
+def test_mixing_gap_blocks_agree(monkeypatch):
+    import kusuoka.measure as measure_mod
+
+    whole = mixing_bound_check(kusuoka_measure(sg_system()), 2, 4)
+    monkeypatch.setattr(measure_mod, "_GAP_BLOCK", 20)  # 9 alphas x 13 betas: 9 blocks of one alpha
+    assert mixing_bound_check(kusuoka_measure(sg_system()), 2, 4) == whole
