@@ -6,13 +6,17 @@ The layers, from the scalar up:
   scalar     2x2 matrix product (Radical entries on exact, float64 on float)
   tables     level_nu(sg3, 5): every depth-5 cylinder mass
   operation  mixing_bound_check(sg, k, nmax=12) for k = 2, 3;
-             sample_many(sg): 1000 words of length 16, seed 0
-  cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6, as a subprocess
+             sample_many(sg): 1000 words of length 16, seed 0;
+             c_k(sg5, 2), c_k(sg6, 2) and theta2(sg5, 2)
+  cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6 and
+             kusuoka report --builtin sg4, as subprocesses
 
 Each layer runs on both backends.  A record keeps the minimum over
 ``--repeats`` runs of the wall time (perf_counter) and of the process CPU
 time (process_time; for the CLI the child's CPU time).  Every run builds a
-fresh measure, so no level table or sampler node is reused between runs.
+fresh measure, so no level table or sampler node is reused between runs;
+c_k and theta2 build their kernel per call.  The square roots of theta2
+factor their radicands once per process, so its minimum is the warm time.
 Seeds are fixed, so two files differ only in the code they timed.
 
     python3 scripts/bench.py --label mine
@@ -72,7 +76,7 @@ def _timed_cli(argv: list[str], src: Path, repeats: int) -> dict:
 
 def run(src: Path, repeats: int) -> list[dict]:
     sys.path.insert(0, str(src))
-    from kusuoka import gasket, matsys, measure
+    from kusuoka import gasket, matsys, measure, spectral
     from kusuoka.linalg import EXACT, FLOAT
 
     records = []
@@ -84,6 +88,8 @@ def run(src: Path, repeats: int) -> list[dict]:
     for backend in (EXACT, FLOAT):
         sg = matsys.sg_system(backend)
         sg3 = gasket.generate_system(3, backend)
+        sg5 = gasket.generate_system(5, backend)
+        sg6 = gasket.generate_system(6, backend)
         a, b = sg.maps[0], sg.maps[1]
         add("scalar", "2x2 matmul", backend, _timed(lambda: a @ b, repeats, inner=2000))
         add("tables", "level_nu(sg3, 5)", backend,
@@ -93,8 +99,14 @@ def run(src: Path, repeats: int) -> list[dict]:
                 _timed(lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12), repeats))
         add("operation", "sample_many(sg, 16, 1000, seed=0)", backend,
             _timed(lambda: measure.sample_many(measure.kusuoka_measure(sg), 16, 1000, 0), repeats))
-        argv = ["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6", "--backend", backend]
-        add("cli", "kusuoka " + " ".join(argv), backend, _timed_cli(argv, src, repeats))
+        for name, system in (("sg5", sg5), ("sg6", sg6)):
+            add("operation", f"c_k({name}, 2)", backend,
+                _timed(lambda: spectral.c_k(system, 2), repeats))
+        add("operation", "theta2(sg5, 2)", backend, _timed(lambda: spectral.theta2(sg5, 2), repeats))
+        for argv in (["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6"],
+                     ["report", "--builtin", "sg4"]):
+            argv = argv + ["--backend", backend]
+            add("cli", "kusuoka " + " ".join(argv), backend, _timed_cli(argv, src, repeats))
     return records
 
 

@@ -213,7 +213,7 @@ def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
     )
 
 
-# -- orthonormal bases of matrix subspaces --------------------------------
+# -- orthogonal bases of matrix subspaces --------------------------------
 
 
 def _diag_weights(system: MatrixSystem):
@@ -229,20 +229,22 @@ def _diag_weights(system: MatrixSystem):
     return [e[i, i] for i in range(d)]
 
 
-def _unit(system, mat, norm_sq):
+def _norm(system, norm_sq):
     root = system.field.sqrt(norm_sq)
     if root is None:
         raise ValueError(f"sqrt of {norm_sq} is not representable in this field")
-    return system.field.div(mat, root)
+    return root
 
 
-def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
-    """Orthonormal basis of a distinguished subspace under <.,.>_E.
+def orthogonal_basis(system: MatrixSystem, part: str) -> list[tuple[np.ndarray, object]]:
+    """Orthogonal basis of a distinguished subspace under <.,.>_E, as (f, |f|_E) pairs.
 
     Parts: 'full', 'symmetric', 'antisymmetric', 'traceless-symmetric'
     (symmetric matrices orthogonal to the identity).  With a diagonal
-    weight the basis is written down in closed form on either backend;
-    a non-diagonal weight is supported on the float backend only.
+    weight the basis is written down in closed form on either backend: the
+    entries of each f lie in the field of E, its norm may need one more
+    square root.  A non-diagonal weight is supported on the float backend
+    only, where the basis comes out orthonormal (every norm 1.0).
     """
     if part not in REP_PARTS:
         raise ValueError(f"unknown subspace {part!r}; expected one of {REP_PARTS}")
@@ -254,28 +256,28 @@ def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
                 "closed-form orthonormal bases need a diagonal weight on the "
                 "exact backend; use the float backend for this system"
             )
-        return _gram_basis_float(system, part)
+        return [(b, 1.0) for b in _gram_basis_float(system, part)]
 
     def e_mat(i, j):
         m = fld.zeros((d, d))
         m[i, j] = fld.one
         return m
 
-    basis: list[np.ndarray] = []
+    basis: list[tuple[np.ndarray, object]] = []
     if part == "full":
         for i in range(d):
             for j in range(d):
-                basis.append(_unit(system, e_mat(i, j), w[i]))
+                basis.append((e_mat(i, j), _norm(system, w[i])))
         return basis
     if part in ("symmetric", "antisymmetric"):
         if part == "symmetric":
             for i in range(d):
-                basis.append(_unit(system, e_mat(i, i), w[i]))
+                basis.append((e_mat(i, i), _norm(system, w[i])))
         sign = 1 if part == "symmetric" else -1
         for i in range(d):
             for j in range(i + 1, d):
                 m = e_mat(i, j) + sign * e_mat(j, i)
-                basis.append(_unit(system, m, w[i] + w[j]))
+                basis.append((m, _norm(system, w[i] + w[j])))
         return basis
     # traceless-symmetric: diagonal part orthogonal to identity, plus
     # all symmetrized off-diagonal units
@@ -288,12 +290,17 @@ def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
             m[i, i] = fld.one
         m[k + 1, k + 1] = -(partial[k] / w[k + 1])
         norm_sq = partial[k] + partial[k] * partial[k] / w[k + 1]
-        basis.append(_unit(system, m, norm_sq))
+        basis.append((m, _norm(system, norm_sq)))
     for i in range(d):
         for j in range(i + 1, d):
             m = e_mat(i, j) + e_mat(j, i)
-            basis.append(_unit(system, m, w[i] + w[j]))
+            basis.append((m, _norm(system, w[i] + w[j])))
     return basis
+
+
+def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
+    """Orthonormal basis of a distinguished subspace under <.,.>_E: ``orthogonal_basis`` scaled."""
+    return [system.field.div(f, r) for f, r in orthogonal_basis(system, part)]
 
 
 def _gram_basis_float(system: MatrixSystem, part: str) -> list[np.ndarray]:

@@ -154,7 +154,7 @@ def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.
     """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha)."""
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    mats = symbolic.word_matrices_level(system, f.depth, budget)
+    mats = KusuokaMeasure(system).level_matrices(f.depth, budget)
     vals = tuple(f.values[i] * mats[i] for i in range(len(mats)))
     return FiniteProcess(system, f.depth, vals)
 

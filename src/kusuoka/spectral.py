@@ -20,6 +20,7 @@ import numpy as np
 from . import linalg, matsys, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
+from .quadform import _Quad
 
 __all__ = [
     "Theta1Result",
@@ -183,30 +184,39 @@ class CkResult:
     exact: Radical | None
 
 
-def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> CkResult:
-    """Minimum of sum_{|alpha|=k} <A(alpha)F, A(alpha)>^2 over unit trace-free symmetric F.
+def _grams(system: matsys.MatrixSystem, levels, budget: int) -> dict | None:
+    """The level-k Gram matrices of ``c_k`` for every k in ``levels``, by level.
 
-    The quantity is a quadratic form in F, so the minimum is the smallest
-    eigenvalue of the Gram matrix G_ij = sum_alpha t_i(alpha) t_j(alpha) with
-    t_i(alpha) = <A(alpha) b_i, A(alpha)> over an orthonormal basis b_i of the
-    constraint subspace.  No iterative optimization is involved.
+    None when the trace-free symmetric subspace is empty.  One kernel and
+    one chain of beta-weights serve every level.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    basis = matsys.orthonormal_basis(system, "traceless-symmetric")
-    m = len(basis)
-    if m == 0:
-        return CkResult(k, False, None, None)
-    energy = system.energy
-    mats = symbolic.word_matrices_level(system, k, budget)
-    gram = linalg.zeros((m, m), system.backend)
-    for w in mats:
-        pw = w.T @ energy @ w
-        t = [np.trace(pw @ b) for b in basis]
+    basis = matsys.orthogonal_basis(system, "traceless-symmetric")
+    if not basis:
+        return None
+    k_max = max(levels)
+    symbolic.check_budget(system.n_symbols, k_max, budget)
+    q = _Quad(system)
+    fs = q.join([q.pack(f) for f, _ in basis])
+    norms = [r for _, r in basis]
+    field, m = system.field, len(basis)
+    grams = {}
+    weights = q.energy
+    for k in range(1, k_max + 1):
+        weights = q.parents(weights)
+        if k not in levels:
+            continue
+        num, den = q.gram(q.pair(weights, fs))
+        raw = q.unpack(num.reshape(-1, q.m), den)
+        gram = field.zeros((m, m))
         for i in range(m):
-            for j in range(m):
-                gram[i, j] = gram[i, j] + t[i] * t[j]
-    if system.backend == EXACT:
+            for j in range(i, m):
+                gram[i, j] = gram[j, i] = field.div(raw[i * m + j], norms[i] * norms[j])
+        grams[k] = gram
+    return grams
+
+
+def _smallest_eigenvalue(k: int, gram, backend: str) -> CkResult:
+    if backend == EXACT:
         eigs = linalg.exact_eigenvalues_symmetric(gram)
         if eigs is not None:
             low = min(eigs)
@@ -215,6 +225,29 @@ def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDG
         return CkResult(k, True, float(vals[0]), None)
     vals = np.linalg.eigvalsh(gram)
     return CkResult(k, True, float(vals[0]), None)
+
+
+def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> CkResult:
+    """Minimum of sum_{|alpha|=k} <A(alpha)F, A(alpha)>^2 over unit trace-free symmetric F.
+
+    The quantity is a quadratic form in F, so the minimum is the smallest
+    eigenvalue of the Gram matrix G_ij = sum_alpha t_i(alpha) t_j(alpha) with
+    t_i(alpha) = <A(alpha) b_i, A(alpha)> = Tr(Psi*_alpha(E) b_i) over an
+    orthonormal basis b_i = f_i / r_i of the constraint subspace.  The
+    level-k beta-weights Psi*_alpha(E) = A(alpha)^T E A(alpha) come from k
+    adjoint steps of the packed kernel, starting at E; one pairing with the
+    unnormalised orthogonal basis f_i, whose entries lie in the field of E,
+    gives every t_i(alpha) r_i, and one product over the word axis sums
+    them to G'_ij = G_ij r_i r_j.  The norms r_i = |f_i|_E may need a square
+    root outside that field, so they divide G' only at the end, once per
+    basis pair.  No iterative optimization is involved.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    grams = _grams(system, (k,), budget)
+    if grams is None:
+        return CkResult(k, False, None, None)
+    return _smallest_eigenvalue(k, grams[k], system.backend)
 
 
 @dataclass(frozen=True)
@@ -231,11 +264,14 @@ class Theta2Result:
 
 
 def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAULT_BUDGET) -> Theta2Result:
+    """Both decay rates from c_1 ... c_k_max, read off one chain of beta-weights."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    cs = {k: c_k(system, k, budget) for k in range(1, k_max + 1)}
-    if not cs[1].applicable:
+    grams = _grams(system, range(1, k_max + 1), budget)
+    if grams is None:
+        cs = {k: CkResult(k, False, None, None) for k in range(1, k_max + 1)}
         return Theta2Result(False, True, None, None, None, None, cs)
+    cs = {k: _smallest_eigenvalue(k, g, system.backend) for k, g in grams.items()}
 
     irreducibility_ok = all(r.value is not None and r.value > 0 for r in cs.values())
 

@@ -118,15 +118,6 @@ def next_level(table, maps) -> list:
     return [a @ m for m in table for a in maps]
 
 
-def word_matrices_level(system: MatrixSystem, k: int, budget: int = DEFAULT_BUDGET):
-    """All word matrices of length k, indexed by word index."""
-    check_budget(system.n_symbols, k, budget)
-    level = [linalg.identity(system.dim, system.backend)]
-    for _ in range(k):
-        level = next_level(level, system.maps)
-    return level
-
-
 def concat(u: Word, v: Word) -> Word:
     return tuple(u) + tuple(v)
 

@@ -163,6 +163,23 @@ def test_mixing_bound_csv(capsys):
     assert all(line.split(",")[3] == "True" for line in lines[1:])
 
 
+def test_mixing_bound_uncertified_theta1_prints_float_bounds(capsys, tmp_path):
+    # maps diag(sqrt3/3, sqrt5/5), diag(sqrt6/3, 2 sqrt5/5), E = I/2: valid, theta1 not certified
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({
+        "alphabet": ["a", "b"],
+        "dim": 2,
+        "maps": {"a": [["1/3*sqrt(3)", "0"], ["0", "1/5*sqrt(5)"]],
+                 "b": [["1/3*sqrt(6)", "0"], ["0", "2/5*sqrt(5)"]]},
+        "energy": [["1/2", "0"], ["0", "1/2"]],
+        "backend": "exact",
+    }))
+    code, out, err = run(capsys, "mixing-bound", "--in", str(src), "--k", "1", "--nmax", "2")
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert lines[1:] == [f"{n},1/225,2,True,1/15,1.4666666666666666,True" for n in range(3)]
+
+
 def test_gasket_roundtrip(capsys, tmp_path):
     dest = tmp_path / "sg3.json"
     code, _, _ = run(capsys, "gasket", "--n", "3", "--out", str(dest))

@@ -1,4 +1,4 @@
-"""Static checks on the package source that need no third-party linter."""
+"""Static checks on the package and script sources that need no third-party linter."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kusuoka"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "kusuoka").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:

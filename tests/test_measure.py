@@ -378,9 +378,23 @@ def test_kernel_budget_checked_before_allocating(capsys):
     assert cli.main(["mixing-bound", "--builtin", "sg", "--budget-k", "1", "--k", "2"]) == 3
 
 
+def test_mixing_bounds_are_floats_when_theta1_is_uncertified():
+    # theta1 of this system is 1 but not certified (ROADMAP item 2): the bound
+    # columns are floats, the maxima stay exact
+    m = kusuoka_measure(_two_radicand_system())
+    assert spectral.theta1(m.system).exact is None
+    rows = mixing_bound_check(m, 1, 2)
+    assert len(rows) == 3
+    for row in rows:
+        assert isinstance(row.gap_bound, float) and isinstance(row.pointwise_bound, float)
+        assert row.max_gap == Fraction(1, 225) and row.pointwise_max == Fraction(1, 15)
+        assert row.gap_ok and row.pointwise_ok
+    assert rows[0].pointwise_bound == 2 * float(Fraction(11, 15))
+
+
 def test_mixing_gap_blocks_agree(monkeypatch):
-    import kusuoka.measure as measure_mod
+    import kusuoka.quadform as quadform_mod
 
     whole = mixing_bound_check(kusuoka_measure(sg_system()), 2, 4)
-    monkeypatch.setattr(measure_mod, "_GAP_BLOCK", 20)  # 9 alphas x 13 betas: 9 blocks of one alpha
+    monkeypatch.setattr(quadform_mod, "_GAP_BLOCK", 20)  # 9 alphas x 13 betas: 9 blocks of one alpha
     assert mixing_bound_check(kusuoka_measure(sg_system()), 2, 4) == whole

@@ -5,12 +5,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kusuoka import cli, spectral
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
-from kusuoka.linalg import EXACT, FLOAT, as_matrix, frobenius_sq, to_float_matrix
-from kusuoka.matsys import apply_M, make_system, sg_system, to_float_system, validate
+from kusuoka.linalg import (
+    EXACT,
+    FLOAT,
+    as_matrix,
+    exact_eigenvalues_symmetric,
+    frobenius_sq,
+    to_float_matrix,
+)
+from kusuoka.matsys import (
+    apply_M,
+    bernoulli_system,
+    make_system,
+    orthonormal_basis,
+    sg_system,
+    to_float_system,
+    validate,
+)
 from kusuoka.measure import kusuoka_measure, nu
 from kusuoka.spectral import (
+    CkResult,
     c_k,
     renormalize,
     spectral_report,
@@ -18,6 +35,8 @@ from kusuoka.spectral import (
     theta1_schatten,
     theta2,
 )
+from kusuoka.symbolic import DEFAULT_BUDGET, BudgetError, all_words, word_matrix
+from test_measure import RAW_170, _two_radicand_system
 
 
 def test_theta1_sg_exact(sg):
@@ -271,3 +290,111 @@ def test_c2_unit_probes_never_beat_minimum(sg_float):
         f = x[0] * sz + x[1] * sx
         val = sum(np.trace(m.T @ sg_float.energy @ m @ f) ** 2 for m in mats)
         assert val >= c2 - 1e-12
+
+
+# -- c_k against the per-word reference -------------------------------------
+
+
+def _ck_reference(system, k):
+    """(Gram matrix, CkResult) of c_k summed word by word, one product at a time.
+
+    Every level-k word matrix, its beta-weight A^T E A and the pairings with
+    the orthonormal basis are matrices and scalars of the backend; the Gram
+    matrix is None when the trace-free symmetric subspace is empty.
+    """
+    basis = orthonormal_basis(system, "traceless-symmetric")
+    m = len(basis)
+    if m == 0:
+        return None, CkResult(k, False, None, None)
+    gram = system.field.zeros((m, m))
+    for w in all_words(system.n_symbols, k):
+        a = word_matrix(system, w)
+        pw = a.T @ system.energy @ a
+        t = [np.trace(pw @ b) for b in basis]
+        for i in range(m):
+            for j in range(m):
+                gram[i, j] = gram[i, j] + t[i] * t[j]
+    if system.backend == EXACT:
+        eigs = exact_eigenvalues_symmetric(gram)
+        if eigs is not None:
+            low = min(eigs)
+            return gram, CkResult(k, True, float(low), low)
+        return gram, CkResult(k, True, float(np.linalg.eigvalsh(to_float_matrix(gram))[0]), None)
+    return gram, CkResult(k, True, float(np.linalg.eigvalsh(gram)[0]), None)
+
+
+def _pythagorean_system():
+    """Rational maps and weight whose orthonormal basis needs sqrt(3): the kernel's field is Q."""
+    maps = [[[Fraction(3, 5), 0], [0, Fraction(5, 13)]], [[Fraction(4, 5), 0], [0, Fraction(12, 13)]]]
+    energy = [[Fraction(1, 4), 0], [0, Fraction(3, 4)]]
+    return make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
+
+
+_CK_SYSTEMS = {
+    "sg": (sg_system, 3),
+    **{f"sg{n}": ((lambda n=n: generate_system(n)), 2) for n in (3, 4, 5, 6)},
+    "bernoulli": (lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]), 2),
+    "two-radicand": (_two_radicand_system, 2),
+    "pythagorean": (_pythagorean_system, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CK_SYSTEMS))
+def test_ck_equals_per_word_reference(name):
+    build, k_max = _CK_SYSTEMS[name]
+    system = build()
+    assert validate(system).ok
+    grams = spectral._grams(system, range(1, k_max + 1), DEFAULT_BUDGET)
+    for k in range(1, k_max + 1):
+        want_gram, want = _ck_reference(system, k)
+        assert c_k(system, k) == want
+        if want_gram is None:
+            assert grams is None
+        else:
+            assert (grams[k] == want_gram).all()
+    assert theta2(system, k_max).c_values == {k: c_k(system, k) for k in range(1, k_max + 1)}
+
+
+def test_ck_scales_by_unequal_basis_norms():
+    # c_k is a formula in any maps and a diagonal weight; these (not a valid
+    # system) give the Gram matrix an off-diagonal entry while the basis norms
+    # differ (1/sqrt3 and 1), so each entry must take its own pair of norms
+    maps = [[[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 2)]],
+            [[Fraction(1, 3), 0], [Fraction(1, 4), Fraction(2, 3)]]]
+    energy = [[Fraction(1, 4), 0], [0, Fraction(3, 4)]]
+    system = make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
+    for k in (1, 2):
+        want_gram, want = _ck_reference(system, k)
+        assert not want_gram[0, 1].is_zero()
+        assert (spectral._grams(system, (k,), DEFAULT_BUDGET)[k] == want_gram).all()
+        assert c_k(system, k) == want
+
+
+@pytest.mark.parametrize("system", [sg_system(FLOAT), generate_system(3, FLOAT)], ids=["sg", "sg3"])
+def test_ck_float_matches_reference(system):
+    for k in (1, 2):
+        want_gram, want = _ck_reference(system, k)
+        got = spectral._grams(system, (k,), DEFAULT_BUDGET)[k]
+        assert np.max(np.abs(got - want_gram)) <= 1e-12 * np.max(np.abs(want_gram))
+        assert abs(c_k(system, k).value - want.value) <= 1e-12 * abs(want.value)
+
+
+def test_ck_budget_checked_before_the_kernel(sg, monkeypatch):
+    def no_kernel(system):
+        raise AssertionError("kernel built past the budget")
+
+    monkeypatch.setattr(spectral, "_Quad", no_kernel)
+    with pytest.raises(BudgetError):
+        c_k(sg, 3, budget=26)
+    with pytest.raises(BudgetError):
+        theta2(sg, 3, budget=26)
+    monkeypatch.undo()
+    assert cli.main(["ck", "--builtin", "sg", "--k", "3", "--budget-k", "2"]) == 3
+
+
+def test_ck_non_diagonal_weight_message():
+    # a renormalized raw map carries a non-diagonal weight (ROADMAP item 2)
+    system = renormalize([[list(r) for r in a] for a in RAW_170])
+    for call in (lambda: c_k(system, 1), lambda: theta2(system, 2)):
+        with pytest.raises(ValueError, match="closed-form orthonormal bases need a diagonal weight"):
+            call()

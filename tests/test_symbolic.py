@@ -27,7 +27,6 @@ from kusuoka.symbolic import (
     indicator,
     parse_word,
     word_index,
-    word_matrices_level,
     word_matrix,
 )
 
@@ -77,7 +76,7 @@ def test_empty_word():
 
 def test_word_matrices_level_matches_pointwise():
     sys_ = sg_system()
-    mats = word_matrices_level(sys_, 2)
+    mats = kusuoka_measure(sys_).level_matrices(2)
     assert len(mats) == 9
     for i, m in enumerate(mats):
         w = index_word(i, 2, 3)
@@ -88,19 +87,15 @@ def test_word_matrices_level_matches_pointwise():
 def test_word_tables_agree(system, k_max):
     m = kusuoka_measure(system)
     for k in range(k_max + 1):
-        tables = (
-            m.level_matrices(k),
-            word_matrices_level(system, k),
-            extend(identity_process(system), k).values,
-        )
+        tables = (m.level_matrices(k), extend(identity_process(system), k).values)
         assert all(len(t) == system.n_symbols**k for t in tables)
-        for a, b, c in zip(*tables):
-            assert (a == b).all() and (a == c).all()
+        for a, b in zip(*tables):
+            assert (a == b).all()
 
 
 def test_negative_word_length_rejected():
     with pytest.raises(ValueError):
-        word_matrices_level(sg_system(), -1)
+        kusuoka_measure(sg_system()).level_matrices(-1)
 
 
 def test_enumerate_words_budget():
@@ -113,7 +108,7 @@ def test_enumerate_words_budget():
 def test_word_matrices_budget():
     sys_ = sg_system()
     with pytest.raises(BudgetError):
-        word_matrices_level(sys_, 4, budget=80)
+        kusuoka_measure(sys_).level_matrices(4, budget=80)
 
 
 def test_format_parse_roundtrip():
