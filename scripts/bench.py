@@ -7,17 +7,21 @@ The layers, from the scalar up:
   tables     level_nu(sg3, 5): every depth-5 cylinder mass
   operation  mixing_bound_check(sg, k, nmax=12) for k = 2, 3;
              sample_many(sg): 1000 words of length 16, seed 0;
-             c_k(sg5, 2), c_k(sg6, 2) and theta2(sg5, 2)
+             theta1(sg6), c_k(sg5, 2), c_k(sg6, 2) and theta2(sg5, 2);
+             theta1 and c_k(., 1) of the renormalized raw maps RAW below
   cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6 and
-             kusuoka report --builtin sg4, as subprocesses
+             kusuoka report --builtin sg4, as subprocesses;
+             theta2(sg6, 2) on the exact backend, alone in a fresh process
 
 Each layer runs on both backends.  A record keeps the minimum over
 ``--repeats`` runs of the wall time (perf_counter) and of the process CPU
 time (process_time; for the CLI the child's CPU time).  Every run builds a
 fresh measure, so no level table or sampler node is reused between runs;
-c_k and theta2 build their kernel per call.  The square roots of theta2
-factor their radicands once per process, so its minimum is the warm time.
-Seeds are fixed, so two files differ only in the code they timed.
+c_k and theta2 build their kernel per call.  Square roots factor their
+radicands once per process, so the minimum of an in-process row is the warm
+time; the fresh-process theta2(sg6, 2) row is the cold time.  A row whose
+call raises ValueError records the message instead of a time.  Seeds are
+fixed, so two files differ only in the code they timed.
 
     python3 scripts/bench.py --label mine
     python3 scripts/bench.py --label base --src ../base/src   # another checkout
@@ -37,13 +41,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Integer raw maps whose renormalized weight is not diagonal (the second raw
+# base of the certify benchmark); exact theta1 6/13*sqrt(2).
+RAW = (((1, -3), (0, -1)), ((1, 3), (-2, 1)), ((0, -2), (1, 1)))
+
+COLD_THETA2 = "from kusuoka import gasket, spectral; spectral.theta2(gasket.generate_system(6), 2)"
+
 
 def _timed(fn, repeats: int, inner: int = 1) -> dict:
     wall, cpu = [], []
     for _ in range(repeats):
         w0, c0 = time.perf_counter(), time.process_time()
         for _ in range(inner):
-            fn()
+            try:
+                fn()
+            except ValueError as exc:
+                return {"error": str(exc), "repeats": repeats, "inner": inner}
         cpu.append((time.process_time() - c0) / inner)
         wall.append((time.perf_counter() - w0) / inner)
     return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": inner}
@@ -62,13 +75,13 @@ def _child_cpu() -> float:
     return use.ru_utime + use.ru_stime
 
 
-def _timed_cli(argv: list[str], src: Path, repeats: int) -> dict:
+def _timed_child(args: list[str], src: Path, repeats: int) -> dict:
+    """A fresh ``python ARGS`` process per run, timed by the child's CPU time."""
     env = dict(os.environ, PYTHONPATH=str(src))
     wall, cpu = [], []
     for _ in range(repeats):
         w0, c0 = time.perf_counter(), _child_cpu()
-        subprocess.run([sys.executable, "-m", "kusuoka.cli", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
         cpu.append(_child_cpu() - c0)
         wall.append(time.perf_counter() - w0)
     return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": 1}
@@ -83,7 +96,8 @@ def run(src: Path, repeats: int) -> list[dict]:
 
     def add(layer: str, name: str, backend: str, timing: dict) -> None:
         records.append({"layer": layer, "name": name, "backend": backend, **timing})
-        print(f"{layer:9s} {backend:5s} {timing['cpu_s']:10.4f} s cpu  {name}", flush=True)
+        cost = f"{timing['cpu_s']:10.4f} s cpu" if "cpu_s" in timing else f"error: {timing['error']}"
+        print(f"{layer:9s} {backend:5s} {cost}  {name}", flush=True)
 
     for backend in (EXACT, FLOAT):
         sg = matsys.sg_system(backend)
@@ -99,14 +113,20 @@ def run(src: Path, repeats: int) -> list[dict]:
                 _timed(lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12), repeats))
         add("operation", "sample_many(sg, 16, 1000, seed=0)", backend,
             _timed(lambda: measure.sample_many(measure.kusuoka_measure(sg), 16, 1000, 0), repeats))
+        add("operation", "theta1(sg6)", backend, _timed(lambda: spectral.theta1(sg6), repeats))
         for name, system in (("sg5", sg5), ("sg6", sg6)):
             add("operation", f"c_k({name}, 2)", backend,
                 _timed(lambda: spectral.c_k(system, 2), repeats))
         add("operation", "theta2(sg5, 2)", backend, _timed(lambda: spectral.theta2(sg5, 2), repeats))
+        raw = spectral.renormalize([[list(row) for row in a] for a in RAW], backend)
+        add("operation", "theta1(raw)", backend, _timed(lambda: spectral.theta1(raw), repeats))
+        add("operation", "c_k(raw, 1)", backend, _timed(lambda: spectral.c_k(raw, 1), repeats))
         for argv in (["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6"],
                      ["report", "--builtin", "sg4"]):
             argv = argv + ["--backend", backend]
-            add("cli", "kusuoka " + " ".join(argv), backend, _timed_cli(argv, src, repeats))
+            add("cli", "kusuoka " + " ".join(argv), backend,
+                _timed_child(["-m", "kusuoka.cli", *argv], src, repeats))
+    add("cli", "theta2(sg6, 2), fresh process", EXACT, _timed_child(["-c", COLD_THETA2], src, repeats))
     return records
 
 

@@ -24,16 +24,28 @@ import numbers
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 __all__ = ["Radical", "sqrt_fraction", "parse_exact", "format_exact"]
 
 
+_TRIAL_LIMIT = 10**7  # largest trial divisor of _squarefree
+
+
 @lru_cache(maxsize=None)
-def _squarefree(n: int) -> tuple[int, int]:
-    """Decompose n = s*s*r with r squarefree; return (s, r)."""
+def _squarefree(n: int) -> tuple[int, int] | None:
+    """Decompose n = s*s*r with r squarefree; return (s, r), or None.
+
+    Trial division stops at ``_TRIAL_LIMIT``.  Every prime factor of the
+    cofactor left then lies above the limit, so the cofactor is settled as a
+    perfect square, or as squarefree when it is below the cube of the limit
+    (at most two prime factors, not equal).  Any other cofactor gives None.
+    """
     assert n > 0
-    s, r, d = 1, 1, 2
-    while d * d <= n:
+    s, r = 1, 1
+    for d in chain((2,), range(3, _TRIAL_LIMIT + 1, 2)):
+        if d * d > n:
+            return s, r * n
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -42,8 +54,18 @@ def _squarefree(n: int) -> tuple[int, int]:
             s *= d ** (e // 2)
             if e % 2:
                 r *= d
-        d += 1 if d == 2 else 2
-    return s, r * n
+    root = math.isqrt(n)
+    if root * root == n:
+        return s * root, r
+    return (s, r * n) if n < _TRIAL_LIMIT**3 else None
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The rational square root of q >= 0, or None when it is irrational."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +128,11 @@ class Radical:
 
     @classmethod
     def root(cls, q) -> "Radical":
-        """Exact square root of a nonnegative rational."""
+        """Exact square root of a nonnegative rational.
+
+        Raises ``ValueError`` when the radicand cannot be made squarefree
+        by bounded trial division (see ``_squarefree``).
+        """
         q = _coerce_fraction(q)
         if q is None:
             raise TypeError("root() takes a rational argument")
@@ -114,7 +140,10 @@ class Radical:
             raise ValueError("root() of a negative rational")
         if q == 0:
             return cls(0)
-        s, r = _squarefree(q.numerator * q.denominator)
+        split = _squarefree(q.numerator * q.denominator)
+        if split is None:
+            raise ValueError(f"cannot split the square root of {q}: its radicand has large prime factors")
+        s, r = split
         return cls.from_terms({r: Fraction(s, q.denominator)})
 
     # -- queries ---------------------------------------------------------
@@ -268,22 +297,19 @@ class Radical:
         if self.is_rational():
             return Radical.root(self.as_fraction())
         if len(self._t) == 2 and self._t[0][0] == 1:
+            # (a + b sqrt(r))^2 = self with a, b rational: a^2 is a root of
+            # t^2 - u t + r v^2 / 4, so only rational square roots qualify
             u = self._t[0][1]
             r, v = self._t[1]
-            disc = u * u - r * v * v
-            if disc >= 0:
-                sd = Radical.root(disc)
-                if sd.is_rational():
-                    for tt in ((u + sd.as_fraction()) / 2, (u - sd.as_fraction()) / 2):
-                        if tt < 0:
-                            continue
-                        a = Radical.root(tt)
-                        if not a.is_rational() or a.is_zero():
-                            continue
-                        b = v / (2 * a.as_fraction())
-                        cand = Radical(a.as_fraction()) + Radical.from_terms({r: b})
-                        if cand * cand == self:
-                            return cand if cand.sign() > 0 else -cand
+            sd = _rational_sqrt(u * u - r * v * v) if u * u >= r * v * v else None
+            if sd is not None:
+                for tt in ((u + sd) / 2, (u - sd) / 2):
+                    a = _rational_sqrt(tt) if tt > 0 else None
+                    if a is None:
+                        continue
+                    cand = Radical(a) + Radical.from_terms({r: v / (2 * a)})
+                    if cand * cand == self:
+                        return cand if cand.sign() > 0 else -cand
         raise ValueError(f"sqrt of {self} is not representable in this field")
 
     # -- comparisons -----------------------------------------------------

@@ -246,7 +246,9 @@ def _split_spectrum(m: np.ndarray):
     (tr +- sqrt(tr^2 - 4 det)) / 2 first, whatever its coefficients.  Other
     roots come from the rational root search, a linear or quadratic
     rational remainder, or, for surd coefficients, the 1x1 closed form;
-    ``rest`` is rational whenever ``reals`` is not empty.
+    ``rest`` is rational whenever ``reals`` is not empty.  A square root
+    whose radicand bounded trial division cannot split leaves its factor
+    in ``rest``.
     """
     n = m.shape[0]
     if n == 2:
@@ -272,11 +274,14 @@ def _split_spectrum(m: np.ndarray):
     elif deg == 2:
         a, b, c = rem[2], rem[1], rem[0]
         disc = Fraction(b * b - 4 * a * c)
-        if disc >= 0:
-            sq = Radical.root(disc)
-            reals += [(sq - b) / (2 * a), (-sq - b) / (2 * a)]
-        else:
-            moduli.append(Radical.root(Fraction(c, a)))
+        try:
+            if disc >= 0:
+                sq = Radical.root(disc)
+                reals += [(sq - b) / (2 * a), (-sq - b) / (2 * a)]
+            else:
+                moduli.append(Radical.root(Fraction(c, a)))
+        except ValueError:  # a radicand that bounded trial division cannot split
+            return reals, moduli, rem
     return reals, moduli, (rem if deg > 2 else [])
 
 
@@ -299,8 +304,10 @@ def certified_spectral_radius(rep: np.ndarray):
 
 
 def exact_eigenvalues_symmetric(m: np.ndarray) -> list[Radical] | None:
-    """Eigenvalues of a small symmetric exact matrix, or None.
+    """Eigenvalues of a small exact matrix with a real spectrum, or None.
 
+    The matrix is symmetric or similar to a symmetric one: ``spectral.c_k``
+    feeds it H^-1 G' for two symmetric Gram matrices, H positive definite.
     Succeeds when the characteristic polynomial splits into rational
     roots and at most one quadratic factor with representable surd.
     """

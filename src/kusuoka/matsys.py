@@ -15,7 +15,9 @@ Two completely positive operators act on matrix space:
 
 mutual adjoints under the Hilbert-Schmidt pairing.  Their spectra away
 from the fixed points control every decay rate computed in
-:mod:`kusuoka.spectral`.
+:mod:`kusuoka.spectral`.  This module applies them to whole matrices; their
+matrices on packed symmetric or antisymmetric coordinates, and the
+trace-free basis for any weight E, come from :mod:`kusuoka.quadform`.
 
 Both numeric backends share this interface: "exact" stores
 :class:`~kusuoka.exactnum.Radical` entries in object arrays, "float"
@@ -42,7 +44,6 @@ __all__ = [
     "inner_e",
     "apply_M",
     "apply_M_star",
-    "matrix_rep_M",
     "schatten_norm",
     "sg_system",
     "bernoulli_system",
@@ -51,9 +52,6 @@ __all__ = [
     "system_to_json",
     "system_from_json",
 ]
-
-REP_PARTS = ("full", "symmetric", "antisymmetric", "traceless-symmetric")
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixSystem:
@@ -211,157 +209,6 @@ def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
         symmetric=system.symmetric,
         tol=tol,
     )
-
-
-# -- orthogonal bases of matrix subspaces --------------------------------
-
-
-def _diag_weights(system: MatrixSystem):
-    """Diagonal of E when E is diagonal, else None."""
-    e = system.energy
-    d = system.dim
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            if e[i, j] != 0:
-                return None
-    return [e[i, i] for i in range(d)]
-
-
-def _norm(system, norm_sq):
-    root = system.field.sqrt(norm_sq)
-    if root is None:
-        raise ValueError(f"sqrt of {norm_sq} is not representable in this field")
-    return root
-
-
-def orthogonal_basis(system: MatrixSystem, part: str) -> list[tuple[np.ndarray, object]]:
-    """Orthogonal basis of a distinguished subspace under <.,.>_E, as (f, |f|_E) pairs.
-
-    Parts: 'full', 'symmetric', 'antisymmetric', 'traceless-symmetric'
-    (symmetric matrices orthogonal to the identity).  With a diagonal
-    weight the basis is written down in closed form on either backend: the
-    entries of each f lie in the field of E, its norm may need one more
-    square root.  A non-diagonal weight is supported on the float backend
-    only, where the basis comes out orthonormal (every norm 1.0).
-    """
-    if part not in REP_PARTS:
-        raise ValueError(f"unknown subspace {part!r}; expected one of {REP_PARTS}")
-    d, fld = system.dim, system.field
-    w = _diag_weights(system)
-    if w is None:
-        if system.backend == EXACT:
-            raise ValueError(
-                "closed-form orthonormal bases need a diagonal weight on the "
-                "exact backend; use the float backend for this system"
-            )
-        return [(b, 1.0) for b in _gram_basis_float(system, part)]
-
-    def e_mat(i, j):
-        m = fld.zeros((d, d))
-        m[i, j] = fld.one
-        return m
-
-    basis: list[tuple[np.ndarray, object]] = []
-    if part == "full":
-        for i in range(d):
-            for j in range(d):
-                basis.append((e_mat(i, j), _norm(system, w[i])))
-        return basis
-    if part in ("symmetric", "antisymmetric"):
-        if part == "symmetric":
-            for i in range(d):
-                basis.append((e_mat(i, i), _norm(system, w[i])))
-        sign = 1 if part == "symmetric" else -1
-        for i in range(d):
-            for j in range(i + 1, d):
-                m = e_mat(i, j) + sign * e_mat(j, i)
-                basis.append((m, _norm(system, w[i] + w[j])))
-        return basis
-    # traceless-symmetric: diagonal part orthogonal to identity, plus
-    # all symmetrized off-diagonal units
-    partial = [w[0]]
-    for k in range(1, d):
-        partial.append(partial[-1] + w[k])
-    for k in range(d - 1):
-        m = fld.zeros((d, d))
-        for i in range(k + 1):
-            m[i, i] = fld.one
-        m[k + 1, k + 1] = -(partial[k] / w[k + 1])
-        norm_sq = partial[k] + partial[k] * partial[k] / w[k + 1]
-        basis.append((m, _norm(system, norm_sq)))
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = e_mat(i, j) + e_mat(j, i)
-            basis.append((m, _norm(system, w[i] + w[j])))
-    return basis
-
-
-def orthonormal_basis(system: MatrixSystem, part: str) -> list[np.ndarray]:
-    """Orthonormal basis of a distinguished subspace under <.,.>_E: ``orthogonal_basis`` scaled."""
-    return [system.field.div(f, r) for f, r in orthogonal_basis(system, part)]
-
-
-def _gram_basis_float(system: MatrixSystem, part: str) -> list[np.ndarray]:
-    d = system.dim
-    span: list[np.ndarray] = []
-    if part in ("full", "symmetric", "traceless-symmetric"):
-        for i in range(d):
-            span.append(np.eye(d)[:, [i]] @ np.eye(d)[[i], :])
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d))
-            m[i, j] = 1.0
-            if part == "antisymmetric":
-                m[j, i] = -1.0
-                span.append(m)
-            else:
-                m[j, i] = 1.0
-                span.append(m)
-            if part == "full":
-                m2 = np.zeros((d, d))
-                m2[i, j], m2[j, i] = 1.0, -1.0
-                span.append(m2)
-    gram = np.array([[float(inner_e(system, a, b)) for a in span] for b in span])
-    vals, vecs = np.linalg.eigh(gram)
-    basis = []
-    for k in range(len(span)):
-        if vals[k] <= 1e-12:
-            continue
-        m = sum(vecs[m_i, k] * span[m_i] for m_i in range(len(span))) / np.sqrt(vals[k])
-        basis.append(m)
-    if part != "traceless-symmetric":
-        return basis
-    ident = np.eye(d)
-    iv = np.array([float(inner_e(system, b, ident)) for b in basis])
-    nrm = np.linalg.norm(iv)
-    if nrm < 1e-14:
-        return basis
-    iv = iv / nrm
-    _, _, vt = np.linalg.svd(iv.reshape(1, -1))
-    out = []
-    for k in range(1, len(basis)):
-        direction = vt[k]
-        out.append(sum(direction[m_i] * basis[m_i] for m_i in range(len(basis))))
-    return out
-
-
-def matrix_rep_M(system: MatrixSystem, part: str = "full"):
-    """Matrix of B -> sum_s A_s B A_s^T on a subspace, in an orthonormal basis.
-
-    Returns (rep, basis).  Entry [i][j] is <M(b_j), b_i>_E; because the
-    basis is orthonormal the representation is similar to the restricted
-    operator and self-adjoint systems give symmetric reps.
-    """
-    basis = orthonormal_basis(system, part)
-    n = len(basis)
-    rep = linalg.zeros((n, n), system.backend)
-    images = [apply_M(system, b) for b in basis]
-    for j, img in enumerate(images):
-        for i, b in enumerate(basis):
-            rep[i, j] = inner_e(system, img, b)
-    return rep, basis
 
 
 # -- Schatten norms --------------------------------------------------------

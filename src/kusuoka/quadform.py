@@ -1,17 +1,21 @@
-"""The packed quadratic-form kernel of one matrix system.
+"""Packed coordinates of symmetric matrices and the quadratic-form kernel.
 
 Cylinder masses, the beta-weights A(beta)^T E A(beta) of the mixing tables
 and of the irreducibility constants, transfer values and the sampler's
 conditionals all go through the quadratic forms Psi_s(B) = A_s B A_s^T,
 their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.  :class:`_Quad`
 holds them as integer arrays over one multiquadratic field, so a whole level
-of words advances by one matrix product.
+of words advances by one matrix product.  The spectral constants read the
+same Psi_s as matrices of the backend (:func:`psi_matrices`) with the
+trace-free basis of :func:`trace_free`.  This module owns the packed layout
+and is the only code that writes Psi_s in it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,14 +26,69 @@ from .matsys import MatrixSystem
 _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
 
 
+@lru_cache(maxsize=None)
+def packed_pairs(d: int, antisymmetric: bool = False) -> tuple[tuple[int, int], ...]:
+    """The (i, j) of each packed coordinate, row-major: i <= j, or i < j when antisymmetric."""
+    return tuple((i, j) for i in range(d) for j in range(i + antisymmetric, d))
+
+
+def psi_matrices(maps, antisymmetric: bool = False) -> np.ndarray:
+    """Every Psi_s(B) = A_s B A_s^T in packed coordinates, as n D x D matrices of the maps' backend.
+
+    A symmetric B is sum_q B[i, j] u_q over its D = d(d+1)/2 upper pairs
+    (i, j), with units u_q = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j); an
+    antisymmetric B the same over its strict upper pairs, with units
+    e_i e_j^T - e_j e_i^T.  Column q is the image of u_q, so the matrices act
+    on packed columns and M is their sum; the adjoints Psi*_s(B) =
+    A_s^T B A_s are this function of the transposed maps.
+    """
+    a = np.stack(maps)
+    pairs = np.array(packed_pairs(a.shape[1], antisymmetric), dtype=int).reshape(-1, 2)
+    p, r = pairs[:, :1], pairs[:, 1:]  # rows
+    i, j = pairs[:, 0], pairs[:, 1]  # columns
+    off = i != j
+    # Psi_s(u_q)[p, r] = a_pi a_rj + a_pj a_ri off the diagonal, a_pi a_ri on it
+    out = a[:, p, i] * a[:, r, j]
+    cross = a[:, p, j[off]] * a[:, r, i[off]]
+    out[:, :, off] += -cross if antisymmetric else cross
+    return out
+
+
+def trace_free(system: MatrixSystem) -> np.ndarray:
+    """A basis of the symmetric B with <B, I>_E = Tr(E B) = 0, as packed columns.
+
+    The condition is one row rho_q = Tr(E u_q) in packed coordinates, with
+    rho_0 = E_00 > 0, so f_q = u_q - (rho_q / rho_0) u_0 for q = 1 .. D-1 is a
+    basis whose entries lie in the field of E; no square root is taken.  A
+    trace-free packed vector's coordinates q >= 1 are its coordinates in this
+    basis.  Returns the D x (D-1) matrix with the f_q as columns.
+    """
+    e, fld = system.energy, system.field
+    pairs = packed_pairs(system.dim)
+    out = fld.zeros((len(pairs), len(pairs) - 1))
+    inv = fld.div(fld.one, e[0, 0])
+    for q, (i, j) in enumerate(pairs[1:]):
+        rho = e[i, j] if i == j else 2 * e[i, j]
+        out[0, q] = -(rho * inv)
+        out[q + 1, q] = fld.one
+    return out
+
+
+def unpack_symmetric(coords, d: int, field) -> np.ndarray:
+    """The symmetric d x d matrix of the backend with these packed coordinates."""
+    out = field.zeros((d, d))
+    for c, (i, j) in zip(coords, packed_pairs(d)):
+        out[i, j] = out[j, i] = c
+    return out
+
+
 class _Quad:
     """The maps Psi_s(B) = A_s B A_s^T and the weight E of one system, as arrays.
 
     The measure layer needs the word matrices only through these quadratic
     forms: P(alpha s) = Psi_s(P(alpha)) with P(alpha) = A(alpha) A(alpha)^T,
     nu(alpha) = <E, P(alpha)>, and the adjoint Psi*_s(B) = A_s^T B A_s on the
-    beta side.  This class owns the packed format and is the only code that
-    knows it.
+    beta side.
 
     A symmetric d x d matrix packs into its D = d(d+1)/2 upper-triangular
     entries, row-major, and <X, Y> = Tr(XY) weighs off-diagonal entries twice.
@@ -49,14 +108,10 @@ class _Quad:
         self.exact = system.backend == linalg.EXACT
         self.n = system.n_symbols
         self.dim = d = system.dim
-        pairs = list(zip(*np.triu_indices(d)))
-        self.pairs = pairs
+        self.pairs = pairs = packed_pairs(d)
         self.weight = [1 if i == j else 2 for i, j in pairs]
-        # Psi_s(E_q)[p] for the symmetric unit E_q = e_i e_j^T + e_j e_i^T (or e_i e_i^T)
-        psi = [
-            a[p, i] * a[r, j] + a[p, j] * a[r, i] if i != j else a[p, i] * a[r, i]
-            for a in system.maps for p, r in pairs for i, j in pairs
-        ]
+        # psi[s, p, q] = Psi_s(u_q)[p]
+        psi = list(psi_matrices(system.maps).ravel())
         e = [system.energy[i, j] for i, j in pairs]
         self._basis(psi + e)
         n, dd, m = self.n, len(pairs), self.m
@@ -269,8 +324,12 @@ class _Quad:
 
     def pack(self, mat):
         """One symmetric matrix as a stack of one row."""
-        num, den = self._pack_scalars([mat[i, j] for i, j in self.pairs])
-        return num.reshape(1, -1), den
+        return self.pack_coords([[mat[i, j] for i, j in self.pairs]])
+
+    def pack_coords(self, rows):
+        """Rows of packed coordinates, as scalars of the backend, as a stack."""
+        num, den = self._pack_scalars([x for row in rows for x in row])
+        return num.reshape(len(rows), -1), den
 
     def unpack(self, num, den) -> list:
         """Field elements (N, m) back to scalars of the backend."""
@@ -285,13 +344,8 @@ class _Quad:
     def unpack_matrices(self, num, den, field) -> list:
         """Packed rows back to symmetric matrices of the backend."""
         vals = self.unpack(num.reshape(-1, self.m), den)
-        out = []
-        for r in range(len(num)):
-            mat = field.zeros((self.dim, self.dim))
-            for q, (i, j) in enumerate(self.pairs):
-                mat[i, j] = mat[j, i] = vals[r * len(self.pairs) + q]
-            out.append(mat)
-        return out
+        dd = len(self.pairs)
+        return [unpack_symmetric(vals[r * dd:(r + 1) * dd], self.dim, field) for r in range(len(num))]
 
     def quotient_floats(self, x, dx, y, dy) -> list:
         """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.

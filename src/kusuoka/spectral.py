@@ -5,10 +5,12 @@ complement of the identity (trace-free symmetric plus antisymmetric parts under
 the energy inner product) has spectral radius theta1 < 1 for irreducible
 systems.  This module computes theta1 with exact certification where the
 characteristic polynomial permits, the Schatten contraction factors
-theta1_p, the irreducibility constants c_k as smallest eigenvalues of an
-explicit Gram form, the derived decay rate theta2 in both published variants,
-and the renormalization that turns raw restriction matrices into a system
-satisfying both fixed-point equations.
+theta1_p, the irreducibility constants c_k as smallest eigenvalues of a pair
+of explicit Gram forms, the derived decay rate theta2 in both published
+variants, and the renormalization that turns raw restriction matrices into a
+system satisfying both fixed-point equations.  All of them read M, M* and
+the trace-free basis off the packed coordinates of :mod:`kusuoka.quadform`,
+so they hold for any invariant weight E.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, matsys, symbolic
+from . import linalg, matsys, quadform, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
 from .quadform import _Quad
@@ -34,8 +36,6 @@ __all__ = [
     "spectral_report",
     "renormalize",
 ]
-
-TRACE_FREE_PARTS = ("traceless-symmetric", "antisymmetric")
 
 
 def _real_spectrum(rep_float: np.ndarray) -> tuple[float, ...]:
@@ -72,50 +72,52 @@ class Theta1Result:
         return f"{self.value !r} (float)"
 
 
+def _trace_free_rep(system: matsys.MatrixSystem) -> np.ndarray:
+    """M on the trace-free symmetric matrices in the basis F = ``quadform.trace_free``: (R F)[1:, :].
+
+    R = sum_s Psi_s keeps Tr(E B) = 0, and rows q >= 1 of a trace-free
+    packed column are its coordinates in the basis.
+    """
+    return (quadform.psi_matrices(system.maps).sum(axis=0) @ quadform.trace_free(system))[1:]
+
+
 def theta1(system: matsys.MatrixSystem) -> Theta1Result:
-    """Contraction rate of M on the orthogonal complement of the identity."""
+    """Contraction rate of M on the orthogonal complement of the identity.
+
+    The complement under <., .>_E splits into the trace-free symmetric and
+    the antisymmetric matrices, and M keeps both.  Each part's matrix is
+    summed from the packed Psi_s, with entries in the field of the system
+    for any invariant weight E, and its radius is certified when the
+    characteristic polynomial splits (``linalg.certified_spectral_radius``).
+    """
+    reps = {
+        "traceless-symmetric": _trace_free_rep(system),
+        "antisymmetric": quadform.psi_matrices(system.maps, antisymmetric=True).sum(axis=0),
+    }
     radius: dict = {}
     exact: dict = {}
     spectrum: dict = {}
-    for part in TRACE_FREE_PARTS:
-        rep, _ = matsys.matrix_rep_M(system, part)
-        if rep.shape[0] == 0:
-            radius[part] = 0.0
-            exact[part] = Radical(0) if system.backend == EXACT else None
-            spectrum[part] = ()
-            continue
+    for part, rep in reps.items():
+        spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
         if system.backend == EXACT:
-            rad_f, rad_e = linalg.certified_spectral_radius(rep)
-            radius[part] = rad_f
-            exact[part] = rad_e
-            spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
+            radius[part], exact[part] = linalg.certified_spectral_radius(rep)
         else:
-            spectrum[part] = _real_spectrum(rep)
-            radius[part] = max(abs(x) for x in spectrum[part])
-            exact[part] = None
+            radius[part], exact[part] = max((abs(x) for x in spectrum[part]), default=0.0), None
 
     value = max(radius.values())
-    overall: Radical | None = None
-    if all(exact[p] is not None for p in TRACE_FREE_PARTS):
-        overall = max(exact[p] for p in TRACE_FREE_PARTS)
-    if overall is not None:
-        irreducible = (Radical(1) - overall).sign() > 0
+    if any(x is None for x in exact.values()):
+        overall, irreducible = None, value < 1.0 - 1e-9
     else:
-        irreducible = value < 1.0 - 1e-9
+        overall = max(exact.values())
+        irreducible = (Radical(1) - overall).sign() > 0
     return Theta1Result(value, overall, radius, exact, spectrum, irreducible)
 
 
 def _scalar_action(rep: np.ndarray, backend: str):
     """The c with rep = c*I, or None."""
-    n = rep.shape[0]
-    c = rep[0, 0]
+    n, c = rep.shape[0], rep[0, 0]
     if backend == EXACT:
-        for i in range(n):
-            for j in range(n):
-                want = c if i == j else Radical(0)
-                if not (rep[i, j] - want).is_zero():
-                    return None
-        return c
+        return c if (rep == c * linalg.identity(n, EXACT)).all() else None
     dev = float(np.max(np.abs(rep - float(c) * np.eye(n))))
     return float(c) if dev <= 1e-12 * max(1.0, abs(float(c))) else None
 
@@ -133,7 +135,7 @@ def theta1_schatten(system: matsys.MatrixSystem, p, trials: int = 256, seed: int
         raise ValueError("Schatten contraction factors are defined for symmetric restriction maps")
     if isinstance(p, (int, float)) and p < 1:
         raise ValueError("p must be >= 1 or 'inf'")
-    rep, _ = matsys.matrix_rep_M(system, "traceless-symmetric")
+    rep = _trace_free_rep(system)
     if rep.shape[0] == 0:
         return system.field.zero
     c = _scalar_action(rep, system.backend)
@@ -141,7 +143,7 @@ def theta1_schatten(system: matsys.MatrixSystem, p, trials: int = 256, seed: int
         return abs(c)
 
     fsys = matsys.to_float_system(system)
-    _, basis = matsys.matrix_rep_M(fsys, "traceless-symmetric")
+    basis = [quadform.unpack_symmetric(f, fsys.dim, fsys.field) for f in quadform.trace_free(fsys).T]
     m = len(basis)
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -184,21 +186,25 @@ class CkResult:
     exact: Radical | None
 
 
-def _grams(system: matsys.MatrixSystem, levels, budget: int) -> dict | None:
-    """The level-k Gram matrices of ``c_k`` for every k in ``levels``, by level.
+def _grams(system: matsys.MatrixSystem, levels, budget: int):
+    """The forms of ``c_k`` for every k in ``levels``: (H, {k: G'_k}).
 
+    Both are Gram matrices over the basis f_q of ``quadform.trace_free``:
+    H_ij = <f_i, f_j>_E and G'_ij = sum_{|alpha|=k} t_i(alpha) t_j(alpha).
     None when the trace-free symmetric subspace is empty.  One kernel and
     one chain of beta-weights serve every level.
     """
-    basis = matsys.orthogonal_basis(system, "traceless-symmetric")
-    if not basis:
+    basis = quadform.trace_free(system)
+    field, m = system.field, basis.shape[1]
+    if m == 0:
         return None
     k_max = max(levels)
     symbolic.check_budget(system.n_symbols, k_max, budget)
     q = _Quad(system)
-    fs = q.join([q.pack(f) for f, _ in basis])
-    norms = [r for _, r in basis]
-    field, m = system.field, len(basis)
+    fs = q.pack_coords(basis.T)
+    mats = [quadform.unpack_symmetric(f, system.dim, field) for f in basis.T]
+    weighted = [system.energy @ f for f in mats]
+    h = field.array([[(a * b).sum() for b in weighted] for a in mats])  # Tr(f_i E f_j)
     grams = {}
     weights = q.energy
     for k in range(1, k_max + 1):
@@ -206,48 +212,44 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int) -> dict | None:
         if k not in levels:
             continue
         num, den = q.gram(q.pair(weights, fs))
-        raw = q.unpack(num.reshape(-1, q.m), den)
-        gram = field.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                gram[i, j] = gram[j, i] = field.div(raw[i * m + j], norms[i] * norms[j])
-        grams[k] = gram
-    return grams
+        grams[k] = np.array(q.unpack(num.reshape(-1, q.m), den), dtype=field.dtype).reshape(m, m)
+    return h, grams
 
 
-def _smallest_eigenvalue(k: int, gram, backend: str) -> CkResult:
+def _smallest_eigenvalue(k: int, h, gram, backend: str) -> CkResult:
+    """The least root of det(G' - lambda H): the least eigenvalue of H^-1 G'."""
     if backend == EXACT:
-        eigs = linalg.exact_eigenvalues_symmetric(gram)
+        eigs = linalg.exact_eigenvalues_symmetric(linalg.solve_exact(h, gram))
         if eigs is not None:
             low = min(eigs)
             return CkResult(k, True, float(low), low)
-        vals = np.linalg.eigvalsh(linalg.to_float_matrix(gram))
-        return CkResult(k, True, float(vals[0]), None)
-    vals = np.linalg.eigvalsh(gram)
-    return CkResult(k, True, float(vals[0]), None)
+    # L^-1 G' L^-T with H = L L^T is symmetric and has the same eigenvalues
+    low = np.linalg.cholesky(linalg.to_float_matrix(h))
+    half = np.linalg.solve(low, linalg.to_float_matrix(gram))
+    return CkResult(k, True, float(np.linalg.eigvalsh(np.linalg.solve(low, half.T))[0]), None)
 
 
 def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> CkResult:
-    """Minimum of sum_{|alpha|=k} <A(alpha)F, A(alpha)>^2 over unit trace-free symmetric F.
+    """Minimum of sum_{|alpha|=k} <A(alpha)F, A(alpha)>^2 over trace-free symmetric F with |F|_E = 1.
 
-    The quantity is a quadratic form in F, so the minimum is the smallest
-    eigenvalue of the Gram matrix G_ij = sum_alpha t_i(alpha) t_j(alpha) with
-    t_i(alpha) = <A(alpha) b_i, A(alpha)> = Tr(Psi*_alpha(E) b_i) over an
-    orthonormal basis b_i = f_i / r_i of the constraint subspace.  The
+    With F = sum_q y_q f_q over the basis f_q of ``quadform.trace_free``,
+    whose entries lie in the field of E, the sum is y^T G' y with
+    G'_ij = sum_alpha t_i(alpha) t_j(alpha), t_i(alpha) = Tr(Psi*_alpha(E) f_i),
+    and the constraint is y^T H y = 1 with H_ij = <f_i, f_j>_E.  So c_k is the
+    least eigenvalue of H^-1 G', which is similar to a symmetric matrix.  The
     level-k beta-weights Psi*_alpha(E) = A(alpha)^T E A(alpha) come from k
     adjoint steps of the packed kernel, starting at E; one pairing with the
-    unnormalised orthogonal basis f_i, whose entries lie in the field of E,
-    gives every t_i(alpha) r_i, and one product over the word axis sums
-    them to G'_ij = G_ij r_i r_j.  The norms r_i = |f_i|_E may need a square
-    root outside that field, so they divide G' only at the end, once per
-    basis pair.  No iterative optimization is involved.
+    packed f_q gives every t_i(alpha), and one product over the word axis
+    sums them to G'.  No square root and no iterative optimization is
+    involved.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    grams = _grams(system, (k,), budget)
-    if grams is None:
+    forms = _grams(system, (k,), budget)
+    if forms is None:
         return CkResult(k, False, None, None)
-    return _smallest_eigenvalue(k, grams[k], system.backend)
+    h, grams = forms
+    return _smallest_eigenvalue(k, h, grams[k], system.backend)
 
 
 @dataclass(frozen=True)
@@ -267,11 +269,12 @@ def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAU
     """Both decay rates from c_1 ... c_k_max, read off one chain of beta-weights."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    grams = _grams(system, range(1, k_max + 1), budget)
-    if grams is None:
+    forms = _grams(system, range(1, k_max + 1), budget)
+    if forms is None:
         cs = {k: CkResult(k, False, None, None) for k in range(1, k_max + 1)}
         return Theta2Result(False, True, None, None, None, None, cs)
-    cs = {k: _smallest_eigenvalue(k, g, system.backend) for k, g in grams.items()}
+    h, grams = forms
+    cs = {k: _smallest_eigenvalue(k, h, g, system.backend) for k, g in grams.items()}
 
     irreducibility_ok = all(r.value is not None and r.value > 0 for r in cs.values())
 
@@ -337,38 +340,7 @@ def spectral_report(
 # -- renormalization ---------------------------------------------------------
 
 
-def _sym_pairs(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-def _sym_coords(mat, pairs):
-    return [mat[i, j] for (i, j) in pairs]
-
-
-def _sym_from_coords(coords, pairs, d, field):
-    out = field.zeros((d, d))
-    for c, (i, j) in zip(coords, pairs):
-        out[i, j] = c
-        out[j, i] = c
-    return out
-
-
-def _sym_rep(maps, d, field, star: bool):
-    """Matrix of B -> sum_s A_s* B A_s (star) or sum_s A_s B A_s* in plain symmetric coords."""
-    pairs = _sym_pairs(d)
-    m = len(pairs)
-    rep = field.zeros((m, m))
-    for v, (i, j) in enumerate(pairs):
-        basis = field.zeros((d, d))
-        basis[i, j] = field.one
-        basis[j, i] = field.one
-        img = sum((a.T @ basis @ a if star else a @ basis @ a.T) for a in maps)
-        for u, c in enumerate(_sym_coords(img, pairs)):
-            rep[u, v] = c
-    return rep
-
-
-def _perron_exact(rep, pairs, d):
+def _perron_exact(rep, d):
     """Perron eigenvalue and positive definite fixed form, certified exactly."""
     rad_f, rad_e = linalg.certified_spectral_radius(rep)
     if rad_e is None:
@@ -382,7 +354,7 @@ def _perron_exact(rep, pairs, d):
     null = linalg.nullspace_exact(shifted)
     if len(null) != 1:
         raise ValueError("Perron eigenspace is degenerate; the raw maps are reducible")
-    form = _sym_from_coords(null[0], pairs, d, linalg.FIELDS[EXACT])
+    form = quadform.unpack_symmetric(null[0], d, linalg.FIELDS[EXACT])
     tr = np.trace(form)
     if tr.sign() < 0:
         form = -1 * form
@@ -407,7 +379,8 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     """Build a system satisfying both fixed-point equations from raw restriction maps.
 
     Finds the Perron eigenvalue mu and fixed forms of B -> sum A_s* B A_s and
-    its dual, rescales the maps by mu^(-1/2), and changes basis so the dual
+    its dual, both summed from ``quadform.psi_matrices`` on packed symmetric
+    coordinates, rescales the maps by mu^(-1/2), and changes basis so the dual
     fixed form becomes the identity; the primal form, pushed through the same
     basis change and normalized to unit trace, is the energy.  The output
     validates exactly on the exact backend.  Rescaled inputs t*A_s give the
@@ -426,16 +399,16 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     for a in mats:
         if a.shape != (d, d):
             raise ValueError("raw maps must share one square shape")
-    pairs = _sym_pairs(d)
+    # B -> sum_s A_s* B A_s and its dual B -> sum_s A_s B A_s*, on packed columns
+    rep_primal = quadform.psi_matrices([a.T for a in mats]).sum(axis=0)
+    rep_dual = quadform.psi_matrices(mats).sum(axis=0)
 
     if backend == EXACT:
         for a in mats:
             if linalg.det_exact(a).is_zero():
                 raise ValueError("raw maps must be injective")
-        rep_primal = _sym_rep(mats, d, field, star=True)
-        rep_dual = _sym_rep(mats, d, field, star=False)
-        mu, e0 = _perron_exact(rep_primal, pairs, d)
-        mu_dual, r0 = _perron_exact(rep_dual, pairs, d)
+        mu, e0 = _perron_exact(rep_primal, d)
+        mu_dual, r0 = _perron_exact(rep_dual, d)
         if not (mu - mu_dual).is_zero():
             raise ValueError("primal and dual Perron eigenvalues disagree")
         lam = field.sqrt(Radical(1) / mu)
@@ -445,20 +418,16 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
             )
         upper = linalg.cholesky_exact(r0)  # r0 = U^T U
         upper_inv = linalg.solve_exact(upper, linalg.identity(d, EXACT))
-        new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
-        energy = upper @ e0 @ upper.T
     else:
         for a in mats:
             if abs(np.linalg.det(a)) < tol:
                 raise ValueError("raw maps must be injective")
-        rep_primal = _sym_rep(mats, d, field, star=True)
-        rep_dual = _sym_rep(mats, d, field, star=False)
         mu, v_primal = _perron_float(rep_primal)
         mu_dual, v_dual = _perron_float(rep_dual)
         if abs(mu - mu_dual) > tol * max(1.0, abs(mu)):
             raise ValueError("primal and dual Perron eigenvalues disagree beyond tolerance")
-        e0 = _sym_from_coords(v_primal, pairs, d, field)
-        r0 = _sym_from_coords(v_dual, pairs, d, field)
+        e0 = quadform.unpack_symmetric(v_primal, d, field)
+        r0 = quadform.unpack_symmetric(v_dual, d, field)
         if np.trace(e0) < 0:
             e0 = -e0
         if np.trace(r0) < 0:
@@ -469,8 +438,8 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
         lower = np.linalg.cholesky(r0)
         upper = lower.T  # r0 = U^T U
         upper_inv = np.linalg.inv(upper)
-        new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
-        energy = upper @ e0 @ upper.T
+    new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
+    energy = upper @ e0 @ upper.T
     energy = field.div(energy, np.trace(energy))
 
     if alphabet is None:

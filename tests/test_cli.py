@@ -232,6 +232,19 @@ def test_renormalize_from_file(capsys, tmp_path):
     assert out.strip() == "4/5 (exact)"
 
 
+def test_theta1_of_renormalized_raw_maps_is_a_surd(capsys, tmp_path):
+    # integer raw maps whose renormalized weight is not diagonal
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps([[[2, -2], [-2, 3]], [[2, 2], [0, 3]], [[-3, -2], [0, -3]]]))
+    code, out, _ = run(capsys, "renormalize", "--in", str(raw))
+    assert code == 0
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(out)
+    assert json.loads(out)["energy"][0][1] != "0"
+    code, out, err = run(capsys, "theta1", "--in", str(sysfile))
+    assert (code, out.strip(), err) == (0, "1/29*sqrt(471) (exact)", "")
+
+
 def test_renormalize_reads_decimals_and_integers(capsys, tmp_path):
     raw = tmp_path / "raw.json"
     raw.write_text(json.dumps([[[0.6, 0], [0, 0.2]],

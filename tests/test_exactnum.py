@@ -52,6 +52,17 @@ def test_sqrt_fraction_matches_root():
     assert sqrt_fraction(Fraction(8, 25)) == Radical(Fraction(2, 5)) * Radical.root(2)
 
 
+# primes just above the trial-division limit of Radical.root
+_P, _Q, _R = 10000019, 10000079, 10000103
+
+
+def test_root_settles_cofactors_past_the_trial_limit():
+    assert Radical.root(12 * _P * _P) == Radical(2 * _P) * Radical.root(3)
+    assert Radical.root(12 * _P * _Q).terms() == ((3 * _P * _Q, Fraction(2)),)
+    with pytest.raises(ValueError, match="large prime factors"):
+        Radical.root(_P * _Q * _R)
+
+
 def test_sign_orders_nearby_radicals():
     # sqrt(2) + sqrt(3) vs sqrt(10): squares are 5 + 2*sqrt(6) ~ 9.899 vs 10.
     lhs = Radical.root(2) + Radical.root(3)

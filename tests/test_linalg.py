@@ -100,6 +100,17 @@ def test_certified_radius_quadratic_factor():
     assert val == 2.0
 
 
+def test_split_leaves_a_quadratic_it_cannot_factor():
+    # eigenvalues 1 and +-sqrt(n), n a product of three primes past the
+    # trial-division limit: the quadratic stays unsplit, nothing is certified
+    n = 10000019 * 10000079 * 10000103
+    m = _exact([[1, 0, 0], [0, 0, n], [0, 1, 0]])
+    assert _split_spectrum(m) == ([Radical(1)], [], [-n, 0, 1])
+    assert certified_spectral_radius(m)[1] is None
+    assert exact_eigenvalues_symmetric(m) is None
+    assert FIELDS[EXACT].sqrt(Radical(n)) is None
+
+
 def test_certified_radius_irrational():
     m = _exact([[0, 2], [1, 0]])  # eigenvalues +-sqrt(2)
     val, exact = certified_spectral_radius(m)

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from kusuoka.exactnum import Radical
-from kusuoka.linalg import EXACT, FLOAT, as_matrix, frobenius_sq, to_float_matrix
+from kusuoka.linalg import EXACT, FLOAT, as_matrix, frobenius_sq
 from kusuoka.matsys import (
     apply_M,
     apply_M_star,
     bernoulli_system,
     inner_e,
     make_system,
-    matrix_rep_M,
-    orthonormal_basis,
     schatten_norm,
     sg_system,
     system_from_json,
@@ -99,23 +97,6 @@ def test_identity_fixed_by_backward_average(sg):
     ident = as_matrix([[Fraction(1), 0], [0, Fraction(1)]], EXACT)
     out = apply_M(sg, ident)
     assert frobenius_sq(out - ident).is_zero()
-
-
-def test_full_rep_spectrum(sg):
-    rep, basis = matrix_rep_M(sg, part="full")
-    assert len(basis) == 4
-    eigs = sorted(np.linalg.eigvals(to_float_matrix(rep)).real)
-    assert np.allclose(eigs, [0.6, 0.8, 0.8, 1.0], atol=1e-12)
-
-
-def test_orthonormal_basis_traceless_symmetric(sg):
-    basis = orthonormal_basis(sg, "traceless-symmetric")
-    assert len(basis) == 2
-    for i, a in enumerate(basis):
-        assert np.trace(a).is_zero()
-        for j, b in enumerate(basis):
-            want = Radical(1 if i == j else 0)
-            assert (inner_e(sg, a, b) - want).is_zero()
 
 
 def test_schatten_norms_exact():

@@ -298,8 +298,8 @@ def test_level_nu_equals_word_oracle(oracle_case):
 
 def test_mixing_max_gap_equals_pair_oracle(oracle_case, monkeypatch):
     name, m, _, k = oracle_case
-    if name in ("raw170", "two-radicand"):
-        # theta1 is not certified on these (ROADMAP item 3); the gap column does not use it
+    if name == "two-radicand":
+        # theta1 is not certified on this system (ROADMAP item 2); the gap column does not use it
         monkeypatch.setattr(spectral, "theta1", lambda s: SimpleNamespace(exact=Radical(Fraction(9, 10))))
     n_sym, n_max = m.system.n_symbols, 2
     rows = mixing_bound_check(m, k, n_max)

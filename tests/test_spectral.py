@@ -5,22 +5,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kusuoka import cli, spectral
-from kusuoka.exactnum import Radical
+from kusuoka import cli, quadform, spectral
+from kusuoka.exactnum import Radical, parse_exact
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import (
     EXACT,
     FLOAT,
     as_matrix,
+    det_exact,
     exact_eigenvalues_symmetric,
     frobenius_sq,
+    solve_exact,
     to_float_matrix,
 )
 from kusuoka.matsys import (
     apply_M,
+    apply_M_star,
     bernoulli_system,
+    inner_e,
     make_system,
-    orthonormal_basis,
     sg_system,
     to_float_system,
     validate,
@@ -36,7 +39,7 @@ from kusuoka.spectral import (
     theta2,
 )
 from kusuoka.symbolic import DEFAULT_BUDGET, BudgetError, all_words, word_matrix
-from test_measure import RAW_170, _two_radicand_system
+from test_measure import _two_radicand_system
 
 
 def test_theta1_sg_exact(sg):
@@ -47,6 +50,14 @@ def test_theta1_sg_exact(sg):
     assert res.part_exact["traceless-symmetric"] == Fraction(4, 5)
     assert res.part_exact["antisymmetric"] == Fraction(3, 5)
     assert "4/5 (exact)" in res.describe()
+
+
+def test_theta1_sg_part_spectra(sg):
+    # with M(I) = I these are the four eigenvalues of M on 2 x 2 matrices
+    res = theta1(sg)
+    assert res.part_exact == {"traceless-symmetric": Fraction(4, 5), "antisymmetric": Fraction(3, 5)}
+    assert res.part_spectrum["traceless-symmetric"] == pytest.approx((0.8, 0.8), abs=1e-12)
+    assert res.part_spectrum["antisymmetric"] == pytest.approx((0.6,), abs=1e-12)
 
 
 def test_theta1_sg_float(sg_float):
@@ -89,7 +100,7 @@ def _gram_oracle(system, k):
 
     Uses the explicit trace-free symmetric basis {diag(1,-1), offdiag(1,1)}
     (orthonormal for the weight I/2) and the closed-form 2x2 eigenvalue,
-    bypassing orthonormal_basis and the generic eigensolver.
+    bypassing the packed kernel and the generic eigensolver.
     """
     sz = as_matrix([[Fraction(1), 0], [0, Fraction(-1)]], EXACT)
     sx = as_matrix([[0, Fraction(1)], [Fraction(1), 0]], EXACT)
@@ -292,20 +303,85 @@ def test_c2_unit_probes_never_beat_minimum(sg_float):
         assert val >= c2 - 1e-12
 
 
-# -- c_k against the per-word reference -------------------------------------
+# -- the packed operators and c_k against per-word references ---------------
+
+# The raw bases of the certify benchmark: integer maps whose renormalized
+# weight is not diagonal, with their exact theta1 and float c_1.
+RAW_BASES = (
+    (((2, -2), (-2, 3)), ((2, 2), (0, 3)), ((-3, -2), (0, -3))),
+    (((1, -3), (0, -1)), ((1, 3), (-2, 1)), ((0, -2), (1, 1))),
+    (((0, 3), (1, -2)), ((2, -1), (0, -3)), ((-2, -1), (1, 2))),
+)
+RAW_THETA1 = ("1/29*sqrt(471)", "6/13*sqrt(2)", "12/19")
+RAW_C1 = (0.003952927702605841, 0.029316672798672297, 0.00985338922990005)
 
 
-def _ck_reference(system, k):
-    """(Gram matrix, CkResult) of c_k summed word by word, one product at a time.
+def _raw_system(base, backend=EXACT):
+    return renormalize([[list(r) for r in a] for a in RAW_BASES[base]], backend)
+
+
+def _units(system, antisymmetric=False):
+    """The packed units u_q as d x d matrices, with their (i, j), built here."""
+    d, fld = system.dim, system.field
+    out = []
+    for i in range(d):
+        for j in range(i + antisymmetric, d):
+            u = fld.zeros((d, d))
+            u[i, j] = fld.one
+            u[j, i] = -fld.one if antisymmetric else fld.one
+            out.append(((i, j), u))
+    return out
+
+
+@pytest.mark.parametrize("build", [sg_system, lambda: _raw_system(0)], ids=["sg", "raw0"])
+@pytest.mark.parametrize("antisymmetric", [False, True], ids=["sym", "anti"])
+def test_psi_matrices_are_the_averaging_maps(build, antisymmetric):
+    system = build()
+    units = _units(system, antisymmetric)
+    r = sum(quadform.psi_matrices(system.maps, antisymmetric))
+    r_star = sum(quadform.psi_matrices([a.T for a in system.maps], antisymmetric))
+    for q, (_, u) in enumerate(units):
+        assert list(r[:, q]) == [apply_M(system, u)[i, j] for (i, j), _ in units]
+        assert list(r_star[:, q]) == [apply_M_star(system, u)[i, j] for (i, j), _ in units]
+    if not antisymmetric:  # M(I) = I
+        ident = system.field.array([system.field.one if i == j else system.field.zero for (i, j), _ in units])
+        assert list(r @ ident) == list(ident)
+
+
+@pytest.mark.parametrize("build", [sg_system, lambda: _raw_system(0)], ids=["sg", "raw0"])
+def test_trace_free_basis(build):
+    system = build()
+    ident = system.field.identity(system.dim)
+    mats = [quadform.unpack_symmetric(f, system.dim, system.field) for f in quadform.trace_free(system).T]
+    assert len(mats) == 2
+    for a in mats:
+        assert inner_e(system, a, ident).is_zero()
+    assert det_exact(system.field.array([[inner_e(system, a, b) for b in mats] for a in mats])).sign() > 0
+
+
+def _projected_units(system):
+    """A trace-free symmetric basis of this test's own: each unit but e_00 minus its E-component along I."""
+    ident = system.field.identity(system.dim)
+    scale = inner_e(system, ident, ident)
+    return [u - (inner_e(system, u, ident) / scale) * ident for (i, j), u in _units(system) if (i, j) != (0, 0)]
+
+
+def _packed_basis(system):
+    """The basis f_q = u_q - (Tr(E u_q) / E_00) e_00, q >= 1, that ``c_k`` pairs with."""
+    units = _units(system)
+    e00 = units[0][1]
+    ident = system.field.identity(system.dim)
+    return [u - (inner_e(system, u, ident) / system.energy[0, 0]) * e00 for _, u in units[1:]]
+
+
+def _per_word_forms(system, k, basis):
+    """(H, G') over ``basis``: H_ij = <f_i, f_j>_E, and G' summed word by word.
 
     Every level-k word matrix, its beta-weight A^T E A and the pairings with
-    the orthonormal basis are matrices and scalars of the backend; the Gram
-    matrix is None when the trace-free symmetric subspace is empty.
+    the basis are matrices and scalars of the backend.
     """
-    basis = orthonormal_basis(system, "traceless-symmetric")
     m = len(basis)
-    if m == 0:
-        return None, CkResult(k, False, None, None)
+    h = system.field.array([[inner_e(system, a, b) for b in basis] for a in basis])
     gram = system.field.zeros((m, m))
     for w in all_words(system.n_symbols, k):
         a = word_matrix(system, w)
@@ -314,17 +390,34 @@ def _ck_reference(system, k):
         for i in range(m):
             for j in range(m):
                 gram[i, j] = gram[i, j] + t[i] * t[j]
+    return h, gram
+
+
+def _ck_reference(system, k):
+    """c_k as the least eigenvalue of H^-1 G' over ``_projected_units``."""
+    basis = _projected_units(system)
+    if not basis:
+        return CkResult(k, False, None, None)
+    h, gram = _per_word_forms(system, k, basis)
     if system.backend == EXACT:
-        eigs = exact_eigenvalues_symmetric(gram)
+        eigs = exact_eigenvalues_symmetric(solve_exact(h, gram))
         if eigs is not None:
             low = min(eigs)
-            return gram, CkResult(k, True, float(low), low)
-        return gram, CkResult(k, True, float(np.linalg.eigvalsh(to_float_matrix(gram))[0]), None)
-    return gram, CkResult(k, True, float(np.linalg.eigvalsh(gram)[0]), None)
+            return CkResult(k, True, float(low), low)
+    vals = np.linalg.eigvals(np.linalg.solve(to_float_matrix(h), to_float_matrix(gram)))
+    return CkResult(k, True, float(min(vals.real)), None)
+
+
+def _assert_ck_matches(got, want):
+    assert (got.k, got.applicable, got.exact) == (want.k, want.applicable, want.exact)
+    if want.exact is not None or not want.applicable:
+        assert got.value == want.value
+    else:
+        assert got.value == pytest.approx(want.value, rel=1e-12)
 
 
 def _pythagorean_system():
-    """Rational maps and weight whose orthonormal basis needs sqrt(3): the kernel's field is Q."""
+    """Rational maps and weight, E = diag(1/4, 3/4): the kernel's field is Q."""
     maps = [[[Fraction(3, 5), 0], [0, Fraction(5, 13)]], [[Fraction(4, 5), 0], [0, Fraction(12, 13)]]]
     energy = [[Fraction(1, 4), 0], [0, Fraction(3, 4)]]
     return make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
@@ -336,6 +429,7 @@ _CK_SYSTEMS = {
     "bernoulli": (lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]), 2),
     "two-radicand": (_two_radicand_system, 2),
     "pythagorean": (_pythagorean_system, 2),
+    **{f"raw{b}": ((lambda b=b: _raw_system(b)), 2) for b in range(len(RAW_BASES))},
 }
 
 
@@ -344,39 +438,56 @@ def test_ck_equals_per_word_reference(name):
     build, k_max = _CK_SYSTEMS[name]
     system = build()
     assert validate(system).ok
-    grams = spectral._grams(system, range(1, k_max + 1), DEFAULT_BUDGET)
+    forms = spectral._grams(system, range(1, k_max + 1), DEFAULT_BUDGET)
     for k in range(1, k_max + 1):
-        want_gram, want = _ck_reference(system, k)
-        assert c_k(system, k) == want
-        if want_gram is None:
-            assert grams is None
+        want = _ck_reference(system, k)
+        _assert_ck_matches(c_k(system, k), want)
+        if not want.applicable:
+            assert forms is None
         else:
-            assert (grams[k] == want_gram).all()
+            want_h, want_gram = _per_word_forms(system, k, _packed_basis(system))
+            assert (forms[0] == want_h).all()
+            assert (forms[1][k] == want_gram).all()
     assert theta2(system, k_max).c_values == {k: c_k(system, k) for k in range(1, k_max + 1)}
 
 
-def test_ck_scales_by_unequal_basis_norms():
-    # c_k is a formula in any maps and a diagonal weight; these (not a valid
-    # system) give the Gram matrix an off-diagonal entry while the basis norms
-    # differ (1/sqrt3 and 1), so each entry must take its own pair of norms
+def test_ck_solves_against_a_non_identity_h():
+    # c_k is a formula in any maps and weight; these (not a valid system)
+    # give H = diag(1, 3) and a Gram matrix with an off-diagonal entry, so the
+    # least eigenvalue is that of H^-1 G', not of G'
     maps = [[[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 2)]],
             [[Fraction(1, 3), 0], [Fraction(1, 4), Fraction(2, 3)]]]
     energy = [[Fraction(1, 4), 0], [0, Fraction(3, 4)]]
     system = make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
     for k in (1, 2):
-        want_gram, want = _ck_reference(system, k)
+        h, grams = spectral._grams(system, (k,), DEFAULT_BUDGET)
+        want_h, want_gram = _per_word_forms(system, k, _packed_basis(system))
+        assert (h == as_matrix([[1, 0], [0, 3]], EXACT)).all() and (h == want_h).all()
         assert not want_gram[0, 1].is_zero()
-        assert (spectral._grams(system, (k,), DEFAULT_BUDGET)[k] == want_gram).all()
-        assert c_k(system, k) == want
+        assert (grams[k] == want_gram).all()
+        _assert_ck_matches(c_k(system, k), _ck_reference(system, k))
 
 
-@pytest.mark.parametrize("system", [sg_system(FLOAT), generate_system(3, FLOAT)], ids=["sg", "sg3"])
+@pytest.mark.parametrize("system", [sg_system(FLOAT), generate_system(3, FLOAT), _raw_system(1, FLOAT)],
+                         ids=["sg", "sg3", "raw1"])
 def test_ck_float_matches_reference(system):
     for k in (1, 2):
-        want_gram, want = _ck_reference(system, k)
-        got = spectral._grams(system, (k,), DEFAULT_BUDGET)[k]
-        assert np.max(np.abs(got - want_gram)) <= 1e-12 * np.max(np.abs(want_gram))
+        want = _ck_reference(system, k)
+        want_h, want_gram = _per_word_forms(system, k, _packed_basis(system))
+        got_h, grams = spectral._grams(system, (k,), DEFAULT_BUDGET)
+        assert np.max(np.abs(got_h - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+        assert np.max(np.abs(grams[k] - want_gram)) <= 1e-12 * np.max(np.abs(want_gram))
         assert abs(c_k(system, k).value - want.value) <= 1e-12 * abs(want.value)
+
+
+@pytest.mark.parametrize("base", range(len(RAW_BASES)))
+def test_raw_maps_certify_theta1_and_c1(base):
+    system = _raw_system(base)
+    assert not system.energy[0, 1].is_zero()
+    assert theta1(system).exact == parse_exact(RAW_THETA1[base])
+    c1 = c_k(system, 1)
+    assert abs(c1.value - RAW_C1[base]) <= 1e-9
+    assert abs(c1.value - c_k(_raw_system(base, FLOAT), 1).value) <= 1e-9
 
 
 def test_ck_budget_checked_before_the_kernel(sg, monkeypatch):
@@ -391,10 +502,3 @@ def test_ck_budget_checked_before_the_kernel(sg, monkeypatch):
     monkeypatch.undo()
     assert cli.main(["ck", "--builtin", "sg", "--k", "3", "--budget-k", "2"]) == 3
 
-
-def test_ck_non_diagonal_weight_message():
-    # a renormalized raw map carries a non-diagonal weight (ROADMAP item 2)
-    system = renormalize([[list(r) for r in a] for a in RAW_170])
-    for call in (lambda: c_k(system, 1), lambda: theta2(system, 2)):
-        with pytest.raises(ValueError, match="closed-form orthonormal bases need a diagonal weight"):
-            call()
