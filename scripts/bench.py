@@ -5,12 +5,16 @@ The layers, from the scalar up:
 
   scalar     2x2 matrix product (Radical entries on exact, float64 on float)
   tables     level_nu(sg3, 5): every depth-5 cylinder mass
-  operation  mixing_bound_check(sg, k, nmax=12) for k = 2, 3;
-             sample_many(sg): 1000 words of length 16, seed 0;
+  operation  generate_system(6);
+             mixing_bound_check(sg, k, nmax=12) for k = 2, 3;
+             sample_many(sg): 1000 words of length 16 and 10000 words of
+             length 20, seed 0;
+             dilation_check(sg, f, k=3) for a seeded depth-6 f with values
+             in -3 .. 3, and q_decay_check(sg, 1, 6, 100 trials, seed 0);
              theta1(sg6), c_k(sg5, 2), c_k(sg6, 2) and theta2(sg5, 2);
              theta1 and c_k(., 1) of the renormalized raw maps RAW below
   cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6 and
-             kusuoka report --builtin sg4, as subprocesses;
+             kusuoka report --builtin sg4 | sg5, as subprocesses;
              theta2(sg6, 2) on the exact backend, alone in a fresh process
 
 Each layer runs on both backends.  A record keeps the minimum over
@@ -89,7 +93,9 @@ def _timed_child(args: list[str], src: Path, repeats: int) -> dict:
 
 def run(src: Path, repeats: int) -> list[dict]:
     sys.path.insert(0, str(src))
-    from kusuoka import gasket, matsys, measure, spectral
+    import numpy as np
+
+    from kusuoka import gasket, matsys, measure, procspace, spectral, symbolic
     from kusuoka.linalg import EXACT, FLOAT
 
     records = []
@@ -105,14 +111,23 @@ def run(src: Path, repeats: int) -> list[dict]:
         sg5 = gasket.generate_system(5, backend)
         sg6 = gasket.generate_system(6, backend)
         a, b = sg.maps[0], sg.maps[1]
+        f6 = symbolic.cylinder_from_values(
+            sg, 6, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**6)])
         add("scalar", "2x2 matmul", backend, _timed(lambda: a @ b, repeats, inner=2000))
         add("tables", "level_nu(sg3, 5)", backend,
             _timed(lambda: measure.kusuoka_measure(sg3).level_nu(5), repeats))
+        add("operation", "generate_system(6)", backend,
+            _timed(lambda: gasket.generate_system(6, backend), repeats))
         for k in (2, 3):
             add("operation", f"mixing_bound_check(sg, k={k}, nmax=12)", backend,
                 _timed(lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12), repeats))
-        add("operation", "sample_many(sg, 16, 1000, seed=0)", backend,
-            _timed(lambda: measure.sample_many(measure.kusuoka_measure(sg), 16, 1000, 0), repeats))
+        for length, count in ((16, 1000), (20, 10000)):
+            add("operation", f"sample_many(sg, {length}, {count}, seed=0)", backend,
+                _timed(lambda: measure.sample_many(measure.kusuoka_measure(sg), length, count, 0), repeats))
+        add("operation", "dilation_check(sg, depth-6 f, k=3)", backend,
+            _timed(lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f6, 3), repeats))
+        add("operation", "q_decay_check(sg, 1, 6, 100, seed=0)", backend,
+            _timed(lambda: procspace.q_decay_check(sg, 1, 6, 100, 0), repeats))
         add("operation", "theta1(sg6)", backend, _timed(lambda: spectral.theta1(sg6), repeats))
         for name, system in (("sg5", sg5), ("sg6", sg6)):
             add("operation", f"c_k({name}, 2)", backend,
@@ -122,7 +137,7 @@ def run(src: Path, repeats: int) -> list[dict]:
         add("operation", "theta1(raw)", backend, _timed(lambda: spectral.theta1(raw), repeats))
         add("operation", "c_k(raw, 1)", backend, _timed(lambda: spectral.c_k(raw, 1), repeats))
         for argv in (["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6"],
-                     ["report", "--builtin", "sg4"]):
+                     ["report", "--builtin", "sg4"], ["report", "--builtin", "sg5"]):
             argv = argv + ["--backend", backend]
             add("cli", "kusuoka " + " ".join(argv), backend,
                 _timed_child(["-m", "kusuoka.cli", *argv], src, repeats))

@@ -68,19 +68,6 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _smallest_prime_factor(n: int) -> int:
-    assert n > 1
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
 def _coerce_fraction(x) -> Fraction | None:
     if isinstance(x, Fraction):
         return x
@@ -249,10 +236,15 @@ class Radical:
         if len(self._t) == 1:
             r, c = self._t[0]
             return Radical.from_terms({r: 1 / (c * r)})
-        p = min(_smallest_prime_factor(r) for r, _ in self._t if r > 1)
-        conj = Radical.from_terms(
-            {r: (-c if r % p == 0 else c) for r, c in self._t}
-        )
+        # Refine d > 1 by gcds until it divides or is coprime to each radicand.
+        # Then d | r iff p | r for every prime p | d: flipping those terms is
+        # sqrt(p) -> -sqrt(p), and the norm below is free of p.
+        d = self._t[-1][0]
+        for r, _ in self._t:
+            g = math.gcd(d, r)
+            if g > 1:
+                d = g
+        conj = Radical.from_terms({r: (-c if r % d == 0 else c) for r, c in self._t})
         norm = self * conj
         return conj * norm._inverse()
 

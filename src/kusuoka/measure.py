@@ -261,10 +261,7 @@ def mixing_bound_check(
     max_mass = max(a_mass)
     a_nu = q.nu(pa)
     # beta weights Psi*_beta(E) at every depth j <= k, flattened in depth order
-    depths = [q.energy]
-    for _ in range(k):
-        depths.append(q.parents(depths[-1]))
-    weights = q.join(depths)
+    weights = q.join(q.betas(k))
     b_nu = q.join([q.nu(m._level_table(j, budget)) for j in range(k + 1)])
     prod = q.mul(a_nu[0][:, None, :], b_nu[0][None, :, :]), a_nu[1] * b_nu[1]
     centered = q.sub(pa, q.scaled_ident(a_nu))
@@ -283,8 +280,7 @@ def mixing_bound_check(
         for c, mass in zip(q.unpack_matrices(*centered, sys_.field), a_mass):
             norm = matsys.schatten_norm(c, "inf")
             bound = scale * mass
-            slack = 0.0 if (isinstance(norm, Radical) and isinstance(bound, Radical)) else 1e-12
-            if not _le(norm, bound, slack):
+            if not _le(norm, bound, 1e-12):
                 pw_ok = False
             if pw_max is None or not _le(norm, pw_max, 0.0):
                 pw_max = norm

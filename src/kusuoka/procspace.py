@@ -104,30 +104,24 @@ def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEF
     """
     _check_same_system(f, g)
     level = max(f.degree, g.degree)
-    fv = extend(f, level - f.degree, budget).values
-    gv = extend(g, level - g.degree, budget).values
-    e = f.system.energy
-    total = f.system.field.zero
-    for a, b in zip(fv, gv):
-        total = total + np.trace(b.T @ e @ a)
-    return total
+    fv = _stack(f.system, extend(f, level - f.degree, budget).values)
+    gv = _stack(f.system, extend(g, level - g.degree, budget).values)
+    return (gv * (f.system.energy @ fv)).sum()  # sum of Tr(G^T E F)
 
 
 def process_norm_sq(f: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
     return process_inner(f, f, budget)
 
 
+def _stack(system: MatrixSystem, mats) -> np.ndarray:
+    """d x d matrices as one (count, d, d) array of the backend."""
+    return np.array(mats, dtype=system.field.dtype).reshape(-1, system.dim, system.dim)
+
+
 def shift_T(f: FiniteProcess) -> FiniteProcess:
     """Word shift: (T F)(s alpha) = F(alpha) A_s.  Degree +1, isometric."""
-    sys_ = f.system
-    n = sys_.n_symbols
-    out = [None] * (n ** (f.degree + 1))
-    block = n ** f.degree
-    for s in range(n):
-        a = sys_.maps[s]
-        for i, v in enumerate(f.values):
-            out[s * block + i] = v @ a
-    return FiniteProcess(sys_, f.degree + 1, tuple(out))
+    out = _stack(f.system, f.values)[None] @ _stack(f.system, f.system.maps)[:, None]
+    return FiniteProcess(f.system, f.degree + 1, tuple(_stack(f.system, out)))
 
 
 def transfer_L(f: FiniteProcess) -> FiniteProcess:
@@ -139,14 +133,8 @@ def transfer_L(f: FiniteProcess) -> FiniteProcess:
     sys_ = f.system
     if f.degree == 0:
         return constant_process(sys_, matsys.apply_M(sys_, f.values[0]))
-    n = sys_.n_symbols
-    block = n ** (f.degree - 1)
-    out = []
-    for i in range(block):
-        acc = f.values[i] @ sys_.maps[0].T
-        for s in range(1, n):
-            acc = acc + f.values[s * block + i] @ sys_.maps[s].T
-        out.append(acc)
+    vals = _stack(sys_, f.values).reshape(sys_.n_symbols, -1, sys_.dim, sys_.dim)
+    out = (vals @ _stack(sys_, [a.T for a in sys_.maps])[:, None]).sum(axis=0)
     return FiniteProcess(sys_, f.degree - 1, tuple(out))
 
 
@@ -206,19 +194,12 @@ def martingale_decompose(m: KusuokaMeasure, f: CylinderFunction, budget: int = s
     """
     if f.n_symbols != m.system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    n = m.system.n_symbols
+    n, dtype = m.system.n_symbols, m.system.field.dtype
     levels = [None] * (f.depth + 1)
     levels[f.depth] = f.values
     for j in range(f.depth, 0, -1):
-        nu_j = m.level_nu(j, budget)
-        nu_up = m.level_nu(j - 1, budget)
-        up = []
-        for p in range(n ** (j - 1)):
-            acc = levels[j][p * n] * nu_j[p * n]
-            for s in range(1, n):
-                acc = acc + levels[j][p * n + s] * nu_j[p * n + s]
-            up.append(acc / nu_up[p])
-        levels[j - 1] = np.array(up, dtype=m.system.field.dtype)
+        mass = (levels[j] * np.array(m.level_nu(j, budget), dtype=dtype)).reshape(-1, n).sum(axis=1)
+        levels[j - 1] = mass / np.array(m.level_nu(j - 1, budget), dtype=dtype)
     comps = [CylinderFunction(0, n, levels[0], f.backend)]
     for j in range(1, f.depth + 1):
         diff = levels[j] - np.repeat(levels[j - 1], n)
@@ -238,16 +219,22 @@ def project_Q(
     / nu(alpha).  Extension of F keeps the family of shadows consistent
     across levels, so a single decomposition at the deepest requested
     level carries all components, including the tail beyond the table's
-    own degree.
+    own degree.  That tail needs no deeper table: F(alpha w) = A(w) F(alpha)
+    and A(alpha w) = A(w) A(alpha) give q(alpha w) nu(alpha w) =
+    Tr(Psi*_w(E) F(alpha) A(alpha)^T), one product of the rows
+    (A(alpha) F(alpha)^T).ravel() with the beta-weights of the words w,
+    row-major in alpha w.  It runs in scalars of the backend: F need not
+    lie in the field of the maps.
     """
+    sys_ = m.system
     level = f.degree if up_to_level is None else max(f.degree, up_to_level)
-    ext = extend(f, level - f.degree, budget)
-    mats = m.level_matrices(level, budget)
-    masses = m.level_nu(level, budget)
-    e = m.system.energy
-    q = [np.trace(a.T @ e @ v) / w for v, a, w in zip(ext.values, mats, masses)]
-    arr = np.array(q, dtype=m.system.field.dtype)
-    qf = CylinderFunction(level, m.system.n_symbols, arr, m.system.backend)
+    symbolic.check_budget(sys_.n_symbols, level, budget)
+    rows = _stack(sys_, m.level_matrices(f.degree, budget)) @ _stack(sys_, f.values).transpose(0, 2, 1)
+    quad = m._quad
+    betas = quad.unpack_matrices(*quad.betas(level - f.degree)[-1], sys_.field)
+    shadow = rows.reshape(len(rows), -1) @ betas.reshape(len(betas), -1).T
+    arr = shadow.ravel() / np.array(m.level_nu(level, budget), dtype=sys_.field.dtype)
+    qf = CylinderFunction(level, sys_.n_symbols, arr, sys_.backend)
     return martingale_decompose(m, qf, budget)
 
 
@@ -358,15 +345,9 @@ def innovation_residual(f: FiniteProcess) -> float:
     sys_ = f.system
     if f.degree == 0:
         return 0.0
-    n = sys_.n_symbols
-    worst = 0.0
-    ke = [sys_.maps[s].T @ sys_.energy for s in range(n)]
-    for p in range(n ** (f.degree - 1)):
-        acc = ke[0] @ f.values[p * n]
-        for s in range(1, n):
-            acc = acc + ke[s] @ f.values[p * n + s]
-        worst = max(worst, float(linalg.frobenius_sq(acc)) ** 0.5)
-    return worst
+    vals = _stack(sys_, f.values).reshape(-1, sys_.n_symbols, sys_.dim, sys_.dim)
+    sums = (_stack(sys_, [a.T @ sys_.energy for a in sys_.maps]) @ vals).sum(axis=1)
+    return max(float(linalg.frobenius_sq(acc)) ** 0.5 for acc in sums)
 
 
 def _constraint_matrix(system: MatrixSystem):

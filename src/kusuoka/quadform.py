@@ -193,15 +193,19 @@ class _Quad:
         g = math.gcd(den, *num.ravel().tolist())
         return (num // g, den // g) if g > 1 else (num, den)
 
-    def mul(self, x, y):
-        """Field product of two coordinate arrays (..., m'), m' <= m, elementwise."""
-        k = x.shape[-1]
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=x.dtype)
+    def _products(self, out, term):
+        """Add c_ij term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
+        k = out.shape[-1]
         for i in range(k):
             for j in range(k):
-                term = x[..., i] * y[..., j]
-                out[..., i ^ j] += term if self.c[i][j] == 1 else self.c[i][j] * term
+                t = term(i, j)
+                out[..., i ^ j] += t if self.c[i][j] == 1 else self.c[i][j] * t
         return out
+
+    def mul(self, x, y):
+        """Field product of two coordinate arrays (..., m'), m' <= m, elementwise."""
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=x.dtype)
+        return self._products(out, lambda i, j: x[..., i] * y[..., j])
 
     def sign(self, x):
         """Exact sign of each field element of x (..., m'), as an int array.
@@ -259,6 +263,17 @@ class _Quad:
         out, den = self._each(table, self.psi_star)
         return self._reduce(out.transpose(1, 0, 2).reshape(-1, out.shape[2]), den)
 
+    def betas(self, k: int) -> list:
+        """The beta-weights Psi*_w(E) = A(w)^T E A(w) of every word length 0 .. k.
+
+        Entry j stacks the words of length j in word-index order, since
+        Psi*_s(Psi*_w(E)) = Psi*_(sw)(E) is row s * n^(j-1) + index(w) of ``parents``.
+        """
+        out = [self.energy]
+        for _ in range(k):
+            out.append(self.parents(out[-1]))
+        return out
+
     def nu(self, table):
         """<E, P> for every row, as field elements (rows, m)."""
         return self.apply(table, self.nu_op)
@@ -302,11 +317,7 @@ class _Quad:
         xs = xn.reshape(len(xn), -1, self.m) * np.array(self.weight, dtype=xn.dtype)[:, None]
         ys = yn.reshape(len(yn), -1, self.m)
         out = np.zeros((len(xn), len(yn), self.m), dtype=xn.dtype)
-        for i in range(self.m):
-            for j in range(self.m):
-                term = xs[:, :, i] @ ys[:, :, j].T
-                out[:, :, i ^ j] += term if self.c[i][j] == 1 else self.c[i][j] * term
-        return out, xd * yd
+        return self._products(out, lambda i, j: xs[:, :, i] @ ys[:, :, j].T), xd * yd
 
     def gram(self, t):
         """sum_a t[a, i] t[a, j] for field elements t (a, b, m), as (b, b, m).
@@ -316,11 +327,7 @@ class _Quad:
         """
         num, den = t
         out = np.zeros((num.shape[1], num.shape[1], self.m), dtype=num.dtype)
-        for i in range(self.m):
-            for j in range(self.m):
-                term = num[:, :, i].T @ num[:, :, j]
-                out[:, :, i ^ j] += term if self.c[i][j] == 1 else self.c[i][j] * term
-        return out, den * den
+        return self._products(out, lambda i, j: num[:, :, i].T @ num[:, :, j]), den * den
 
     def pack(self, mat):
         """One symmetric matrix as a stack of one row."""
@@ -341,11 +348,12 @@ class _Quad:
             for x in num
         ]
 
-    def unpack_matrices(self, num, den, field) -> list:
-        """Packed rows back to symmetric matrices of the backend."""
-        vals = self.unpack(num.reshape(-1, self.m), den)
-        dd = len(self.pairs)
-        return [unpack_symmetric(vals[r * dd:(r + 1) * dd], self.dim, field) for r in range(len(num))]
+    def unpack_matrices(self, num, den, field) -> np.ndarray:
+        """Packed rows back to symmetric matrices of the backend, as (rows, d, d)."""
+        d, where = self.dim, {p: q for q, p in enumerate(self.pairs)}
+        full = [where[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
+        vals = np.array(self.unpack(num.reshape(-1, self.m), den), dtype=field.dtype)
+        return vals.reshape(len(num), -1)[:, full].reshape(len(num), d, d)
 
     def quotient_floats(self, x, dx, y, dy) -> list:
         """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.

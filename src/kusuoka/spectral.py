@@ -206,13 +206,10 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int):
     weighted = [system.energy @ f for f in mats]
     h = field.array([[(a * b).sum() for b in weighted] for a in mats])  # Tr(f_i E f_j)
     grams = {}
-    weights = q.energy
-    for k in range(1, k_max + 1):
-        weights = q.parents(weights)
-        if k not in levels:
-            continue
-        num, den = q.gram(q.pair(weights, fs))
-        grams[k] = np.array(q.unpack(num.reshape(-1, q.m), den), dtype=field.dtype).reshape(m, m)
+    for k, weights in enumerate(q.betas(k_max)):
+        if k in levels:
+            num, den = q.gram(q.pair(weights, fs))
+            grams[k] = np.array(q.unpack(num.reshape(-1, q.m), den), dtype=field.dtype).reshape(m, m)
     return h, grams
 
 

@@ -314,6 +314,14 @@ def test_dilation_negative_level_is_config_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_dilation_past_the_budget_exits_3(capsys):
+    code, out, err = run(capsys, "dilation", "--builtin", "sg", "--k", "1",
+                         "--level", "4", "--budget-k", "3")
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err
+
+
 def test_qdecay_csv(capsys):
     code, out, _ = run(capsys, "qdecay", "--builtin", "sg", "--k", "1",
                        "--jmax", "3", "--trials", "5", "--seed", "2")

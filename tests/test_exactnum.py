@@ -63,6 +63,25 @@ def test_root_settles_cofactors_past_the_trial_limit():
         Radical.root(_P * _Q * _R)
 
 
+def test_inverse_of_a_surd_with_large_prime_radicand():
+    # 1 / (1 + sqrt(pq)) = (1 - sqrt(pq)) / (1 - pq), with no factoring of pq
+    x = Radical.from_terms({1: Fraction(1), _P * _Q: Fraction(1)})
+    inv = 1 / x
+    assert x * inv == 1
+    assert inv == (1 - Radical.from_terms({_P * _Q: Fraction(1)})) / (1 - _P * _Q)
+
+
+_RADICANDS = (2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 105)
+
+
+@given(st.dictionaries(st.sampled_from((1,) + _RADICANDS), rationals, min_size=1)
+       .filter(lambda terms: any(terms.values())))
+def test_inverse_is_a_two_sided_inverse(terms):
+    x = Radical.from_terms(terms)
+    assert x * (1 / x) == 1
+    assert (1 / x) * x == 1
+
+
 def test_sign_orders_nearby_radicals():
     # sqrt(2) + sqrt(3) vs sqrt(10): squares are 5 + 2*sqrt(6) ~ 9.899 vs 10.
     lhs = Radical.root(2) + Radical.root(3)

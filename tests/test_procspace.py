@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kusuoka.exactnum import Radical
+from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix, frobenius_sq
+from kusuoka.matsys import sg_system
 from kusuoka.measure import kusuoka_measure, nu
 from kusuoka.procspace import (
     FiniteProcess,
@@ -27,7 +29,8 @@ from kusuoka.procspace import (
     shift_T,
     transfer_L,
 )
-from kusuoka.symbolic import all_words, cylinder_from_values, indicator
+from kusuoka.spectral import renormalize
+from kusuoka.symbolic import all_words, cylinder_from_values, indicator, word_matrix
 
 
 def _sigma_z():
@@ -144,6 +147,53 @@ def test_projection_composed_with_embedding_is_decomposition(sg, sg_measure):
     rep_via = project_Q(sg_measure, embed_phi(sg, f))
     for a, b in zip(rep_direct.components, rep_via.components):
         assert all((x - y).is_zero() for x, y in zip(a.values, b.values))
+
+
+def _projection_oracle(m, f, level):
+    """q(alpha) = Tr(A(alpha)^T E F(alpha)) / nu(alpha), word by word on the extended table."""
+    sys_ = m.system
+    ext = extend(f, level - f.degree)
+    return [np.trace(word_matrix(sys_, w).T @ sys_.energy @ v) / nu(m, w)
+            for w, v in zip(all_words(sys_.n_symbols, level), ext.values)]
+
+
+# integer raw maps whose renormalized weight is not diagonal
+_RAW_BASE = (((2, -2), (-2, 3)), ((2, 2), (0, 3)), ((-3, -2), (0, -3)))
+
+
+@pytest.mark.parametrize("build, cases", [
+    (sg_system, [(deg, deg + extra) for deg in range(3) for extra in range(3)]),
+    (lambda: generate_system(3), [(0, 0), (0, 2), (1, 1), (1, 3), (2, 2)]),
+    (lambda: renormalize([[list(r) for r in a] for a in _RAW_BASE], EXACT),
+     [(0, 0), (0, 2), (1, 2), (2, 2), (2, 4)]),
+], ids=["sg", "sg3", "raw"])
+def test_project_q_equals_word_oracle(build, cases):
+    system = build()
+    m = kusuoka_measure(system)
+    rng = np.random.default_rng(system.n_symbols)
+    for degree, level in cases:
+        f = _random_process(system, rng, degree)
+        got = project_Q(m, f, up_to_level=level).function().values
+        assert list(got) == _projection_oracle(m, f, level), (degree, level)
+
+
+def test_project_q_of_a_process_outside_the_field_of_the_maps(sg, sg_measure):
+    # sqrt(7) lies outside Q(sqrt 3, sqrt 5): the shadow is still exact
+    f = _random_process(sg, np.random.default_rng(8), 1)
+    vals = list(f.values)
+    vals[1] = vals[1] + Radical.root(7) * _sigma_z()
+    f = FiniteProcess(sg, 1, tuple(vals))
+    got = project_Q(sg_measure, f, up_to_level=3).function().values
+    assert list(got) == _projection_oracle(sg_measure, f, 3)
+
+
+def test_project_q_float_equals_word_oracle(sg_float, sg_float_measure):
+    rng = np.random.default_rng(9)
+    for degree, level in [(0, 2), (1, 1), (1, 4), (2, 3)]:
+        f = FiniteProcess(sg_float, degree, tuple(rng.standard_normal((3**degree, 2, 2))))
+        got = project_Q(sg_float_measure, f, up_to_level=level).function().values
+        want = _projection_oracle(sg_float_measure, f, level)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_martingale_components_of_indicator(sg_measure):

@@ -348,6 +348,16 @@ def test_psi_matrices_are_the_averaging_maps(build, antisymmetric):
         assert list(r @ ident) == list(ident)
 
 
+def test_betas_are_the_word_beta_weights(sg3):
+    q = quadform._Quad(sg3)
+    for k, (num, den) in enumerate(q.betas(3)):
+        got = q.unpack_matrices(num, den, sg3.field)
+        assert len(got) == sg3.n_symbols**k
+        for w, b in zip(all_words(sg3.n_symbols, k), got):
+            a = word_matrix(sg3, w)
+            assert (b == a.T @ sg3.energy @ a).all()
+
+
 @pytest.mark.parametrize("build", [sg_system, lambda: _raw_system(0)], ids=["sg", "raw0"])
 def test_trace_free_basis(build):
     system = build()
