@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, matsys, spectral, symbolic
+from . import matsys, spectral, symbolic
 from .exactnum import Radical
 from .matsys import MatrixSystem
 from .quadform import _Quad
@@ -66,19 +66,20 @@ class KusuokaMeasure:
     _level_mats: dict = field(default_factory=dict, repr=False, compare=False)
     _level_p: dict = field(default_factory=dict, repr=False, compare=False)
     _level_mass: dict = field(default_factory=dict, repr=False, compare=False)
+    _level_beta: dict = field(default_factory=dict, repr=False, compare=False)
     _sampler_nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def _quad(self) -> _Quad:
         return _Quad(self.system)
 
-    def level_matrices(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> list:
-        """Word matrices of every length-k word, cached per level."""
+    def level_matrices(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
+        """Word matrices of every length-k word as one (n^k, d, d) array, cached per level."""
         symbolic.check_budget(self.system.n_symbols, k, budget)
         if k in self._level_mats:
             return self._level_mats[k]
         if k == 0:
-            table = [linalg.identity(self.system.dim, self.system.backend)]
+            table = self.system.field.identity(self.system.dim)[None]
         else:
             table = symbolic.next_level(self.level_matrices(k - 1, budget), self.system.maps)
         self._level_mats[k] = table
@@ -99,6 +100,14 @@ class KusuokaMeasure:
         if k not in self._level_mass:
             self._level_mass[k] = self._quad.unpack(*self._quad.nu(self._level_table(k, budget)))
         return self._level_mass[k]
+
+    def level_betas(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
+        """beta-weights A(w)^T E A(w) of every length-k word as one (n^k, d, d) array, cached."""
+        if k not in self._level_beta:
+            symbolic.check_budget(self.system.n_symbols, k, budget)
+            q = self._quad
+            self._level_beta[k] = q.unpack_matrices(*q.betas(k)[-1], self.system.field)
+        return self._level_beta[k]
 
 
 def kusuoka_measure(system: MatrixSystem, check: bool = True, tol: float = 1e-12) -> KusuokaMeasure:

@@ -3,14 +3,19 @@
 A finite-degree process assigns a d x d matrix to every word of one fixed
 length; lower levels are recovered by summing against the system maps,
 higher levels by the extension rule F(alpha s) = A_s F(alpha), which leaves
-the energy inner product of two tables unchanged.  On this space live the
-word shift (an isometry), its adjoint transfer operator (a contraction),
-the isometric embedding of scalar cylinder functions, and the projection
-back onto embedded functions whose output is a scalar martingale.  The
-checks at the bottom confirm the two structural facts the rest of the
-package leans on: the transfer operator intertwines exactly with the
-scalar transfer operator through the embedding, and the projection of a
-fresh-innovation process has geometrically decaying martingale components.
+the energy inner product of two tables unchanged.  A table is one
+``(n^k, d, d)`` array of the backend, and every operation here is a stacked
+product on it.  On this space live the word shift (an isometry), its
+adjoint transfer operator (a contraction), the isometric embedding of
+scalar cylinder functions, and the projection back onto embedded functions
+whose output is a scalar martingale.  Fresh innovations are the tables
+whose child blocks satisfy sum_s K_s F(alpha s) = 0 with K_s = A_s^T E;
+projecting onto them takes one d x d solve with G = sum_s K_s K_s^T, for
+all parents at once.  The checks at the bottom confirm the two structural
+facts the rest of the package leans on: the transfer operator intertwines
+exactly with the scalar transfer operator through the embedding, and the
+projection of a fresh-innovation process has geometrically decaying
+martingale components.
 """
 
 from __future__ import annotations
@@ -53,23 +58,29 @@ __all__ = [
 class FiniteProcess:
     """Matrix table over all words of length ``degree``.
 
-    ``values`` is indexed by word index.  The table determines the process
-    on every level: downward by averaging, upward by the extension rule.
+    ``values`` is one read-only ``(n^degree, d, d)`` array of the backend,
+    indexed by word index; any sequence of d x d matrices is converted on
+    construction.  The table determines the process on every level:
+    downward by averaging, upward by the extension rule.
     """
 
     system: MatrixSystem
     degree: int
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        expect = self.system.n_symbols ** self.degree
-        if len(self.values) != expect:
-            raise ValueError(f"table has {len(self.values)} entries, expected {expect}")
+        sys_ = self.system
+        shape = (sys_.n_symbols ** self.degree, sys_.dim, sys_.dim)
+        vals = np.array(self.values, dtype=sys_.field.dtype)
+        if vals.shape != shape:
+            raise ValueError(f"table has shape {vals.shape}, expected {shape}")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
 
 def constant_process(system: MatrixSystem, b) -> FiniteProcess:
     """Degree-0 process with value ``b``; extends to alpha -> A(alpha) b."""
-    return FiniteProcess(system, 0, (b,))
+    return FiniteProcess(system, 0, [b])
 
 
 def identity_process(system: MatrixSystem) -> FiniteProcess:
@@ -93,7 +104,7 @@ def extend(f: FiniteProcess, levels: int = 1, budget: int = symbolic.DEFAULT_BUD
     vals = f.values
     for _ in range(levels):
         vals = symbolic.next_level(vals, sys_.maps)
-    return FiniteProcess(sys_, f.degree + levels, tuple(vals))
+    return FiniteProcess(sys_, f.degree + levels, vals)
 
 
 def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
@@ -104,8 +115,8 @@ def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEF
     """
     _check_same_system(f, g)
     level = max(f.degree, g.degree)
-    fv = _stack(f.system, extend(f, level - f.degree, budget).values)
-    gv = _stack(f.system, extend(g, level - g.degree, budget).values)
+    fv = extend(f, level - f.degree, budget).values
+    gv = extend(g, level - g.degree, budget).values
     return (gv * (f.system.energy @ fv)).sum()  # sum of Tr(G^T E F)
 
 
@@ -113,38 +124,32 @@ def process_norm_sq(f: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
     return process_inner(f, f, budget)
 
 
-def _stack(system: MatrixSystem, mats) -> np.ndarray:
-    """d x d matrices as one (count, d, d) array of the backend."""
-    return np.array(mats, dtype=system.field.dtype).reshape(-1, system.dim, system.dim)
-
-
 def shift_T(f: FiniteProcess) -> FiniteProcess:
     """Word shift: (T F)(s alpha) = F(alpha) A_s.  Degree +1, isometric."""
-    out = _stack(f.system, f.values)[None] @ _stack(f.system, f.system.maps)[:, None]
-    return FiniteProcess(f.system, f.degree + 1, tuple(_stack(f.system, out)))
+    out = f.values[None] @ np.asarray(f.system.maps)[:, None]
+    return FiniteProcess(f.system, f.degree + 1, out.reshape(-1, f.system.dim, f.system.dim))
 
 
 def transfer_L(f: FiniteProcess) -> FiniteProcess:
     """Adjoint of the shift: (L F)(alpha) = sum_s F(s alpha) A_s^T.
 
-    Drops the leading symbol, so the degree goes down by one; a degree-0
-    input stays at degree 0, its value averaged by the two-sided map.
+    Drops the leading symbol, so the degree goes down by one.  A degree-0
+    input is extended one level first and so stays at degree 0: its value
+    is averaged by the two-sided map, L(F_0) = M(F_0).
     """
     sys_ = f.system
-    if f.degree == 0:
-        return constant_process(sys_, matsys.apply_M(sys_, f.values[0]))
-    vals = _stack(sys_, f.values).reshape(sys_.n_symbols, -1, sys_.dim, sys_.dim)
-    out = (vals @ _stack(sys_, [a.T for a in sys_.maps])[:, None]).sum(axis=0)
-    return FiniteProcess(sys_, f.degree - 1, tuple(out))
+    f = extend(f, max(1 - f.degree, 0))
+    vals = f.values.reshape(sys_.n_symbols, -1, sys_.dim, sys_.dim)
+    out = (vals @ np.asarray(sys_.maps).transpose(0, 2, 1)[:, None]).sum(axis=0)
+    return FiniteProcess(sys_, f.degree - 1, out)
 
 
 def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.DEFAULT_BUDGET) -> FiniteProcess:
     """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha)."""
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    mats = KusuokaMeasure(system).level_matrices(f.depth, budget)
-    vals = tuple(f.values[i] * mats[i] for i in range(len(mats)))
-    return FiniteProcess(system, f.depth, vals)
+    mats = extend(identity_process(system), f.depth, budget).values
+    return FiniteProcess(system, f.depth, f.values[:, None, None] * mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +171,8 @@ class MartingaleRep:
 
     def component_norm_sq(self, j: int):
         comp = self.components[j]
-        masses = self.measure.level_nu(comp.depth)
-        total = linalg.FIELDS[comp.backend].zero
-        for v, w in zip(comp.values, masses):
-            total = total + v * v * w
-        return total
+        masses = np.array(self.measure.level_nu(comp.depth), dtype=comp.values.dtype)
+        return (comp.values * comp.values * masses).sum()
 
     def norm_sq(self):
         total = self.component_norm_sq(0)
@@ -229,9 +231,8 @@ def project_Q(
     sys_ = m.system
     level = f.degree if up_to_level is None else max(f.degree, up_to_level)
     symbolic.check_budget(sys_.n_symbols, level, budget)
-    rows = _stack(sys_, m.level_matrices(f.degree, budget)) @ _stack(sys_, f.values).transpose(0, 2, 1)
-    quad = m._quad
-    betas = quad.unpack_matrices(*quad.betas(level - f.degree)[-1], sys_.field)
+    rows = m.level_matrices(f.degree, budget) @ f.values.transpose(0, 2, 1)
+    betas = m.level_betas(level - f.degree, budget)
     shadow = rows.reshape(len(rows), -1) @ betas.reshape(len(betas), -1).T
     arr = shadow.ravel() / np.array(m.level_nu(level, budget), dtype=sys_.field.dtype)
     qf = CylinderFunction(level, sys_.n_symbols, arr, sys_.backend)
@@ -306,30 +307,25 @@ def dilation_check(
         g = transfer_L(g)
     rep_a = project_Q(m, g, up_to_level=level, budget=budget)
 
+    dtype = sys_.field.dtype
     if k >= f.depth:
         vals = [
             measure.transfer_apply(m, f, k - f.depth, symbolic.index_word(i, level, n), budget)
             for i in range(n ** level)
         ]
     else:
+        # a word of length big reads (k shifted symbols, level cylinder, rest)
         big = max(f.depth, k + level)
         symbolic.check_budget(n, big, budget)
-        masses = m.level_nu(big, budget)
-        f_div = n ** (big - f.depth)
-        b_div = n ** (big - k - level)
-        num = [sys_.field.zero] * (n ** level)
-        for w in range(n ** big):
-            beta = (w // b_div) % (n ** level)
-            num[beta] = num[beta] + f.values[w // f_div] * masses[w]
-        level_mass = m.level_nu(level, budget)
-        vals = [num[i] / level_mass[i] for i in range(n ** level)]
-    arr = np.array(vals, dtype=sys_.field.dtype)
+        masses = np.array(m.level_nu(big, budget), dtype=dtype)
+        weighted = np.repeat(f.values, n ** (big - f.depth)) * masses
+        num = weighted.reshape(n ** k, n ** level, -1).sum(axis=(0, 2))
+        vals = num / np.array(m.level_nu(level, budget), dtype=dtype)
+    arr = np.array(vals, dtype=dtype)
     rep_b = martingale_decompose(m, CylinderFunction(level, n, arr, sys_.backend), budget)
 
-    diffs = []
-    for j in range(level + 1):
-        diffs.extend(rep_a.components[j].values - rep_b.components[j].values)
-    return max((abs(v) for v in diffs), default=sys_.field.zero)
+    gaps = [a.values - b.values for a, b in zip(rep_a.components, rep_b.components)]
+    return np.abs(np.concatenate(gaps)).max()
 
 
 # -- fresh-innovation subspace ------------------------------------------------
@@ -342,46 +338,38 @@ def innovation_residual(f: FiniteProcess) -> float:
     exactly when sum_s A_s^T E F(alpha s) vanishes for each parent alpha;
     the return value is the largest Frobenius norm of those sums.
     """
-    sys_ = f.system
     if f.degree == 0:
         return 0.0
-    vals = _stack(sys_, f.values).reshape(-1, sys_.n_symbols, sys_.dim, sys_.dim)
-    sums = (_stack(sys_, [a.T @ sys_.energy for a in sys_.maps]) @ vals).sum(axis=1)
-    return max(float(linalg.frobenius_sq(acc)) ** 0.5 for acc in sums)
+    _, _, sums = _freshness_sums(f)
+    return float((sums * sums).sum(axis=(1, 2)).max()) ** 0.5
 
 
-def _constraint_matrix(system: MatrixSystem):
-    """Stacked child-block constraint rows; kernel = fresh innovations."""
-    n, d = system.n_symbols, system.dim
-    c = linalg.zeros((d * d, n * d * d), system.backend)
-    for s in range(n):
-        k = system.maps[s].T @ system.energy
-        for i in range(d):
-            for mm in range(d):
-                for a in range(d):
-                    c[i * d + a, s * d * d + mm * d + a] = k[i, mm]
-    return c
+def _freshness_sums(f: FiniteProcess):
+    """K_s = A_s^T E (n, d, d), the child blocks X of every parent, and sum_s K_s X_s per parent."""
+    sys_ = f.system
+    k = np.asarray(sys_.maps).transpose(0, 2, 1) @ sys_.energy
+    blocks = f.values.reshape(-1, sys_.n_symbols, sys_.dim, sys_.dim)
+    return k, blocks, (k @ blocks).sum(axis=1)
 
 
 def innovation_part(f: FiniteProcess) -> FiniteProcess:
-    """Euclidean projection of each parent's child block onto the constraint kernel."""
+    """Euclidean projection of each parent's child block onto the constraint kernel.
+
+    The constraint sum_s K_s X_s = 0 has Gram matrix G (x) I with
+    G = sum_s K_s K_s^T, so the projection is
+    X_s - K_s^T G^-1 sum_t K_t X_t: one d x d solve for all parents.
+    """
     sys_ = f.system
     if f.degree == 0:
         return f
-    n, d = sys_.n_symbols, sys_.dim
-    c = _constraint_matrix(sys_)
-    gram = c @ c.T
-    if sys_.backend == EXACT:
-        x = linalg.solve_exact(gram, c)
-    else:
-        x = np.linalg.solve(gram, c)
-    out = list(f.values)
-    for p in range(n ** (f.degree - 1)):
-        v = np.concatenate([np.asarray(f.values[p * n + s]).reshape(d * d) for s in range(n)])
-        w = v - c.T @ (x @ v)
-        for s in range(n):
-            out[p * n + s] = w[s * d * d:(s + 1) * d * d].reshape(d, d)
-    return FiniteProcess(sys_, f.degree, tuple(out))
+    d = sys_.dim
+    k, blocks, sums = _freshness_sums(f)
+    gram = (k @ k.transpose(0, 2, 1)).sum(axis=0)
+    rhs = sums.transpose(1, 0, 2).reshape(d, -1)  # [Y_0 | Y_1 | ...]
+    solve = linalg.solve_exact if sys_.backend == EXACT else np.linalg.solve
+    z = solve(gram, rhs).reshape(d, -1, d).transpose(1, 0, 2)
+    out = blocks - k.transpose(0, 2, 1)[None] @ z[:, None]
+    return FiniteProcess(sys_, f.degree, out.reshape(f.values.shape))
 
 
 def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Generator) -> FiniteProcess:
@@ -395,7 +383,7 @@ def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Gener
         raise ValueError("degree must be >= 0")
     n, d = system.n_symbols, system.dim
     raw = rng.standard_normal((n ** k, d, d))
-    f = FiniteProcess(system, k, tuple(raw))
+    f = FiniteProcess(system, k, raw)
     return innovation_part(f) if k >= 1 else f
 
 
@@ -423,12 +411,16 @@ def q_decay_check(
     it to a scalar martingale and records ||component_j|| / ||G|| for
     k <= j <= j_max.  Rates come from the one-step irreducibility constant;
     the comparison allows 1e-12 of float slack.  Trials are independently
-    seeded streams.
+    seeded streams.  ``trials * n^j_max`` words must fit in the budget,
+    checked before any trial is seeded.
     """
     if k < 0 or j_max < k:
         raise ValueError("need 0 <= k <= j_max")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials * system.n_symbols ** j_max > budget:
+        raise symbolic.BudgetError(
+            f"{trials} trials x {system.n_symbols}^{j_max} words exceeds budget {budget}")
     t2 = spectral.theta2(system, k_max=1, budget=budget)
     c1 = t2.c_values.get(1) if t2.c_values else None
     if not t2.applicable or c1 is None or c1.value is None or c1.value <= 0:

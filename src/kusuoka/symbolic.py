@@ -109,13 +109,15 @@ def word_matrix(system: MatrixSystem, word: Word) -> np.ndarray:
     return out
 
 
-def next_level(table, maps) -> list:
+def next_level(table: np.ndarray, maps) -> np.ndarray:
     """One level deeper: entry ``i * n + s`` is ``maps[s] @ table[i]``.
 
-    The step every word-indexed matrix table is built by, one matrix
-    multiply per child word.
+    The step every word-indexed matrix table is built by: ``table`` is a
+    ``(words, d, d)`` array and the result, one stacked product, is the
+    ``(words * n, d, d)`` array of the child words.
     """
-    return [a @ m for m in table for a in maps]
+    d = table.shape[-1]
+    return (np.asarray(maps)[None] @ table[:, None]).reshape(-1, d, d)
 
 
 def concat(u: Word, v: Word) -> Word:

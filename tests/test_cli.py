@@ -332,6 +332,15 @@ def test_qdecay_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+def test_qdecay_trials_past_the_budget_exit_3(capsys):
+    # 10 trials x 3^2 words = 90 > 3^3: refused before any trial is seeded
+    code, out, err = run(capsys, "qdecay", "--builtin", "sg", "--k", "1",
+                         "--jmax", "2", "--trials", "10", "--budget-k", "3")
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err
+
+
 def test_report_deterministic(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

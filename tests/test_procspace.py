@@ -30,7 +30,7 @@ from kusuoka.procspace import (
     transfer_L,
 )
 from kusuoka.spectral import renormalize
-from kusuoka.symbolic import all_words, cylinder_from_values, indicator, word_matrix
+from kusuoka.symbolic import BudgetError, all_words, cylinder_from_values, indicator, word_matrix
 
 
 def _sigma_z():
@@ -48,6 +48,22 @@ def _random_process(system, rng, degree):
 def test_table_length_checked(sg):
     with pytest.raises(ValueError):
         FiniteProcess(sg, 1, (sg.energy,))
+
+
+def test_table_entries_must_be_d_by_d(sg, sg_float):
+    three = as_matrix([[Fraction(1), 0, 0], [0, 1, 0], [0, 0, 1]], EXACT)
+    with pytest.raises(ValueError):
+        FiniteProcess(sg, 0, (three,))
+    with pytest.raises(ValueError):
+        FiniteProcess(sg_float, 1, [np.zeros((2, 3))] * 3)
+    with pytest.raises(ValueError):
+        FiniteProcess(sg_float, 1, [np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3))])
+
+
+def test_table_is_one_read_only_array(sg):
+    f = extend(identity_process(sg), 2)
+    assert isinstance(f.values, np.ndarray) and f.values.shape == (9, 2, 2)
+    assert f.values.dtype == object and not f.values.flags.writeable
 
 
 def test_extension_rule(sg):
@@ -291,6 +307,20 @@ def test_dilation_identity_bernoulli(bern_measure):
         assert dilation_check(bern_measure, f, k).is_zero()
 
 
+@pytest.mark.parametrize("system_name", ["sg", "sg3", "bern"])
+@pytest.mark.parametrize("depth, k, level", [
+    (2, 2, 2), (2, 3, 1),  # k >= depth: prefix-state trace formula
+    (2, 1, 1), (2, 1, 2), (2, 0, 3),  # k < depth <= k + level
+    (3, 1, 1), (3, 0, 1), (3, 1, 0),  # k + level < depth
+])
+def test_dilation_identity_every_regime(request, system_name, depth, k, level):
+    system = request.getfixturevalue(system_name)
+    rng = np.random.default_rng(depth * 10 + k)
+    vals = [Fraction(int(x), 3) for x in rng.integers(-5, 6, size=system.n_symbols ** depth)]
+    f = cylinder_from_values(system, depth, vals)
+    assert dilation_check(kusuoka_measure(system), f, k, level=level).is_zero()
+
+
 def test_innovation_projection(sg_float):
     rng = np.random.default_rng(21)
     g = random_innovation_process(sg_float, 2, rng)
@@ -300,6 +330,20 @@ def test_innovation_projection(sg_float):
         float(np.abs(a - b).max()) for a, b in zip(again.values, g.values)
     )
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    sg_system, lambda: renormalize([[list(r) for r in a] for a in _RAW_BASE], EXACT),
+], ids=["sg", "raw"])
+def test_innovation_part_exact(build):
+    f = _random_process(build(), np.random.default_rng(24), 2)
+    assert innovation_residual(f) > 0
+    g = innovation_part(f)
+    assert g.degree == 2
+    assert innovation_residual(g) == 0
+    assert (innovation_part(g).values == g.values).all()
+    # the projection is Euclidean: what it removed is entrywise orthogonal to what it kept
+    assert ((f.values - g.values) * g.values).sum().is_zero()
 
 
 def test_innovation_orthogonal_to_shallower_tables(sg_float):
@@ -335,6 +379,8 @@ def test_q_decay_guards(sg, bern):
         q_decay_check(sg, k=1, j_max=2, trials=0, seed=0)
     with pytest.raises(ValueError):
         q_decay_check(bern, k=0, j_max=2, trials=5, seed=0)
+    with pytest.raises(BudgetError):
+        q_decay_check(sg, k=1, j_max=2, trials=10, seed=0, budget=27)
 
 
 def test_projection_ratio_of_tracefree_constant(sg_float):
