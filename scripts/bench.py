@@ -11,30 +11,37 @@ The layers, from the scalar up:
              length 20, seed 0;
              dilation_check(sg, f, k=3) for a seeded depth-6 f with values
              in -3 .. 3, and q_decay_check(sg, 1, 6, 100 trials, seed 0);
-             theta1(sg6), c_k(sg5, 2), c_k(sg6, 2) and theta2(sg5, 2);
-             theta1 and c_k(., 1) of the renormalized raw maps RAW below
+             theta1(sg5), theta1(sg6), c_k(sg5, 2), c_k(sg6, 1), c_k(sg6, 2)
+             and theta2(sg5, 2); theta1 and c_k(., 1) of the renormalized
+             raw maps RAW below
   cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6 and
-             kusuoka report --builtin sg4 | sg5, as subprocesses;
+             kusuoka report --builtin sg3 | sg4 | sg5, as subprocesses;
              theta2(sg6, 2) on the exact backend, alone in a fresh process
 
-Each layer runs on both backends.  A record keeps the minimum over
-``--repeats`` runs of the wall time (perf_counter) and of the process CPU
-time (process_time; for the CLI the child's CPU time).  Every run builds a
-fresh measure, so no level table or sampler node is reused between runs;
-c_k and theta2 build their kernel per call.  Square roots factor their
-radicands once per process, so the minimum of an in-process row is the warm
-time; the fresh-process theta2(sg6, 2) row is the cold time.  A row whose
-call raises ValueError records the message instead of a time.  Seeds are
-fixed, so two files differ only in the code they timed.
+Each layer runs on both backends.  An in-process row first finds how many
+back-to-back calls take at least MIN_REPEAT_S of CPU time (``inner``; the
+first of these batches warms the call up), then times ``--repeats`` runs of
+that many calls.  A record keeps the minimum over the runs of the wall time
+(perf_counter) and of the process CPU time (process_time) per call, and
+``inner``; a CLI row runs one child per repeat and keeps the child's CPU
+time.  Every call builds a fresh measure, so no level table or sampler node
+is reused between calls; c_k and theta2 build their kernel per call.
+Square roots factor their radicands once per process, so an in-process row
+is the warm time; the fresh-process theta2(sg6, 2) row is the cold time.  A
+row whose call raises ValueError records the message instead of a time.
+Seeds are fixed, so two files differ only in the code they timed.
+``--only SUBSTRING`` times only the rows whose name contains it.
 
     python3 scripts/bench.py --label mine
     python3 scripts/bench.py --label base --src ../base/src   # another checkout
+    python3 scripts/bench.py --label quick --only "theta1(sg6)" --repeats 1
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -49,18 +56,37 @@ ROOT = Path(__file__).resolve().parent.parent
 # base of the certify benchmark); exact theta1 6/13*sqrt(2).
 RAW = (((1, -3), (0, -1)), ((1, 3), (-2, 1)), ((0, -2), (1, 1)))
 
+MIN_REPEAT_S = 0.2  # CPU seconds of one repeat of an in-process row
+
 COLD_THETA2 = "from kusuoka import gasket, spectral; spectral.theta2(gasket.generate_system(6), 2)"
 
 
-def _timed(fn, repeats: int, inner: int = 1) -> dict:
+def _inner(fn) -> int:
+    """The number of back-to-back calls of ``fn`` that take at least ``MIN_REPEAT_S`` of CPU time.
+
+    Found by timing growing batches, the first of which also warms ``fn`` up.
+    """
+    inner = 1
+    while True:
+        c0 = time.process_time()
+        for _ in range(inner):
+            fn()
+        spent = time.process_time() - c0
+        if spent >= MIN_REPEAT_S:
+            return inner
+        inner = max(2 * inner, math.ceil(1.2 * inner * MIN_REPEAT_S / max(spent, 1e-6)))
+
+
+def _timed(fn, repeats: int) -> dict:
+    try:
+        inner = _inner(fn)
+    except ValueError as exc:
+        return {"error": str(exc), "repeats": repeats, "inner": 1}
     wall, cpu = [], []
     for _ in range(repeats):
         w0, c0 = time.perf_counter(), time.process_time()
         for _ in range(inner):
-            try:
-                fn()
-            except ValueError as exc:
-                return {"error": str(exc), "repeats": repeats, "inner": inner}
+            fn()
         cpu.append((time.process_time() - c0) / inner)
         wall.append((time.perf_counter() - w0) / inner)
     return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": inner}
@@ -91,7 +117,7 @@ def _timed_child(args: list[str], src: Path, repeats: int) -> dict:
     return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": 1}
 
 
-def run(src: Path, repeats: int) -> list[dict]:
+def run(src: Path, repeats: int, only: str = "") -> list[dict]:
     sys.path.insert(0, str(src))
     import numpy as np
 
@@ -100,10 +126,18 @@ def run(src: Path, repeats: int) -> list[dict]:
 
     records = []
 
-    def add(layer: str, name: str, backend: str, timing: dict) -> None:
+    def record(layer: str, name: str, backend: str, timing: dict) -> None:
         records.append({"layer": layer, "name": name, "backend": backend, **timing})
         cost = f"{timing['cpu_s']:10.4f} s cpu" if "cpu_s" in timing else f"error: {timing['error']}"
         print(f"{layer:9s} {backend:5s} {cost}  {name}", flush=True)
+
+    def add(layer: str, name: str, backend: str, fn) -> None:
+        if only in name:
+            record(layer, name, backend, _timed(fn, repeats))
+
+    def add_child(name: str, backend: str, args: list[str]) -> None:
+        if only in name:
+            record("cli", name, backend, _timed_child(args, src, repeats))
 
     for backend in (EXACT, FLOAT):
         sg = matsys.sg_system(backend)
@@ -113,35 +147,33 @@ def run(src: Path, repeats: int) -> list[dict]:
         a, b = sg.maps[0], sg.maps[1]
         f6 = symbolic.cylinder_from_values(
             sg, 6, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**6)])
-        add("scalar", "2x2 matmul", backend, _timed(lambda: a @ b, repeats, inner=2000))
-        add("tables", "level_nu(sg3, 5)", backend,
-            _timed(lambda: measure.kusuoka_measure(sg3).level_nu(5), repeats))
-        add("operation", "generate_system(6)", backend,
-            _timed(lambda: gasket.generate_system(6, backend), repeats))
+        add("scalar", "2x2 matmul", backend, lambda: a @ b)
+        add("tables", "level_nu(sg3, 5)", backend, lambda: measure.kusuoka_measure(sg3).level_nu(5))
+        add("operation", "generate_system(6)", backend, lambda: gasket.generate_system(6, backend))
         for k in (2, 3):
             add("operation", f"mixing_bound_check(sg, k={k}, nmax=12)", backend,
-                _timed(lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12), repeats))
+                lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12))
         for length, count in ((16, 1000), (20, 10000)):
             add("operation", f"sample_many(sg, {length}, {count}, seed=0)", backend,
-                _timed(lambda: measure.sample_many(measure.kusuoka_measure(sg), length, count, 0), repeats))
+                lambda: measure.sample_many(measure.kusuoka_measure(sg), length, count, 0))
         add("operation", "dilation_check(sg, depth-6 f, k=3)", backend,
-            _timed(lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f6, 3), repeats))
+            lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f6, 3))
         add("operation", "q_decay_check(sg, 1, 6, 100, seed=0)", backend,
-            _timed(lambda: procspace.q_decay_check(sg, 1, 6, 100, 0), repeats))
-        add("operation", "theta1(sg6)", backend, _timed(lambda: spectral.theta1(sg6), repeats))
+            lambda: procspace.q_decay_check(sg, 1, 6, 100, 0))
         for name, system in (("sg5", sg5), ("sg6", sg6)):
-            add("operation", f"c_k({name}, 2)", backend,
-                _timed(lambda: spectral.c_k(system, 2), repeats))
-        add("operation", "theta2(sg5, 2)", backend, _timed(lambda: spectral.theta2(sg5, 2), repeats))
+            add("operation", f"theta1({name})", backend, lambda: spectral.theta1(system))
+        for name, system, k in (("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2)):
+            add("operation", f"c_k({name}, {k})", backend, lambda: spectral.c_k(system, k))
+        add("operation", "theta2(sg5, 2)", backend, lambda: spectral.theta2(sg5, 2))
         raw = spectral.renormalize([[list(row) for row in a] for a in RAW], backend)
-        add("operation", "theta1(raw)", backend, _timed(lambda: spectral.theta1(raw), repeats))
-        add("operation", "c_k(raw, 1)", backend, _timed(lambda: spectral.c_k(raw, 1), repeats))
+        add("operation", "theta1(raw)", backend, lambda: spectral.theta1(raw))
+        add("operation", "c_k(raw, 1)", backend, lambda: spectral.c_k(raw, 1))
         for argv in (["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6"],
-                     ["report", "--builtin", "sg4"], ["report", "--builtin", "sg5"]):
+                     ["report", "--builtin", "sg3"], ["report", "--builtin", "sg4"],
+                     ["report", "--builtin", "sg5"]):
             argv = argv + ["--backend", backend]
-            add("cli", "kusuoka " + " ".join(argv), backend,
-                _timed_child(["-m", "kusuoka.cli", *argv], src, repeats))
-    add("cli", "theta2(sg6, 2), fresh process", EXACT, _timed_child(["-c", COLD_THETA2], src, repeats))
+            add_child("kusuoka " + " ".join(argv), backend, ["-m", "kusuoka.cli", *argv])
+    add_child("theta2(sg6, 2), fresh process", EXACT, ["-c", COLD_THETA2])
     return records
 
 
@@ -151,11 +183,13 @@ def main() -> None:
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to time")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--out-dir", type=Path, default=ROOT)
+    ap.add_argument("--only", default="", metavar="SUBSTRING",
+                    help="time only the rows whose name contains SUBSTRING")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
 
-    records = run(args.src.resolve(), args.repeats)
+    records = run(args.src.resolve(), args.repeats, args.only)
     import numpy
 
     body = {

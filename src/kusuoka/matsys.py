@@ -76,7 +76,11 @@ def _is_sym(a: np.ndarray) -> bool:
 
 
 def make_system(alphabet, maps, energy, backend: str) -> MatrixSystem:
-    """Assemble and shape-check a system (no semantic validation here)."""
+    """Assemble and shape-check a system (no semantic validation here).
+
+    The maps and the weight are read-only copies, on both backends, so no
+    caller can edit a system under the tables and kernels built from it.
+    """
     if backend not in (EXACT, FLOAT):
         raise ValueError(f"unknown backend {backend!r}")
     alphabet = tuple(str(a) for a in alphabet)
@@ -84,21 +88,23 @@ def make_system(alphabet, maps, energy, backend: str) -> MatrixSystem:
         raise ValueError("alphabet symbols must be distinct")
     if len(maps) != len(alphabet):
         raise ValueError("one map per symbol required")
-    mats = tuple(linalg.as_matrix(m, backend) if not isinstance(m, np.ndarray) else m
-                 for m in maps)
+
+    def frozen(rows):
+        if isinstance(rows, np.ndarray):
+            out = np.array(rows, dtype=linalg.FIELDS[backend].dtype)
+        else:
+            out = linalg.as_matrix(rows, backend)
+        out.setflags(write=False)
+        return out
+
+    mats = tuple(frozen(m) for m in maps)
     d = mats[0].shape[0]
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("all maps must be square with equal dimension")
-    e = energy if isinstance(energy, np.ndarray) else linalg.as_matrix(energy, backend)
+    e = frozen(energy)
     if e.shape != (d, d):
         raise ValueError("weight matrix dimension mismatch")
-    if backend == FLOAT:
-        mats = tuple(np.asarray(m, dtype=float) for m in mats)
-        e = np.asarray(e, dtype=float)
-        for m in mats:
-            m.setflags(write=False)
-        e.setflags(write=False)
     sym = all(_is_sym(m) for m in mats)
     return MatrixSystem(alphabet, d, mats, e, backend, sym)
 

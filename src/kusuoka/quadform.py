@@ -4,22 +4,25 @@ Cylinder masses, the beta-weights A(beta)^T E A(beta) of the mixing tables
 and of the irreducibility constants, transfer values and the sampler's
 conditionals all go through the quadratic forms Psi_s(B) = A_s B A_s^T,
 their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.  :class:`_Quad`
-holds them as integer arrays over one multiquadratic field, so a whole level
-of words advances by one matrix product.  The spectral constants read the
-same Psi_s as matrices of the backend (:func:`psi_matrices`) with the
-trace-free basis of :func:`trace_free`.  This module owns the packed layout
-and is the only code that writes Psi_s in it.
+holds them as integer arrays over one multiquadratic field
+(:class:`Multiquad`), so a whole level of words advances by one matrix
+product.  Every Psi_s entry is formed once, on integer coordinates of the
+map entries in the square roots they use (:func:`_psi`); the spectral
+constants read the sums M = sum_s Psi_s (:func:`averaging_matrix`,
+:func:`averaging_reps`) and the trace-free basis of :func:`trace_free`
+unpacked from there.  This module owns the packed layout and is the only
+code that writes Psi_s in it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .exactnum import Radical
 from .matsys import MatrixSystem
 
@@ -32,151 +35,128 @@ def packed_pairs(d: int, antisymmetric: bool = False) -> tuple[tuple[int, int], 
     return tuple((i, j) for i in range(d) for j in range(i + antisymmetric, d))
 
 
-def psi_matrices(maps, antisymmetric: bool = False) -> np.ndarray:
-    """Every Psi_s(B) = A_s B A_s^T in packed coordinates, as n D x D matrices of the maps' backend.
-
-    A symmetric B is sum_q B[i, j] u_q over its D = d(d+1)/2 upper pairs
-    (i, j), with units u_q = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j); an
-    antisymmetric B the same over its strict upper pairs, with units
-    e_i e_j^T - e_j e_i^T.  Column q is the image of u_q, so the matrices act
-    on packed columns and M is their sum; the adjoints Psi*_s(B) =
-    A_s^T B A_s are this function of the transposed maps.
-    """
-    a = np.stack(maps)
-    pairs = np.array(packed_pairs(a.shape[1], antisymmetric), dtype=int).reshape(-1, 2)
-    p, r = pairs[:, :1], pairs[:, 1:]  # rows
-    i, j = pairs[:, 0], pairs[:, 1]  # columns
-    off = i != j
-    # Psi_s(u_q)[p, r] = a_pi a_rj + a_pj a_ri off the diagonal, a_pi a_ri on it
-    out = a[:, p, i] * a[:, r, j]
-    cross = a[:, p, j[off]] * a[:, r, i[off]]
-    out[:, :, off] += -cross if antisymmetric else cross
-    return out
+def _radicands(xs, exact: bool) -> set:
+    """The squarefree radicands of the terms of the scalars xs; none on the float backend."""
+    return {r for x in xs for r, _ in Radical(x).terms()} if exact else set()
 
 
-def trace_free(system: MatrixSystem) -> np.ndarray:
-    """A basis of the symmetric B with <B, I>_E = Tr(E B) = 0, as packed columns.
+class _Span:
+    """Scalars as integer coordinates on a list of square roots.
 
-    The condition is one row rho_q = Tr(E u_q) in packed coordinates, with
-    rho_0 = E_00 > 0, so f_q = u_q - (rho_q / rho_0) u_0 for q = 1 .. D-1 is a
-    basis whose entries lie in the field of E; no square root is taken.  A
-    trace-free packed vector's coordinates q >= 1 are its coordinates in this
-    basis.  Returns the D x (D-1) matrix with the f_q as columns.
-    """
-    e, fld = system.energy, system.field
-    pairs = packed_pairs(system.dim)
-    out = fld.zeros((len(pairs), len(pairs) - 1))
-    inv = fld.div(fld.one, e[0, 0])
-    for q, (i, j) in enumerate(pairs[1:]):
-        rho = e[i, j] if i == j else 2 * e[i, j]
-        out[0, q] = -(rho * inv)
-        out[q + 1, q] = fld.one
-    return out
-
-
-def unpack_symmetric(coords, d: int, field) -> np.ndarray:
-    """The symmetric d x d matrix of the backend with these packed coordinates."""
-    out = field.zeros((d, d))
-    for c, (i, j) in zip(coords, packed_pairs(d)):
-        out[i, j] = out[j, i] = c
-    return out
-
-
-class _Quad:
-    """The maps Psi_s(B) = A_s B A_s^T and the weight E of one system, as arrays.
-
-    The measure layer needs the word matrices only through these quadratic
-    forms: P(alpha s) = Psi_s(P(alpha)) with P(alpha) = A(alpha) A(alpha)^T,
-    nu(alpha) = <E, P(alpha)>, and the adjoint Psi*_s(B) = A_s^T B A_s on the
-    beta side.
-
-    A symmetric d x d matrix packs into its D = d(d+1)/2 upper-triangular
-    entries, row-major, and <X, Y> = Tr(XY) weighs off-diagonal entries twice.
-    Each entry is an element of the smallest field Q(sqrt g_1, ..., sqrt g_t)
-    holding Psi and E, stored as m = 2^t coordinates in the basis
-    e_b = sqrt(prod of the g_l with bit l set in b), so that
-    e_i e_j = c_ij e_(i^j), c_ij being the product of the g_l common to i and
-    j.  Every gasket needs t = 1 (g_1 = 3).  A stack of packed matrices (or of
-    field elements) is a pair (num, den): ``num`` has the entries' coordinates
-    on its last axis, and ``den`` is one positive int for the whole stack.  On
-    the exact backend ``num`` holds Python ints in object arrays; on the float
-    backend t = 0, ``num`` is float64 and ``den`` is 1.  A linear map is a
-    stack of right operators: ``x @ op`` applies it to rows x.
+    An element is sum_b x_b scale[b] sqrt(radicand[b]), radicand[b]
+    squarefree and distinct, stored as its m coordinates x_b.  A stack of
+    elements is a pair (num, den): ``num`` has the coordinates on its last
+    axis, and ``den`` is one positive int for the whole stack.  On the exact
+    backend ``num`` holds Python ints in object arrays; on the float backend
+    the only root is sqrt(1), ``num`` is float64 and ``den`` is 1.
     """
 
-    def __init__(self, system: MatrixSystem):
-        self.exact = system.backend == linalg.EXACT
-        self.n = system.n_symbols
-        self.dim = d = system.dim
-        self.pairs = pairs = packed_pairs(d)
-        self.weight = [1 if i == j else 2 for i, j in pairs]
-        # psi[s, p, q] = Psi_s(u_q)[p]
-        psi = list(psi_matrices(system.maps).ravel())
-        e = [system.energy[i, j] for i, j in pairs]
-        self._basis(psi + e)
-        n, dd, m = self.n, len(pairs), self.m
-        num, den = self._pack_scalars(psi)
-        # mul[s, p, q, j, k]: coordinate k of Psi_s[p, q] * e_j
-        mul = self._mul_table(num.reshape(n, dd, dd, m))
-        self.psi = self._reduce(mul.transpose(0, 2, 3, 1, 4).reshape(n, dd * m, dd * m), den)
-        # Psi*_s is the adjoint of Psi_s under <., .>: Psi*[q, p] = w_p / w_q Psi[p, q]
-        w = np.array(self.weight, dtype=num.dtype)
-        adj = mul * (2 * w[:, None] // w[None, :])[None, :, :, None, None]
-        self.psi_star = self._reduce(adj.transpose(0, 1, 3, 2, 4).reshape(n, dd * m, dd * m), 2 * den)
-        self.m_sum = (self.psi[0].sum(axis=0), self.psi[1])
-        self.m_star_sum = (self.psi_star[0].sum(axis=0), self.psi_star[1])
-        self.energy = self.pack(system.energy)
-        self.ident = self.pack(system.field.identity(d))
-        # <E, .> as one operator to the field coordinates
-        num, den = self.energy
-        self.nu_op = self._reduce(
-            (self._mul_table(num.reshape(dd, m)) * w[:, None, None]).reshape(dd * m, m), den)
-        # nu(ws) for every s from P(w): <E, Psi_s(P)> in one operator
-        num, den = self.psi
-        self.cond_op = self._reduce(
-            np.concatenate([num[s] @ self.nu_op[0] for s in range(n)], axis=1),
-            den * self.nu_op[1])
+    def __init__(self, radicand: list, scale: list, exact: bool):
+        self.exact = exact
+        self.radicand, self.scale = radicand, scale
+        self.m = len(radicand)
+        self.where = {r: b for b, r in enumerate(radicand)}
 
-    # -- the field ------------------------------------------------------------
-
-    def _basis(self, entries) -> None:
-        gens, group = [], {1}
-        if self.exact:
-            for r in sorted({r for x in entries for r, _ in Radical(x).terms()}):
-                if r not in group:
-                    gens.append(r)
-                    group |= {x * r // math.gcd(x, r) ** 2 for x in group}
-        self.m = m = 1 << len(gens)
-        self.gens = gens
-        # e_b = s_b sqrt(r_b) with r_b squarefree
-        self.scale, self.radicand = [1] * m, [1] * m
-        for b in range(1, m):
-            low = b & (b - 1)
-            g = gens[(b ^ low).bit_length() - 1]
-            c = math.gcd(self.radicand[low], g)
-            self.scale[b] = self.scale[low] * c
-            self.radicand[b] = self.radicand[low] * g // (c * c)
-        self.where = {r: b for b, r in enumerate(self.radicand)}
-        self.c = [[math.prod(g for l, g in enumerate(gens) if (i & j) >> l & 1)
-                   for j in range(m)] for i in range(m)]
-        self.by_radicand = sorted(range(m), key=self.radicand.__getitem__)
-        self.root = [math.sqrt(r) for r in self.radicand]
+    @classmethod
+    def roots(cls, radicands, exact: bool) -> "_Span":
+        """The square roots of these radicands (of 1 when there are none), by increasing radicand, with unit scales."""
+        radicand = sorted(radicands or {1})
+        return cls(radicand, [1] * len(radicand), exact)
 
     def _pack_scalars(self, xs):
         """Scalars -> (num, den): their coordinates (len, m) over one denominator."""
         if not self.exact:
-            return np.array([[float(x)] for x in xs]), 1
-        coords = [[Fraction(0)] * self.m for _ in xs]
-        for row, x in zip(coords, xs):
+            return np.array(xs, dtype=float).reshape(-1, 1), 1
+        # coordinate b of x is c / scale[b] for its term c sqrt(radicand[b]): (k, b, numerator, denominator)
+        coords = []
+        for k, x in enumerate(xs):
             for r, c in Radical(x).terms():
                 b = self.where.get(r)
                 if b is None:
                     raise ValueError(f"{x} lies outside the field of the quadratic forms")
-                row[b] = c / self.scale[b]
-        den = math.lcm(*(c.denominator for row in coords for c in row))
-        num = np.array([[c.numerator * (den // c.denominator) for c in row] for row in coords],
-                       dtype=object).reshape(len(xs), self.m)
+                coords.append((k, b, c.numerator, c.denominator * self.scale[b]))
+        den = math.lcm(*(q for *_, q in coords))
+        num = np.zeros((len(xs), self.m), dtype=object)
+        for k, b, p, q in coords:
+            num[k, b] = p * (den // q)
         return self._reduce(num, den)
+
+    def _convert(self, src: "_Span", num, den):
+        """Coordinates (..., src.m) on the unit-scaled roots of ``src`` of elements that lie in this span, as a stack here."""
+        lcm = math.lcm(*self.scale)
+        out = np.zeros(num.shape[:-1] + (self.m,), dtype=num.dtype)
+        for b, r in enumerate(self.radicand):
+            k = src.where.get(r)
+            if k is not None:
+                out[..., b] = num[..., k] * (lcm // self.scale[b])
+        return self._reduce(out, den * lcm)
+
+    def _reduce(self, num, den):
+        """Divide out the common factor; float stacks keep den 1."""
+        if not self.exact:
+            return (num, 1) if den == 1 else (num / den, 1)
+        g = math.gcd(den, *num.ravel().tolist())
+        return (num // g, den // g) if g > 1 else (num, den)
+
+    def used(self, num) -> set:
+        """The radicands whose coordinate is nonzero somewhere in num (..., m)."""
+        return {r for b, r in enumerate(self.radicand) if (num[..., b] != 0).any()}
+
+    def unpack(self, num, den) -> list:
+        """Elements (N, m) back to scalars of the backend."""
+        if not self.exact:
+            return [float(x) / den for x in num[:, 0]]
+        return [
+            Radical.from_terms({self.radicand[b]: Fraction(self.scale[b] * x[b], den)
+                                for b in range(self.m) if x[b]})
+            for x in num
+        ]
+
+    def unpack_array(self, num, den) -> np.ndarray:
+        """Elements (..., m) back to one array of the backend's scalars, of shape (...)."""
+        vals = self.unpack(num.reshape(-1, self.m), den)
+        return np.array(vals, dtype=object if self.exact else float).reshape(num.shape[:-1])
+
+
+class Multiquad(_Span):
+    """The field Q(sqrt g_1, ..., sqrt g_t), a span of m = 2^t roots closed under products.
+
+    Its basis is e_b = sqrt(prod of the g_l with bit l set in b) =
+    scale[b] sqrt(radicand[b]), so that e_i e_j = c_ij e_(i^j), c_ij being
+    the product of the g_l common to i and j.  The float field has t = 0.
+    """
+
+    def __init__(self, radicands, exact: bool):
+        """The smallest such field holding sqrt(r) for every squarefree r in ``radicands``.
+
+        The generators are picked greedily by increasing radicand.
+        """
+        gens, group = [], {1}
+        if exact:
+            for r in sorted(radicands):
+                if r not in group:
+                    gens.append(r)
+                    group |= {x * r // math.gcd(x, r) ** 2 for x in group}
+        m = 1 << len(gens)
+        self.gens = gens
+        # e_b = s_b sqrt(r_b) with r_b squarefree
+        scale, radicand = [1] * m, [1] * m
+        for b in range(1, m):
+            low = b & (b - 1)
+            g = gens[(b ^ low).bit_length() - 1]
+            c = math.gcd(radicand[low], g)
+            scale[b] = scale[low] * c
+            radicand[b] = radicand[low] * g // (c * c)
+        super().__init__(radicand, scale, exact)
+        common = [math.prod(g for l, g in enumerate(gens) if k >> l & 1) for k in range(m)]
+        self.c = [[common[i & j] for j in range(m)] for i in range(m)]
+        self.by_radicand = sorted(range(m), key=radicand.__getitem__)
+        self.root = [math.sqrt(r) for r in radicand]
+
+    @classmethod
+    def spanning(cls, xs, exact: bool) -> "Multiquad":
+        """The field generated by the scalars ``xs`` of one backend."""
+        return cls(_radicands(xs, exact), exact)
 
     def _mul_table(self, x):
         """Multiplication by each element of x (..., m): out[..., j, k] is the e_k part of x e_j."""
@@ -185,13 +165,6 @@ class _Quad:
             for j in range(self.m):
                 out[..., j, i ^ j] = self.c[i][j] * x[..., i]
         return out
-
-    def _reduce(self, num, den):
-        """Divide out the common factor; float stacks keep den 1."""
-        if not self.exact:
-            return (num, 1) if den == 1 else (num / den, 1)
-        g = math.gcd(den, *num.ravel().tolist())
-        return (num // g, den // g) if g > 1 else (num, den)
 
     def _products(self, out, term):
         """Add c_ij term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
@@ -230,6 +203,244 @@ class _Quad:
             a, b = x[0:len(x) - 1:2], x[1::2]
             x = np.concatenate([np.where((self.sign(b - a) > 0)[:, None], b, a), odd])
         return x[0]
+
+    def quotient_floats(self, x, dx, y, dy) -> list:
+        """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.
+
+        Rounded as ``float(Radical)`` rounds: each rational coordinate of the
+        exact quotient correctly rounded, times sqrt of its radicand, summed
+        by increasing radicand.  Plain lists: these are a few numbers each.
+        """
+        inv, norm = self._inverse(y)
+        den = dx * norm
+        return [
+            sum(self.scale[b] * row[b] * dy / den * self.root[b] for b in self.by_radicand if row[b])
+            for row in (self._mul_list(list(r), inv) for r in x)
+        ]
+
+    def _inverse(self, y) -> tuple[list, object]:
+        """(c, y c) for one element's coordinates y, with y c rational: 1/y = c / (y c).
+
+        Multiplying y by its conjugate in each generator in turn leaves a
+        rational; c is the product of the conjugates.  Plain lists.
+        """
+        y, inv = list(y), [1] + [0] * (self.m - 1)
+        for bit in range(len(self.gens)):
+            conj = [-v if b >> bit & 1 else v for b, v in enumerate(y)]
+            inv, y = self._mul_list(inv, conj), self._mul_list(y, conj)
+        return inv, y[0]
+
+    def _mul_list(self, x, y) -> list:
+        out = [0] * self.m
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i ^ j] += self.c[i][j] * xi * yj
+        return out
+
+
+# -- Psi_s from packed map entries --------------------------------------------
+
+
+class _PackedMaps(NamedTuple):
+    """The maps as integer coordinates a (n, d, d, m) over den on the square roots their entries use.
+
+    ``prod`` is the span of the products of the pairs of roots that one map
+    uses together, and each (i, j, g, k) of ``terms`` says
+    sqrt(r_i) sqrt(r_j) = g sqrt(r_i r_j / g^2), coordinate k of ``prod``,
+    with g = gcd(r_i, r_j).
+    """
+
+    a: np.ndarray
+    den: object
+    prod: _Span
+    terms: list
+
+
+def _pack_maps(maps) -> _PackedMaps:
+    """Pack the maps once; every Psi_s is then formed on their coordinates (:func:`_psi`)."""
+    a = np.stack(maps)
+    exact = a.dtype == object
+    xs = list(a.ravel())
+    span = _Span.roots(_radicands(xs, exact), exact)
+    num, den = span._pack_scalars(xs)
+    a = num.reshape(a.shape + (span.m,))
+    # only roots that one map uses together are multiplied, so the cost grows
+    # with the roots each map uses, not with the field they all generate
+    rad = span.radicand
+    per_map = {tuple(np.flatnonzero(row)) for row in (a.reshape(len(a), -1, span.m) != 0).any(axis=1)}
+    gcds = {(i, j): math.gcd(rad[i], rad[j]) for row in per_map for i in row for j in row}
+    prod = _Span.roots({rad[i] * rad[j] // g ** 2 for (i, j), g in gcds.items()}, exact)
+    terms = [(i, j, g, prod.where[rad[i] * rad[j] // g ** 2]) for (i, j), g in sorted(gcds.items())]
+    return _PackedMaps(a, den, prod, terms)
+
+
+def _psi(maps: _PackedMaps, antisymmetric: bool = False):
+    """Every Psi_s(B) = A_s B A_s^T on packed coordinates, as (n, D, D, m') on ``maps.prod`` over den^2.
+
+    A symmetric B is sum_q B[i, j] u_q over its D = d(d+1)/2 upper pairs
+    (i, j), with units u_q = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j); an
+    antisymmetric B the same over its strict upper pairs, with units
+    e_i e_j^T - e_j e_i^T.  Entry [s, p, q] is coordinate p of Psi_s(u_q), so
+    each Psi_s acts on packed columns and M is their sum; the adjoints
+    Psi*_s(B) = A_s^T B A_s are Psi_s of the transposed maps.
+    """
+    a = maps.a
+
+    def mul(x, y):
+        # the result keeps x's memory layout, as x * y would, so a float sum over it adds in the same order
+        out = np.zeros_like(x, shape=x.shape[:-1] + (maps.prod.m,))
+        for i, j, g, k in maps.terms:
+            t = x[..., i] * y[..., j]
+            out[..., k] += t if g == 1 else g * t
+        return out
+
+    pairs = np.array(packed_pairs(a.shape[1], antisymmetric), dtype=int).reshape(-1, 2)
+    p, r = pairs[:, :1], pairs[:, 1:]  # rows
+    i, j = pairs[:, 0], pairs[:, 1]  # columns
+    off = i != j
+    # Psi_s(u_q)[p, r] = a_pi a_rj + a_pj a_ri off the diagonal, a_pi a_ri on it
+    out = mul(a[:, p, i], a[:, r, j])
+    cross = mul(a[:, p, j[off]], a[:, r, i[off]])
+    out[:, :, off] += -cross if antisymmetric else cross
+    return out
+
+
+def averaging_matrix(maps, antisymmetric: bool = False) -> np.ndarray:
+    """M = sum_s Psi_s on packed symmetric (or antisymmetric) coordinates, as D x D of the maps' backend.
+
+    Column q is M(u_q) (see :func:`_psi`); M* is this function of the
+    transposed maps.
+    """
+    packed = _pack_maps(maps)
+    return packed.prod.unpack_array(_psi(packed, antisymmetric).sum(axis=0), packed.den ** 2)
+
+
+def _trace_free_coords(fld: Multiquad, e, d: int):
+    """The basis of :func:`trace_free` from E's packed entries e (D, m) in ``fld``: (D, D-1, m) over a den."""
+    dd = len(e)
+    inv, norm = fld._inverse(e[0])
+    if norm < 0:
+        inv, norm = [-x for x in inv], -norm
+    w = np.array([1 if i == j else 2 for i, j in packed_pairs(d)], dtype=e.dtype)
+    out = np.zeros((dd, dd - 1, fld.m), dtype=e.dtype)
+    out[0] = -fld.mul(e[1:] * w[1:, None], np.array(inv, dtype=e.dtype))
+    for q in range(dd - 1):
+        out[q + 1, q, 0] = norm
+    return fld._reduce(out, norm)
+
+
+def trace_free(system: MatrixSystem) -> np.ndarray:
+    """A basis of the symmetric B with <B, I>_E = Tr(E B) = 0, as packed columns.
+
+    The condition is one row rho_q = Tr(E u_q) in packed coordinates, with
+    rho_0 = E_00 > 0, so f_q = u_q - (rho_q / rho_0) u_0 for q = 1 .. D-1 is a
+    basis whose entries lie in the field of E; no square root is taken.  A
+    trace-free packed vector's coordinates q >= 1 are its coordinates in this
+    basis.  Returns the D x (D-1) matrix with the f_q as columns.
+    """
+    e = [system.energy[i, j] for i, j in packed_pairs(system.dim)]
+    fld = Multiquad.spanning(e, system.energy.dtype == object)
+    return fld.unpack_array(*_trace_free_coords(fld, fld._pack_scalars(e)[0], system.dim))
+
+
+def averaging_reps(system: MatrixSystem) -> tuple[np.ndarray, np.ndarray]:
+    """M on the trace-free symmetric and on the antisymmetric matrices, as matrices of the backend.
+
+    The first is (M F)[1:, :] in the basis F of :func:`trace_free`: M keeps
+    Tr(E B) = 0, and rows q >= 1 of a trace-free packed column are its
+    coordinates in the basis.  The second is M on the antisymmetric packed
+    coordinates.  Both sums are formed on the packed map entries, moved to
+    the field that holds them and E, and multiplied by F there; only the two
+    results are unpacked.
+    """
+    packed = _pack_maps(system.maps)
+    sums = [_psi(packed, antisymmetric).sum(axis=0) for antisymmetric in (False, True)]
+    e = [system.energy[i, j] for i, j in packed_pairs(system.dim)]
+    exact = packed.prod.exact
+    fld = Multiquad(set().union(_radicands(e, exact), *map(packed.prod.used, sums)), exact)
+    (total, tden), anti = (fld._convert(packed.prod, x, packed.den ** 2) for x in sums)
+    basis, bden = _trace_free_coords(fld, fld._pack_scalars(e)[0], system.dim)
+    rep = np.zeros(basis.shape, dtype=basis.dtype)
+    fld._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j])
+    return fld.unpack_array(rep[1:], tden * bden), fld.unpack_array(*anti)
+
+
+def unpack_symmetric(coords, d: int, field) -> np.ndarray:
+    """The symmetric d x d matrix of the backend with these packed coordinates."""
+    out = field.zeros((d, d))
+    for c, (i, j) in zip(coords, packed_pairs(d)):
+        out[i, j] = out[j, i] = c
+    return out
+
+
+class _Quad(Multiquad):
+    """The maps Psi_s(B) = A_s B A_s^T and the weight E of one system, as arrays.
+
+    The measure layer needs the word matrices only through these quadratic
+    forms: P(alpha s) = Psi_s(P(alpha)) with P(alpha) = A(alpha) A(alpha)^T,
+    nu(alpha) = <E, P(alpha)>, and the adjoint Psi*_s(B) = A_s^T B A_s on the
+    beta side.
+
+    A symmetric d x d matrix packs into its D = d(d+1)/2 upper-triangular
+    entries, row-major, and <X, Y> = Tr(XY) weighs off-diagonal entries twice.
+    Each entry is an element of the smallest field holding Psi and E: the
+    kernel is that :class:`Multiquad` with the tables below.  Every gasket
+    needs t = 1 (g_1 = 3).  A stack of packed matrices is a stack of field
+    elements with the D entries' coordinates flattened on the last axis.  A
+    linear map is a stack of right operators: ``x @ op`` applies it to rows x.
+
+    Psi is formed on the packed map entries (:func:`_psi`) and then
+    re-expressed over the field generated by the radicands that Psi and E
+    use; no ``Radical`` product is taken.
+    """
+
+    def __init__(self, system: MatrixSystem):
+        self.n = system.n_symbols
+        self.dim = d = system.dim
+        self.pairs = pairs = packed_pairs(d)
+        self.weight = [1 if i == j else 2 for i, j in pairs]
+        packed = _pack_maps(system.maps)
+        # psi[s, p, q] = Psi_s(u_q)[p], on the products of the maps' roots
+        psi, prod = _psi(packed), packed.prod
+        e = [system.energy[i, j] for i, j in pairs]
+        super().__init__(prod.used(psi) | _radicands(e, prod.exact), prod.exact)
+        n, dd, m = self.n, len(pairs), self.m
+        num, den = self._convert(prod, psi, packed.den ** 2)
+        # mul[s, p, q, j, k]: coordinate k of Psi_s[p, q] * e_j
+        mul = self._mul_table(num.reshape(n, dd, dd, m))
+        self.psi = self._reduce(mul.transpose(0, 2, 3, 1, 4).reshape(n, dd * m, dd * m), den)
+        # Psi*_s is the adjoint of Psi_s under <., .>: Psi*[q, p] = w_p / w_q Psi[p, q]
+        w = np.array(self.weight, dtype=num.dtype)
+        adj = mul * (2 * w[:, None] // w[None, :])[None, :, :, None, None]
+        self.psi_star = self._reduce(adj.transpose(0, 1, 3, 2, 4).reshape(n, dd * m, dd * m), 2 * den)
+        self.energy = self.pack_coords([e])
+        self.ident = self.pack(system.field.identity(d))
+
+    @cached_property
+    def m_sum(self):
+        """M = sum_s Psi_s as one operator."""
+        return self.psi[0].sum(axis=0), self.psi[1]
+
+    @cached_property
+    def m_star_sum(self):
+        """M* = sum_s Psi*_s as one operator."""
+        return self.psi_star[0].sum(axis=0), self.psi_star[1]
+
+    @cached_property
+    def nu_op(self):
+        """<E, .> as one operator to the field coordinates."""
+        (num, den), dd = self.energy, len(self.pairs)
+        w = np.array(self.weight, dtype=num.dtype)
+        return self._reduce(
+            (self._mul_table(num.reshape(dd, self.m)) * w[:, None, None]).reshape(dd * self.m, self.m), den)
+
+    @cached_property
+    def cond_op(self):
+        """nu(ws) for every s from P(w): <E, Psi_s(P)> in one operator."""
+        num, den = self.psi
+        return self._reduce(
+            np.concatenate([num[s] @ self.nu_op[0] for s in range(self.n)], axis=1),
+            den * self.nu_op[1])
 
     # -- stacks ---------------------------------------------------------------
 
@@ -338,45 +549,9 @@ class _Quad:
         num, den = self._pack_scalars([x for row in rows for x in row])
         return num.reshape(len(rows), -1), den
 
-    def unpack(self, num, den) -> list:
-        """Field elements (N, m) back to scalars of the backend."""
-        if not self.exact:
-            return [float(x) / den for x in num[:, 0]]
-        return [
-            Radical.from_terms({self.radicand[b]: Fraction(self.scale[b] * x[b], den)
-                                for b in range(self.m)})
-            for x in num
-        ]
-
     def unpack_matrices(self, num, den, field) -> np.ndarray:
         """Packed rows back to symmetric matrices of the backend, as (rows, d, d)."""
         d, where = self.dim, {p: q for q, p in enumerate(self.pairs)}
         full = [where[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
         vals = np.array(self.unpack(num.reshape(-1, self.m), den), dtype=field.dtype)
         return vals.reshape(len(num), -1)[:, full].reshape(len(num), d, d)
-
-    def quotient_floats(self, x, dx, y, dy) -> list:
-        """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.
-
-        Rounded as ``float(Radical)`` rounds: each rational coordinate of the
-        exact quotient correctly rounded, times sqrt of its radicand, summed
-        by increasing radicand.  Multiplying y by its conjugate in each
-        generator in turn leaves a rational y[0]; the product of the
-        conjugates is y[0] / y.  Plain lists: these are a few numbers each.
-        """
-        y, inv = list(y), [1] + [0] * (self.m - 1)
-        for bit in range(len(self.gens)):
-            conj = [-v if b >> bit & 1 else v for b, v in enumerate(y)]
-            inv, y = self._mul_list(inv, conj), self._mul_list(y, conj)
-        den = dx * y[0]
-        return [
-            sum(self.scale[b] * row[b] * dy / den * self.root[b] for b in self.by_radicand if row[b])
-            for row in (self._mul_list(list(r), inv) for r in x)
-        ]
-
-    def _mul_list(self, x, y) -> list:
-        out = [0] * self.m
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i ^ j] += self.c[i][j] * xi * yj
-        return out

@@ -72,15 +72,6 @@ class Theta1Result:
         return f"{self.value !r} (float)"
 
 
-def _trace_free_rep(system: matsys.MatrixSystem) -> np.ndarray:
-    """M on the trace-free symmetric matrices in the basis F = ``quadform.trace_free``: (R F)[1:, :].
-
-    R = sum_s Psi_s keeps Tr(E B) = 0, and rows q >= 1 of a trace-free
-    packed column are its coordinates in the basis.
-    """
-    return (quadform.psi_matrices(system.maps).sum(axis=0) @ quadform.trace_free(system))[1:]
-
-
 def theta1(system: matsys.MatrixSystem) -> Theta1Result:
     """Contraction rate of M on the orthogonal complement of the identity.
 
@@ -90,10 +81,7 @@ def theta1(system: matsys.MatrixSystem) -> Theta1Result:
     for any invariant weight E, and its radius is certified when the
     characteristic polynomial splits (``linalg.certified_spectral_radius``).
     """
-    reps = {
-        "traceless-symmetric": _trace_free_rep(system),
-        "antisymmetric": quadform.psi_matrices(system.maps, antisymmetric=True).sum(axis=0),
-    }
+    reps = dict(zip(("traceless-symmetric", "antisymmetric"), quadform.averaging_reps(system)))
     radius: dict = {}
     exact: dict = {}
     spectrum: dict = {}
@@ -135,7 +123,7 @@ def theta1_schatten(system: matsys.MatrixSystem, p, trials: int = 256, seed: int
         raise ValueError("Schatten contraction factors are defined for symmetric restriction maps")
     if isinstance(p, (int, float)) and p < 1:
         raise ValueError("p must be >= 1 or 'inf'")
-    rep = _trace_free_rep(system)
+    rep = quadform.averaging_reps(system)[0]
     if rep.shape[0] == 0:
         return system.field.zero
     c = _scalar_action(rep, system.backend)
@@ -191,13 +179,13 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int):
 
     Both are Gram matrices over the basis f_q of ``quadform.trace_free``:
     H_ij = <f_i, f_j>_E and G'_ij = sum_{|alpha|=k} t_i(alpha) t_j(alpha).
-    None when the trace-free symmetric subspace is empty.  One kernel and
-    one chain of beta-weights serve every level.
+    None when the trace-free symmetric subspace is empty (d = 1).  One
+    kernel and one chain of beta-weights serve every level.
     """
+    if system.dim == 1:
+        return None
     basis = quadform.trace_free(system)
     field, m = system.field, basis.shape[1]
-    if m == 0:
-        return None
     k_max = max(levels)
     symbolic.check_budget(system.n_symbols, k_max, budget)
     q = _Quad(system)
@@ -376,7 +364,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     """Build a system satisfying both fixed-point equations from raw restriction maps.
 
     Finds the Perron eigenvalue mu and fixed forms of B -> sum A_s* B A_s and
-    its dual, both summed from ``quadform.psi_matrices`` on packed symmetric
+    its dual, both ``quadform.averaging_matrix`` on packed symmetric
     coordinates, rescales the maps by mu^(-1/2), and changes basis so the dual
     fixed form becomes the identity; the primal form, pushed through the same
     basis change and normalized to unit trace, is the energy.  The output
@@ -397,8 +385,8 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
         if a.shape != (d, d):
             raise ValueError("raw maps must share one square shape")
     # B -> sum_s A_s* B A_s and its dual B -> sum_s A_s B A_s*, on packed columns
-    rep_primal = quadform.psi_matrices([a.T for a in mats]).sum(axis=0)
-    rep_dual = quadform.psi_matrices(mats).sum(axis=0)
+    rep_primal = quadform.averaging_matrix([a.T for a in mats])
+    rep_dual = quadform.averaging_matrix(mats)
 
     if backend == EXACT:
         for a in mats:

@@ -54,6 +54,19 @@ def test_sg_energy_values(sg):
     assert sg.maps[0][1, 1] == Radical.root(Fraction(1, 15))
 
 
+def test_systems_are_read_only_copies():
+    with pytest.raises(ValueError):
+        sg_system().maps[0][0, 0] = Radical(1)
+    with pytest.raises(ValueError):
+        sg_system(FLOAT).energy[0, 0] = 1.0
+    for backend in (EXACT, FLOAT):
+        ref = sg_system(backend)
+        maps, energy = [np.array(a) for a in ref.maps], np.array(ref.energy)
+        system = make_system(ref.alphabet, maps, energy, backend)
+        maps[0][0, 0] = energy[0, 0] = ref.field.one  # the caller's arrays stay writable
+        assert (system.maps[0] == ref.maps[0]).all() and (system.energy == ref.energy).all()
+
+
 def test_validate_flags_bad_energy(sg):
     bad = make_system(
         sg.alphabet,

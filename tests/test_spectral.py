@@ -338,14 +338,108 @@ def _units(system, antisymmetric=False):
 def test_psi_matrices_are_the_averaging_maps(build, antisymmetric):
     system = build()
     units = _units(system, antisymmetric)
-    r = sum(quadform.psi_matrices(system.maps, antisymmetric))
-    r_star = sum(quadform.psi_matrices([a.T for a in system.maps], antisymmetric))
+    r = quadform.averaging_matrix(system.maps, antisymmetric)
+    r_star = quadform.averaging_matrix([a.T for a in system.maps], antisymmetric)
     for q, (_, u) in enumerate(units):
         assert list(r[:, q]) == [apply_M(system, u)[i, j] for (i, j), _ in units]
         assert list(r_star[:, q]) == [apply_M_star(system, u)[i, j] for (i, j), _ in units]
     if not antisymmetric:  # M(I) = I
         ident = system.field.array([system.field.one if i == j else system.field.zero for (i, j), _ in units])
         assert list(r @ ident) == list(ident)
+
+
+def _psi_products(maps):
+    """Psi_s(u_q)[p] as sums of products of map entries, in the maps' scalars: (n, D, D) in [s, p, q] order."""
+    pairs = quadform.packed_pairs(maps[0].shape[0])
+    out = []
+    for a in maps:
+        for p, r in pairs:
+            for i, j in pairs:
+                out.append(a[p, i] * a[r, j] + a[p, j] * a[r, i] if i != j else a[p, i] * a[r, i])
+    return np.array(out, dtype=maps[0].dtype).reshape(len(maps), len(pairs), len(pairs))
+
+
+def _diagonal_d3():
+    """An exact d = 3 system with diagonal maps in Q(sqrt 2, sqrt 3, sqrt 5, sqrt 7) and E = I/3.
+
+    The maps are diag(sqrt(i / (2i + 1))) and diag(sqrt((i + 1) / (2i + 1))), i = 1, 2, 3,
+    so their squares sum to I.
+    """
+    maps = [[[Radical.root(Fraction(i + k, 2 * i + 1)) if i == j else 0 for j in range(1, 4)]
+             for i in range(1, 4)] for k in (0, 1)]
+    return make_system("ab", maps, [[Fraction(1, 3) if i == j else 0 for j in range(3)] for i in range(3)], EXACT)
+
+
+_KERNEL_SYSTEMS = {
+    "sg": sg_system,
+    **{f"sg{n}": (lambda n=n: generate_system(n)) for n in range(3, 7)},
+    **{f"raw{b}": (lambda b=b: _raw_system(b)) for b in range(len(RAW_BASES))},
+    "bernoulli": lambda: bernoulli_system([Fraction(1, 3), Fraction(2, 3)]),
+    "diagonal-d3": _diagonal_d3,
+    "sg-float": lambda: sg_system(FLOAT),
+}
+
+
+@pytest.mark.parametrize("name", _KERNEL_SYSTEMS)
+def test_kernel_is_the_packing_of_psi_products(name):
+    """gens, Psi, Psi*, E and I of the kernel equal the packing of Psi_s built from products of map entries."""
+    system = _KERNEL_SYSTEMS[name]()
+    q = quadform._Quad(system)
+    d, n, m = system.dim, system.n_symbols, q.m
+    dd = d * (d + 1) // 2
+    psi = _psi_products(system.maps)
+    psi_star = _psi_products([a.T for a in system.maps])  # Psi*_s(u_q)[p]
+    e = [system.energy[i, j] for i, j in quadform.packed_pairs(d)]
+    ref = quadform.Multiquad.spanning(list(psi.ravel()) + e, system.backend == EXACT)
+    assert q.gens == ref.gens
+    if name.startswith("sg") and name != "sg-float":
+        assert q.gens == [3]
+    for (op, den), table in ((q.psi, psi), (q.psi_star, psi_star)):
+        num, want_den = ref._pack_scalars(list(table.ravel()))
+        # row q*m of an operator is its image of u_q, with coordinates (p, k) on the columns
+        want = num.reshape(n, dd, dd, m).transpose(0, 2, 1, 3).reshape(n, dd, dd * m)
+        assert den == want_den and op[:, ::m].tolist() == want.tolist()
+    for (num, den), mat in ((q.energy, system.energy), (q.ident, system.field.identity(d))):
+        want, want_den = ref._pack_scalars([mat[i, j] for i, j in quadform.packed_pairs(d)])
+        assert den == want_den and num.tolist() == want.reshape(1, -1).tolist()
+
+
+def test_psi_of_many_roots_needs_no_field_of_them_all():
+    """Each Bernoulli map sqrt(p_s) uses one root: Psi multiplies only those, not 2^n field coordinates."""
+    system = bernoulli_system([Fraction(w, 78) for w in range(1, 13)])
+    packed = quadform._pack_maps(system.maps)
+    assert packed.a.shape[-1] >= 8 and len(packed.terms) == packed.a.shape[-1] and packed.prod.m == 1
+    assert quadform._Quad(system).m == 1
+    assert quadform.averaging_matrix(system.maps).tolist() == [[1]]
+
+
+def test_psi_takes_no_radical_product(monkeypatch):
+    """Psi of the kernel and the two reps of theta1 are formed on integer coordinates only."""
+    sg6 = generate_system(6)
+    calls = []
+    mul = Radical.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Radical, "__mul__", counted)
+    monkeypatch.setattr(Radical, "__rmul__", counted)
+    assert Radical(2) * Radical(3) == 3 * Radical(2) and len(calls) == 2
+    calls.clear()
+    quadform._Quad(sg6)
+    assert calls == []
+    reps, seen = quadform.averaging_reps, []
+
+    def counted_reps(system):
+        calls.clear()
+        out = reps(system)
+        seen.append(len(calls))
+        return out
+
+    monkeypatch.setattr(quadform, "averaging_reps", counted_reps)
+    assert theta1(sg6).exact is not None
+    assert seen == [0]
 
 
 def test_betas_are_the_word_beta_weights(sg3):
