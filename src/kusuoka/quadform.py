@@ -66,7 +66,7 @@ class _Span:
     def _pack_scalars(self, xs):
         """Scalars -> (num, den): their coordinates (len, m) over one denominator."""
         if not self.exact:
-            return np.array(xs, dtype=float).reshape(-1, 1), 1
+            return np.asarray(xs, dtype=float).reshape(-1, 1), 1
         # coordinate b of x is c / scale[b] for its term c sqrt(radicand[b]): (k, b, numerator, denominator)
         coords = []
         for k, x in enumerate(xs):
@@ -105,7 +105,7 @@ class _Span:
     def unpack(self, num, den) -> list:
         """Elements (N, m) back to scalars of the backend."""
         if not self.exact:
-            return [float(x) / den for x in num[:, 0]]
+            return self.unpack_array(num, den).tolist()
         return [
             Radical.from_terms({self.radicand[b]: Fraction(self.scale[b] * x[b], den)
                                 for b in range(self.m) if x[b]})
@@ -114,8 +114,9 @@ class _Span:
 
     def unpack_array(self, num, den) -> np.ndarray:
         """Elements (..., m) back to one array of the backend's scalars, of shape (...)."""
-        vals = self.unpack(num.reshape(-1, self.m), den)
-        return np.array(vals, dtype=object if self.exact else float).reshape(num.shape[:-1])
+        if not self.exact:
+            return num[..., 0] / den
+        return np.array(self.unpack(num.reshape(-1, self.m), den), dtype=object).reshape(num.shape[:-1])
 
 
 class Multiquad(_Span):
@@ -260,28 +261,29 @@ def _pack_maps(maps) -> _PackedMaps:
     """Pack the maps once; every Psi_s is then formed on their coordinates (:func:`_psi`)."""
     a = np.stack(maps)
     exact = a.dtype == object
-    xs = list(a.ravel())
-    span = _Span.roots(_radicands(xs, exact), exact)
-    num, den = span._pack_scalars(xs)
+    span = _Span.roots(_radicands(a.ravel(), exact), exact)
+    num, den = span._pack_scalars(a.ravel())
     a = num.reshape(a.shape + (span.m,))
     # only roots that one map uses together are multiplied, so the cost grows
     # with the roots each map uses, not with the field they all generate
     rad = span.radicand
-    per_map = {tuple(np.flatnonzero(row)) for row in (a.reshape(len(a), -1, span.m) != 0).any(axis=1)}
-    gcds = {(i, j): math.gcd(rad[i], rad[j]) for row in per_map for i in row for j in row}
+    used = (a.reshape(len(a), -1, span.m) != 0).any(axis=1).astype(int)  # (n, m)
+    gcds = {(i, j): math.gcd(rad[i], rad[j]) for i, j in np.argwhere(used.T @ used).tolist()}
     prod = _Span.roots({rad[i] * rad[j] // g ** 2 for (i, j), g in gcds.items()}, exact)
     terms = [(i, j, g, prod.where[rad[i] * rad[j] // g ** 2]) for (i, j), g in sorted(gcds.items())]
     return _PackedMaps(a, den, prod, terms)
 
 
-def _psi(maps: _PackedMaps, antisymmetric: bool = False):
-    """Every Psi_s(B) = A_s B A_s^T on packed coordinates, as (n, D, D, m') on ``maps.prod`` over den^2.
+def _psi(maps: _PackedMaps):
+    """Every Psi_s(B) = A_s B A_s^T on packed coordinates: (symmetric, antisymmetric) on ``maps.prod`` over den^2.
 
     A symmetric B is sum_q B[i, j] u_q over its D = d(d+1)/2 upper pairs
     (i, j), with units u_q = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j); an
-    antisymmetric B the same over its strict upper pairs, with units
-    e_i e_j^T - e_j e_i^T.  Entry [s, p, q] is coordinate p of Psi_s(u_q), so
-    each Psi_s acts on packed columns and M is their sum; the adjoints
+    antisymmetric B the same over its D' strict upper pairs, with units
+    e_i e_j^T - e_j e_i^T.  Entry [s, p, q] of the first, (n, D, D, m'), is
+    coordinate p of Psi_s(u_q), so each Psi_s acts on packed columns and M
+    is their sum; the second, (n, D', D', m'), is the same on the
+    antisymmetric units.  Both come from one set of products.  The adjoints
     Psi*_s(B) = A_s^T B A_s are Psi_s of the transposed maps.
     """
     a = maps.a
@@ -294,25 +296,26 @@ def _psi(maps: _PackedMaps, antisymmetric: bool = False):
             out[..., k] += t if g == 1 else g * t
         return out
 
-    pairs = np.array(packed_pairs(a.shape[1], antisymmetric), dtype=int).reshape(-1, 2)
+    pairs = np.array(packed_pairs(a.shape[1]), dtype=int).reshape(-1, 2)
     p, r = pairs[:, :1], pairs[:, 1:]  # rows
     i, j = pairs[:, 0], pairs[:, 1]  # columns
-    off = i != j
-    # Psi_s(u_q)[p, r] = a_pi a_rj + a_pj a_ri off the diagonal, a_pi a_ri on it
+    off = i != j  # the strict pairs, in the order of the antisymmetric coordinates
+    # Psi_s(u_q)[p, r] = a_pi a_rj +- a_pj a_ri off the diagonal, a_pi a_ri on it
     out = mul(a[:, p, i], a[:, r, j])
     cross = mul(a[:, p, j[off]], a[:, r, i[off]])
-    out[:, :, off] += -cross if antisymmetric else cross
-    return out
+    anti = out[:, off][:, :, off] - cross[:, off]
+    out[:, :, off] += cross
+    return out, anti
 
 
-def averaging_matrix(maps, antisymmetric: bool = False) -> np.ndarray:
-    """M = sum_s Psi_s on packed symmetric (or antisymmetric) coordinates, as D x D of the maps' backend.
+def averaging_matrix(maps) -> np.ndarray:
+    """M = sum_s Psi_s on packed symmetric coordinates, as D x D of the maps' backend.
 
     Column q is M(u_q) (see :func:`_psi`); M* is this function of the
     transposed maps.
     """
     packed = _pack_maps(maps)
-    return packed.prod.unpack_array(_psi(packed, antisymmetric).sum(axis=0), packed.den ** 2)
+    return packed.prod.unpack_array(_psi(packed)[0].sum(axis=0), packed.den ** 2)
 
 
 def _trace_free_coords(fld: Multiquad, e, d: int):
@@ -351,10 +354,12 @@ def averaging_reps(system: MatrixSystem) -> tuple[np.ndarray, np.ndarray]:
     coordinates in the basis.  The second is M on the antisymmetric packed
     coordinates.  Both sums are formed on the packed map entries, moved to
     the field that holds them and E, and multiplied by F there; only the two
-    results are unpacked.
+    results are unpacked.  Both are empty when d = 1.
     """
+    if system.dim == 1:
+        return system.field.zeros((0, 0)), system.field.zeros((0, 0))
     packed = _pack_maps(system.maps)
-    sums = [_psi(packed, antisymmetric).sum(axis=0) for antisymmetric in (False, True)]
+    sums = [x.sum(axis=0) for x in _psi(packed)]
     e = [system.energy[i, j] for i, j in packed_pairs(system.dim)]
     exact = packed.prod.exact
     fld = Multiquad(set().union(_radicands(e, exact), *map(packed.prod.used, sums)), exact)
@@ -401,7 +406,7 @@ class _Quad(Multiquad):
         self.weight = [1 if i == j else 2 for i, j in pairs]
         packed = _pack_maps(system.maps)
         # psi[s, p, q] = Psi_s(u_q)[p], on the products of the maps' roots
-        psi, prod = _psi(packed), packed.prod
+        psi, prod = _psi(packed)[0], packed.prod
         e = [system.energy[i, j] for i, j in pairs]
         super().__init__(prod.used(psi) | _radicands(e, prod.exact), prod.exact)
         n, dd, m = self.n, len(pairs), self.m

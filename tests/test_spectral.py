@@ -336,16 +336,24 @@ def _units(system, antisymmetric=False):
 @pytest.mark.parametrize("build", [sg_system, lambda: _raw_system(0)], ids=["sg", "raw0"])
 @pytest.mark.parametrize("antisymmetric", [False, True], ids=["sym", "anti"])
 def test_psi_matrices_are_the_averaging_maps(build, antisymmetric):
+    """M and M* on packed columns, as renormalize (symmetric) and theta1 (both parts) form them."""
     system = build()
     units = _units(system, antisymmetric)
-    r = quadform.averaging_matrix(system.maps, antisymmetric)
-    r_star = quadform.averaging_matrix([a.T for a in system.maps], antisymmetric)
+    # M* is M of the transposed maps; E only picks the field the reps are formed in
+    transposed = make_system(system.alphabet, [a.T for a in system.maps], system.energy, system.backend)
+    if antisymmetric:
+        r = quadform.averaging_reps(system)[1]
+        r_star = quadform.averaging_reps(transposed)[1]
+    else:
+        r = quadform.averaging_matrix(system.maps)
+        r_star = quadform.averaging_matrix(transposed.maps)
     for q, (_, u) in enumerate(units):
         assert list(r[:, q]) == [apply_M(system, u)[i, j] for (i, j), _ in units]
         assert list(r_star[:, q]) == [apply_M_star(system, u)[i, j] for (i, j), _ in units]
-    if not antisymmetric:  # M(I) = I
+    if not antisymmetric:  # M(I) = I, and theta1's symmetric rep is M in the trace-free basis
         ident = system.field.array([system.field.one if i == j else system.field.zero for (i, j), _ in units])
         assert list(r @ ident) == list(ident)
+        assert quadform.averaging_reps(system)[0].tolist() == (r @ quadform.trace_free(system))[1:].tolist()
 
 
 def _psi_products(maps):
@@ -411,6 +419,12 @@ def test_psi_of_many_roots_needs_no_field_of_them_all():
     assert packed.a.shape[-1] >= 8 and len(packed.terms) == packed.a.shape[-1] and packed.prod.m == 1
     assert quadform._Quad(system).m == 1
     assert quadform.averaging_matrix(system.maps).tolist() == [[1]]
+
+
+def test_averaging_reps_of_dimension_one_are_empty(bern, monkeypatch):
+    """d = 1 has no trace-free or antisymmetric direction: nothing is packed."""
+    monkeypatch.setattr(quadform, "_pack_maps", None)
+    assert [(r.shape, r.dtype) for r in quadform.averaging_reps(bern)] == [((0, 0), object)] * 2
 
 
 def test_psi_takes_no_radical_product(monkeypatch):
