@@ -259,7 +259,7 @@ class _PackedMaps(NamedTuple):
 
 def _pack_maps(maps) -> _PackedMaps:
     """Pack the maps once; every Psi_s is then formed on their coordinates (:func:`_psi`)."""
-    a = np.stack(maps)
+    a = np.array(maps)
     exact = a.dtype == object
     span = _Span.roots(_radicands(a.ravel(), exact), exact)
     num, den = span._pack_scalars(a.ravel())
@@ -274,6 +274,24 @@ def _pack_maps(maps) -> _PackedMaps:
     return _PackedMaps(a, den, prod, terms)
 
 
+@lru_cache(maxsize=None)
+def _entry_index(d: int) -> tuple:
+    """Flat indices into a map's d*d entries for :func:`_psi`, and the positions of the strict pairs.
+
+    Over the packed pairs (p, r) and (i, j): p*d + i and r*d + j index the
+    two factors of a_pi a_rj, p*d + j and r*d + i those of a_pj a_ri on the
+    strict columns i < j.
+    """
+    pairs = np.array(packed_pairs(d), dtype=int).reshape(-1, 2)
+    p, r = pairs[:, :1], pairs[:, 1:]  # rows
+    i, j = pairs[:, 0], pairs[:, 1]  # columns
+    off = np.flatnonzero(i != j)  # in the order of the antisymmetric coordinates
+    out = (p * d + i, r * d + j, p * d + j[off], r * d + i[off], off)
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
 def _psi(maps: _PackedMaps):
     """Every Psi_s(B) = A_s B A_s^T on packed coordinates: (symmetric, antisymmetric) on ``maps.prod`` over den^2.
 
@@ -286,7 +304,8 @@ def _psi(maps: _PackedMaps):
     antisymmetric units.  Both come from one set of products.  The adjoints
     Psi*_s(B) = A_s^T B A_s are Psi_s of the transposed maps.
     """
-    a = maps.a
+    n, d = maps.a.shape[:2]
+    a = maps.a.reshape(n, d * d, -1)
 
     def mul(x, y):
         # the result keeps x's memory layout, as x * y would, so a float sum over it adds in the same order
@@ -296,13 +315,10 @@ def _psi(maps: _PackedMaps):
             out[..., k] += t if g == 1 else g * t
         return out
 
-    pairs = np.array(packed_pairs(a.shape[1]), dtype=int).reshape(-1, 2)
-    p, r = pairs[:, :1], pairs[:, 1:]  # rows
-    i, j = pairs[:, 0], pairs[:, 1]  # columns
-    off = i != j  # the strict pairs, in the order of the antisymmetric coordinates
+    pi, rj, pj, ri, off = _entry_index(d)
     # Psi_s(u_q)[p, r] = a_pi a_rj +- a_pj a_ri off the diagonal, a_pi a_ri on it
-    out = mul(a[:, p, i], a[:, r, j])
-    cross = mul(a[:, p, j[off]], a[:, r, i[off]])
+    out = mul(a[:, pi], a[:, rj])
+    cross = mul(a[:, pj], a[:, ri])
     anti = out[:, off][:, :, off] - cross[:, off]
     out[:, :, off] += cross
     return out, anti
