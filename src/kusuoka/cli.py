@@ -204,7 +204,7 @@ def _cmd_correlate(cfg: RunConfig, args) -> int:
     beta = symbolic.parse_word(args.beta, sys_.alphabet)
     if args.nmax < 0:
         raise ValueError("separation --nmax must be >= 0")
-    t1 = spectral.theta1(sys_)
+    t1 = m._quad.theta1
     rate = t1.exact if t1.exact is not None else t1.value
     rows = ["n,alpha,beta,gap,bound"]
     for n in range(args.nmax + 1):
@@ -277,14 +277,12 @@ def _cmd_qdecay(cfg: RunConfig, args) -> int:
 
 
 def _cmd_report(cfg: RunConfig, args) -> int:
+    """``spectral_report`` of the measure's kernel, then the measure rows."""
     sys_ = _load_system(cfg)
     budget = _budget_for(cfg, sys_)
-    report = matsys.validate(sys_)
-    if not report.ok:
-        raise SystemInvalidError(report)
-    m = measure.kusuoka_measure(sys_, check=False)
-
-    t1 = spectral.theta1(sys_)
+    m = measure.kusuoka_measure(sys_)
+    rep = spectral.spectral_report(m._quad, 2, budget=budget, seed=cfg.seed)
+    t1, t2 = rep.theta1, rep.theta2
     body: dict = {
         "system": cfg.builtin or cfg.infile,
         "backend": sys_.backend,
@@ -295,17 +293,12 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         "theta1_irreducible": t1.irreducible,
         "theta1_parts": {p: _fmt_float(v) for p, v in t1.part_radius.items()},
     }
-    if sys_.symmetric:
-        body["theta1_schatten"] = {
-            str(p): _fmt_scalar(spectral.theta1_schatten(sys_, p, trials=64, seed=cfg.seed))
-            for p in (1, 2, "inf")
-        }
-    if sys_.dim > 1:
-        t2 = spectral.theta2(sys_, 2, budget)
-        body["c"] = {str(k): _fmt_certified(r.exact, r.value) for k, r in t2.c_values.items() if r.applicable}
-        if t2.applicable:
-            body["theta2_lemma"] = _fmt_certified(t2.lemma_exact, t2.lemma_value)
-            body["theta2_theorem"] = _fmt_certified(t2.thm_exact, t2.thm_value)
+    if rep.theta1_p:
+        body["theta1_schatten"] = {p: _fmt_scalar(v) for p, v in rep.theta1_p.items()}
+    if t2.applicable:
+        body["c"] = {str(k): _fmt_certified(r.exact, r.value) for k, r in t2.c_values.items()}
+        body["theta2_lemma"] = _fmt_certified(t2.lemma_exact, t2.lemma_value)
+        body["theta2_theorem"] = _fmt_certified(t2.thm_exact, t2.thm_value)
 
     for depth in (1, 2):
         masses = m.level_nu(depth, budget)
@@ -354,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, system_source: bool = True):
         if system_source:
-            p.add_argument("--builtin", help="builtin system name (sg, sg3, sg4, sg5, bernoulli:p1,p2,...)")
+            p.add_argument("--builtin", help=f"builtin system name ({', '.join(systems.BUILTIN_NAMES)})")
             p.add_argument("--in", dest="infile", help="system JSON file")
         p.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
         p.add_argument("--out", help="write output to this file instead of stdout")

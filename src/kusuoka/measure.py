@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import matsys, spectral, symbolic
+from . import matsys, symbolic
 from .exactnum import Radical
 from .matsys import MatrixSystem
 from .quadform import _Quad
@@ -59,7 +59,7 @@ class KusuokaMeasure:
 
     The caches are value-level memoization only; all public operations
     stay pure functions of (system, arguments).  The quadratic-form kernel
-    and its level tables are built on first use, per measure.
+    (theta1 included) and its level tables are built on first use, per measure.
     """
 
     system: MatrixSystem
@@ -257,14 +257,13 @@ def mixing_bound_check(
     """
     if k < 0 or n_max < 0:
         raise ValueError("depth and separation must be >= 0")
-    sys_ = m.system
-    t1 = spectral.theta1(sys_)
+    sys_, q = m.system, m._quad
+    t1 = q.theta1
     if t1.exact is not None:
         lift, t1_scalar = sys_.field.lift, t1.exact
     else:
         lift, t1_scalar = float, t1.value
 
-    q = m._quad
     pa = m._level_table(k, budget)
     a_mass = [lift(x) for x in m.level_nu(k, budget)]
     max_mass = max(a_mass)

@@ -6,24 +6,27 @@ conditionals all go through the quadratic forms Psi_s(B) = A_s B A_s^T,
 their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.  :class:`_Quad`
 holds them as integer arrays over one multiquadratic field
 (:class:`Multiquad`), so a whole level of words advances by one matrix
-product.  Every Psi_s entry is formed once, on integer coordinates of the
-map entries in the square roots they use (:func:`_psi`); the spectral
-constants read the sums M = sum_s Psi_s (:func:`averaging_matrix`,
-:func:`averaging_reps`) and the trace-free basis of :func:`trace_free`
-unpacked from there.  This module owns the packed layout and is the only
-code that writes Psi_s in it.
+product.  Every Psi_s entry is formed once per kernel, on integer
+coordinates of the map entries in the square roots they use (:func:`_psi`);
+the same kernel derives theta1's reps of M = sum_s Psi_s, the trace-free
+basis and theta1, so one kernel serves a whole computation.
+:func:`averaging_matrix` sums Psi for raw maps that have no weight E yet.
+This module owns the packed layout and is the only code that writes Psi_s
+in it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import Radical
+from . import linalg
+from .exactnum import Radical, format_exact
 from .matsys import MatrixSystem
 
 _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
@@ -153,11 +156,6 @@ class Multiquad(_Span):
         self.c = [[common[i & j] for j in range(m)] for i in range(m)]
         self.by_radicand = sorted(range(m), key=radicand.__getitem__)
         self.root = [math.sqrt(r) for r in radicand]
-
-    @classmethod
-    def spanning(cls, xs, exact: bool) -> "Multiquad":
-        """The field generated by the scalars ``xs`` of one backend."""
-        return cls(_radicands(xs, exact), exact)
 
     def _mul_table(self, x):
         """Multiplication by each element of x (..., m): out[..., j, k] is the e_k part of x e_j."""
@@ -335,7 +333,13 @@ def averaging_matrix(maps) -> np.ndarray:
 
 
 def _trace_free_coords(fld: Multiquad, e, d: int):
-    """The basis of :func:`trace_free` from E's packed entries e (D, m) in ``fld``: (D, D-1, m) over a den."""
+    """A basis of the symmetric B with <B, I>_E = Tr(E B) = 0 from E's packed entries e (D, m) in ``fld``.
+
+    With rho_q = Tr(E u_q) and rho_0 = E_00 > 0, f_q = u_q - (rho_q / rho_0) u_0
+    (q = 1 .. D-1) has entries in the field of E, and a trace-free packed
+    vector's coordinates q >= 1 are its coordinates in it; 1/rho_0 is its
+    conjugates over a rational norm.  Returns the f_q as columns, (D, D-1, m).
+    """
     dd = len(e)
     inv, norm = fld._inverse(e[0])
     if norm < 0:
@@ -348,44 +352,6 @@ def _trace_free_coords(fld: Multiquad, e, d: int):
     return fld._reduce(out, norm)
 
 
-def trace_free(system: MatrixSystem) -> np.ndarray:
-    """A basis of the symmetric B with <B, I>_E = Tr(E B) = 0, as packed columns.
-
-    The condition is one row rho_q = Tr(E u_q) in packed coordinates, with
-    rho_0 = E_00 > 0, so f_q = u_q - (rho_q / rho_0) u_0 for q = 1 .. D-1 is a
-    basis whose entries lie in the field of E; no square root is taken.  A
-    trace-free packed vector's coordinates q >= 1 are its coordinates in this
-    basis.  Returns the D x (D-1) matrix with the f_q as columns.
-    """
-    e = [system.energy[i, j] for i, j in packed_pairs(system.dim)]
-    fld = Multiquad.spanning(e, system.energy.dtype == object)
-    return fld.unpack_array(*_trace_free_coords(fld, fld._pack_scalars(e)[0], system.dim))
-
-
-def averaging_reps(system: MatrixSystem) -> tuple[np.ndarray, np.ndarray]:
-    """M on the trace-free symmetric and on the antisymmetric matrices, as matrices of the backend.
-
-    The first is (M F)[1:, :] in the basis F of :func:`trace_free`: M keeps
-    Tr(E B) = 0, and rows q >= 1 of a trace-free packed column are its
-    coordinates in the basis.  The second is M on the antisymmetric packed
-    coordinates.  Both sums are formed on the packed map entries, moved to
-    the field that holds them and E, and multiplied by F there; only the two
-    results are unpacked.  Both are empty when d = 1.
-    """
-    if system.dim == 1:
-        return system.field.zeros((0, 0)), system.field.zeros((0, 0))
-    packed = _pack_maps(system.maps)
-    sums = [x.sum(axis=0) for x in _psi(packed)]
-    e = [system.energy[i, j] for i, j in packed_pairs(system.dim)]
-    exact = packed.prod.exact
-    fld = Multiquad(set().union(_radicands(e, exact), *map(packed.prod.used, sums)), exact)
-    (total, tden), anti = (fld._convert(packed.prod, x, packed.den ** 2) for x in sums)
-    basis, bden = _trace_free_coords(fld, fld._pack_scalars(e)[0], system.dim)
-    rep = np.zeros(basis.shape, dtype=basis.dtype)
-    fld._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j])
-    return fld.unpack_array(rep[1:], tden * bden), fld.unpack_array(*anti)
-
-
 def unpack_symmetric(coords, d: int, field) -> np.ndarray:
     """The symmetric d x d matrix of the backend with these packed coordinates."""
     out = field.zeros((d, d))
@@ -394,48 +360,139 @@ def unpack_symmetric(coords, d: int, field) -> np.ndarray:
     return out
 
 
+def _real_spectrum(rep_float: np.ndarray) -> tuple[float, ...]:
+    if rep_float.shape[0] == 0:
+        return ()
+    eigs = np.linalg.eigvals(rep_float)
+    if np.max(np.abs(eigs.imag)) < 1e-9:
+        return tuple(sorted(float(x) for x in eigs.real))
+    return tuple(sorted(float(abs(z)) for z in eigs))
+
+
+@dataclass(frozen=True)
+class Theta1Result:
+    """Spectral radius of M off the identity, with exactness certificate.
+
+    ``exact`` is None when no rational (or quadratic) certification was
+    possible; ``value`` is always the float radius.  ``irreducible`` is
+    False when the radius reaches 1, which the contract reports rather
+    than raising.
+    """
+
+    value: float
+    exact: Radical | None
+    part_radius: dict
+    part_exact: dict
+    part_spectrum: dict
+    irreducible: bool
+
+    def describe(self) -> str:
+        if self.exact is not None:
+            return f"{format_exact(self.exact)} (exact)"
+        return f"{self.value !r} (float)"
+
+
 class _Quad(Multiquad):
-    """The maps Psi_s(B) = A_s B A_s^T and the weight E of one system, as arrays.
+    """The analysis kernel of one system: Psi_s(B) = A_s B A_s^T and the weight E, as arrays.
 
     The measure layer needs the word matrices only through these quadratic
     forms: P(alpha s) = Psi_s(P(alpha)) with P(alpha) = A(alpha) A(alpha)^T,
     nu(alpha) = <E, P(alpha)>, and the adjoint Psi*_s(B) = A_s^T B A_s on the
-    beta side.
+    beta side.  The spectral constants read M = sum_s Psi_s.
 
     A symmetric d x d matrix packs into its D = d(d+1)/2 upper-triangular
     entries, row-major, and <X, Y> = Tr(XY) weighs off-diagonal entries twice.
     Each entry is an element of the smallest field holding Psi and E: the
-    kernel is that :class:`Multiquad` with the tables below.  Every gasket
+    kernel is that :class:`Multiquad` with the members below.  Every gasket
     needs t = 1 (g_1 = 3).  A stack of packed matrices is a stack of field
     elements with the D entries' coordinates flattened on the last axis.  A
     linear map is a stack of right operators: ``x @ op`` applies it to rows x.
 
-    Psi is formed on the packed map entries (:func:`_psi`) and then
-    re-expressed over the field generated by the radicands that Psi and E
-    use; no ``Radical`` product is taken.
+    The constructor packs the maps and forms every Psi_s once (:func:`_psi`),
+    with no ``Radical`` product.  The other members are derived on first use
+    and kept: the tables ``psi`` and ``psi_star``, ``energy``, ``ident``, the
+    trace-free basis, theta1's two reps and theta1.
     """
 
     def __init__(self, system: MatrixSystem):
-        self.n = system.n_symbols
-        self.dim = d = system.dim
-        self.pairs = pairs = packed_pairs(d)
+        self.system = system
+        self.n, self.dim = system.n_symbols, system.dim
+        self.pairs = pairs = packed_pairs(self.dim)
         self.weight = [1 if i == j else 2 for i, j in pairs]
-        packed = _pack_maps(system.maps)
-        # psi[s, p, q] = Psi_s(u_q)[p], on the products of the maps' roots
-        psi, prod = _psi(packed)[0], packed.prod
-        e = [system.energy[i, j] for i, j in pairs]
-        super().__init__(prod.used(psi) | _radicands(e, prod.exact), prod.exact)
-        n, dd, m = self.n, len(pairs), self.m
-        num, den = self._convert(prod, psi, packed.den ** 2)
-        # mul[s, p, q, j, k]: coordinate k of Psi_s[p, q] * e_j
-        mul = self._mul_table(num.reshape(n, dd, dd, m))
-        self.psi = self._reduce(mul.transpose(0, 2, 3, 1, 4).reshape(n, dd * m, dd * m), den)
-        # Psi*_s is the adjoint of Psi_s under <., .>: Psi*[q, p] = w_p / w_q Psi[p, q]
-        w = np.array(self.weight, dtype=num.dtype)
+        self.e = [system.energy[i, j] for i, j in pairs]
+        self.packed = _pack_maps(system.maps)
+        # sym[s, p, q] = Psi_s(u_q)[p], anti the same on the antisymmetric units, on the products of the maps' roots
+        self.sym, self.anti = _psi(self.packed)
+        prod = self.packed.prod
+        super().__init__(prod.used(self.sym) | _radicands(self.e, prod.exact), prod.exact)
+
+    @cached_property
+    def _psi_mul(self):
+        """mul[s, p, q, j, k], coordinate k of Psi_s[p, q] * e_j in this field, over a den."""
+        num, den = self._convert(self.packed.prod, self.sym, self.packed.den ** 2)
+        return self._mul_table(num.reshape(*self.sym.shape[:3], self.m)), den
+
+    @cached_property
+    def psi(self):
+        """Psi_s as right operators on packed rows: (n, D*m, D*m) over a den."""
+        mul, den = self._psi_mul
+        return self._reduce(mul.transpose(0, 2, 3, 1, 4).reshape(self.n, len(self.e) * self.m, -1), den)
+
+    @cached_property
+    def psi_star(self):
+        """Psi*_s, the adjoint of Psi_s under <., .>: Psi*[q, p] = w_p / w_q Psi[p, q]."""
+        mul, den = self._psi_mul
+        w = np.array(self.weight, dtype=mul.dtype)
         adj = mul * (2 * w[:, None] // w[None, :])[None, :, :, None, None]
-        self.psi_star = self._reduce(adj.transpose(0, 1, 3, 2, 4).reshape(n, dd * m, dd * m), 2 * den)
-        self.energy = self.pack_coords([e])
-        self.ident = self.pack(system.field.identity(d))
+        return self._reduce(adj.transpose(0, 1, 3, 2, 4).reshape(self.n, len(self.e) * self.m, -1), 2 * den)
+
+    @cached_property
+    def energy(self):
+        return self.pack_coords([self.e])
+
+    @cached_property
+    def ident(self):
+        return self.pack(self.system.field.identity(self.dim))
+
+    @cached_property
+    def trace_free(self):
+        """The basis f_q of :func:`_trace_free_coords` in this field, as a stack of D-1 packed rows."""
+        basis, den = _trace_free_coords(self, self.energy[0].reshape(len(self.e), self.m), self.dim)
+        return basis.transpose(1, 0, 2).reshape(len(self.e) - 1, -1), den
+
+    @cached_property
+    def theta1_reps(self) -> tuple[np.ndarray, np.ndarray]:
+        """M on the trace-free symmetric and on the antisymmetric matrices, as matrices of the backend.
+
+        The first is (M F)[1:, :] in the basis F of :func:`_trace_free_coords`,
+        the second M on the antisymmetric packed coordinates.  Both sums of Psi
+        move to the smallest field holding them and E (Q for sg, where Psi
+        needs sqrt 3) and meet F there, with no operator table.  Empty if d = 1.
+        """
+        sums = [x.sum(axis=0) for x in (self.sym, self.anti)]
+        prod = self.packed.prod
+        fld = Multiquad(set().union(_radicands(self.e, self.exact), *map(prod.used, sums)), self.exact)
+        (total, tden), anti = (fld._convert(prod, x, self.packed.den ** 2) for x in sums)
+        basis, bden = _trace_free_coords(fld, fld._pack_scalars(self.e)[0], self.dim)
+        rep = np.zeros(basis.shape, dtype=basis.dtype)
+        fld._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j])
+        return fld.unpack_array(rep[1:], tden * bden), fld.unpack_array(*anti)
+
+    @cached_property
+    def theta1(self) -> Theta1Result:
+        """The spectral radius of M on both :attr:`theta1_reps`, each certified when its polynomial splits."""
+        radius, exact, spectrum = {}, {}, {}
+        for part, rep in zip(("traceless-symmetric", "antisymmetric"), self.theta1_reps):
+            spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
+            radius[part], exact[part] = (linalg.certified_spectral_radius(rep) if self.exact
+                                         else (max(map(abs, spectrum[part]), default=0.0), None))
+        value = max(radius.values())
+        if any(x is None for x in exact.values()):
+            overall, irreducible = None, value < 1.0 - 1e-9
+        else:
+            overall = max(exact.values())
+            irreducible = (Radical(1) - overall).sign() > 0
+        return Theta1Result(value, overall, radius, exact, spectrum, irreducible)
 
     @cached_property
     def m_sum(self):

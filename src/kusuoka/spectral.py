@@ -9,8 +9,9 @@ theta1_p, the irreducibility constants c_k as smallest eigenvalues of a pair
 of explicit Gram forms, the derived decay rate theta2 in both published
 variants, and the renormalization that turns raw restriction matrices into a
 system satisfying both fixed-point equations.  All of them read M, M* and
-the trace-free basis off the packed coordinates of :mod:`kusuoka.quadform`,
-so they hold for any invariant weight E.
+the trace-free basis off one packed kernel of :mod:`kusuoka.quadform`, so
+they hold for any invariant weight E; ``spectral_report`` runs them all on
+one kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import linalg, matsys, quadform, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
-from .quadform import _Quad
+from .quadform import Theta1Result, _Quad
 
 __all__ = [
     "Theta1Result",
@@ -38,67 +39,14 @@ __all__ = [
 ]
 
 
-def _real_spectrum(rep_float: np.ndarray) -> tuple[float, ...]:
-    if rep_float.shape[0] == 0:
-        return ()
-    eigs = np.linalg.eigvals(rep_float)
-    if np.max(np.abs(eigs.imag)) < 1e-9:
-        return tuple(sorted(float(x) for x in eigs.real))
-    return tuple(sorted(float(abs(z)) for z in eigs))
-
-
-@dataclass(frozen=True)
-class Theta1Result:
-    """Spectral radius of M off the identity, with exactness certificate.
-
-    ``exact`` is None when no rational (or quadratic) certification was
-    possible; ``value`` is always the float radius.  ``irreducible`` is
-    False when the radius reaches 1, which the contract reports rather
-    than raising.
-    """
-
-    value: float
-    exact: Radical | None
-    part_radius: dict
-    part_exact: dict
-    part_spectrum: dict
-    irreducible: bool
-
-    def describe(self) -> str:
-        from .exactnum import format_exact
-
-        if self.exact is not None:
-            return f"{format_exact(self.exact)} (exact)"
-        return f"{self.value !r} (float)"
-
-
 def theta1(system: matsys.MatrixSystem) -> Theta1Result:
     """Contraction rate of M on the orthogonal complement of the identity.
 
     The complement under <., .>_E splits into the trace-free symmetric and
-    the antisymmetric matrices, and M keeps both.  Each part's matrix is
-    summed from the packed Psi_s, with entries in the field of the system
-    for any invariant weight E, and its radius is certified when the
-    characteristic polynomial splits (``linalg.certified_spectral_radius``).
+    the antisymmetric matrices, and M keeps both; each part's radius is
+    certified when its characteristic polynomial splits (``_Quad.theta1``).
     """
-    reps = dict(zip(("traceless-symmetric", "antisymmetric"), quadform.averaging_reps(system)))
-    radius: dict = {}
-    exact: dict = {}
-    spectrum: dict = {}
-    for part, rep in reps.items():
-        spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
-        if system.backend == EXACT:
-            radius[part], exact[part] = linalg.certified_spectral_radius(rep)
-        else:
-            radius[part], exact[part] = max((abs(x) for x in spectrum[part]), default=0.0), None
-
-    value = max(radius.values())
-    if any(x is None for x in exact.values()):
-        overall, irreducible = None, value < 1.0 - 1e-9
-    else:
-        overall = max(exact.values())
-        irreducible = (Radical(1) - overall).sign() > 0
-    return Theta1Result(value, overall, radius, exact, spectrum, irreducible)
+    return _Quad(system).theta1
 
 
 def _scalar_action(rep: np.ndarray, backend: str):
@@ -110,20 +58,22 @@ def _scalar_action(rep: np.ndarray, backend: str):
     return float(c) if dev <= 1e-12 * max(1.0, abs(float(c))) else None
 
 
-def theta1_schatten(system: matsys.MatrixSystem, p, trials: int = 256, seed: int = 0):
+def theta1_schatten(system: matsys.MatrixSystem | _Quad, p, trials: int = 256, seed: int = 0):
     """Contraction factor of M on trace-free symmetric matrices in Schatten p-norm.
 
     When M acts as a scalar on the subspace (every gasket system does this)
     the factor is that scalar for every p and is returned exactly.  Otherwise
     the return value is a seeded random-probe maximum of ``|M(B)|_p / |B|_p``
     with local hill-climbing refinement: a lower bound on the true factor,
-    not a certificate.
+    not a certificate.  ``system`` may also be a kernel (``spectral_report``).
     """
+    q = system if isinstance(system, _Quad) else _Quad(system)
+    system = q.system
     if not system.symmetric:
         raise ValueError("Schatten contraction factors are defined for symmetric restriction maps")
     if isinstance(p, (int, float)) and p < 1:
         raise ValueError("p must be >= 1 or 'inf'")
-    rep = quadform.averaging_reps(system)[0]
+    rep = q.theta1_reps[0]
     if rep.shape[0] == 0:
         return system.field.zero
     c = _scalar_action(rep, system.backend)
@@ -131,7 +81,7 @@ def theta1_schatten(system: matsys.MatrixSystem, p, trials: int = 256, seed: int
         return abs(c)
 
     fsys = matsys.to_float_system(system)
-    basis = [quadform.unpack_symmetric(f, fsys.dim, fsys.field) for f in quadform.trace_free(fsys).T]
+    basis = [linalg.to_float_matrix(f) for f in q.unpack_matrices(*q.trace_free, system.field)]
     m = len(basis)
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -174,30 +124,28 @@ class CkResult:
     exact: Radical | None
 
 
-def _grams(system: matsys.MatrixSystem, levels, budget: int):
+def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = None):
     """The forms of ``c_k`` for every k in ``levels``: (H, {k: G'_k}).
 
-    Both are Gram matrices over the basis f_q of ``quadform.trace_free``:
+    Both are Gram matrices over the kernel's trace-free basis f_q:
     H_ij = <f_i, f_j>_E and G'_ij = sum_{|alpha|=k} t_i(alpha) t_j(alpha).
-    None when the trace-free symmetric subspace is empty (d = 1).  One
-    kernel and one chain of beta-weights serve every level.
+    None when d = 1.  The budget is checked before the kernel is built, or
+    ``q``, the caller's kernel of ``system``, is used; one chain of
+    beta-weights serves every level.
     """
     if system.dim == 1:
         return None
-    basis = quadform.trace_free(system)
-    field, m = system.field, basis.shape[1]
-    k_max = max(levels)
-    symbolic.check_budget(system.n_symbols, k_max, budget)
-    q = _Quad(system)
-    fs = q.pack_coords(basis.T)
-    mats = [quadform.unpack_symmetric(f, system.dim, field) for f in basis.T]
+    symbolic.check_budget(system.n_symbols, max(levels), budget)
+    q = q or _Quad(system)
+    field, fs = system.field, q.trace_free
+    mats = q.unpack_matrices(*fs, field)
     weighted = [system.energy @ f for f in mats]
     h = field.array([[(a * b).sum() for b in weighted] for a in mats])  # Tr(f_i E f_j)
     grams = {}
-    for k, weights in enumerate(q.betas(k_max)):
+    for k, weights in enumerate(q.betas(max(levels))):
         if k in levels:
             num, den = q.gram(q.pair(weights, fs))
-            grams[k] = np.array(q.unpack(num.reshape(-1, q.m), den), dtype=field.dtype).reshape(m, m)
+            grams[k] = np.array(q.unpack(num.reshape(-1, q.m), den), dtype=field.dtype).reshape(len(mats), -1)
     return h, grams
 
 
@@ -217,7 +165,7 @@ def _smallest_eigenvalue(k: int, h, gram, backend: str) -> CkResult:
 def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> CkResult:
     """Minimum of sum_{|alpha|=k} <A(alpha)F, A(alpha)>^2 over trace-free symmetric F with |F|_E = 1.
 
-    With F = sum_q y_q f_q over the basis f_q of ``quadform.trace_free``,
+    With F = sum_q y_q f_q over the kernel's trace-free basis f_q,
     whose entries lie in the field of E, the sum is y^T G' y with
     G'_ij = sum_alpha t_i(alpha) t_j(alpha), t_i(alpha) = Tr(Psi*_alpha(E) f_i),
     and the constraint is y^T H y = 1 with H_ij = <f_i, f_j>_E.  So c_k is the
@@ -252,9 +200,14 @@ class Theta2Result:
 
 def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAULT_BUDGET) -> Theta2Result:
     """Both decay rates from c_1 ... c_k_max, read off one chain of beta-weights."""
+    return _theta2(system, k_max, budget)
+
+
+def _theta2(system: matsys.MatrixSystem, k_max: int, budget: int, q: _Quad | None = None) -> Theta2Result:
+    """:func:`theta2`, on the caller's kernel ``q`` of ``system`` when given."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    forms = _grams(system, range(1, k_max + 1), budget)
+    forms = _grams(system, range(1, k_max + 1), budget, q)
     if forms is None:
         cs = {k: CkResult(k, False, None, None) for k in range(1, k_max + 1)}
         return Theta2Result(False, True, None, None, None, None, cs)
@@ -301,23 +254,21 @@ class SpectralReport:
     rho: float | None
 
 
-def spectral_report(
-    system: matsys.MatrixSystem,
-    k_max: int = 2,
-    gamma: float | None = None,
-    budget: int = symbolic.DEFAULT_BUDGET,
-) -> SpectralReport:
-    """Compute theta1, the Schatten factors, c_k for k <= k_max, and theta2.
+def spectral_report(system: matsys.MatrixSystem | _Quad, k_max: int = 2, gamma: float | None = None,
+                    budget: int = symbolic.DEFAULT_BUDGET, seed: int = 0) -> SpectralReport:
+    """Compute theta1, the Schatten factors, c_k for k <= k_max, and theta2, all from one kernel.
 
+    ``system`` is a system or its kernel (a measure's ``_quad``, as ``kusuoka
+    report`` passes it).  A Schatten factor that M does not act on as a scalar
+    is a maximum over 64 random probes drawn from ``seed``.
     ``rho`` is max(gamma, theta1) when a gamma is supplied: the radius of the
     disc that contains the non-peripheral transfer-operator spectrum.
     """
-    t1 = theta1(system)
-    t1p = {}
-    if system.symmetric:
-        for p in (1, 2, "inf"):
-            t1p[str(p)] = theta1_schatten(system, p)
-    t2 = theta2(system, k_max, budget)
+    q = system if isinstance(system, _Quad) else _Quad(system)
+    system = q.system
+    t1 = q.theta1
+    t1p = {str(p): theta1_schatten(q, p, 64, seed) for p in (1, 2, "inf")} if system.symmetric else {}
+    t2 = _theta2(system, k_max, budget, q)
     rho = max(gamma, t1.value) if gamma is not None else None
     return SpectralReport(system.backend, t1, t1p, t2, gamma, rho)
 

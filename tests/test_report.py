@@ -29,3 +29,34 @@ def test_report_stdout_is_pinned(case, capsys, tmp_path, monkeypatch):
     (tmp_path / "swap.json").write_text(json.dumps(matsys.system_to_json(_two_symbol_swap_system())))
     assert cli.main(["report", *REPORT_CASES[case]]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"report-{case}.txt").read_bytes().decode()
+
+
+def test_report_runs_one_kernel(capsys, monkeypatch):
+    """One validation, one Psi formation, one kernel and one theta1 (a certified radius per part) per report."""
+    from kusuoka import linalg, quadform
+
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    load = cli._load_system
+
+    def loaded(cfg):
+        system = load(cfg)  # generate_system renormalizes, which forms Psi of the raw maps
+        calls.clear()
+        return system
+
+    monkeypatch.setattr(cli, "_load_system", loaded)
+    for owner, name in ((matsys, "validate"), (quadform, "_psi"), (quadform._Quad, "__init__"),
+                        (linalg, "certified_spectral_radius")):
+        counted(owner, name)
+    assert cli.main(["report", "--builtin", "sg3"]) == 0
+    assert json.loads(capsys.readouterr().out)["theta1"] == "5/7"
+    assert sorted(calls) == sorted(["validate", "_psi", "__init__"] + ["certified_spectral_radius"] * 2)

@@ -333,17 +333,24 @@ def _units(system, antisymmetric=False):
     return out
 
 
+def _trace_free_columns(system):
+    """The kernel's trace-free basis f_q as the columns of a D x (D-1) matrix of the backend."""
+    q = quadform._Quad(system)
+    num, den = q.trace_free
+    return np.array(q.unpack(num.reshape(-1, q.m), den), dtype=system.field.dtype).reshape(len(num), -1).T
+
+
 @pytest.mark.parametrize("build", [sg_system, lambda: _raw_system(0)], ids=["sg", "raw0"])
 @pytest.mark.parametrize("antisymmetric", [False, True], ids=["sym", "anti"])
 def test_psi_matrices_are_the_averaging_maps(build, antisymmetric):
-    """M and M* on packed columns, as renormalize (symmetric) and theta1 (both parts) form them."""
+    """M and M* on packed columns, as renormalize (symmetric) and the kernel's theta1 reps (both parts) form them."""
     system = build()
     units = _units(system, antisymmetric)
     # M* is M of the transposed maps; E only picks the field the reps are formed in
     transposed = make_system(system.alphabet, [a.T for a in system.maps], system.energy, system.backend)
     if antisymmetric:
-        r = quadform.averaging_reps(system)[1]
-        r_star = quadform.averaging_reps(transposed)[1]
+        r = quadform._Quad(system).theta1_reps[1]
+        r_star = quadform._Quad(transposed).theta1_reps[1]
     else:
         r = quadform.averaging_matrix(system.maps)
         r_star = quadform.averaging_matrix(transposed.maps)
@@ -353,7 +360,7 @@ def test_psi_matrices_are_the_averaging_maps(build, antisymmetric):
     if not antisymmetric:  # M(I) = I, and theta1's symmetric rep is M in the trace-free basis
         ident = system.field.array([system.field.one if i == j else system.field.zero for (i, j), _ in units])
         assert list(r @ ident) == list(ident)
-        assert quadform.averaging_reps(system)[0].tolist() == (r @ quadform.trace_free(system))[1:].tolist()
+        assert quadform._Quad(system).theta1_reps[0].tolist() == (r @ _trace_free_columns(system))[1:].tolist()
 
 
 def _psi_products(maps):
@@ -398,7 +405,8 @@ def test_kernel_is_the_packing_of_psi_products(name):
     psi = _psi_products(system.maps)
     psi_star = _psi_products([a.T for a in system.maps])  # Psi*_s(u_q)[p]
     e = [system.energy[i, j] for i, j in quadform.packed_pairs(d)]
-    ref = quadform.Multiquad.spanning(list(psi.ravel()) + e, system.backend == EXACT)
+    exact = system.backend == EXACT
+    ref = quadform.Multiquad(quadform._radicands(list(psi.ravel()) + e, exact), exact)
     assert q.gens == ref.gens
     if name.startswith("sg") and name != "sg-float":
         assert q.gens == [3]
@@ -422,13 +430,15 @@ def test_psi_of_many_roots_needs_no_field_of_them_all():
 
 
 def test_averaging_reps_of_dimension_one_are_empty(bern, monkeypatch):
-    """d = 1 has no trace-free or antisymmetric direction: nothing is packed."""
+    """d = 1 has no trace-free or antisymmetric direction: theta1's reps pack and form nothing past the kernel."""
+    q = quadform._Quad(bern)
     monkeypatch.setattr(quadform, "_pack_maps", None)
-    assert [(r.shape, r.dtype) for r in quadform.averaging_reps(bern)] == [((0, 0), object)] * 2
+    monkeypatch.setattr(quadform, "_psi", None)
+    assert [(r.shape, r.dtype) for r in q.theta1_reps] == [((0, 0), object)] * 2
 
 
 def test_psi_takes_no_radical_product(monkeypatch):
-    """Psi of the kernel and the two reps of theta1 are formed on integer coordinates only."""
+    """Psi and the tables of the kernel and the two reps of theta1 are formed on integer coordinates only."""
     sg6 = generate_system(6)
     calls = []
     mul = Radical.__mul__
@@ -441,19 +451,25 @@ def test_psi_takes_no_radical_product(monkeypatch):
     monkeypatch.setattr(Radical, "__rmul__", counted)
     assert Radical(2) * Radical(3) == 3 * Radical(2) and len(calls) == 2
     calls.clear()
-    quadform._Quad(sg6)
-    assert calls == []
-    reps, seen = quadform.averaging_reps, []
+    q = quadform._Quad(sg6)
+    assert [q.psi, q.psi_star, q.energy, q.ident] and calls == []
+    assert q.theta1_reps and calls == []
+    assert q.theta1.exact is not None
 
-    def counted_reps(system):
-        calls.clear()
-        out = reps(system)
-        seen.append(len(calls))
-        return out
 
-    monkeypatch.setattr(quadform, "averaging_reps", counted_reps)
-    assert theta1(sg6).exact is not None
-    assert seen == [0]
+def test_theta1_alone_builds_no_operator_table(monkeypatch):
+    """theta1 reads Psi summed in its own field: no Psi or Psi* operator table of the kernel is built."""
+    sg6 = generate_system(6)
+    want = theta1(sg6)
+
+    def table(self):
+        raise AssertionError("operator table built for theta1")
+
+    for name in ("_psi_mul", "psi", "psi_star"):
+        monkeypatch.setattr(quadform._Quad, name, property(table))
+    assert theta1(sg6) == want and want.exact is not None
+    with pytest.raises(AssertionError):
+        quadform._Quad(sg6).psi
 
 
 def test_betas_are_the_word_beta_weights(sg3):
@@ -470,7 +486,8 @@ def test_betas_are_the_word_beta_weights(sg3):
 def test_trace_free_basis(build):
     system = build()
     ident = system.field.identity(system.dim)
-    mats = [quadform.unpack_symmetric(f, system.dim, system.field) for f in quadform.trace_free(system).T]
+    q = quadform._Quad(system)
+    mats = q.unpack_matrices(*q.trace_free, system.field)
     assert len(mats) == 2
     for a in mats:
         assert inner_e(system, a, ident).is_zero()
