@@ -277,7 +277,6 @@ def _cmd_qdecay(cfg: RunConfig, args) -> int:
 
 
 def _cmd_report(cfg: RunConfig, args) -> int:
-    """``spectral_report`` of the measure's kernel, then the measure rows."""
     sys_ = _load_system(cfg)
     budget = _budget_for(cfg, sys_)
     m = measure.kusuoka_measure(sys_)

@@ -392,6 +392,22 @@ class Theta1Result:
         return f"{self.value !r} (float)"
 
 
+def _theta1_of(reps, exact: bool) -> Theta1Result:
+    """The spectral radius of M on both parts ``reps``, each certified when its polynomial splits (exact backend)."""
+    radius, certified, spectrum = {}, {}, {}
+    for part, rep in zip(("traceless-symmetric", "antisymmetric"), reps):
+        spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
+        radius[part], certified[part] = (linalg.certified_spectral_radius(rep) if exact
+                                         else (max(map(abs, spectrum[part]), default=0.0), None))
+    value = max(radius.values())
+    if any(x is None for x in certified.values()):
+        overall, irreducible = None, value < 1.0 - 1e-9
+    else:
+        overall = max(certified.values())
+        irreducible = (Radical(1) - overall).sign() > 0
+    return Theta1Result(value, overall, radius, certified, spectrum, irreducible)
+
+
 class _Quad(Multiquad):
     """The analysis kernel of one system: Psi_s(B) = A_s B A_s^T and the weight E, as arrays.
 
@@ -448,7 +464,7 @@ class _Quad(Multiquad):
 
     @cached_property
     def energy(self):
-        return self.pack_coords([self.e])
+        return self.pack(self.system.energy)
 
     @cached_property
     def ident(self):
@@ -465,9 +481,9 @@ class _Quad(Multiquad):
         """M on the trace-free symmetric and on the antisymmetric matrices, as matrices of the backend.
 
         The first is (M F)[1:, :] in the basis F of :func:`_trace_free_coords`,
-        the second M on the antisymmetric packed coordinates.  Both sums of Psi
-        move to the smallest field holding them and E (Q for sg, where Psi
-        needs sqrt 3) and meet F there, with no operator table.  Empty if d = 1.
+        the second M on the antisymmetric packed coordinates: both from this
+        kernel's Psi, summed in the smallest field holding the sums and E (Q
+        for sg, whose Psi needs sqrt 3), with no operator table.
         """
         sums = [x.sum(axis=0) for x in (self.sym, self.anti)]
         prod = self.packed.prod
@@ -480,19 +496,7 @@ class _Quad(Multiquad):
 
     @cached_property
     def theta1(self) -> Theta1Result:
-        """The spectral radius of M on both :attr:`theta1_reps`, each certified when its polynomial splits."""
-        radius, exact, spectrum = {}, {}, {}
-        for part, rep in zip(("traceless-symmetric", "antisymmetric"), self.theta1_reps):
-            spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
-            radius[part], exact[part] = (linalg.certified_spectral_radius(rep) if self.exact
-                                         else (max(map(abs, spectrum[part]), default=0.0), None))
-        value = max(radius.values())
-        if any(x is None for x in exact.values()):
-            overall, irreducible = None, value < 1.0 - 1e-9
-        else:
-            overall = max(exact.values())
-            irreducible = (Radical(1) - overall).sign() > 0
-        return Theta1Result(value, overall, radius, exact, spectrum, irreducible)
+        return _theta1_of(self.theta1_reps, self.exact)
 
     @cached_property
     def m_sum(self):
@@ -620,12 +624,8 @@ class _Quad(Multiquad):
 
     def pack(self, mat):
         """One symmetric matrix as a stack of one row."""
-        return self.pack_coords([[mat[i, j] for i, j in self.pairs]])
-
-    def pack_coords(self, rows):
-        """Rows of packed coordinates, as scalars of the backend, as a stack."""
-        num, den = self._pack_scalars([x for row in rows for x in row])
-        return num.reshape(len(rows), -1), den
+        num, den = self._pack_scalars([mat[i, j] for i, j in self.pairs])
+        return num.reshape(1, -1), den
 
     def unpack_matrices(self, num, den, field) -> np.ndarray:
         """Packed rows back to symmetric matrices of the backend, as (rows, d, d)."""

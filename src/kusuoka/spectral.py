@@ -46,6 +46,8 @@ def theta1(system: matsys.MatrixSystem) -> Theta1Result:
     the antisymmetric matrices, and M keeps both; each part's radius is
     certified when its characteristic polynomial splits (``_Quad.theta1``).
     """
+    if system.dim == 1:  # no direction off the identity: nothing to pack
+        return quadform._theta1_of((system.field.zeros((0, 0)),) * 2, system.backend == EXACT)
     return _Quad(system).theta1
 
 
@@ -127,11 +129,10 @@ class CkResult:
 def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = None):
     """The forms of ``c_k`` for every k in ``levels``: (H, {k: G'_k}).
 
-    Both are Gram matrices over the kernel's trace-free basis f_q:
-    H_ij = <f_i, f_j>_E and G'_ij = sum_{|alpha|=k} t_i(alpha) t_j(alpha).
-    None when d = 1.  The budget is checked before the kernel is built, or
-    ``q``, the caller's kernel of ``system``, is used; one chain of
-    beta-weights serves every level.
+    Both are Gram matrices over the kernel's trace-free basis f_q: H_ij =
+    <f_i, f_j>_E and G'_ij = sum_{|alpha|=k} t_i(alpha) t_j(alpha).  None when
+    d = 1.  The budget is checked before the kernel is built (or the caller's
+    kernel ``q`` of ``system`` is used); one beta-weight chain serves all k.
     """
     if system.dim == 1:
         return None

@@ -430,11 +430,12 @@ def test_psi_of_many_roots_needs_no_field_of_them_all():
 
 
 def test_averaging_reps_of_dimension_one_are_empty(bern, monkeypatch):
-    """d = 1 has no trace-free or antisymmetric direction: theta1's reps pack and form nothing past the kernel."""
+    """d = 1 has no trace-free or antisymmetric direction: theta1 alone packs nothing, a kernel's reps nothing more."""
     q = quadform._Quad(bern)
     monkeypatch.setattr(quadform, "_pack_maps", None)
     monkeypatch.setattr(quadform, "_psi", None)
     assert [(r.shape, r.dtype) for r in q.theta1_reps] == [((0, 0), object)] * 2
+    assert theta1(bern) == q.theta1 and q.theta1.part_spectrum == {"traceless-symmetric": (), "antisymmetric": ()}
 
 
 def test_psi_takes_no_radical_product(monkeypatch):
