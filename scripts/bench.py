@@ -6,7 +6,10 @@ The layers, from the scalar up:
   scalar     2x2 matrix product (Radical entries on exact, float64 on float)
   tables     level_nu(sg3, 5): every depth-5 cylinder mass
   operation  generate_system(6);
-             mixing_bound_check(sg, k, nmax=12) for k = 2, 3;
+             mixing_bound_check(sg, k, nmax=12) for k = 2, 3, and
+             mixing_bound_check(sg3, k=1, nmax=8);
+             kusuoka correlate --builtin sg --alpha 01 --beta 2 --nmax 50,
+             in process with its output discarded;
              sample_many(sg): 1000 words of length 16 and 10000 words of
              length 20, seed 0;
              dilation_check(sg, f, k=3) for a seeded depth-6 f with values
@@ -40,6 +43,7 @@ Seeds are fixed, so two files differ only in the code they timed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -92,6 +96,12 @@ def _timed(fn, repeats: int) -> dict:
     return {"wall_s": min(wall), "cpu_s": min(cpu), "repeats": repeats, "inner": inner}
 
 
+def _quiet(fn, *args):
+    """fn(*args) with its standard output discarded."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        return fn(*args)
+
+
 def _cpu_name() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -121,7 +131,7 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
     sys.path.insert(0, str(src))
     import numpy as np
 
-    from kusuoka import gasket, matsys, measure, procspace, spectral, symbolic
+    from kusuoka import cli, gasket, matsys, measure, procspace, spectral, symbolic
     from kusuoka.linalg import EXACT, FLOAT
 
     records = []
@@ -153,6 +163,11 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         for k in (2, 3):
             add("operation", f"mixing_bound_check(sg, k={k}, nmax=12)", backend,
                 lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12))
+        add("operation", "mixing_bound_check(sg3, k=1, nmax=8)", backend,
+            lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg3), 1, 8))
+        correlate = ["correlate", "--builtin", "sg", "--alpha", "01", "--beta", "2", "--nmax", "50",
+                     "--backend", backend]
+        add("operation", "kusuoka " + " ".join(correlate), backend, lambda: _quiet(cli.main, correlate))
         for length, count in ((16, 1000), (20, 10000)):
             add("operation", f"sample_many(sg, {length}, {count}, seed=0)", backend,
                 lambda: measure.sample_many(measure.kusuoka_measure(sg), length, count, 0))

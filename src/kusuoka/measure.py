@@ -12,6 +12,7 @@ reproducible sequential sampler.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -218,7 +219,11 @@ class MixingRow:
     against the geometric bound 2 * theta1^n.  The pointwise columns
     certify sup-norm decay of the conditioned masses: ``pointwise_max``
     is the largest operator norm of M^n applied to the centered cylinder
-    weight, per-alpha compared against dim * theta1^n * nu(alpha).
+    weight, and ``pointwise_ok`` says that every such norm is at most
+    dim * theta1^n * nu(alpha).  For d <= 2 both flags are exact
+    certificates whenever theta1 is certified, and ``pointwise_max`` is
+    exact unless its square root leaves the field of the system, when it
+    is a float.  An uncertified theta1 makes the bounds floats.
     """
 
     n: int
@@ -236,33 +241,82 @@ def _le(lhs, rhs, slack: float = 0.0) -> bool:
     return float(lhs) <= float(rhs) + slack
 
 
+def _pointwise_by_matrix(q: _Quad, centered, a_mass: list, scale) -> tuple:
+    """(largest norm, every norm <= scale * nu) of one step from each centred matrix's own Schatten norm: d >= 3."""
+    pw_max, pw_ok = None, True
+    for c, mass in zip(q.unpack_matrices(*centered, q.system.field), a_mass):
+        norm = matsys.schatten_norm(c, "inf")
+        pw_ok = pw_ok and _le(norm, scale * mass, 1e-12)
+        if pw_max is None or not _le(norm, pw_max):
+            pw_max = norm
+    return pw_max, pw_ok
+
+
+def _pointwise_by_surds(q: _Quad, cs: list, a_nu, a_mass: list, scales: list, certified: bool) -> list:
+    """(largest norm, every norm <= scale * nu) of each step's centred matrices, d <= 2, with one square root a step.
+
+    The norms x + sqrt(y) are compared in the kernel's field; only the two
+    winners of a step are unpacked.  The largest norm is exact when sqrt(y)
+    is in the field, else the Schatten norm of that matrix.  The flag tests
+    the largest norm over nu: x + sqrt(y) <= t = scale * nu iff t - x >= 0
+    and (t - x)^2 >= y, so no square root is taken.
+    """
+    fld = q.system.field
+    num, den = q.join(cs)
+    x, y, den = q.norm_parts((num.reshape(len(cs), len(a_mass), -1), den))
+    by_norm, by_ratio = q.norm_winners(x, y, a_nu[0])
+
+    def parts(r, i):
+        return q.unpack(x[r, i][None], den)[0], q.unpack(y[r, i][None], den * den)[0]
+
+    out = []
+    for r, (i, j, scale) in enumerate(zip(by_norm, by_ratio, scales)):
+        nx, ny = parts(r, i)
+        root = fld.sqrt(ny)
+        pw_max = (nx + root if root is not None
+                  else matsys.schatten_norm(q.unpack_matrices(cs[r][0][i:i + 1], cs[r][1], fld)[0], "inf"))
+        rx, ry = parts(r, j)
+        if certified:
+            t = scale * a_mass[j] - rx
+            pw_ok = t.sign() >= 0 and (t * t - ry).sign() >= 0
+        else:
+            pw_ok = float(rx) + math.sqrt(float(ry)) <= scale * a_mass[j] + 1e-12
+        out.append((pw_max, pw_ok))
+    return out
+
+
 def mixing_bound_check(
     m: KusuokaMeasure, k: int, n_max: int, budget: int = symbolic.DEFAULT_BUDGET
 ) -> list[MixingRow]:
     """Tabulate worst-case correlation gaps against 2 * theta1^n.
 
     The gaps run on the packed quadratic forms: the beta weights
-    A(beta)^T E A(beta) advance by M* and each separation step pairs all of
-    them with every P(alpha) in one bilinear product.  Exact on the exact
-    backend: the gap maximum is found with the integer sign test of the
-    field and compared with the bound by sign, so ``gap_ok`` is a
-    certificate, not a float comparison.  The float fallback is left in one
-    place, the pointwise operator-norm column: a norm that leaves the scalar
-    field (the eigenvalues of a centred matrix need a square root outside
-    it, or a characteristic polynomial of degree >= 3 does not split) is a
-    float, compared with a 1e-12 slack.  An uncertified theta1 is a float
-    too: the bound columns (``gap_bound``, ``pointwise_bound``) are then
-    floats, so ``gap_ok`` and ``pointwise_ok`` are float comparisons, while
-    the gap and pointwise maxima stay exact.
+    A(beta)^T E A(beta) advance by M* and the centred cylinder weights
+    P(alpha) - nu(alpha) I by M, one operator product per step; the steps
+    are then taken together, as many as one gap block holds, so one
+    bilinear product pairs every step's weights with every P(alpha) and
+    one tournament finds every step's largest gap.  On the exact backend
+    every comparison is an integer sign test in the field of the kernel.
+
+    For d <= 2 the operator norm of a centred C is x + sqrt(y) with x, y in
+    that field (:meth:`_Quad.norm_parts`).  Tournaments that compare such
+    surds without a square root find each step's largest norm and largest
+    norm over nu(alpha), and ``pointwise_ok`` ends with one squared-out
+    test of the second against dim * theta1^n, so it is an exact
+    certificate even when theta1 lies outside the field.  Floats are left
+    only in a printed ``pointwise_max`` whose square root leaves the field
+    (the Schatten norm of that one matrix) and in an uncertified theta1:
+    the bound columns are then floats and both flags float comparisons,
+    with a 1e-12 slack for the pointwise one, while the maxima stay exact.
+    For d >= 3 every centred matrix's Schatten norm is compared on its
+    own, as a float when its characteristic polynomial does not split.
     """
     if k < 0 or n_max < 0:
         raise ValueError("depth and separation must be >= 0")
     sys_, q = m.system, m._quad
     t1 = q.theta1
-    if t1.exact is not None:
-        lift, t1_scalar = sys_.field.lift, t1.exact
-    else:
-        lift, t1_scalar = float, t1.value
+    certified = t1.exact is not None
+    lift, t1_scalar = (sys_.field.lift, t1.exact) if certified else (float, t1.value)
 
     pa = m._level_table(k, budget)
     a_mass = [lift(x) for x in m.level_nu(k, budget)]
@@ -277,27 +331,24 @@ def mixing_bound_check(
     two, dim = lift(2), lift(sys_.dim)
     rows = []
     t1_pow = lift(1)
-    for n in range(n_max + 1):
-        max_gap = q.max_gap(pa, weights, prod)
-        gap_bound = two * t1_pow
-        gap_ok = _le(max_gap, gap_bound)
-
-        pw_max = None
-        pw_ok = True
-        scale = dim * t1_pow
-        for c, mass in zip(q.unpack_matrices(*centered, sys_.field), a_mass):
-            norm = matsys.schatten_norm(c, "inf")
-            bound = scale * mass
-            if not _le(norm, bound, 1e-12):
-                pw_ok = False
-            if pw_max is None or not _le(norm, pw_max, 0.0):
-                pw_max = norm
-        rows.append(MixingRow(n, max_gap, gap_bound, gap_ok, pw_max, scale * max_mass, pw_ok))
-
-        if n < n_max:
-            weights = q.apply(weights, q.m_star_sum)
-            centered = q.apply(centered, q.m_sum)
-            t1_pow = t1_pow * t1_scalar
+    per_block = q.steps_per_block(len(pa[0]) * len(weights[0]))
+    for lo in range(0, n_max + 1, per_block):
+        steps = range(lo, min(lo + per_block, n_max + 1))
+        ws, cs, powers = [], [], []
+        for n in steps:
+            if n > 0:
+                weights = q.apply(weights, q.m_star_sum)
+                centered = q.apply(centered, q.m_sum)
+                t1_pow = t1_pow * t1_scalar
+            ws.append(weights)
+            cs.append(centered)
+            powers.append(t1_pow)
+        scales = [dim * p for p in powers]
+        pointwise = (_pointwise_by_surds(q, cs, a_nu, a_mass, scales, certified) if q.dim <= 2
+                     else [_pointwise_by_matrix(q, c, a_mass, scale) for c, scale in zip(cs, scales)])
+        for n, gap, p, scale, (pw_max, pw_ok) in zip(steps, q.max_gaps(pa, ws, prod), powers, scales, pointwise):
+            gap_bound = two * p
+            rows.append(MixingRow(n, gap, gap_bound, _le(gap, gap_bound), pw_max, scale * max_mass, pw_ok))
     return rows
 
 

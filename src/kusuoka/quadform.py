@@ -194,14 +194,48 @@ class Multiquad(_Span):
         norm = self.mul(u, u) - self.gens[half.bit_length() - 1] * self.mul(v, v)
         return np.where(su * sv >= 0, np.where(su != 0, su, sv), su * self.sign(norm))
 
+    def surd_sign(self, u, a, b):
+        """Exact sign of u + sqrt(a) - sqrt(b) for field elements u and a, b >= 0 of one shape (..., m').
+
+        Where sign(u) and sign(a - b) = sign(sqrt(a) - sqrt(b)) agree, or
+        one is 0, that is the sign.  Elsewhere it is sign(u) times the sign
+        of u^2 - (sqrt(a) - sqrt(b))^2 = z + 2 sqrt(ab), z = u^2 - a - b: 1
+        when z > 0, sign(ab) when z = 0, sign(4ab - z^2) when z < 0.  No
+        square root is taken.
+        """
+        su, sd = self.sign(u), self.sign(a - b)
+        out = np.where(su != 0, su, sd)
+        mixed = su * sd < 0
+        if mixed.any():
+            u, a, b = u[mixed], a[mixed], b[mixed]
+            z, ab = self.mul(u, u) - a - b, self.mul(a, b)
+            sz = self.sign(z)
+            far = np.where(sz == 0, self.sign(ab), self.sign(4 * ab - self.mul(z, z)))
+            out[mixed] = su[mixed] * np.where(sz > 0, 1, far)
+        return out
+
+    @staticmethod
+    def tournament(items, beats):
+        """The first largest candidate of every batch: arrays (..., N, c) -> (..., c), N >= 1.
+
+        ``items`` share their leading axes and the candidate axis -2;
+        beats(b, a) takes the two lists of candidates that meet and is True
+        where b is strictly larger than a.  Pairs meet in index order and
+        the earlier keeps a tie, so the winner is the first largest.
+        """
+        while items[0].shape[-2] > 1:
+            n = items[0].shape[-2]
+            a = [x[..., 0:n - 1:2, :] for x in items]
+            b = [x[..., 1::2, :] for x in items]
+            win = beats(b, a)[..., None]
+            items = [np.concatenate([np.where(win, xb, xa), x[..., n - n % 2:, :]], axis=-2)
+                     for x, xa, xb in zip(items, a, b)]
+        return [x[..., 0, :] for x in items]
+
     def max_abs(self, x):
-        """The largest |x_i| of a stack of field elements (N, m), N >= 1, as coordinates."""
-        x = np.where((self.sign(x) < 0)[:, None], -x, x)
-        while len(x) > 1:
-            odd = x[-1:] if len(x) % 2 else x[:0]
-            a, b = x[0:len(x) - 1:2], x[1::2]
-            x = np.concatenate([np.where((self.sign(b - a) > 0)[:, None], b, a), odd])
-        return x[0]
+        """The largest |x_i| along axis -2 of field elements (..., N, m), N >= 1, as (..., m)."""
+        x = np.where((self.sign(x) < 0)[..., None], -x, x)
+        return self.tournament([x], lambda b, a: self.sign(b[0] - a[0]) > 0)[0]
 
     def quotient_floats(self, x, dx, y, dy) -> list:
         """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.
@@ -589,20 +623,68 @@ class _Quad(Multiquad):
                 out[:, q] = num
         return out.reshape(len(num), -1), den
 
-    def max_gap(self, x, y, prod):
-        """max |<x_a, y_b> - prod_ab| over all pairs, as a scalar of the backend.
+    @staticmethod
+    def steps_per_block(pairs: int) -> int:
+        """How many stacks of this many pairs one gap block holds, at least one."""
+        return max(1, _GAP_BLOCK // pairs)
 
-        Runs in blocks of rows of x, so no more than about ``_GAP_BLOCK``
-        pairs are held at once.
+    def max_gaps(self, x, ys, prod):
+        """max |<x_a, y_b> - prod_ab| over all pairs, for each stack y of ``ys``, as scalars of the backend.
+
+        All stacks are paired with x in one bilinear product, run in blocks
+        of rows of x so that no more than about ``_GAP_BLOCK`` pairs are held
+        at once; one tournament over the pairs of every stack finds the maxima.
         """
-        block = max(1, _GAP_BLOCK // len(y[0]))
+        rows = len(ys)
+        yn, yd = self.join(ys)
+        block = max(1, _GAP_BLOCK // len(yn))
         best = []
         for lo in range(0, len(x[0]), block):
-            num, den = self.sub(self.pair((x[0][lo:lo + block], x[1]), y),
-                                (prod[0][lo:lo + block], prod[1]))
-            best.append((self.max_abs(num.reshape(-1, self.m))[None], den))
+            num, den = self.pair((x[0][lo:lo + block], x[1]), (yn, yd))
+            num, den = self.sub((num.reshape(len(num), rows, -1, self.m), den),
+                                (prod[0][lo:lo + block, None], prod[1]))
+            best.append((self.max_abs(num.transpose(1, 0, 2, 3).reshape(rows, -1, self.m))[None], den))
         num, den = self.join(best)
-        return self.unpack(self.max_abs(num)[None], den)[0]
+        return self.unpack(self.max_abs(num.transpose(1, 0, 2)), den)
+
+    def norm_parts(self, c):
+        """The operator norm of every packed symmetric matrix of a stack (..., D*m), d <= 2, as (x + sqrt(y)) / den.
+
+        Returns x, y >= 0 as field elements (..., m) and den.  For d = 2
+        the eigenvalues are (tr +- sqrt((c11 - c22)^2 + 4 c12^2)) / 2, so
+        x = |tr| and y = (c11 - c22)^2 + 4 c12^2 on the numerators, over
+        2 den; for d = 1, x = |c| and y = 0.
+        """
+        num, den = c
+        e = num.reshape(num.shape[:-1] + (len(self.pairs), self.m))
+        if self.dim == 1:
+            x, y = e[..., 0, :], np.zeros_like(e[..., 0, :])
+        else:
+            diff = e[..., 0, :] - e[..., 2, :]
+            x, y = e[..., 0, :] + e[..., 2, :], self.mul(diff, diff) + 4 * self.mul(e[..., 1, :], e[..., 1, :])
+            den = 2 * den
+        return np.where((self.sign(x) < 0)[..., None], -x, x), y, den
+
+    def norm_winners(self, x, y, nus):
+        """The first largest norm and the first largest norm over nu of every stack, d <= 2.
+
+        x, y (rows, N, m) are the :meth:`norm_parts` of N matrices per row,
+        nus (N, m) their masses, all > 0.  Returns two index arrays (rows,).
+        Norms meet by :meth:`surd_sign` on the numerators, and the ratios
+        cross-multiplied: (x_b + sqrt(y_b)) nu_a against (x_a + sqrt(y_a)) nu_b.
+        """
+        shape = x.shape[:-1] + (1,)
+        idx = np.broadcast_to(np.arange(shape[-2])[:, None], shape)
+        norm = self.tournament([idx, x, y], lambda b, a: self.surd_sign(b[1] - a[1], b[2], a[2]) > 0)[0]
+        nu = np.broadcast_to(nus, x.shape)
+        nu2 = np.broadcast_to(self.mul(nus, nus), x.shape)
+
+        def beats(b, a):
+            u = self.mul(a[3], b[1]) - self.mul(b[3], a[1])
+            return self.surd_sign(u, self.mul(a[4], b[2]), self.mul(b[4], a[2])) > 0
+
+        ratio = self.tournament([idx, x, y, nu, nu2], beats)[0]
+        return norm[..., 0], ratio[..., 0]
 
     def pair(self, x, y):
         """<x_a, y_b> for every pair of rows, as field elements (a, b, m)."""

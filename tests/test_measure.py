@@ -7,14 +7,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kusuoka import cli, spectral
+from kusuoka import cli, matsys, spectral
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix
+from kusuoka.linalg import FLOAT
 from kusuoka.matsys import bernoulli_system, make_system, sg_system
 from kusuoka.measure import (
+    MixingRow,
     SystemInvalidError,
+    _le,
     conditional,
     correlation_gap,
     correlation_gap_brute,
@@ -28,6 +33,7 @@ from kusuoka.measure import (
     sample_many,
     transfer_apply,
 )
+from kusuoka.quadform import Multiquad
 from kusuoka.spectral import renormalize
 from kusuoka.symbolic import BudgetError, CylinderFunction, all_words, indicator, word_index, word_matrix
 
@@ -396,5 +402,192 @@ def test_mixing_gap_blocks_agree(monkeypatch):
     import kusuoka.quadform as quadform_mod
 
     whole = mixing_bound_check(kusuoka_measure(sg_system()), 2, 4)
-    monkeypatch.setattr(quadform_mod, "_GAP_BLOCK", 20)  # 9 alphas x 13 betas: 9 blocks of one alpha
+    monkeypatch.setattr(quadform_mod, "_GAP_BLOCK", 20)  # 9 alphas x 13 betas: one step and one alpha per block
     assert mixing_bound_check(kusuoka_measure(sg_system()), 2, 4) == whole
+
+
+@pytest.mark.parametrize("k, block", [(2, 50), (1, 50)], ids=["rows-and-alphas", "rows"])
+def test_mixing_blocks_split_steps_and_alphas(monkeypatch, k, block):
+    """k = 2: 117 pairs a step, so one step per block and alphas in blocks of 3; k = 1: 12 pairs, 4 steps per block."""
+    import kusuoka.quadform as quadform_mod
+
+    whole = mixing_bound_check(kusuoka_measure(sg_system()), k, 40)
+    monkeypatch.setattr(quadform_mod, "_GAP_BLOCK", block)
+    assert mixing_bound_check(kusuoka_measure(sg_system()), k, 40) == whole
+
+
+# -- the mixing table against the table of one step and one alpha at a time ---
+
+
+def _reference_rows(m, k: int, n_max: int) -> list:
+    """The mixing table one separation step at a time.
+
+    Every gap and every centred matrix's Schatten norm is unpacked and
+    compared by ``_le``.
+    """
+    sys_, q, fld = m.system, m._quad, m.system.field
+    t1 = q.theta1
+    lift, rate = (fld.lift, t1.exact) if t1.exact is not None else (float, t1.value)
+    pa = m._level_table(k)
+    a_mass = [lift(x) for x in m.level_nu(k)]
+    a_nu = q.nu(pa)
+    weights = q.join(q.betas(k))
+    b_nu = q.join([q.nu(m._level_table(j)) for j in range(k + 1)])
+    prod = q.mul(a_nu[0][:, None, :], b_nu[0][None, :, :]), a_nu[1] * b_nu[1]
+    centered = q.sub(pa, q.scaled_ident(a_nu))
+    rows, t1_pow = [], lift(1)
+    for n in range(n_max + 1):
+        if n:
+            weights, centered = q.apply(weights, q.m_star_sum), q.apply(centered, q.m_sum)
+            t1_pow = t1_pow * rate
+        num, den = q.sub(q.pair(pa, weights), prod)
+        max_gap = None
+        for gap in q.unpack(num.reshape(-1, q.m), den):
+            if max_gap is None or not _le(abs(gap), max_gap):
+                max_gap = abs(gap)
+        pw_max, pw_ok, scale = None, True, lift(sys_.dim) * t1_pow
+        for c, mass in zip(q.unpack_matrices(*centered, fld), a_mass):
+            norm = matsys.schatten_norm(c, "inf")
+            pw_ok = pw_ok and _le(norm, scale * mass, 1e-12)
+            if pw_max is None or not _le(norm, pw_max):
+                pw_max = norm
+        gap_bound = lift(2) * t1_pow
+        rows.append(MixingRow(n, max_gap, gap_bound, _le(max_gap, gap_bound), pw_max, scale * max(a_mass), pw_ok))
+    return rows
+
+
+def _from_test_spectral(name: str):
+    """A system builder of test_spectral, which imports this module, so it is looked up on use."""
+    import test_spectral
+
+    return getattr(test_spectral, name)
+
+
+_MIXING_CASES = {
+    **{f"{name}-k{k}": (build, k, 4)
+       for name, (build, _, mix_k) in _ORACLE_SYSTEMS.items() for k in sorted({0, mix_k})},
+    **{f"raw{b}-k{k}": ((lambda b=b: _from_test_spectral("_raw_system")(b)), k, 3)
+       for b in range(3) for k in (0, 1, 2)},
+    "raw0-k2-negative": (lambda: _from_test_spectral("_raw_system")(0), 2, 5),
+    "diagonal-d3": (lambda: _from_test_spectral("_diagonal_d3")(), 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXING_CASES))
+def test_mixing_table_equals_per_alpha_reference(name):
+    build, k, n_max = _MIXING_CASES[name]
+    m = kusuoka_measure(build())
+    rows = mixing_bound_check(m, k, n_max)
+    assert rows == _reference_rows(m, k, n_max)
+    if name == "raw0-k2-negative":
+        # theta1 = sqrt(471)/29 lies outside the kernel's field Q(sqrt 19); the certificate fails for n <= 4
+        assert [r.pointwise_ok for r in rows] == [False] * 5 + [True]
+    if name.startswith("two-radicand"):
+        assert all(isinstance(r.pointwise_bound, float) for r in rows)
+
+
+def test_float_mixing_table_agrees_with_reference(sg_float_measure):
+    rows = mixing_bound_check(sg_float_measure, 2, 8)
+    want = _reference_rows(sg_float_measure, 2, 8)
+    for row, ref in zip(rows, want, strict=True):
+        assert abs(row.pointwise_max - ref.pointwise_max) <= 1e-12 * ref.pointwise_max
+        assert row == MixingRow(**{**vars(ref), "pointwise_max": row.pointwise_max})
+
+
+def test_pointwise_column_takes_one_root_per_step(monkeypatch):
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    cases = [(kusuoka_measure(sg_system()), 2, 6), (kusuoka_measure(generate_system(3)), 1, 5)]
+    for m, _, _ in cases:
+        m._quad.theta1  # noqa: B018 -- certified before the count starts
+    monkeypatch.setattr(matsys, "schatten_norm", spy("schatten_norm", matsys.schatten_norm))
+    monkeypatch.setattr(Radical, "sqrt", spy("sqrt", Radical.sqrt))
+    for m, k, n_max in cases:
+        calls.clear()
+        rows = mixing_bound_check(m, k, n_max)
+        assert calls["schatten_norm"] + calls["sqrt"] <= len(rows)
+
+
+_SURD_FIELDS = {"sqrt3": Multiquad({3}, True), "two-radicand": Multiquad({15, 30}, True)}
+
+
+def _root_of(fld, draw, scale):
+    """(coordinates of a >= 0, sqrt(a) as a Radical, coordinates of sqrt(a) or None), a scaled by scale^2."""
+    if draw(st.booleans()):
+        p = np.array([draw(st.integers(-20, 20)) for _ in range(fld.m)], dtype=object)
+        root = abs(fld.unpack(p[None], 1)[0])
+        p = p if fld.unpack(p[None], 1)[0].sign() >= 0 else -p
+        return fld.mul(p, p) * scale * scale, root * scale, p * scale
+    r = draw(st.integers(0, 60))
+    a = np.zeros(fld.m, dtype=object)
+    a[0] = r * scale * scale
+    return a, Radical.root(Fraction(r)) * scale, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SURD_FIELDS)), st.sampled_from(["free", "tie", "near"]), st.data())
+def test_surd_sign_matches_radical(field, mode, data):
+    """sign(u + sqrt(a) - sqrt(b)), each root a field element or the root of a rational; ties and near-ties included."""
+    fld, draw = _SURD_FIELDS[field], data.draw
+    scale = 1 if mode == "free" else 1000
+    a, root_a, ca = _root_of(fld, draw, scale)
+    b, root_b, cb = _root_of(fld, draw, scale)
+    if mode == "free":
+        u = np.array([draw(st.integers(-40, 40)) for _ in range(fld.m)], dtype=object)
+    elif ca is not None and cb is not None:
+        u = cb - ca
+    else:
+        # the integer nearest to sqrt(b) - sqrt(a) in its rational coordinate
+        u = np.zeros(fld.m, dtype=object)
+        u[0] = round(float(root_b - root_a))
+    if mode == "near":
+        u = u + np.array([draw(st.integers(-1, 1)) for _ in range(fld.m)], dtype=object)
+    want = (fld.unpack(u[None], 1)[0] + root_a - root_b).sign()
+    assert fld.surd_sign(u[None], a[None], b[None])[0] == want
+
+
+@pytest.mark.parametrize("u, a, b, want", [
+    ([5, 0], [9, 0], [16, 0], 1),  # z = u^2 - a - b = 0 and ab > 0
+    ([-3, 0], [9, 0], [0, 0], 0),  # z = 0 and ab = 0: -3 + 3 - 0
+    ([0, 1], [0, 0], [3, 0], 0),  # sqrt 3 + 0 - sqrt 3
+    ([0, -1], [3, 0], [0, 0], 0),
+    ([1, 0], [0, 0], [3, 0], -1),  # z < 0: 1 < sqrt 3
+    ([2, 0], [0, 0], [3, 0], 1),  # z > 0
+])
+def test_surd_sign_edge_cases(u, a, b, want):
+    fld = _SURD_FIELDS["sqrt3"]
+    args = [np.array([x], dtype=object) for x in (u, a, b)]
+    assert fld.surd_sign(*args)[0] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 40)), min_size=n, max_size=n),
+             min_size=1, max_size=3),
+    st.lists(st.integers(1, 9), min_size=n, max_size=n))))
+def test_norm_winners_are_first_largest(case):
+    """Over Q: the first largest x + sqrt(y), and of (x + sqrt(y)) / nu, by Radical arithmetic."""
+    parts, nus = case
+    q = kusuoka_measure(bernoulli_system([Fraction(1, 2), Fraction(1, 2)]))._quad
+    assert q.m == 1
+    x = np.array([[[p[0]] for p in row] for row in parts], dtype=object)
+    y = np.array([[[p[1]] for p in row] for row in parts], dtype=object)
+    by_norm, by_ratio = q.norm_winners(x, y, np.array([[v] for v in nus], dtype=object))
+
+    def first_max(keys):
+        best = 0
+        for i, key in enumerate(keys):
+            if (key - keys[best]).sign() > 0:
+                best = i
+        return best
+
+    for r, row in enumerate(parts):
+        norms = [Radical(a) + Radical.root(Fraction(b)) for a, b in row]
+        assert by_norm[r] == first_max(norms)
+        assert by_ratio[r] == first_max([v / nu for v, nu in zip(norms, nus)])
