@@ -13,7 +13,10 @@ The layers, from the scalar up:
              sample_many(sg): 1000 words of length 16 and 10000 words of
              length 20, seed 0;
              dilation_check(sg, f, k=3) for a seeded depth-6 f with values
-             in -3 .. 3, and q_decay_check(sg, 1, 6, 100 trials, seed 0);
+             in -3 .. 3, dilation_check(sg, f, k=1) for a seeded depth-3 f
+             (the shape of the benchmark's k < depth dilation job), and
+             q_decay_check(sg, 1, 6, 100 trials, seed 0);
+             validate(sg3);
              theta1(sg5), theta1(sg6), c_k(sg5, 2), c_k(sg6, 1), c_k(sg6, 2)
              and theta2(sg5, 2); theta1 and c_k(., 1) of the renormalized
              raw maps RAW below
@@ -155,8 +158,8 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         sg5 = gasket.generate_system(5, backend)
         sg6 = gasket.generate_system(6, backend)
         a, b = sg.maps[0], sg.maps[1]
-        f6 = symbolic.cylinder_from_values(
-            sg, 6, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**6)])
+        f3, f6 = (symbolic.cylinder_from_values(
+            sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (3, 6))
         add("scalar", "2x2 matmul", backend, lambda: a @ b)
         add("tables", "level_nu(sg3, 5)", backend, lambda: measure.kusuoka_measure(sg3).level_nu(5))
         add("operation", "generate_system(6)", backend, lambda: gasket.generate_system(6, backend))
@@ -173,8 +176,11 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
                 lambda: measure.sample_many(measure.kusuoka_measure(sg), length, count, 0))
         add("operation", "dilation_check(sg, depth-6 f, k=3)", backend,
             lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f6, 3))
+        add("operation", "dilation_check(sg, depth-3 f, k=1)", backend,
+            lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f3, 1))
         add("operation", "q_decay_check(sg, 1, 6, 100, seed=0)", backend,
             lambda: procspace.q_decay_check(sg, 1, 6, 100, 0))
+        add("operation", "validate(sg3)", backend, lambda: matsys.validate(sg3))
         for name, system in (("sg5", sg5), ("sg6", sg6)):
             add("operation", f"theta1({name})", backend, lambda: spectral.theta1(system))
         for name, system, k in (("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2)):

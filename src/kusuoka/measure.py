@@ -21,7 +21,8 @@ import numpy as np
 from . import matsys, symbolic
 from .exactnum import Radical
 from .matsys import MatrixSystem
-from .quadform import _Quad
+from .multiquad import MapField, map_field
+from .quadform import _Quad, symmetric_index
 from .symbolic import BudgetError, CylinderFunction, Word
 
 __all__ = [
@@ -60,13 +61,15 @@ class KusuokaMeasure:
 
     The caches are value-level memoization only; all public operations
     stay pure functions of (system, arguments).  The quadratic-form kernel
-    (theta1 included) and its level tables are built on first use, per measure.
+    (theta1 included), the maps packed in their field and the level tables
+    are built on first use, per measure.
     """
 
     system: MatrixSystem
     _level_mats: dict = field(default_factory=dict, repr=False, compare=False)
     _level_p: dict = field(default_factory=dict, repr=False, compare=False)
     _level_mass: dict = field(default_factory=dict, repr=False, compare=False)
+    _level_mass_array: dict = field(default_factory=dict, repr=False, compare=False)
     _level_beta: dict = field(default_factory=dict, repr=False, compare=False)
     _sampler_nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -74,17 +77,29 @@ class KusuokaMeasure:
     def _quad(self) -> _Quad:
         return _Quad(self.system)
 
-    def level_matrices(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
-        """Word matrices of every length-k word as one (n^k, d, d) array, cached per level."""
+    @cached_property
+    def _maps(self) -> MapField:
+        return map_field(self.system.maps, self.system.energy)
+
+    def _word_table(self, k: int, budget: int = symbolic.DEFAULT_BUDGET):
+        """Packed word matrices A(alpha) of every length-k word, (n^k, d, d, m) in ``_maps.fld``, cached per level."""
         symbolic.check_budget(self.system.n_symbols, k, budget)
-        if k in self._level_mats:
-            return self._level_mats[k]
-        if k == 0:
-            table = self.system.field.identity(self.system.dim)[None]
-        else:
-            table = symbolic.next_level(self.level_matrices(k - 1, budget), self.system.maps)
-        self._level_mats[k] = table
-        return table
+        if k not in self._level_mats:
+            if k == 0:
+                num, den = self._maps.identity
+                self._level_mats[k] = num[None], den
+            else:
+                self._level_mats[k] = symbolic.next_level(self._word_table(k - 1, budget), self._maps)
+        return self._level_mats[k]
+
+    def level_matrices(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
+        """Word matrices of every length-k word as one read-only (n^k, d, d) array of the backend.
+
+        Unpacked on each call from the packed table of :meth:`_word_table`.
+        """
+        out = self._maps.fld.unpack_array(*self._word_table(k, budget))
+        out.setflags(write=False)
+        return out
 
     def _level_table(self, k: int, budget: int = symbolic.DEFAULT_BUDGET):
         """Packed P(alpha) = A(alpha) A(alpha)^T of every length-k word, cached per level."""
@@ -102,12 +117,23 @@ class KusuokaMeasure:
             self._level_mass[k] = self._quad.unpack(*self._quad.nu(self._level_table(k, budget)))
         return self._level_mass[k]
 
-    def level_betas(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
-        """beta-weights A(w)^T E A(w) of every length-k word as one (n^k, d, d) array, cached."""
+    def _nu_array(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
+        """``level_nu(k)`` as one read-only array of the backend, cached."""
+        masses = self.level_nu(k, budget)
+        if k not in self._level_mass_array:
+            arr = np.array(masses, dtype=self.system.field.dtype)
+            arr.setflags(write=False)
+            self._level_mass_array[k] = arr
+        return self._level_mass_array[k]
+
+    def _beta_table(self, k: int, budget: int = symbolic.DEFAULT_BUDGET):
+        """beta-weights A(w)^T E A(w) of every length-k word as full packed matrices (n^k, d, d, m) of the kernel, cached."""
         if k not in self._level_beta:
             symbolic.check_budget(self.system.n_symbols, k, budget)
             q = self._quad
-            self._level_beta[k] = q.unpack_matrices(*q.betas(k)[-1], self.system.field)
+            num, den = q.betas(k)[-1]
+            full = num.reshape(len(num), -1, q.m)[:, symmetric_index(q.dim)]
+            self._level_beta[k] = full.reshape(len(num), q.dim, q.dim, q.m), den
         return self._level_beta[k]
 
 

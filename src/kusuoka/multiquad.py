@@ -1,0 +1,355 @@
+"""Exact scalars and matrices as integer coordinates over a multiquadratic field.
+
+A scalar of the exact backend is a rational combination of square roots;
+here a stack of them is one integer array (coordinates on a list of square
+roots, last axis) over one common denominator, so a whole table advances
+by integer array products and no ``Radical`` is built until a result is
+read.  :class:`_Span` is such a list of roots, :class:`Multiquad` the field
+Q(sqrt g_1, ..., sqrt g_t) with its product, exact sign and inverse, and
+:meth:`Multiquad.matmul` the stacked d x d matrix product every word table
+and process table is built by.  :class:`MapField` packs a system's maps and
+weight in one such field.  The float backend is the same code with the one
+root sqrt(1) and float64 coordinates.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+from .exactnum import Radical
+
+
+def _radicands(xs, exact: bool) -> set:
+    """The squarefree radicands of the terms of the scalars xs; none on the float backend."""
+    return {r for x in xs for r, _ in Radical(x).terms()} if exact else set()
+
+
+def _support(num) -> list:
+    """The coordinates of a stack (..., m') that are nonzero somewhere."""
+    return [b for b in range(num.shape[-1]) if num[..., b].any()]
+
+
+class _Span:
+    """Scalars as integer coordinates on a list of square roots.
+
+    An element is sum_b x_b scale[b] sqrt(radicand[b]), radicand[b]
+    squarefree and distinct, stored as its m coordinates x_b.  A stack of
+    elements is a pair (num, den): ``num`` has the coordinates on its last
+    axis, and ``den`` is one positive int for the whole stack.  On the exact
+    backend ``num`` holds Python ints in object arrays; on the float backend
+    the only root is sqrt(1), ``num`` is float64 and ``den`` is 1.
+    """
+
+    def __init__(self, radicand: list, scale: list, exact: bool):
+        self.exact = exact
+        self.radicand, self.scale = radicand, scale
+        self.m = len(radicand)
+        self.where = {r: b for b, r in enumerate(radicand)}
+
+    @classmethod
+    def roots(cls, radicands, exact: bool) -> "_Span":
+        """The square roots of these radicands (of 1 when there are none), by increasing radicand, with unit scales."""
+        radicand = sorted(radicands or {1})
+        return cls(radicand, [1] * len(radicand), exact)
+
+    def _pack_scalars(self, xs):
+        """Scalars -> (num, den): their coordinates (len, m) over one denominator."""
+        if not self.exact:
+            return np.asarray(xs, dtype=float).reshape(-1, 1), 1
+        # coordinate b of x is c / scale[b] for its term c sqrt(radicand[b]): (k, b, numerator, denominator)
+        coords = []
+        for k, x in enumerate(xs):
+            for r, c in Radical(x).terms():
+                b = self.where.get(r)
+                if b is None:
+                    raise ValueError(f"{x} lies outside the field of the quadratic forms")
+                coords.append((k, b, c.numerator, c.denominator * self.scale[b]))
+        den = math.lcm(*(q for *_, q in coords))
+        num = np.zeros((len(xs), self.m), dtype=object)
+        for k, b, p, q in coords:
+            num[k, b] = p * (den // q)
+        return self._reduce(num, den)
+
+    def pack_array(self, xs):
+        """An array of scalars -> (num, den), num of shape xs.shape + (m,)."""
+        if not self.exact:
+            return np.asarray(xs, dtype=float)[..., None], 1
+        xs = np.asarray(xs)
+        num, den = self._pack_scalars(xs.ravel())
+        return num.reshape(xs.shape + (self.m,)), den
+
+    def _convert(self, src: "_Span", num, den):
+        """Coordinates (..., src.m) on the roots of ``src`` of elements that lie in this span, as a stack here.
+
+        A stack already on these roots is returned as it is.
+        """
+        if src.radicand == self.radicand and src.scale == self.scale:
+            return num, den
+        lcm = math.lcm(*self.scale)
+        out = np.zeros(num.shape[:-1] + (self.m,), dtype=num.dtype)
+        for b, r in enumerate(self.radicand):
+            k = src.where.get(r)
+            if k is not None:
+                out[..., b] = num[..., k] * (src.scale[k] * lcm // self.scale[b])
+        return self._reduce(out, den * lcm)
+
+    def _reduce(self, num, den):
+        """Divide out the common factor; float stacks keep den 1."""
+        if den == 1:
+            return num, 1
+        if not self.exact:
+            return num / den, 1
+        g = math.gcd(den, *num.ravel().tolist())
+        return (num // g, den // g) if g > 1 else (num, den)
+
+    @staticmethod
+    def join(stacks):
+        """Concatenate stacks over one common denominator."""
+        den = math.lcm(*(d for _, d in stacks))
+        return np.concatenate([num * (den // d) for num, d in stacks]), den
+
+    def sub(self, x, y):
+        """x - y for two stacks whose shapes broadcast."""
+        if x[1] == y[1]:
+            return self._reduce(x[0] - y[0], x[1])
+        den = math.lcm(x[1], y[1])
+        return self._reduce(x[0] * (den // x[1]) - y[0] * (den // y[1]), den)
+
+    def used(self, num) -> set:
+        """The radicands whose coordinate is nonzero somewhere in num (..., m)."""
+        return {r for b, r in enumerate(self.radicand) if (num[..., b] != 0).any()}
+
+    def unpack(self, num, den) -> list:
+        """Elements (N, m) back to scalars of the backend."""
+        if not self.exact:
+            return self.unpack_array(num, den).tolist()
+        return [
+            Radical.from_terms({self.radicand[b]: Fraction(self.scale[b] * x[b], den)
+                                for b in range(self.m) if x[b]})
+            for x in num
+        ]
+
+    def unpack_array(self, num, den) -> np.ndarray:
+        """Elements (..., m) back to one array of the backend's scalars, of shape (...)."""
+        if not self.exact:
+            return num[..., 0] if den == 1 else num[..., 0] / den
+        return np.array(self.unpack(num.reshape(-1, self.m), den), dtype=object).reshape(num.shape[:-1])
+
+
+class Multiquad(_Span):
+    """The field Q(sqrt g_1, ..., sqrt g_t), a span of m = 2^t roots closed under products.
+
+    Its basis is e_b = sqrt(prod of the g_l with bit l set in b) =
+    scale[b] sqrt(radicand[b]), so that e_i e_j = c_ij e_(i^j), c_ij being
+    the product of the g_l common to i and j.  The float field has t = 0.
+    """
+
+    def __init__(self, radicands, exact: bool):
+        """The smallest such field holding sqrt(r) for every squarefree r in ``radicands``.
+
+        The generators are picked greedily by increasing radicand.
+        """
+        gens, group = [], {1}
+        if exact:
+            for r in sorted(radicands):
+                if r not in group:
+                    gens.append(r)
+                    group |= {x * r // math.gcd(x, r) ** 2 for x in group}
+        m = 1 << len(gens)
+        self.gens = gens
+        # e_b = s_b sqrt(r_b) with r_b squarefree
+        scale, radicand = [1] * m, [1] * m
+        for b in range(1, m):
+            low = b & (b - 1)
+            g = gens[(b ^ low).bit_length() - 1]
+            c = math.gcd(radicand[low], g)
+            scale[b] = scale[low] * c
+            radicand[b] = radicand[low] * g // (c * c)
+        super().__init__(radicand, scale, exact)
+        common = [math.prod(g for l, g in enumerate(gens) if k >> l & 1) for k in range(m)]
+        self.c = [[common[i & j] for j in range(m)] for i in range(m)]
+        self.by_radicand = sorted(range(m), key=radicand.__getitem__)
+        self.root = [math.sqrt(r) for r in radicand]
+
+    def holding(self, radicands) -> "Multiquad":
+        """This field if it holds sqrt(r) for every r of ``radicands``, else the smallest field holding both."""
+        if self.where.keys() >= set(radicands):
+            return self
+        return field_of(frozenset(self.radicand) | frozenset(radicands), self.exact)
+
+    def _mul_table(self, x):
+        """Multiplication by each element of x (..., m): out[..., j, k] is the e_k part of x e_j."""
+        out = np.zeros(x.shape + (self.m,), dtype=x.dtype)
+        for i in range(self.m):
+            for j in range(self.m):
+                out[..., j, i ^ j] = self.c[i][j] * x[..., i]
+        return out
+
+    def _products(self, out, term):
+        """Add c_ij term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
+        k = out.shape[-1]
+        for i in range(k):
+            for j in range(k):
+                t = term(i, j)
+                out[..., i ^ j] += t if self.c[i][j] == 1 else self.c[i][j] * t
+        return out
+
+    def mul(self, x, y):
+        """Field product of two coordinate arrays (..., m'), m' <= m, elementwise."""
+        if self.m == 1:
+            return x * y
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=x.dtype)
+        return self._products(out, lambda i, j: x[..., i] * y[..., j])
+
+    def matmul(self, x, y):
+        """Stacked matrix product of two stacks: (..., a, b, m) by (..., b, c, m) -> (..., a, c, m), reduced.
+
+        x and y are (num, den) pairs whose leading axes broadcast.  One integer
+        matrix product per pair of coordinates that are nonzero somewhere in
+        x and in y, added at coordinate i ^ j as in :meth:`_products`.
+        """
+        (xn, xd), (yn, yd) = x, y
+        if self.m == 1:
+            return self._reduce((xn[..., 0] @ yn[..., 0])[..., None], xd * yd)
+        out = None
+        for i in _support(xn):
+            for j in _support(yn):
+                t = xn[..., i] @ yn[..., j]
+                if out is None:
+                    out = np.zeros(t.shape + (self.m,), dtype=t.dtype)
+                out[..., i ^ j] += t if self.c[i][j] == 1 else self.c[i][j] * t
+        if out is None:  # x or y is zero
+            shape = np.broadcast_shapes(xn.shape[:-3], yn.shape[:-3]) + (xn.shape[-3], yn.shape[-2], self.m)
+            return np.zeros(shape, dtype=xn.dtype), 1
+        return self._reduce(out, xd * yd)
+
+    def sign(self, x):
+        """Exact sign of each field element of x (..., m'), as an int array.
+
+        Splits x = u + v sqrt(g) on the last generator: the sign is that of u
+        or v when they agree, else sign(u) * sign(u^2 - g v^2), one level down.
+        """
+        k = x.shape[-1]
+        if k == 1:
+            return np.where(x[..., 0] > 0, 1, np.where(x[..., 0] < 0, -1, 0))
+        half = k // 2
+        u, v = x[..., :half], x[..., half:]
+        su, sv = self.sign(u), self.sign(v)
+        norm = self.mul(u, u) - self.gens[half.bit_length() - 1] * self.mul(v, v)
+        return np.where(su * sv >= 0, np.where(su != 0, su, sv), su * self.sign(norm))
+
+    def surd_sign(self, u, a, b):
+        """Exact sign of u + sqrt(a) - sqrt(b) for field elements u and a, b >= 0 of one shape (..., m').
+
+        Where sign(u) and sign(a - b) = sign(sqrt(a) - sqrt(b)) agree, or
+        one is 0, that is the sign.  Elsewhere it is sign(u) times the sign
+        of u^2 - (sqrt(a) - sqrt(b))^2 = z + 2 sqrt(ab), z = u^2 - a - b: 1
+        when z > 0, sign(ab) when z = 0, sign(4ab - z^2) when z < 0.  No
+        square root is taken.
+        """
+        su, sd = self.sign(u), self.sign(a - b)
+        out = np.where(su != 0, su, sd)
+        mixed = su * sd < 0
+        if mixed.any():
+            u, a, b = u[mixed], a[mixed], b[mixed]
+            z, ab = self.mul(u, u) - a - b, self.mul(a, b)
+            sz = self.sign(z)
+            far = np.where(sz == 0, self.sign(ab), self.sign(4 * ab - self.mul(z, z)))
+            out[mixed] = su[mixed] * np.where(sz > 0, 1, far)
+        return out
+
+    @staticmethod
+    def tournament(items, beats):
+        """The first largest candidate of every batch: arrays (..., N, c) -> (..., c), N >= 1.
+
+        ``items`` share their leading axes and the candidate axis -2;
+        beats(b, a) takes the two lists of candidates that meet and is True
+        where b is strictly larger than a.  Pairs meet in index order and
+        the earlier keeps a tie, so the winner is the first largest.
+        """
+        while items[0].shape[-2] > 1:
+            n = items[0].shape[-2]
+            a = [x[..., 0:n - 1:2, :] for x in items]
+            b = [x[..., 1::2, :] for x in items]
+            win = beats(b, a)[..., None]
+            items = [np.concatenate([np.where(win, xb, xa), x[..., n - n % 2:, :]], axis=-2)
+                     for x, xa, xb in zip(items, a, b)]
+        return [x[..., 0, :] for x in items]
+
+    def max_abs(self, x):
+        """The largest |x_i| along axis -2 of field elements (..., N, m), N >= 1, as (..., m)."""
+        x = np.where((self.sign(x) < 0)[..., None], -x, x)
+        return self.tournament([x], lambda b, a: self.sign(b[0] - a[0]) > 0)[0]
+
+    def quotient_floats(self, x, dx, y, dy) -> list:
+        """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.
+
+        Rounded as ``float(Radical)`` rounds: each rational coordinate of the
+        exact quotient correctly rounded, times sqrt of its radicand, summed
+        by increasing radicand.  Plain lists: these are a few numbers each.
+        """
+        inv, norm = self._inverse(y)
+        den = dx * norm
+        return [
+            sum(self.scale[b] * row[b] * dy / den * self.root[b] for b in self.by_radicand if row[b])
+            for row in (self._mul_list(list(r), inv) for r in x)
+        ]
+
+    def _inverse(self, y) -> tuple[list, object]:
+        """(c, y c) for one element's coordinates y, with y c rational: 1/y = c / (y c).
+
+        Multiplying y by its conjugate in each generator in turn leaves a
+        rational; c is the product of the conjugates.  Plain lists.
+        """
+        y, inv = list(y), [1] + [0] * (self.m - 1)
+        for bit in range(len(self.gens)):
+            conj = [-v if b >> bit & 1 else v for b, v in enumerate(y)]
+            inv, y = self._mul_list(inv, conj), self._mul_list(y, conj)
+        return inv, y[0]
+
+    def _mul_list(self, x, y) -> list:
+        out = [0] * self.m
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i ^ j] += self.c[i][j] * xi * yj
+        return out
+
+
+class MapField(NamedTuple):
+    """A system's maps and weight packed in one :class:`Multiquad` that may hold more roots.
+
+    ``maps`` is (num (n, d, d, m), den) and ``energy`` (num (d, d, m), den).
+    Every table that is multiplied by the maps lives in ``fld``, so one
+    :meth:`Multiquad.matmul` advances it.
+    """
+
+    fld: Multiquad
+    maps: tuple
+    energy: tuple
+
+    @property
+    def identity(self):
+        """I as a stack (d, d, m) over 1; coordinate 0 is the root sqrt(1)."""
+        num = np.zeros_like(self.energy[0])
+        num[..., 0] = np.eye(len(num), dtype=int)
+        return num, 1
+
+
+def map_field(maps, energy, radicands=()) -> MapField:
+    """Pack the maps and E in the smallest field holding their entries and sqrt(r) for each r of ``radicands``."""
+    a = np.array(maps)
+    exact = a.dtype == object
+    roots = _radicands(a.ravel(), exact) | _radicands(energy.ravel(), exact) | set(radicands)
+    fld = field_of(frozenset(roots), exact)
+    return MapField(fld, fld.pack_array(a), fld.pack_array(energy))
+
+
+@lru_cache(maxsize=256)
+def field_of(radicands: frozenset, exact: bool) -> Multiquad:
+    """The :class:`Multiquad` of these radicands; a field is a value, so one object serves every table in it."""
+    return Multiquad(radicands, exact)

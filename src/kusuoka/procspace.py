@@ -3,9 +3,12 @@
 A finite-degree process assigns a d x d matrix to every word of one fixed
 length; lower levels are recovered by summing against the system maps,
 higher levels by the extension rule F(alpha s) = A_s F(alpha), which leaves
-the energy inner product of two tables unchanged.  A table is one
-``(n^k, d, d)`` array of the backend, and every operation here is a stacked
-product on it.  On this space live the word shift (an isometry), its
+the energy inner product of two tables unchanged.  A table is stored packed,
+as one ``(n^k, d, d, m)`` integer stack in a multiquadratic field that holds
+the maps, E and its entries (:mod:`kusuoka.multiquad`), and every operation
+here is a stacked product of such stacks; a table is unpacked to the
+backend's scalars only when its ``values`` are read, and a scalar result
+only at the end.  On this space live the word shift (an isometry), its
 adjoint transfer operator (a contraction), the isometric embedding of
 scalar cylinder functions, and the projection back onto embedded functions
 whose output is a scalar martingale.  Fresh innovations are the tables
@@ -20,7 +23,8 @@ martingale components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .exactnum import Radical
 from .linalg import EXACT
 from .matsys import MatrixSystem
 from .measure import KusuokaMeasure
+from .multiquad import MapField, _radicands, map_field
 from .symbolic import CylinderFunction
 
 __all__ = [
@@ -54,28 +59,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteProcess:
     """Matrix table over all words of length ``degree``.
 
-    ``values`` is one read-only ``(n^degree, d, d)`` array of the backend,
-    indexed by word index; any sequence of d x d matrices is converted on
-    construction.  The table determines the process on every level:
-    downward by averaging, upward by the extension rule.
+    The table is stored packed: integer coordinates ``(n^degree, d, d, m)``
+    over one denominator in a multiquadratic field that holds the maps, E
+    and the table's own entries, next to the maps and E packed in that field
+    (a :class:`~kusuoka.multiquad.MapField`).  Every operation below builds
+    its result from the packed table and passes the packed maps on, so a
+    chain of operations packs them once.  ``values`` is the public,
+    read-only ``(n^degree, d, d)`` array of the backend; it is unpacked the
+    first time it is read, and a process built from values keeps them.  Any
+    sequence of d x d matrices is accepted on construction.  The table
+    determines the process on every level: downward by averaging, upward by
+    the extension rule.
     """
 
     system: MatrixSystem
     degree: int
-    values: np.ndarray
+    _maps: MapField = field(repr=False)
+    _table: tuple = field(repr=False)
 
-    def __post_init__(self):
-        sys_ = self.system
-        shape = (sys_.n_symbols ** self.degree, sys_.dim, sys_.dim)
-        vals = np.array(self.values, dtype=sys_.field.dtype)
+    def __init__(self, system: MatrixSystem, degree: int, values):
+        shape = (system.n_symbols ** degree, system.dim, system.dim)
+        vals = np.array(values, dtype=system.field.dtype)
         if vals.shape != shape:
             raise ValueError(f"table has shape {vals.shape}, expected {shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        maps = map_field(system.maps, system.energy, _radicands(vals.ravel(), system.backend == EXACT))
+        # the frozen fields, and ``values`` already read
+        self.__dict__.update(system=system, degree=degree, _maps=maps, _table=maps.fld.pack_array(vals), values=vals)
+
+    @classmethod
+    def _packed(cls, system: MatrixSystem, degree: int, maps: MapField, table) -> "FiniteProcess":
+        """A process on a packed table in the field of ``maps``."""
+        out = object.__new__(cls)
+        out.__dict__.update(system=system, degree=degree, _maps=maps, _table=table)
+        return out
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        vals = self._maps.fld.unpack_array(*self._table)
+        vals.setflags(write=False)
+        return vals
 
 
 def constant_process(system: MatrixSystem, b) -> FiniteProcess:
@@ -95,16 +122,30 @@ def _check_same_system(f: FiniteProcess, g: FiniteProcess) -> None:
         raise ValueError("processes live over different systems")
 
 
+def _one_field(f: FiniteProcess, g: FiniteProcess):
+    """The tables of f and g in one field: (its maps, f's table, g's table)."""
+    ff, gf = f._maps.fld, g._maps.fld
+    if ff.radicand == gf.radicand:
+        return f._maps, f._table, g._table
+    maps = map_field(f.system.maps, f.system.energy, set(ff.radicand) | set(gf.radicand))
+    return maps, maps.fld._convert(ff, *f._table), maps.fld._convert(gf, *g._table)
+
+
+def _transposed(stack):
+    num, den = stack
+    return num.swapaxes(-3, -2), den
+
+
 def extend(f: FiniteProcess, levels: int = 1, budget: int = symbolic.DEFAULT_BUDGET) -> FiniteProcess:
     """Push the table ``levels`` steps deeper via F(alpha s) = A_s F(alpha)."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
     sys_ = f.system
     symbolic.check_budget(sys_.n_symbols, f.degree + levels, budget)
-    vals = f.values
+    table = f._table
     for _ in range(levels):
-        vals = symbolic.next_level(vals, sys_.maps)
-    return FiniteProcess(sys_, f.degree + levels, vals)
+        table = symbolic.next_level(table, f._maps)
+    return FiniteProcess._packed(sys_, f.degree + levels, f._maps, table)
 
 
 def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
@@ -115,9 +156,12 @@ def process_inner(f: FiniteProcess, g: FiniteProcess, budget: int = symbolic.DEF
     """
     _check_same_system(f, g)
     level = max(f.degree, g.degree)
-    fv = extend(f, level - f.degree, budget).values
-    gv = extend(g, level - g.degree, budget).values
-    return (gv * (f.system.energy @ fv)).sum()  # sum of Tr(G^T E F)
+    f, g = (extend(x, level - x.degree, budget) if x.degree < level else x for x in (f, g))
+    maps, ft, gt = _one_field(f, g)
+    fld = maps.fld
+    ef_num, ef_den = fld.matmul(maps.energy, ft)
+    total = fld.mul(gt[0], ef_num).sum(axis=(0, 1, 2))  # sum of Tr(G^T E F)
+    return fld.unpack(total[None], gt[1] * ef_den)[0]
 
 
 def process_norm_sq(f: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
@@ -126,8 +170,9 @@ def process_norm_sq(f: FiniteProcess, budget: int = symbolic.DEFAULT_BUDGET):
 
 def shift_T(f: FiniteProcess) -> FiniteProcess:
     """Word shift: (T F)(s alpha) = F(alpha) A_s.  Degree +1, isometric."""
-    out = f.values[None] @ np.asarray(f.system.maps)[:, None]
-    return FiniteProcess(f.system, f.degree + 1, out.reshape(-1, f.system.dim, f.system.dim))
+    (num, den), (a, a_den) = f._table, f._maps.maps
+    out, den = f._maps.fld.matmul((num[None], den), (a[:, None], a_den))
+    return FiniteProcess._packed(f.system, f.degree + 1, f._maps, (out.reshape(-1, *out.shape[2:]), den))
 
 
 def transfer_L(f: FiniteProcess) -> FiniteProcess:
@@ -139,17 +184,22 @@ def transfer_L(f: FiniteProcess) -> FiniteProcess:
     """
     sys_ = f.system
     f = extend(f, max(1 - f.degree, 0))
-    vals = f.values.reshape(sys_.n_symbols, -1, sys_.dim, sys_.dim)
-    out = (vals @ np.asarray(sys_.maps).transpose(0, 2, 1)[:, None]).sum(axis=0)
-    return FiniteProcess(sys_, f.degree - 1, out)
+    (num, den), (a, a_den) = f._table, _transposed(f._maps.maps)
+    fld = f._maps.fld
+    out, den = fld.matmul((num.reshape(sys_.n_symbols, -1, *num.shape[1:]), den), (a[:, None], a_den))
+    return FiniteProcess._packed(sys_, f.degree - 1, f._maps, fld._reduce(out.sum(axis=0), den))
 
 
 def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.DEFAULT_BUDGET) -> FiniteProcess:
     """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha)."""
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    mats = extend(identity_process(system), f.depth, budget).values
-    return FiniteProcess(system, f.depth, f.values[:, None, None] * mats)
+    maps = map_field(system.maps, system.energy, _radicands(f.values, system.backend == EXACT))
+    fld, (num, den) = maps.fld, maps.identity
+    words = extend(FiniteProcess._packed(system, 0, maps, (num[None], den)), f.depth, budget)._table
+    vals, vals_den = fld.pack_array(f.values)
+    table = fld._reduce(fld.mul(vals[:, None, None], words[0]), vals_den * words[1])
+    return FiniteProcess._packed(system, f.depth, maps, table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +221,7 @@ class MartingaleRep:
 
     def component_norm_sq(self, j: int):
         comp = self.components[j]
-        masses = np.array(self.measure.level_nu(comp.depth), dtype=comp.values.dtype)
-        return (comp.values * comp.values * masses).sum()
+        return (comp.values * comp.values * self.measure._nu_array(comp.depth)).sum()
 
     def norm_sq(self):
         total = self.component_norm_sq(0)
@@ -196,12 +245,12 @@ def martingale_decompose(m: KusuokaMeasure, f: CylinderFunction, budget: int = s
     """
     if f.n_symbols != m.system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    n, dtype = m.system.n_symbols, m.system.field.dtype
+    n = m.system.n_symbols
     levels = [None] * (f.depth + 1)
     levels[f.depth] = f.values
     for j in range(f.depth, 0, -1):
-        mass = (levels[j] * np.array(m.level_nu(j, budget), dtype=dtype)).reshape(-1, n).sum(axis=1)
-        levels[j - 1] = mass / np.array(m.level_nu(j - 1, budget), dtype=dtype)
+        mass = (levels[j] * m._nu_array(j, budget)).reshape(-1, n).sum(axis=1)
+        levels[j - 1] = mass / m._nu_array(j - 1, budget)
     comps = [CylinderFunction(0, n, levels[0], f.backend)]
     for j in range(1, f.depth + 1):
         diff = levels[j] - np.repeat(levels[j - 1], n)
@@ -225,16 +274,21 @@ def project_Q(
     and A(alpha w) = A(w) A(alpha) give q(alpha w) nu(alpha w) =
     Tr(Psi*_w(E) F(alpha) A(alpha)^T), one product of the rows
     (A(alpha) F(alpha)^T).ravel() with the beta-weights of the words w,
-    row-major in alpha w.  It runs in scalars of the backend: F need not
-    lie in the field of the maps.
+    row-major in alpha w.  It runs on the packed tables in the field of F,
+    which need not be the field of the maps; only the shadow is unpacked,
+    and divided by the masses in scalars of the backend.
     """
     sys_ = m.system
     level = f.degree if up_to_level is None else max(f.degree, up_to_level)
     symbolic.check_budget(sys_.n_symbols, level, budget)
-    rows = m.level_matrices(f.degree, budget) @ f.values.transpose(0, 2, 1)
-    betas = m.level_betas(level - f.degree, budget)
-    shadow = rows.reshape(len(rows), -1) @ betas.reshape(len(betas), -1).T
-    arr = shadow.ravel() / np.array(m.level_nu(level, budget), dtype=sys_.field.dtype)
+    fld = f._maps.fld
+    words = fld._convert(m._maps.fld, *m._word_table(f.degree, budget))
+    rows, rows_den = fld.matmul(words, _transposed(f._table))
+    betas, beta_den = fld._convert(m._quad, *m._beta_table(level - f.degree, budget))
+    # (A(alpha) F(alpha)^T).ravel() against one column per word w
+    shadow, den = fld.matmul((rows.reshape(len(rows), -1, fld.m), rows_den),
+                             (betas.reshape(len(betas), -1, fld.m).swapaxes(0, 1), beta_den))
+    arr = fld.unpack_array(shadow, den).ravel() / m._nu_array(level, budget)
     qf = CylinderFunction(level, sys_.n_symbols, arr, sys_.backend)
     return martingale_decompose(m, qf, budget)
 
@@ -317,10 +371,13 @@ def dilation_check(
         # a word of length big reads (k shifted symbols, level cylinder, rest)
         big = max(f.depth, k + level)
         symbolic.check_budget(n, big, budget)
-        masses = np.array(m.level_nu(big, budget), dtype=dtype)
-        weighted = np.repeat(f.values, n ** (big - f.depth)) * masses
-        num = weighted.reshape(n ** k, n ** level, -1).sum(axis=(0, 2))
-        vals = num / np.array(m.level_nu(level, budget), dtype=dtype)
+        q = m._quad
+        fld = q.holding(_radicands(f.values, sys_.backend == EXACT))
+        masses, mass_den = fld._convert(q, *q.nu(m._level_table(big, budget)))
+        fv, fv_den = fld.pack_array(f.values)
+        weighted = fld.mul(np.repeat(fv, n ** (big - f.depth), axis=0), masses)
+        num = weighted.reshape(n ** k, n ** level, -1, fld.m).sum(axis=(0, 2))
+        vals = fld.unpack_array(num, fv_den * mass_den) / m._nu_array(level, budget)
     arr = np.array(vals, dtype=dtype)
     rep_b = martingale_decompose(m, CylinderFunction(level, n, arr, sys_.backend), budget)
 
@@ -340,16 +397,18 @@ def innovation_residual(f: FiniteProcess) -> float:
     """
     if f.degree == 0:
         return 0.0
-    _, _, sums = _freshness_sums(f)
+    sums = f._maps.fld.unpack_array(*_freshness_sums(f)[2])
     return float((sums * sums).sum(axis=(1, 2)).max()) ** 0.5
 
 
 def _freshness_sums(f: FiniteProcess):
-    """K_s = A_s^T E (n, d, d), the child blocks X of every parent, and sum_s K_s X_s per parent."""
-    sys_ = f.system
-    k = np.asarray(sys_.maps).transpose(0, 2, 1) @ sys_.energy
-    blocks = f.values.reshape(-1, sys_.n_symbols, sys_.dim, sys_.dim)
-    return k, blocks, (k @ blocks).sum(axis=1)
+    """K_s = A_s^T E (n, d, d), the child blocks X of every parent, and sum_s K_s X_s per parent, as stacks of f's field."""
+    fld, n = f._maps.fld, f.system.n_symbols
+    k = fld.matmul(_transposed(f._maps.maps), f._maps.energy)
+    num, den = f._table
+    blocks = num.reshape(-1, n, *num.shape[1:]), den
+    sums, sums_den = fld.matmul((k[0][None], k[1]), blocks)
+    return k, blocks, fld._reduce(sums.sum(axis=1), sums_den)
 
 
 def innovation_part(f: FiniteProcess) -> FiniteProcess:
@@ -358,18 +417,22 @@ def innovation_part(f: FiniteProcess) -> FiniteProcess:
     The constraint sum_s K_s X_s = 0 has Gram matrix G (x) I with
     G = sum_s K_s K_s^T, so the projection is
     X_s - K_s^T G^-1 sum_t K_t X_t: one d x d solve for all parents.
+    Only G and the sums are unpacked for the solve; the result lies in
+    the field of f.
     """
     sys_ = f.system
     if f.degree == 0:
         return f
-    d = sys_.dim
+    d, fld = sys_.dim, f._maps.fld
     k, blocks, sums = _freshness_sums(f)
-    gram = (k @ k.transpose(0, 2, 1)).sum(axis=0)
-    rhs = sums.transpose(1, 0, 2).reshape(d, -1)  # [Y_0 | Y_1 | ...]
+    kt = _transposed(k)
+    gram, gram_den = fld.matmul(k, kt)
+    gram = fld.unpack_array(gram.sum(axis=0), gram_den)
+    rhs = fld.unpack_array(*sums).transpose(1, 0, 2).reshape(d, -1)  # [Y_0 | Y_1 | ...]
     solve = linalg.solve_exact if sys_.backend == EXACT else np.linalg.solve
-    z = solve(gram, rhs).reshape(d, -1, d).transpose(1, 0, 2)
-    out = blocks - k.transpose(0, 2, 1)[None] @ z[:, None]
-    return FiniteProcess(sys_, f.degree, out.reshape(f.values.shape))
+    z, z_den = fld.pack_array(solve(gram, rhs).reshape(d, -1, d).transpose(1, 0, 2))
+    out, den = fld.sub(blocks, fld.matmul((kt[0][None], kt[1]), (z[:, None], z_den)))
+    return FiniteProcess._packed(sys_, f.degree, f._maps, (out.reshape(f._table[0].shape), den))
 
 
 def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Generator) -> FiniteProcess:
@@ -382,8 +445,8 @@ def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Gener
     if k < 0:
         raise ValueError("degree must be >= 0")
     n, d = system.n_symbols, system.dim
-    raw = rng.standard_normal((n ** k, d, d))
-    f = FiniteProcess(system, k, raw)
+    maps = map_field(system.maps, system.energy)
+    f = FiniteProcess._packed(system, k, maps, maps.fld.pack_array(rng.standard_normal((n ** k, d, d))))
     return innovation_part(f) if k >= 1 else f
 
 

@@ -5,8 +5,8 @@ and of the irreducibility constants, transfer values and the sampler's
 conditionals all go through the quadratic forms Psi_s(B) = A_s B A_s^T,
 their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.  :class:`_Quad`
 holds them as integer arrays over one multiquadratic field
-(:class:`Multiquad`), so a whole level of words advances by one matrix
-product.  Every Psi_s entry is formed once per kernel, on integer
+(:class:`~kusuoka.multiquad.Multiquad`), so a whole level of words advances
+by one matrix product.  Every Psi_s entry is formed once per kernel, on integer
 coordinates of the map entries in the square roots they use (:func:`_psi`);
 the same kernel derives theta1's reps of M = sum_s Psi_s, the trace-free
 basis and theta1, so one kernel serves a whole computation.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ import numpy as np
 from . import linalg
 from .exactnum import Radical, format_exact
 from .matsys import MatrixSystem
+from .multiquad import Multiquad, _radicands, _Span
 
 _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
 
@@ -38,237 +38,11 @@ def packed_pairs(d: int, antisymmetric: bool = False) -> tuple[tuple[int, int], 
     return tuple((i, j) for i in range(d) for j in range(i + antisymmetric, d))
 
 
-def _radicands(xs, exact: bool) -> set:
-    """The squarefree radicands of the terms of the scalars xs; none on the float backend."""
-    return {r for x in xs for r, _ in Radical(x).terms()} if exact else set()
-
-
-class _Span:
-    """Scalars as integer coordinates on a list of square roots.
-
-    An element is sum_b x_b scale[b] sqrt(radicand[b]), radicand[b]
-    squarefree and distinct, stored as its m coordinates x_b.  A stack of
-    elements is a pair (num, den): ``num`` has the coordinates on its last
-    axis, and ``den`` is one positive int for the whole stack.  On the exact
-    backend ``num`` holds Python ints in object arrays; on the float backend
-    the only root is sqrt(1), ``num`` is float64 and ``den`` is 1.
-    """
-
-    def __init__(self, radicand: list, scale: list, exact: bool):
-        self.exact = exact
-        self.radicand, self.scale = radicand, scale
-        self.m = len(radicand)
-        self.where = {r: b for b, r in enumerate(radicand)}
-
-    @classmethod
-    def roots(cls, radicands, exact: bool) -> "_Span":
-        """The square roots of these radicands (of 1 when there are none), by increasing radicand, with unit scales."""
-        radicand = sorted(radicands or {1})
-        return cls(radicand, [1] * len(radicand), exact)
-
-    def _pack_scalars(self, xs):
-        """Scalars -> (num, den): their coordinates (len, m) over one denominator."""
-        if not self.exact:
-            return np.asarray(xs, dtype=float).reshape(-1, 1), 1
-        # coordinate b of x is c / scale[b] for its term c sqrt(radicand[b]): (k, b, numerator, denominator)
-        coords = []
-        for k, x in enumerate(xs):
-            for r, c in Radical(x).terms():
-                b = self.where.get(r)
-                if b is None:
-                    raise ValueError(f"{x} lies outside the field of the quadratic forms")
-                coords.append((k, b, c.numerator, c.denominator * self.scale[b]))
-        den = math.lcm(*(q for *_, q in coords))
-        num = np.zeros((len(xs), self.m), dtype=object)
-        for k, b, p, q in coords:
-            num[k, b] = p * (den // q)
-        return self._reduce(num, den)
-
-    def _convert(self, src: "_Span", num, den):
-        """Coordinates (..., src.m) on the unit-scaled roots of ``src`` of elements that lie in this span, as a stack here."""
-        lcm = math.lcm(*self.scale)
-        out = np.zeros(num.shape[:-1] + (self.m,), dtype=num.dtype)
-        for b, r in enumerate(self.radicand):
-            k = src.where.get(r)
-            if k is not None:
-                out[..., b] = num[..., k] * (lcm // self.scale[b])
-        return self._reduce(out, den * lcm)
-
-    def _reduce(self, num, den):
-        """Divide out the common factor; float stacks keep den 1."""
-        if not self.exact:
-            return (num, 1) if den == 1 else (num / den, 1)
-        g = math.gcd(den, *num.ravel().tolist())
-        return (num // g, den // g) if g > 1 else (num, den)
-
-    def used(self, num) -> set:
-        """The radicands whose coordinate is nonzero somewhere in num (..., m)."""
-        return {r for b, r in enumerate(self.radicand) if (num[..., b] != 0).any()}
-
-    def unpack(self, num, den) -> list:
-        """Elements (N, m) back to scalars of the backend."""
-        if not self.exact:
-            return self.unpack_array(num, den).tolist()
-        return [
-            Radical.from_terms({self.radicand[b]: Fraction(self.scale[b] * x[b], den)
-                                for b in range(self.m) if x[b]})
-            for x in num
-        ]
-
-    def unpack_array(self, num, den) -> np.ndarray:
-        """Elements (..., m) back to one array of the backend's scalars, of shape (...)."""
-        if not self.exact:
-            return num[..., 0] / den
-        return np.array(self.unpack(num.reshape(-1, self.m), den), dtype=object).reshape(num.shape[:-1])
-
-
-class Multiquad(_Span):
-    """The field Q(sqrt g_1, ..., sqrt g_t), a span of m = 2^t roots closed under products.
-
-    Its basis is e_b = sqrt(prod of the g_l with bit l set in b) =
-    scale[b] sqrt(radicand[b]), so that e_i e_j = c_ij e_(i^j), c_ij being
-    the product of the g_l common to i and j.  The float field has t = 0.
-    """
-
-    def __init__(self, radicands, exact: bool):
-        """The smallest such field holding sqrt(r) for every squarefree r in ``radicands``.
-
-        The generators are picked greedily by increasing radicand.
-        """
-        gens, group = [], {1}
-        if exact:
-            for r in sorted(radicands):
-                if r not in group:
-                    gens.append(r)
-                    group |= {x * r // math.gcd(x, r) ** 2 for x in group}
-        m = 1 << len(gens)
-        self.gens = gens
-        # e_b = s_b sqrt(r_b) with r_b squarefree
-        scale, radicand = [1] * m, [1] * m
-        for b in range(1, m):
-            low = b & (b - 1)
-            g = gens[(b ^ low).bit_length() - 1]
-            c = math.gcd(radicand[low], g)
-            scale[b] = scale[low] * c
-            radicand[b] = radicand[low] * g // (c * c)
-        super().__init__(radicand, scale, exact)
-        common = [math.prod(g for l, g in enumerate(gens) if k >> l & 1) for k in range(m)]
-        self.c = [[common[i & j] for j in range(m)] for i in range(m)]
-        self.by_radicand = sorted(range(m), key=radicand.__getitem__)
-        self.root = [math.sqrt(r) for r in radicand]
-
-    def _mul_table(self, x):
-        """Multiplication by each element of x (..., m): out[..., j, k] is the e_k part of x e_j."""
-        out = np.zeros(x.shape + (self.m,), dtype=x.dtype)
-        for i in range(self.m):
-            for j in range(self.m):
-                out[..., j, i ^ j] = self.c[i][j] * x[..., i]
-        return out
-
-    def _products(self, out, term):
-        """Add c_ij term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
-        k = out.shape[-1]
-        for i in range(k):
-            for j in range(k):
-                t = term(i, j)
-                out[..., i ^ j] += t if self.c[i][j] == 1 else self.c[i][j] * t
-        return out
-
-    def mul(self, x, y):
-        """Field product of two coordinate arrays (..., m'), m' <= m, elementwise."""
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=x.dtype)
-        return self._products(out, lambda i, j: x[..., i] * y[..., j])
-
-    def sign(self, x):
-        """Exact sign of each field element of x (..., m'), as an int array.
-
-        Splits x = u + v sqrt(g) on the last generator: the sign is that of u
-        or v when they agree, else sign(u) * sign(u^2 - g v^2), one level down.
-        """
-        k = x.shape[-1]
-        if k == 1:
-            return np.where(x[..., 0] > 0, 1, np.where(x[..., 0] < 0, -1, 0))
-        half = k // 2
-        u, v = x[..., :half], x[..., half:]
-        su, sv = self.sign(u), self.sign(v)
-        norm = self.mul(u, u) - self.gens[half.bit_length() - 1] * self.mul(v, v)
-        return np.where(su * sv >= 0, np.where(su != 0, su, sv), su * self.sign(norm))
-
-    def surd_sign(self, u, a, b):
-        """Exact sign of u + sqrt(a) - sqrt(b) for field elements u and a, b >= 0 of one shape (..., m').
-
-        Where sign(u) and sign(a - b) = sign(sqrt(a) - sqrt(b)) agree, or
-        one is 0, that is the sign.  Elsewhere it is sign(u) times the sign
-        of u^2 - (sqrt(a) - sqrt(b))^2 = z + 2 sqrt(ab), z = u^2 - a - b: 1
-        when z > 0, sign(ab) when z = 0, sign(4ab - z^2) when z < 0.  No
-        square root is taken.
-        """
-        su, sd = self.sign(u), self.sign(a - b)
-        out = np.where(su != 0, su, sd)
-        mixed = su * sd < 0
-        if mixed.any():
-            u, a, b = u[mixed], a[mixed], b[mixed]
-            z, ab = self.mul(u, u) - a - b, self.mul(a, b)
-            sz = self.sign(z)
-            far = np.where(sz == 0, self.sign(ab), self.sign(4 * ab - self.mul(z, z)))
-            out[mixed] = su[mixed] * np.where(sz > 0, 1, far)
-        return out
-
-    @staticmethod
-    def tournament(items, beats):
-        """The first largest candidate of every batch: arrays (..., N, c) -> (..., c), N >= 1.
-
-        ``items`` share their leading axes and the candidate axis -2;
-        beats(b, a) takes the two lists of candidates that meet and is True
-        where b is strictly larger than a.  Pairs meet in index order and
-        the earlier keeps a tie, so the winner is the first largest.
-        """
-        while items[0].shape[-2] > 1:
-            n = items[0].shape[-2]
-            a = [x[..., 0:n - 1:2, :] for x in items]
-            b = [x[..., 1::2, :] for x in items]
-            win = beats(b, a)[..., None]
-            items = [np.concatenate([np.where(win, xb, xa), x[..., n - n % 2:, :]], axis=-2)
-                     for x, xa, xb in zip(items, a, b)]
-        return [x[..., 0, :] for x in items]
-
-    def max_abs(self, x):
-        """The largest |x_i| along axis -2 of field elements (..., N, m), N >= 1, as (..., m)."""
-        x = np.where((self.sign(x) < 0)[..., None], -x, x)
-        return self.tournament([x], lambda b, a: self.sign(b[0] - a[0]) > 0)[0]
-
-    def quotient_floats(self, x, dx, y, dy) -> list:
-        """float(x_i / y) for field elements x (N, m) over dx and y (m,) over dy.
-
-        Rounded as ``float(Radical)`` rounds: each rational coordinate of the
-        exact quotient correctly rounded, times sqrt of its radicand, summed
-        by increasing radicand.  Plain lists: these are a few numbers each.
-        """
-        inv, norm = self._inverse(y)
-        den = dx * norm
-        return [
-            sum(self.scale[b] * row[b] * dy / den * self.root[b] for b in self.by_radicand if row[b])
-            for row in (self._mul_list(list(r), inv) for r in x)
-        ]
-
-    def _inverse(self, y) -> tuple[list, object]:
-        """(c, y c) for one element's coordinates y, with y c rational: 1/y = c / (y c).
-
-        Multiplying y by its conjugate in each generator in turn leaves a
-        rational; c is the product of the conjugates.  Plain lists.
-        """
-        y, inv = list(y), [1] + [0] * (self.m - 1)
-        for bit in range(len(self.gens)):
-            conj = [-v if b >> bit & 1 else v for b, v in enumerate(y)]
-            inv, y = self._mul_list(inv, conj), self._mul_list(y, conj)
-        return inv, y[0]
-
-    def _mul_list(self, x, y) -> list:
-        out = [0] * self.m
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i ^ j] += self.c[i][j] * xi * yj
-        return out
+@lru_cache(maxsize=None)
+def symmetric_index(d: int) -> tuple[int, ...]:
+    """The packed coordinate of each entry (i, j) of a symmetric d x d matrix, row-major."""
+    where = {p: q for q, p in enumerate(packed_pairs(d))}
+    return tuple(where[min(i, j), max(i, j)] for i in range(d) for j in range(d))
 
 
 # -- Psi_s from packed map entries --------------------------------------------
@@ -560,17 +334,6 @@ class _Quad(Multiquad):
 
     # -- stacks ---------------------------------------------------------------
 
-    @staticmethod
-    def join(stacks):
-        """Concatenate stacks over one common denominator."""
-        den = math.lcm(*(d for _, d in stacks))
-        return np.concatenate([num * (den // d) for num, d in stacks]), den
-
-    def sub(self, x, y):
-        """x - y for two stacks of one shape."""
-        den = math.lcm(x[1], y[1])
-        return self._reduce(x[0] * (den // x[1]) - y[0] * (den // y[1]), den)
-
     def apply(self, x, op):
         return self._reduce(x[0] @ op[0], x[1] * op[1])
 
@@ -711,7 +474,6 @@ class _Quad(Multiquad):
 
     def unpack_matrices(self, num, den, field) -> np.ndarray:
         """Packed rows back to symmetric matrices of the backend, as (rows, d, d)."""
-        d, where = self.dim, {p: q for q, p in enumerate(self.pairs)}
-        full = [where[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
+        d = self.dim
         vals = np.array(self.unpack(num.reshape(-1, self.m), den), dtype=field.dtype)
-        return vals.reshape(len(num), -1)[:, full].reshape(len(num), d, d)
+        return vals.reshape(len(num), -1)[:, symmetric_index(d)].reshape(len(num), d, d)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from .matsys import MatrixSystem
+from .multiquad import MapField
 
 __all__ = [
     "BudgetError",
@@ -109,15 +110,17 @@ def word_matrix(system: MatrixSystem, word: Word) -> np.ndarray:
     return out
 
 
-def next_level(table: np.ndarray, maps) -> np.ndarray:
-    """One level deeper: entry ``i * n + s`` is ``maps[s] @ table[i]``.
+def next_level(table, maps: MapField):
+    """One level deeper: entry ``i * n + s`` is ``A_s @ table[i]``.
 
     The step every word-indexed matrix table is built by: ``table`` is a
-    ``(words, d, d)`` array and the result, one stacked product, is the
-    ``(words * n, d, d)`` array of the child words.
+    packed ``(words, d, d, m)`` stack in the field of ``maps`` and the
+    result, one stacked product with the packed maps, is the
+    ``(words * n, d, d, m)`` stack of the child words.
     """
-    d = table.shape[-1]
-    return (np.asarray(maps)[None] @ table[:, None]).reshape(-1, d, d)
+    (num, den), (a, a_den) = table, maps.maps
+    out, den = maps.fld.matmul((a[None], a_den), (num[:, None], den))
+    return out.reshape(-1, *out.shape[2:]), den
 
 
 def concat(u: Word, v: Word) -> Word:

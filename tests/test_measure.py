@@ -3,7 +3,6 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from kusuoka.measure import (
     sample_many,
     transfer_apply,
 )
-from kusuoka.quadform import Multiquad
+from kusuoka.multiquad import Multiquad
 from kusuoka.spectral import renormalize
 from kusuoka.symbolic import BudgetError, CylinderFunction, all_words, indicator, word_index, word_matrix
 
@@ -302,11 +301,11 @@ def test_level_nu_equals_word_oracle(oracle_case):
         assert m.level_nu(k) == [nu(m, w) for w in all_words(n, k)]
 
 
-def test_mixing_max_gap_equals_pair_oracle(oracle_case, monkeypatch):
+def test_mixing_max_gap_equals_pair_oracle(oracle_case):
     name, m, _, k = oracle_case
     if name == "two-radicand":
-        # theta1 is not certified on this system (ROADMAP item 2); the gap column does not use it
-        monkeypatch.setattr(spectral, "theta1", lambda s: SimpleNamespace(exact=Radical(Fraction(9, 10))))
+        # the uncertified route: float bounds, exact gaps
+        assert m._quad.theta1.exact is None
     n_sym, n_max = m.system.n_symbols, 2
     rows = mixing_bound_check(m, k, n_max)
     alphas = list(all_words(n_sym, k))

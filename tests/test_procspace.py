@@ -30,7 +30,8 @@ from kusuoka.procspace import (
     transfer_L,
 )
 from kusuoka.spectral import renormalize
-from kusuoka.symbolic import BudgetError, all_words, cylinder_from_values, indicator, word_matrix
+from kusuoka.symbolic import BudgetError, all_words, cylinder_from_values, indicator, word_index, word_matrix
+from test_measure import _two_radicand_system
 
 
 def _sigma_z():
@@ -435,3 +436,132 @@ def test_transfer_powers_decay_at_top_rate(sg):
             cur = transfer_L(cur)
             bound = Radical(Fraction(16, 25) ** k) * base
             assert (bound - process_norm_sq(cur)).sign() >= 0
+
+
+# -- packed tables against word products --------------------------------------
+
+
+def _sqrt7_process(system, rng, degree):
+    """A table with sqrt(7) I on every other word: a radicand neither the maps nor E use."""
+    f = _random_process(system, rng, degree)
+    vals = list(f.values)
+    for i in range(0, len(vals), 2):
+        vals[i] = vals[i] + Radical.root(7) * as_matrix([[1, 0], [0, 1]], EXACT)
+    return FiniteProcess(system, degree, tuple(vals))
+
+
+_PACKED_TABLE_CASES = {
+    "sg": (sg_system, _random_process),
+    "two-radicand": (_two_radicand_system, _random_process),
+    "sg-sqrt7": (sg_system, _sqrt7_process),
+}
+
+
+@pytest.fixture(params=sorted(_PACKED_TABLE_CASES))
+def packed_case(request):
+    build, make = _PACKED_TABLE_CASES[request.param]
+    system = build()
+    f = make(system, np.random.default_rng(41), 1)
+    g = make(system, np.random.default_rng(42), 2)
+    return system, kusuoka_measure(system), f, g
+
+
+def _same(got, want):
+    return len(got) == len(want) and all((a == b).all() for a, b in zip(got, want))
+
+
+def test_packed_extend_shift_transfer_equal_word_products(packed_case):
+    system, _, f, _ = packed_case
+    n, maps = system.n_symbols, system.maps
+    ext = extend(f, 2)
+    want = [word_matrix(system, w[1:]) @ f.values[w[0]] for w in all_words(n, 3)]
+    assert _same(ext.values, want)
+    want = [f.values[w[1]] @ maps[w[0]] for w in all_words(n, 2)]
+    assert _same(shift_T(f).values, want)
+    table = extend(f, 1).values
+    want = [sum((table[s * n + a] @ maps[s].T for s in range(1, n)), table[a] @ maps[0].T) for a in range(n)]
+    assert _same(transfer_L(extend(f, 1)).values, want)
+
+
+def test_packed_embedding_and_level_matrices_equal_word_products(packed_case):
+    system, m, _, _ = packed_case
+    n = system.n_symbols
+    rng = np.random.default_rng(43)
+    vals = [Fraction(int(x), 3) for x in rng.integers(-5, 6, size=n ** 2)]
+    vals[1] = vals[1] + Radical.root(7)
+    f = cylinder_from_values(system, 2, vals)
+    want = [f.values[i] * word_matrix(system, w) for i, w in enumerate(all_words(n, 2))]
+    assert _same(embed_phi(system, f).values, want)
+    for k in range(4):
+        assert _same(m.level_matrices(k), [word_matrix(system, w) for w in all_words(n, k)])
+
+
+def _inner_oracle(system, f, g):
+    """<F, G> of a degree-1 F and a degree-2 G at level 2, F extended by word products."""
+    n, e = system.n_symbols, system.energy
+    total = Radical(0)
+    for w in all_words(n, 2):
+        fw = word_matrix(system, w[1:]) @ f.values[w[0]]
+        total = total + np.trace(g.values[w[0] * n + w[1]].T @ e @ fw)
+    return total
+
+
+def test_packed_inner_product_and_projection_equal_word_products(packed_case):
+    system, m, f, g = packed_case
+    n, e = system.n_symbols, system.energy
+    assert process_inner(f, g) == _inner_oracle(system, f, g)
+    # tables packed in different fields meet in one
+    plain = _random_process(system, np.random.default_rng(45), 1)
+    assert process_inner(plain, g) == _inner_oracle(system, plain, g)
+    assert process_inner(g, plain) == process_inner(plain, g)
+    # q(alpha w) = Tr(A(alpha w)^T E A(w) F(alpha)) / nu(alpha w)
+    for proc, level in ((f, 3), (g, 2), (g, 3)):
+        got = project_Q(m, proc, up_to_level=level).function().values
+        shadow = []
+        for word in all_words(n, level):
+            alpha, w = word[:proc.degree], word[proc.degree:]
+            fw = word_matrix(system, w) @ proc.values[word_index(alpha, n)]
+            a = word_matrix(system, word)
+            shadow.append(np.trace(a.T @ e @ fw) / nu(m, word))
+        assert list(got) == shadow, level
+
+
+def test_table_operations_take_no_radical_product(sg, monkeypatch):
+    """embed_phi, extend and transfer_L run on packed integer tables: no Radical product."""
+    calls = []
+    mul = Radical.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Radical, "__mul__", counted)
+    monkeypatch.setattr(Radical, "__rmul__", counted)
+    assert Radical(2) * Radical(3) == 3 * Radical(2) and len(calls) == 2
+    f = cylinder_from_values(sg, 3, [Fraction(int(x), 3) for x in np.random.default_rng(44).integers(-5, 6, 27)])
+    calls.clear()
+    g = extend(transfer_L(transfer_L(embed_phi(sg, f))), 2)
+    assert calls == [] and g.degree == 3
+
+
+# q_decay_check rows and a float projection as the unpacked Radical route computed them
+_Q_DECAY_ROWS = {
+    "sg": ((1, 4, 10, 3), [0.5715230920032095, 0.5646280084785595, 0.3104965275069599, 0.23845185821324782]),
+    "sg3": ((1, 3, 10, 7), [0.5783743658146894, 0.5562887693077029, 0.2924120204922247]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_Q_DECAY_ROWS))
+def test_q_decay_rows_are_pinned(request, name):
+    args, want = _Q_DECAY_ROWS[name]
+    rows = q_decay_check(request.getfixturevalue(name), *args)
+    assert [r.j for r in rows] == list(range(args[0], args[1] + 1)) and all(r.ok for r in rows)
+    assert [r.max_ratio for r in rows] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_project_q_float_is_pinned(sg_float, sg_float_measure):
+    f = FiniteProcess(sg_float, 1, tuple(np.random.default_rng(9).standard_normal((3, 2, 2))))
+    got = project_Q(sg_float_measure, f, up_to_level=3).function().values[:6]
+    want = [-1.031557286098428, -1.6971881999080192, -0.17538554294265807,
+            -2.061832974961881, -2.6998757140192158, -0.21757292408353757]
+    assert list(got) == pytest.approx(want, rel=1e-12, abs=1e-12)

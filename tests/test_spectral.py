@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kusuoka import cli, quadform, spectral
+from kusuoka import cli, multiquad, quadform, spectral
 from kusuoka.exactnum import Radical, parse_exact
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import (
@@ -406,7 +406,7 @@ def test_kernel_is_the_packing_of_psi_products(name):
     psi_star = _psi_products([a.T for a in system.maps])  # Psi*_s(u_q)[p]
     e = [system.energy[i, j] for i, j in quadform.packed_pairs(d)]
     exact = system.backend == EXACT
-    ref = quadform.Multiquad(quadform._radicands(list(psi.ravel()) + e, exact), exact)
+    ref = multiquad.Multiquad(multiquad._radicands(list(psi.ravel()) + e, exact), exact)
     assert q.gens == ref.gens
     if name.startswith("sg") and name != "sg-float":
         assert q.gens == [3]
