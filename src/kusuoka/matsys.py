@@ -173,20 +173,20 @@ class ValidationReport:
 def _exact_residuals(system: MatrixSystem) -> tuple[tuple[bool, float], tuple[bool, float]]:
     """(vanishes, Frobenius norm) of M*(E) - E and of M(I) - I on the exact backend.
 
-    Each residual is one stacked product of the packed maps, summed over the
-    symbols, and is zero exactly when its integer coordinates are; only a
-    nonzero one is unpacked, for its float norm.
+    Each residual is a stacked product over all symbols at once of the maps
+    packed in one field, summed, and is zero exactly when its integer
+    coordinates are; only a nonzero one is unpacked, for its float norm.
     """
     mf = map_field(system.maps, system.energy)
-    fld, (a, den) = mf.fld, mf.maps
-    at = a.swapaxes(-3, -2), den
+    fld, (a, a_den) = mf.fld, mf.maps
+    at = a.swapaxes(-3, -2), a_den
     out = []
     for (num, den), target in ((fld.matmul(at, fld.matmul(mf.energy, mf.maps)), mf.energy),
                                (fld.matmul(mf.maps, at), mf.identity)):
         res, res_den = fld.sub((num.sum(axis=0), den), target)
         zero = not res.any()
         out.append((zero, 0.0 if zero else float(linalg.frobenius_sq(fld.unpack_array(res, res_den))) ** 0.5))
-    return out[0], out[1]
+    return tuple(out)
 
 
 def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:

@@ -5,11 +5,12 @@ and of the irreducibility constants, transfer values and the sampler's
 conditionals all go through the quadratic forms Psi_s(B) = A_s B A_s^T,
 their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.  :class:`_Quad`
 holds them as integer arrays over one multiquadratic field
-(:class:`~kusuoka.multiquad.Multiquad`), so a whole level of words advances
-by one matrix product.  Every Psi_s entry is formed once per kernel, on integer
-coordinates of the map entries in the square roots they use (:func:`_psi`);
-the same kernel derives theta1's reps of M = sum_s Psi_s, the trace-free
-basis and theta1, so one kernel serves a whole computation.
+(:class:`~kusuoka.multiquad.Multiquad`), so a whole level of words
+advances by one matrix product.  Every Psi_s entry is formed once per
+kernel, on integer coordinates of the map entries in the square roots they
+use (:func:`_psi`); the same kernel derives theta1's reps of M = sum_s
+Psi_s, the trace-free basis and theta1, so one kernel serves a whole
+computation.
 :func:`averaging_matrix` sums Psi for raw maps that have no weight E yet.
 This module owns the packed layout and is the only code that writes Psi_s
 in it.
