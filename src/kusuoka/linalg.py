@@ -31,6 +31,7 @@ __all__ = [
     "EXACT",
     "FLOAT",
     "FIELDS",
+    "array_field",
     "as_matrix",
     "identity",
     "zeros",
@@ -55,7 +56,8 @@ class Field:
     ``FIELDS[EXACT]`` holds :class:`~kusuoka.exactnum.Radical` entries in
     object arrays, ``FIELDS[FLOAT]`` float64.  Arithmetic needs no field:
     ``Radical`` overloads the operators.  What does differ between the two
-    backends (lifting a number, square roots, division, JSON) lives here.
+    backends (lifting a number, square roots, division, JSON) lives here,
+    and ``exact`` is the one answer to "exact or float".
     """
 
     __slots__ = ()
@@ -95,7 +97,7 @@ class Field:
 
 class _ExactField(Field):
     __slots__ = ()
-    dtype, zero, one = object, Radical(0), Radical(1)
+    dtype, zero, one, exact = object, Radical(0), Radical(1), True
     lift = staticmethod(Radical)
     to_json = staticmethod(format_exact)
 
@@ -113,7 +115,7 @@ class _ExactField(Field):
 
 class _FloatField(Field):
     __slots__ = ()
-    dtype, zero, one = float, 0.0, 1.0
+    dtype, zero, one, exact = float, 0.0, 1.0, False
     lift = staticmethod(float)
     to_json = staticmethod(float)
 
@@ -125,6 +127,11 @@ class _FloatField(Field):
 
 
 FIELDS = {EXACT: _ExactField(), FLOAT: _FloatField()}
+
+
+def array_field(a) -> Field:
+    """The Field whose scalars the array (or sequence) ``a`` holds: object arrays are exact."""
+    return FIELDS[EXACT if np.asarray(a).dtype == object else FLOAT]
 
 
 def as_matrix(rows, backend: str) -> np.ndarray:
@@ -145,13 +152,8 @@ def to_float_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_sq(a: np.ndarray):
-    """Sum of squared entries (exact scalar or float)."""
-    if a.dtype == object:
-        total = Radical(0)
-        for x in a.flat:
-            total = total + x * x
-        return total
-    return float(np.sum(np.asarray(a, dtype=float) ** 2))
+    """Sum of squared entries, a scalar of the array's field."""
+    return array_field(a).lift((a * a).sum())
 
 
 def char_poly(m: np.ndarray) -> list[Radical]:

@@ -27,6 +27,7 @@ via :func:`to_float_system`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,7 +83,7 @@ def make_system(alphabet, maps, energy, backend: str) -> MatrixSystem:
     The maps and the weight are read-only copies, on both backends, so no
     caller can edit a system under the tables and kernels built from it.
     """
-    if backend not in (EXACT, FLOAT):
+    if backend not in linalg.FIELDS:
         raise ValueError(f"unknown backend {backend!r}")
     alphabet = tuple(str(a) for a in alphabet)
     if len(set(alphabet)) != len(alphabet):
@@ -170,56 +171,55 @@ class ValidationReport:
         ]
 
 
-def _exact_residuals(system: MatrixSystem) -> tuple[tuple[bool, float], tuple[bool, float]]:
-    """(vanishes, Frobenius norm) of M*(E) - E and of M(I) - I on the exact backend.
+def _residuals(system: MatrixSystem) -> list[tuple[bool, float]]:
+    """(vanishes, Frobenius norm) of M*(E) - E and of M(I) - I.
 
     Each residual is a stacked product over all symbols at once of the maps
-    packed in one field, summed, and is zero exactly when its integer
-    coordinates are; only a nonzero one is unpacked, for its float norm.
+    packed in one field (m = 1 on the float backend), summed, and vanishes
+    exactly when its coordinates do; only a nonzero one is unpacked, for its
+    float norm.  (A_s^T E) A_s is formed in the order ``apply_M_star`` uses.
     """
     mf = map_field(system.maps, system.energy)
     fld, (a, a_den) = mf.fld, mf.maps
     at = a.swapaxes(-3, -2), a_den
     out = []
-    for (num, den), target in ((fld.matmul(at, fld.matmul(mf.energy, mf.maps)), mf.energy),
+    for (num, den), target in ((fld.matmul(fld.matmul(at, mf.energy), mf.maps), mf.energy),
                                (fld.matmul(mf.maps, at), mf.identity)):
         res, res_den = fld.sub((num.sum(axis=0), den), target)
         zero = not res.any()
-        out.append((zero, 0.0 if zero else float(linalg.frobenius_sq(fld.unpack_array(res, res_den))) ** 0.5))
-    return tuple(out)
+        out.append((zero, 0.0 if zero else math.sqrt(linalg.frobenius_sq(fld.unpack_array(res, res_den)))))
+    return out
 
 
 def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
     """Check both fundamental identities, weight properties, injectivity.
 
-    Exact backend: residuals must vanish identically and positivity is
-    decided by leading principal minors.  Float backend: residuals are
-    compared in Frobenius norm against ``tol``.
+    Both backends form the residuals by one packed route.  Exact backend:
+    residuals must vanish identically, the trace is one exactly, and
+    positivity is decided by leading principal minors.  Float backend:
+    residuals and the trace are compared against ``tol``.  A weight that
+    is not positive definite reports its least eigenvalue, computed in
+    floats, on both.
     """
-    d = system.dim
-    if system.backend == EXACT:
-        (inv_ok, res1), (norm_ok, res2) = _exact_residuals(system)
-        trace_ok = (np.trace(system.energy) - 1) == Radical(0)
-        minors = linalg.leading_minors(system.energy)
-        pd = _is_sym(system.energy) and all(m.sign() > 0 for m in minors)
-        offending = None if pd else min(float(m) for m in minors)
+    (inv_zero, res1), (norm_zero, res2) = _residuals(system)
+    energy = system.energy
+    if system.field.exact:
+        inv_ok, norm_ok = inv_zero, norm_zero
+        trace_ok = (np.trace(energy) - 1).is_zero()
+        pd = _is_sym(energy) and all(m.sign() > 0 for m in linalg.leading_minors(energy))
         inj = tuple(not linalg.det_exact(m).is_zero() for m in system.maps)
     else:
-        ident = linalg.identity(d, system.backend)
-        res1 = float(np.sqrt(linalg.frobenius_sq(apply_M_star(system, system.energy) - system.energy)))
-        res2 = float(np.sqrt(linalg.frobenius_sq(apply_M(system, ident) - ident)))
         inv_ok, norm_ok = res1 <= tol, res2 <= tol
-        trace_ok = abs(np.trace(system.energy) - 1.0) <= tol
-        eigs = np.linalg.eigvalsh(np.asarray(system.energy, dtype=float))
-        pd = _is_sym(system.energy) and bool(eigs.min() > 0)
-        offending = None if pd else float(eigs.min())
+        trace_ok = abs(np.trace(energy) - 1.0) <= tol
+        pd = _is_sym(energy) and bool(np.linalg.eigvalsh(energy).min() > 0)
         inj = tuple(
             bool(np.linalg.svd(m, compute_uv=False).min() > tol * max(1.0, float(np.abs(m).max())))
             for m in system.maps
         )
+    offending = None if pd else float(np.linalg.eigvalsh(linalg.to_float_matrix(energy)).min())
     return ValidationReport(
         backend=system.backend,
-        dim=d,
+        dim=system.dim,
         invariance_residual=res1,
         normalization_residual=res2,
         invariance_ok=inv_ok,
@@ -248,15 +248,10 @@ def schatten_norm(b: np.ndarray, p):
         p = float("inf")
     if not (p == float("inf") or p >= 1):
         raise ValueError("Schatten norms need p >= 1")
-    if b.dtype != object:
-        sv = np.linalg.svd(np.asarray(b, dtype=float), compute_uv=False)
-        if p == float("inf"):
-            return float(sv.max(initial=0.0))
-        return float((sv**p).sum() ** (1.0 / p))
-    if p == 2:
-        return linalg.frobenius_sq(b).sqrt()
-    if _is_sym(b):
-        eigs = linalg.exact_eigenvalues_symmetric(b)
+    if linalg.array_field(b).exact:
+        if p == 2:
+            return linalg.frobenius_sq(b).sqrt()
+        eigs = linalg.exact_eigenvalues_symmetric(b) if _is_sym(b) else None
         if eigs is not None:
             mags = [abs(x) for x in eigs]
             if p == float("inf"):
@@ -269,8 +264,7 @@ def schatten_norm(b: np.ndarray, p):
                     return total
                 return float(total) ** (1.0 / float(p))
             return float(sum(float(m) ** float(p) for m in mags)) ** (1.0 / float(p))
-    fl = linalg.to_float_matrix(b)
-    sv = np.linalg.svd(fl, compute_uv=False)
+    sv = np.linalg.svd(linalg.to_float_matrix(b), compute_uv=False)
     if p == float("inf"):
         return float(sv.max(initial=0.0))
     return float((sv**p).sum() ** (1.0 / p))
@@ -297,7 +291,7 @@ def sg_system(backend: str = EXACT) -> MatrixSystem:
     maps = [d0, rot.T @ d0 @ rot, rot @ d0 @ rot.T]
     energy = linalg.as_matrix([[half, 0], [0, half]], EXACT)
     system = make_system(("0", "1", "2"), maps, energy, EXACT)
-    return system if backend == EXACT else to_float_system(system)
+    return system if linalg.FIELDS[backend].exact else to_float_system(system)
 
 
 def bernoulli_system(probs, backend: str = EXACT) -> MatrixSystem:
@@ -317,11 +311,11 @@ def bernoulli_system(probs, backend: str = EXACT) -> MatrixSystem:
         linalg.as_matrix([[1]], EXACT),
         EXACT,
     )
-    return system if backend == EXACT else to_float_system(system)
+    return system if linalg.FIELDS[backend].exact else to_float_system(system)
 
 
 def to_float_system(system: MatrixSystem) -> MatrixSystem:
-    if system.backend == FLOAT:
+    if not system.field.exact:
         return system
     return make_system(
         system.alphabet,

@@ -21,12 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .exactnum import Radical
 
 
-def _radicands(xs, exact: bool) -> set:
-    """The squarefree radicands of the terms of the scalars xs; none on the float backend."""
-    return {r for x in xs for r, _ in Radical(x).terms()} if exact else set()
+def _radicands(xs) -> set:
+    """The squarefree radicands of the terms of the scalars xs; none for float scalars."""
+    return {r for x in xs for r, _ in Radical(x).terms()} if linalg.array_field(xs).exact else set()
 
 
 def _support(num) -> list:
@@ -145,8 +146,9 @@ class Multiquad(_Span):
     """The field Q(sqrt g_1, ..., sqrt g_t), a span of m = 2^t roots closed under products.
 
     Its basis is e_b = sqrt(prod of the g_l with bit l set in b) =
-    scale[b] sqrt(radicand[b]), so that e_i e_j = c_ij e_(i^j), c_ij being
-    the product of the g_l common to i and j.  The float field has t = 0.
+    scale[b] sqrt(radicand[b]), so that e_i e_j = common[i & j] e_(i^j),
+    common[k] being the product of the g_l with bit l set in k.  Set-up is
+    linear in m.  The float field has t = 0.
     """
 
     def __init__(self, radicands, exact: bool):
@@ -162,17 +164,17 @@ class Multiquad(_Span):
                     group |= {x * r // math.gcd(x, r) ** 2 for x in group}
         m = 1 << len(gens)
         self.gens = gens
-        # e_b = s_b sqrt(r_b) with r_b squarefree
-        scale, radicand = [1] * m, [1] * m
+        # e_b = s_b sqrt(r_b) with r_b squarefree; common[b] is the product of the g_l of b
+        scale, radicand, common = [1] * m, [1] * m, [1] * m
         for b in range(1, m):
             low = b & (b - 1)
             g = gens[(b ^ low).bit_length() - 1]
             c = math.gcd(radicand[low], g)
             scale[b] = scale[low] * c
             radicand[b] = radicand[low] * g // (c * c)
+            common[b] = common[low] * g
         super().__init__(radicand, scale, exact)
-        common = [math.prod(g for l, g in enumerate(gens) if k >> l & 1) for k in range(m)]
-        self.c = [[common[i & j] for j in range(m)] for i in range(m)]
+        self.common = common
         self.by_radicand = sorted(range(m), key=radicand.__getitem__)
         self.root = [math.sqrt(r) for r in radicand]
 
@@ -187,16 +189,16 @@ class Multiquad(_Span):
         out = np.zeros(x.shape + (self.m,), dtype=x.dtype)
         for i in range(self.m):
             for j in range(self.m):
-                out[..., j, i ^ j] = self.c[i][j] * x[..., i]
+                out[..., j, i ^ j] = self.common[i & j] * x[..., i]
         return out
 
     def _products(self, out, term):
-        """Add c_ij term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
+        """Add common[i & j] term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
         k = out.shape[-1]
         for i in range(k):
             for j in range(k):
-                t = term(i, j)
-                out[..., i ^ j] += t if self.c[i][j] == 1 else self.c[i][j] * t
+                t, c = term(i, j), self.common[i & j]
+                out[..., i ^ j] += t if c == 1 else c * t
         return out
 
     def mul(self, x, y):
@@ -216,13 +218,13 @@ class Multiquad(_Span):
         (xn, xd), (yn, yd) = x, y
         if self.m == 1:
             return self._reduce((xn[..., 0] @ yn[..., 0])[..., None], xd * yd)
-        out = None
+        out, ys = None, _support(yn)
         for i in _support(xn):
-            for j in _support(yn):
-                t = xn[..., i] @ yn[..., j]
+            for j in ys:
+                t, c = xn[..., i] @ yn[..., j], self.common[i & j]
                 if out is None:
                     out = np.zeros(t.shape + (self.m,), dtype=t.dtype)
-                out[..., i ^ j] += t if self.c[i][j] == 1 else self.c[i][j] * t
+                out[..., i ^ j] += t if c == 1 else c * t
         if out is None:  # x or y is zero
             shape = np.broadcast_shapes(xn.shape[:-3], yn.shape[:-3]) + (xn.shape[-3], yn.shape[-2], self.m)
             return np.zeros(shape, dtype=xn.dtype), 1
@@ -316,7 +318,7 @@ class Multiquad(_Span):
         out = [0] * self.m
         for i, xi in enumerate(x):
             for j, yj in enumerate(y):
-                out[i ^ j] += self.c[i][j] * xi * yj
+                out[i ^ j] += self.common[i & j] * xi * yj
         return out
 
 
@@ -343,9 +345,8 @@ class MapField(NamedTuple):
 def map_field(maps, energy, radicands=()) -> MapField:
     """Pack the maps and E in the smallest field holding their entries and sqrt(r) for each r of ``radicands``."""
     a = np.array(maps)
-    exact = a.dtype == object
-    roots = _radicands(a.ravel(), exact) | _radicands(energy.ravel(), exact) | set(radicands)
-    fld = field_of(frozenset(roots), exact)
+    roots = _radicands(a.ravel()) | _radicands(energy.ravel()) | set(radicands)
+    fld = field_of(frozenset(roots), linalg.array_field(a).exact)
     return MapField(fld, fld.pack_array(a), fld.pack_array(energy))
 
 

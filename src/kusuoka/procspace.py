@@ -30,7 +30,6 @@ import numpy as np
 
 from . import linalg, matsys, measure, spectral, symbolic
 from .exactnum import Radical
-from .linalg import EXACT
 from .matsys import MatrixSystem
 from .measure import KusuokaMeasure
 from .multiquad import MapField, _radicands, map_field
@@ -87,7 +86,7 @@ class FiniteProcess:
         if vals.shape != shape:
             raise ValueError(f"table has shape {vals.shape}, expected {shape}")
         vals.setflags(write=False)
-        maps = map_field(system.maps, system.energy, _radicands(vals.ravel(), system.backend == EXACT))
+        maps = map_field(system.maps, system.energy, _radicands(vals.ravel()))
         # the frozen fields, and ``values`` already read
         self.__dict__.update(system=system, degree=degree, _maps=maps, _table=maps.fld.pack_array(vals), values=vals)
 
@@ -194,7 +193,7 @@ def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.
     """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha)."""
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    maps = map_field(system.maps, system.energy, _radicands(f.values, system.backend == EXACT))
+    maps = map_field(system.maps, system.energy, _radicands(f.values))
     fld, (num, den) = maps.fld, maps.identity
     words = extend(FiniteProcess._packed(system, 0, maps, (num[None], den)), f.depth, budget)._table
     vals, vals_den = fld.pack_array(f.values)
@@ -310,7 +309,7 @@ def gamma_norm(rep: MartingaleRep, gamma):
         raise ValueError("gamma must lie strictly between 0 and 1")
     sys_ = rep.measure.system
     norms = [_norm_scalar(rep.component_norm_sq(j), sys_.field) for j in range(len(rep.components))]
-    if sys_.backend == EXACT and all(isinstance(x, Radical) for x in norms):
+    if all(isinstance(x, Radical) for x in norms):
         try:
             gam = Radical(gamma)
         except TypeError:
@@ -372,7 +371,7 @@ def dilation_check(
         big = max(f.depth, k + level)
         symbolic.check_budget(n, big, budget)
         q = m._quad
-        fld = q.holding(_radicands(f.values, sys_.backend == EXACT))
+        fld = q.holding(_radicands(f.values))
         masses, mass_den = fld._convert(q, *q.nu(m._level_table(big, budget)))
         fv, fv_den = fld.pack_array(f.values)
         weighted = fld.mul(np.repeat(fv, n ** (big - f.depth), axis=0), masses)
@@ -429,7 +428,7 @@ def innovation_part(f: FiniteProcess) -> FiniteProcess:
     gram, gram_den = fld.matmul(k, kt)
     gram = fld.unpack_array(gram.sum(axis=0), gram_den)
     rhs = fld.unpack_array(*sums).transpose(1, 0, 2).reshape(d, -1)  # [Y_0 | Y_1 | ...]
-    solve = linalg.solve_exact if sys_.backend == EXACT else np.linalg.solve
+    solve = linalg.solve_exact if sys_.field.exact else np.linalg.solve
     z, z_den = fld.pack_array(solve(gram, rhs).reshape(d, -1, d).transpose(1, 0, 2))
     out, den = fld.sub(blocks, fld.matmul((kt[0][None], kt[1]), (z[:, None], z_den)))
     return FiniteProcess._packed(sys_, f.degree, f._maps, (out.reshape(f._table[0].shape), den))
@@ -440,7 +439,7 @@ def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Gener
 
     Float backend only; degree 0 needs no projection (nothing is older).
     """
-    if system.backend == EXACT:
+    if system.field.exact:
         raise ValueError("random tables are drawn on the float backend")
     if k < 0:
         raise ValueError("degree must be >= 0")

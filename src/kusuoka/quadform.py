@@ -67,8 +67,7 @@ class _PackedMaps(NamedTuple):
 def _pack_maps(maps) -> _PackedMaps:
     """Pack the maps once; every Psi_s is then formed on their coordinates (:func:`_psi`)."""
     a = np.array(maps)
-    exact = a.dtype == object
-    span = _Span.roots(_radicands(a.ravel(), exact), exact)
+    span = _Span.roots(_radicands(a.ravel()), linalg.array_field(a).exact)
     num, den = span._pack_scalars(a.ravel())
     a = num.reshape(a.shape + (span.m,))
     # only roots that one map uses together are multiplied, so the cost grows
@@ -76,7 +75,7 @@ def _pack_maps(maps) -> _PackedMaps:
     rad = span.radicand
     used = (a.reshape(len(a), -1, span.m) != 0).any(axis=1).astype(int)  # (n, m)
     gcds = {(i, j): math.gcd(rad[i], rad[j]) for i, j in np.argwhere(used.T @ used).tolist()}
-    prod = _Span.roots({rad[i] * rad[j] // g ** 2 for (i, j), g in gcds.items()}, exact)
+    prod = _Span.roots({rad[i] * rad[j] // g ** 2 for (i, j), g in gcds.items()}, span.exact)
     terms = [(i, j, g, prod.where[rad[i] * rad[j] // g ** 2]) for (i, j), g in sorted(gcds.items())]
     return _PackedMaps(a, den, prod, terms)
 
@@ -201,8 +200,9 @@ class Theta1Result:
         return f"{self.value !r} (float)"
 
 
-def _theta1_of(reps, exact: bool) -> Theta1Result:
+def _theta1_of(reps) -> Theta1Result:
     """The spectral radius of M on both parts ``reps``, each certified when its polynomial splits (exact backend)."""
+    exact = linalg.array_field(reps[0]).exact
     radius, certified, spectrum = {}, {}, {}
     for part, rep in zip(("traceless-symmetric", "antisymmetric"), reps):
         spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
@@ -249,7 +249,7 @@ class _Quad(Multiquad):
         # sym[s, p, q] = Psi_s(u_q)[p], anti the same on the antisymmetric units, on the products of the maps' roots
         self.sym, self.anti = _psi(self.packed)
         prod = self.packed.prod
-        super().__init__(prod.used(self.sym) | _radicands(self.e, prod.exact), prod.exact)
+        super().__init__(prod.used(self.sym) | _radicands(self.e), system.field.exact)
 
     @cached_property
     def _psi_mul(self):
@@ -296,7 +296,7 @@ class _Quad(Multiquad):
         """
         sums = [x.sum(axis=0) for x in (self.sym, self.anti)]
         prod = self.packed.prod
-        fld = Multiquad(set().union(_radicands(self.e, self.exact), *map(prod.used, sums)), self.exact)
+        fld = Multiquad(set().union(_radicands(self.e), *map(prod.used, sums)), self.exact)
         (total, tden), anti = (fld._convert(prod, x, self.packed.den ** 2) for x in sums)
         basis, bden = _trace_free_coords(fld, fld._pack_scalars(self.e)[0], self.dim)
         rep = np.zeros(basis.shape, dtype=basis.dtype)
@@ -305,7 +305,7 @@ class _Quad(Multiquad):
 
     @cached_property
     def theta1(self) -> Theta1Result:
-        return _theta1_of(self.theta1_reps, self.exact)
+        return _theta1_of(self.theta1_reps)
 
     @cached_property
     def m_sum(self):

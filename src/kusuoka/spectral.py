@@ -47,15 +47,16 @@ def theta1(system: matsys.MatrixSystem) -> Theta1Result:
     certified when its characteristic polynomial splits (``_Quad.theta1``).
     """
     if system.dim == 1:  # no direction off the identity: nothing to pack
-        return quadform._theta1_of((system.field.zeros((0, 0)),) * 2, system.backend == EXACT)
+        return quadform._theta1_of((system.field.zeros((0, 0)),) * 2)
     return _Quad(system).theta1
 
 
-def _scalar_action(rep: np.ndarray, backend: str):
+def _scalar_action(rep: np.ndarray):
     """The c with rep = c*I, or None."""
     n, c = rep.shape[0], rep[0, 0]
-    if backend == EXACT:
-        return c if (rep == c * linalg.identity(n, EXACT)).all() else None
+    field = linalg.array_field(rep)
+    if field.exact:
+        return c if (rep == c * field.identity(n)).all() else None
     dev = float(np.max(np.abs(rep - float(c) * np.eye(n))))
     return float(c) if dev <= 1e-12 * max(1.0, abs(float(c))) else None
 
@@ -78,7 +79,7 @@ def theta1_schatten(system: matsys.MatrixSystem | _Quad, p, trials: int = 256, s
     rep = q.theta1_reps[0]
     if rep.shape[0] == 0:
         return system.field.zero
-    c = _scalar_action(rep, system.backend)
+    c = _scalar_action(rep)
     if c is not None:
         return abs(c)
 
@@ -150,9 +151,9 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = N
     return h, grams
 
 
-def _smallest_eigenvalue(k: int, h, gram, backend: str) -> CkResult:
+def _smallest_eigenvalue(k: int, h, gram) -> CkResult:
     """The least root of det(G' - lambda H): the least eigenvalue of H^-1 G'."""
-    if backend == EXACT:
+    if linalg.array_field(h).exact:
         eigs = linalg.exact_eigenvalues_symmetric(linalg.solve_exact(h, gram))
         if eigs is not None:
             low = min(eigs)
@@ -183,7 +184,7 @@ def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDG
     if forms is None:
         return CkResult(k, False, None, None)
     h, grams = forms
-    return _smallest_eigenvalue(k, h, grams[k], system.backend)
+    return _smallest_eigenvalue(k, h, grams[k])
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def _theta2(system: matsys.MatrixSystem, k_max: int, budget: int, q: _Quad | Non
         cs = {k: CkResult(k, False, None, None) for k in range(1, k_max + 1)}
         return Theta2Result(False, True, None, None, None, None, cs)
     h, grams = forms
-    cs = {k: _smallest_eigenvalue(k, h, g, system.backend) for k, g in grams.items()}
+    cs = {k: _smallest_eigenvalue(k, h, g) for k, g in grams.items()}
 
     irreducibility_ok = all(r.value is not None and r.value > 0 for r in cs.values())
 
@@ -340,7 +341,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     rep_primal = quadform.averaging_matrix([a.T for a in mats])
     rep_dual = quadform.averaging_matrix(mats)
 
-    if backend == EXACT:
+    if field.exact:
         for a in mats:
             if linalg.det_exact(a).is_zero():
                 raise ValueError("raw maps must be injective")
@@ -354,7 +355,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
                 "scaling factor mu^(-1/2) leaves the exact scalar field; use the float backend"
             )
         upper = linalg.cholesky_exact(r0)  # r0 = U^T U
-        upper_inv = linalg.solve_exact(upper, linalg.identity(d, EXACT))
+        upper_inv = linalg.solve_exact(upper, field.identity(d))
     else:
         for a in mats:
             if abs(np.linalg.det(a)) < tol:

@@ -79,3 +79,52 @@ def test_dead_private_helper_is_reported():
     b = "from a import _used, A\n_used()\nA()._n()\ngetattr(A, '_named')\n"
     c = "class B:\n    def _n(self):\n        pass\n\n    def _named(self):\n        pass\n"
     assert _dead_private_helpers({"a.py": a, "b.py": b, "c.py": c}) == ["a.py: _dead", "a.py: A._m"]
+
+
+def _backend_compares(source: str) -> list[str]:
+    """Comparisons that ask "exact or float" outside ``Field.exact``.
+
+    An equality or identity test against ``EXACT``, ``FLOAT`` or the strings
+    "exact" / "float", or of a ``.dtype`` against ``object``.
+    """
+    def backend(node):
+        return ((isinstance(node, ast.Name) and node.id in ("EXACT", "FLOAT"))
+                or (isinstance(node, ast.Attribute) and node.attr in ("EXACT", "FLOAT"))
+                or (isinstance(node, ast.Constant) and node.value in ("exact", "float")))
+
+    def dtype_object(a, b):
+        return isinstance(a, ast.Attribute) and a.attr == "dtype" and isinstance(b, ast.Name) and b.id == "object"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, a, b in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)) and (
+                    backend(a) or backend(b) or dtype_object(a, b) or dtype_object(b, a)):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+# the backend names are parsed (cli) and mapped to fields (linalg) here; everywhere else asks a Field
+FIELD_OWNERS = ("linalg.py", "cli.py")
+
+
+@pytest.mark.parametrize("path", [p for p in PROGRAM if p.parent.name == "kusuoka" and p.name not in FIELD_OWNERS],
+                         ids=lambda p: p.name)
+def test_exact_or_float_is_asked_of_the_field(path):
+    assert _backend_compares(path.read_text(encoding="utf-8")) == []
+
+
+def test_backend_compare_is_reported():
+    src = ("if backend == EXACT:\n    pass\nok = linalg.FLOAT != b\nx = a.dtype == object\n"
+           "y = object is not m.dtype\nz = b == 'float'\nfine = field.exact and b in linalg.FIELDS\n"
+           "also = n == 1 and a.dtype == float and EXACTLY == 2\n")
+    assert _backend_compares(src) == [
+        "line 1: backend == EXACT",
+        "line 3: linalg.FLOAT != b",
+        "line 4: a.dtype == object",
+        "line 5: object is not m.dtype",
+        "line 6: b == 'float'",
+    ]

@@ -2,11 +2,14 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kusuoka import cli, multiquad
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import EXACT, FLOAT, as_matrix, frobenius_sq
 from kusuoka.matsys import (
@@ -23,6 +26,7 @@ from kusuoka.matsys import (
     validate,
 )
 from kusuoka.symbolic import all_words
+from kusuoka.systems import get_builtin
 
 
 def _rand_sym(rng, d):
@@ -43,6 +47,70 @@ def test_sg_float_validates(sg_float):
     report = validate(sg_float)
     assert report.ok
     assert report.invariance_residual < 1e-14
+
+
+GOLDEN = Path(__file__).parent / "golden"
+VALIDATE_CASES = {"sg": "sg", "sg3": "sg3", "sg4": "sg4", "bernoulli": "bernoulli:1/4,3/4"}
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_validate_stdout_is_pinned(case, backend, capsys):
+    assert cli.main(["validate", "--builtin", VALIDATE_CASES[case], "--backend", backend]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"validate-{case}-{backend}.txt").read_bytes().decode()
+
+
+@pytest.mark.parametrize("name", ("sg", "sg3", "sg4", "sg5", "bernoulli:1/4,3/4", "bernoulli:1/3,1/3,1/3",
+                                  "bernoulli:1/2,1/3"))
+def test_float_residuals_match_the_averaging_operators(name):
+    """The packed residuals equal the Frobenius norms of M*(E) - E and M(I) - I formed by apply_M*/apply_M."""
+    system = get_builtin(name, FLOAT)
+    ident = np.eye(system.dim)
+    report = validate(system)
+    assert report.invariance_residual == math.sqrt(
+        frobenius_sq(apply_M_star(system, system.energy) - system.energy))
+    assert report.normalization_residual == math.sqrt(frobenius_sq(apply_M(system, ident) - ident))
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_offending_value_is_the_least_eigenvalue(backend, sg, monkeypatch):
+    """E = [[1/2, 1], [1, 1/2]] has eigenvalues 3/2 and -1/2; its leading minors are 1/2 and -3/4."""
+    half = Fraction(1, 2)
+    system = make_system(("0",), [[[1, 0], [0, 1]]], [[half, 1], [1, half]], backend)
+    report = validate(system)
+    assert not report.positive_definite and not report.ok
+    assert report.offending_eigenvalue == pytest.approx(-0.5, abs=1e-15)
+    assert report.lines()[3] == "weight positive definite [FAIL] (offending eigenvalue -5.000e-01)"
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert validate(sg).ok and calls == []  # a valid exact weight computes no eigenvalue
+
+
+# 2/281, 3/281, ..., 43/281: sqrt(p/281) = sqrt(281 p)/281 for 14 primes p, so t = 14 and m = 16 384
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def test_field_of_fourteen_generators_is_linear_to_set_up():
+    """The field of the t = 14 Bernoulli maps holds m entries per table, and its products agree with Radical."""
+    tracemalloc.start()
+    try:
+        fld = multiquad.Multiquad({281 * p for p in _PRIMES}, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.m == 1 << 14 and len(fld.common) == fld.m
+    assert peak < 64 << 20  # an m x m table of the common factors would take gigabytes
+    roots = [Radical.root(Fraction(p, 281)) for p in _PRIMES]
+    x = [[roots[0] * roots[1] + 3 * roots[13], Radical(Fraction(2, 7))],
+         [roots[5] - roots[6] * roots[7] * roots[8], roots[12] * roots[2]]]
+    y = [[roots[1] * roots[13] - 5, roots[3] * roots[4] * roots[5] * roots[6]],
+         [Radical(1), roots[0] * roots[7] + roots[8] * roots[9] * roots[10] * roots[11]]]
+    num, den = fld.matmul(fld.pack_array(np.array(x, dtype=object)), fld.pack_array(np.array(y, dtype=object)))
+    want = as_matrix(x, EXACT) @ as_matrix(y, EXACT)
+    assert (fld.unpack_array(num, den) == want).all()
+    a = fld.pack_array(np.array([[roots[4] * roots[13]]], dtype=object))
+    assert fld.unpack_array(*fld.matmul(a, a))[0, 0] == Radical(Fraction(11 * 43, 281 ** 2))
 
 
 def test_sg_energy_values(sg):

@@ -405,8 +405,7 @@ def test_kernel_is_the_packing_of_psi_products(name):
     psi = _psi_products(system.maps)
     psi_star = _psi_products([a.T for a in system.maps])  # Psi*_s(u_q)[p]
     e = [system.energy[i, j] for i, j in quadform.packed_pairs(d)]
-    exact = system.backend == EXACT
-    ref = multiquad.Multiquad(multiquad._radicands(list(psi.ravel()) + e, exact), exact)
+    ref = multiquad.Multiquad(multiquad._radicands(list(psi.ravel()) + e), system.field.exact)
     assert q.gens == ref.gens
     if name.startswith("sg") and name != "sg-float":
         assert q.gens == [3]
