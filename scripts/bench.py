@@ -14,9 +14,11 @@ The layers, from the scalar up:
              length 20, seed 0;
              dilation_check(sg, f, k=3) for a seeded depth-6 f with values
              in -3 .. 3, dilation_check(sg, f, k=1) for a seeded depth-3 f
-             (the shape of the benchmark's k < depth dilation job), and
+             (the shape of the benchmark's k < depth dilation job),
+             martingale_decompose(sg, f) for a seeded depth-4 f (the
+             benchmark's martingale job), and
              q_decay_check(sg, 1, 6, 100 trials, seed 0);
-             validate(sg3);
+             validate(sg), validate(sg3) and validate(sg4);
              theta1(sg5), theta1(sg6), c_k(sg5, 2), c_k(sg6, 1), c_k(sg6, 2)
              and theta2(sg5, 2); theta1 and c_k(., 1) of the renormalized
              raw maps RAW below
@@ -158,8 +160,9 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         sg5 = gasket.generate_system(5, backend)
         sg6 = gasket.generate_system(6, backend)
         a, b = sg.maps[0], sg.maps[1]
-        f3, f6 = (symbolic.cylinder_from_values(
-            sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (3, 6))
+        sg4 = gasket.generate_system(4, backend)
+        f3, f4, f6 = (symbolic.cylinder_from_values(
+            sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (3, 4, 6))
         add("scalar", "2x2 matmul", backend, lambda: a @ b)
         add("tables", "level_nu(sg3, 5)", backend, lambda: measure.kusuoka_measure(sg3).level_nu(5))
         add("operation", "generate_system(6)", backend, lambda: gasket.generate_system(6, backend))
@@ -178,9 +181,12 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
             lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f6, 3))
         add("operation", "dilation_check(sg, depth-3 f, k=1)", backend,
             lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f3, 1))
+        add("operation", "martingale_decompose(sg, depth-4 f)", backend,
+            lambda: procspace.martingale_decompose(measure.kusuoka_measure(sg), f4))
         add("operation", "q_decay_check(sg, 1, 6, 100, seed=0)", backend,
             lambda: procspace.q_decay_check(sg, 1, 6, 100, 0))
-        add("operation", "validate(sg3)", backend, lambda: matsys.validate(sg3))
+        for name, system in (("sg", sg), ("sg3", sg3), ("sg4", sg4)):
+            add("operation", f"validate({name})", backend, lambda: matsys.validate(system))
         for name, system in (("sg5", sg5), ("sg6", sg6)):
             add("operation", f"theta1({name})", backend, lambda: spectral.theta1(system))
         for name, system, k in (("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2)):

@@ -147,6 +147,7 @@ class ValidationReport:
     injective: tuple[bool, ...]
     symmetric: bool
     tol: float
+    weight_symmetric: bool = True
 
     @property
     def ok(self) -> bool:
@@ -160,26 +161,29 @@ class ValidationReport:
 
     def lines(self) -> list[str]:
         mark = lambda b: "ok" if b else "FAIL"
+        if not self.weight_symmetric:
+            why = " (weight not symmetric)"
+        elif self.offending_eigenvalue is not None:
+            why = f" (offending eigenvalue {self.offending_eigenvalue:.3e})"
+        else:
+            why = ""
         return [
             f"weight invariance residual {self.invariance_residual:.3e} [{mark(self.invariance_ok)}]",
             f"dual normalization residual {self.normalization_residual:.3e} [{mark(self.normalization_ok)}]",
             f"weight trace one [{mark(self.trace_ok)}]",
-            f"weight positive definite [{mark(self.positive_definite)}]"
-            + ("" if self.offending_eigenvalue is None
-               else f" (offending eigenvalue {self.offending_eigenvalue:.3e})"),
+            f"weight positive definite [{mark(self.positive_definite)}]" + why,
             f"maps injective [{mark(all(self.injective))}]",
         ]
 
 
-def _residuals(system: MatrixSystem) -> list[tuple[bool, float]]:
-    """(vanishes, Frobenius norm) of M*(E) - E and of M(I) - I.
+def _residuals(mf) -> list[tuple[bool, float]]:
+    """(vanishes, Frobenius norm) of M*(E) - E and of M(I) - I, from the maps and E packed in ``mf``.
 
     Each residual is a stacked product over all symbols at once of the maps
     packed in one field (m = 1 on the float backend), summed, and vanishes
     exactly when its coordinates do; only a nonzero one is unpacked, for its
     float norm.  (A_s^T E) A_s is formed in the order ``apply_M_star`` uses.
     """
-    mf = map_field(system.maps, system.energy)
     fld, (a, a_den) = mf.fld, mf.maps
     at = a.swapaxes(-3, -2), a_den
     out = []
@@ -194,29 +198,38 @@ def _residuals(system: MatrixSystem) -> list[tuple[bool, float]]:
 def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
     """Check both fundamental identities, weight properties, injectivity.
 
-    Both backends form the residuals by one packed route.  Exact backend:
-    residuals must vanish identically, the trace is one exactly, and
-    positivity is decided by leading principal minors.  Float backend:
-    residuals and the trace are compared against ``tol``.  A weight that
-    is not positive definite reports its least eigenvalue, computed in
-    floats, on both.
+    Both backends form the residuals by one packed route, from the maps and
+    E packed in one field (m = 1 on the float backend).  Exact backend:
+    residuals must vanish identically, and the trace, the leading minors
+    of E and the determinants of the maps are read off the packed stacks,
+    the minors and determinants by one fraction-free elimination
+    (:meth:`~kusuoka.multiquad.Multiquad.eliminate`), with no ``Radical``
+    arithmetic.  Float backend: residuals and the trace are compared
+    against ``tol``.  A symmetric weight that is not positive definite
+    reports its least eigenvalue, computed in floats, on both; a weight
+    that is not symmetric says so.
     """
-    (inv_zero, res1), (norm_zero, res2) = _residuals(system)
-    energy = system.energy
+    mf = map_field(system.maps, system.energy)
+    (inv_zero, res1), (norm_zero, res2) = _residuals(mf)
+    fld, (e, e_den) = mf.fld, mf.energy
+    sym = bool((e == e.swapaxes(0, 1)).all())
     if system.field.exact:
         inv_ok, norm_ok = inv_zero, norm_zero
-        trace_ok = (np.trace(energy) - 1).is_zero()
-        pd = _is_sym(energy) and all(m.sign() > 0 for m in linalg.leading_minors(energy))
-        inj = tuple(not linalg.det_exact(m).is_zero() for m in system.maps)
+        trace = e.diagonal(axis1=0, axis2=1).sum(axis=-1)
+        trace_ok = bool(trace[0] == e_den and not trace[1:].any())
+        lead, det = fld.eliminate(np.concatenate([e[None], mf.maps[0]]))
+        pd = sym and bool((fld.sign(lead[0]) > 0).all())
+        inj = tuple(bool(x) for x in det[1:].any(axis=-1))
     else:
+        energy = system.energy
         inv_ok, norm_ok = res1 <= tol, res2 <= tol
         trace_ok = abs(np.trace(energy) - 1.0) <= tol
-        pd = _is_sym(energy) and bool(np.linalg.eigvalsh(energy).min() > 0)
+        pd = sym and bool(np.linalg.eigvalsh(energy).min() > 0)
         inj = tuple(
             bool(np.linalg.svd(m, compute_uv=False).min() > tol * max(1.0, float(np.abs(m).max())))
             for m in system.maps
         )
-    offending = None if pd else float(np.linalg.eigvalsh(linalg.to_float_matrix(energy)).min())
+    offending = None if pd or not sym else float(np.linalg.eigvalsh(linalg.to_float_matrix(system.energy)).min())
     return ValidationReport(
         backend=system.backend,
         dim=system.dim,
@@ -230,6 +243,7 @@ def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
         injective=inj,
         symmetric=system.symmetric,
         tol=tol,
+        weight_symmetric=sym,
     )
 
 

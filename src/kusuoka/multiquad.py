@@ -5,11 +5,13 @@ here a stack of them is one integer array (coordinates on a list of square
 roots, last axis) over one common denominator, so a whole table advances
 by integer array products and no ``Radical`` is built until a result is
 read.  :class:`_Span` is such a list of roots, :class:`Multiquad` the field
-Q(sqrt g_1, ..., sqrt g_t) with its product, exact sign and inverse, and
+Q(sqrt g_1, ..., sqrt g_t) with its product, exact sign and inverse,
 :meth:`Multiquad.matmul` the stacked d x d matrix product every word table
-and process table is built by.  :class:`MapField` packs a system's maps and
-weight in one such field.  The float backend is the same code with the one
-root sqrt(1) and float64 coordinates.
+and process table is built by, and :meth:`Multiquad.eliminate` the
+fraction-free elimination that finds leading minors and determinants.
+:class:`MapField` packs a system's maps and weight in one such field.  The
+float backend is the same code with the one root sqrt(1) and float64
+coordinates.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def _radicands(xs) -> set:
 
 def _support(num) -> list:
     """The coordinates of a stack (..., m') that are nonzero somewhere."""
-    return [b for b in range(num.shape[-1]) if num[..., b].any()]
+    return num.reshape(-1, num.shape[-1]).any(axis=0).nonzero()[0].tolist()
 
 
 class _Span:
@@ -187,16 +189,21 @@ class Multiquad(_Span):
     def _mul_table(self, x):
         """Multiplication by each element of x (..., m): out[..., j, k] is the e_k part of x e_j."""
         out = np.zeros(x.shape + (self.m,), dtype=x.dtype)
-        for i in range(self.m):
-            for j in range(self.m):
-                out[..., j, i ^ j] = self.common[i & j] * x[..., i]
+        j = np.arange(self.m)
+        common = np.array(self.common, dtype=x.dtype)
+        for i in _support(x):
+            out[..., j, i ^ j] = common[i & j] * x[..., i, None]
         return out
 
-    def _products(self, out, term):
-        """Add common[i & j] term(i, j) at coordinate i ^ j of ``out``: the loop of every field product."""
-        k = out.shape[-1]
-        for i in range(k):
-            for j in range(k):
+    def _products(self, out, term, x, y):
+        """Add common[i & j] term(i, j) at coordinate i ^ j of ``out`` for the coordinates i and j nonzero somewhere in x and in y.
+
+        The loop of every field product; a coordinate that is zero throughout
+        a factor costs nothing.  A field of one coordinate takes its one pair.
+        """
+        left, right = (_support(x), _support(y)) if self.m > 1 else ([0], [0])
+        for i in left:
+            for j in right:
                 t, c = term(i, j), self.common[i & j]
                 out[..., i ^ j] += t if c == 1 else c * t
         return out
@@ -205,45 +212,46 @@ class Multiquad(_Span):
         """Field product of two coordinate arrays (..., m'), m' <= m, elementwise."""
         if self.m == 1:
             return x * y
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=x.dtype)
-        return self._products(out, lambda i, j: x[..., i] * y[..., j])
+        out = np.zeros(np.broadcast(x, y).shape, dtype=x.dtype)
+        return self._products(out, lambda i, j: x[..., i] * y[..., j], x, y)
 
     def matmul(self, x, y):
         """Stacked matrix product of two stacks: (..., a, b, m) by (..., b, c, m) -> (..., a, c, m), reduced.
 
         x and y are (num, den) pairs whose leading axes broadcast.  One integer
         matrix product per pair of coordinates that are nonzero somewhere in
-        x and in y, added at coordinate i ^ j as in :meth:`_products`.
+        x and in y (:meth:`_products`).
         """
         (xn, xd), (yn, yd) = x, y
         if self.m == 1:
             return self._reduce((xn[..., 0] @ yn[..., 0])[..., None], xd * yd)
-        out, ys = None, _support(yn)
-        for i in _support(xn):
-            for j in ys:
-                t, c = xn[..., i] @ yn[..., j], self.common[i & j]
-                if out is None:
-                    out = np.zeros(t.shape + (self.m,), dtype=t.dtype)
-                out[..., i ^ j] += t if c == 1 else c * t
-        if out is None:  # x or y is zero
-            shape = np.broadcast_shapes(xn.shape[:-3], yn.shape[:-3]) + (xn.shape[-3], yn.shape[-2], self.m)
-            return np.zeros(shape, dtype=xn.dtype), 1
+        shape = np.broadcast_shapes(xn.shape[:-3], yn.shape[:-3]) + (xn.shape[-3], yn.shape[-2], self.m)
+        out = self._products(np.zeros(shape, dtype=xn.dtype), lambda i, j: xn[..., i] @ yn[..., j], xn, yn)
         return self._reduce(out, xd * yd)
 
     def sign(self, x):
         """Exact sign of each field element of x (..., m'), as an int array.
 
         Splits x = u + v sqrt(g) on the last generator: the sign is that of u
-        or v when they agree, else sign(u) * sign(u^2 - g v^2), one level down.
+        or v when they agree, else sign(u) * sign(u^2 - g v^2), one level
+        down, formed only where they disagree.  A stack with v = 0 throughout
+        is the stack u.
         """
         k = x.shape[-1]
         if k == 1:
             return np.where(x[..., 0] > 0, 1, np.where(x[..., 0] < 0, -1, 0))
         half = k // 2
         u, v = x[..., :half], x[..., half:]
-        su, sv = self.sign(u), self.sign(v)
-        norm = self.mul(u, u) - self.gens[half.bit_length() - 1] * self.mul(v, v)
-        return np.where(su * sv >= 0, np.where(su != 0, su, sv), su * self.sign(norm))
+        su = self.sign(u)
+        if not v.any():
+            return su
+        sv = self.sign(v)
+        out = np.where(su != 0, su, sv)
+        mixed = su * sv < 0
+        if mixed.any():
+            u, v = u[mixed], v[mixed]
+            out[mixed] = su[mixed] * self.sign(self.mul(u, u) - self.gens[half.bit_length() - 1] * self.mul(v, v))
+        return out
 
     def surd_sign(self, u, a, b):
         """Exact sign of u + sqrt(a) - sqrt(b) for field elements u and a, b >= 0 of one shape (..., m').
@@ -299,27 +307,87 @@ class Multiquad(_Span):
         den = dx * norm
         return [
             sum(self.scale[b] * row[b] * dy / den * self.root[b] for b in self.by_radicand if row[b])
-            for row in (self._mul_list(list(r), inv) for r in x)
+            for row in self.mul(x, inv).tolist()
         ]
 
-    def _inverse(self, y) -> tuple[list, object]:
-        """(c, y c) for one element's coordinates y, with y c rational: 1/y = c / (y c).
+    def _inverse(self, y):
+        """(c, y c) for elements y (..., m), with y c rational: 1/y = c / (y c), as c (..., m) and y c (...).
 
         Multiplying y by its conjugate in each generator in turn leaves a
-        rational; c is the product of the conjugates.  Plain lists.
+        rational; c is the product of the conjugates.  A generator that no
+        element of y uses is skipped, so a rational y gives (1, y).
         """
-        y, inv = list(y), [1] + [0] * (self.m - 1)
+        inv = np.zeros(y.shape, dtype=y.dtype)
+        inv[..., 0] = 1
+        used = 0  # the generators y uses: a product by a conjugate only clears bits
+        if self.gens:
+            for b in _support(y):
+                used |= b
         for bit in range(len(self.gens)):
-            conj = [-v if b >> bit & 1 else v for b, v in enumerate(y)]
-            inv, y = self._mul_list(inv, conj), self._mul_list(y, conj)
-        return inv, y[0]
+            if used >> bit & 1:
+                conj = np.where(np.arange(self.m) >> bit & 1 == 1, -y, y)
+                inv, y = self.mul(inv, conj), self.mul(y, conj)
+        return inv, y[..., 0][()]
 
-    def _mul_list(self, x, y) -> list:
-        out = [0] * self.m
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i ^ j] += self.common[i & j] * xi * yj
-        return out
+    def divide(self, x, y):
+        """x_i / y_i for two stacks of elements (rows, m), every y_i nonzero, as one stack.
+
+        1/y_i is c_i / (y_i c_i) with y_i c_i rational (:meth:`_inverse`), and
+        the quotients go over the lcm of those norms.  On the float backend
+        this is x / y.
+        """
+        (xn, xd), (yn, yd) = x, y
+        if not self.exact:
+            return xn / yn, 1
+        inv, norm = self._inverse(yn)
+        lcm = math.lcm(*norm.tolist())
+        return self._reduce(self.mul(xn, inv) * (yd * (lcm // norm))[:, None], xd * lcm)
+
+    def eliminate(self, a):
+        """Leading principal minors and determinants of a stack of matrices a (N, d, d, m) with integer coordinates.
+
+        Fraction-free (Bareiss) elimination: step k takes the pivot p =
+        a[k, k] and replaces every entry x past row and column k by
+        (p x - a[i, k] a[k, j]) / q, q the pivot before it.  By Sylvester's
+        identity the quotient is a minor of a, so it has integer coordinates;
+        it is formed exactly as (p x - a[i, k] a[k, j]) c / (q c), c the
+        product of q's conjugates, whose norm q c is an integer.  Pivot k is
+        the leading minor of order k + 1 until a pivot vanishes.  There the
+        first row below with a nonzero entry in the pivot column moves up and
+        the determinant changes sign, and the leading minors past that order
+        are returned as 0.  A matrix where no row moves up is singular; it
+        keeps the previous pivot, so its later steps stay exact, and its
+        determinant is 0.  Returns (lead (N, d, m), det (N, m)), both
+        elements of this field with integer coordinates.
+        """
+        a = a.copy()
+        count, d = a.shape[:2]
+        q = np.zeros((count, self.m), dtype=a.dtype)
+        q[:, 0] = 1
+        lead = np.zeros((count, d, self.m), dtype=a.dtype)
+        flips = np.ones(count, dtype=int)
+        leading, regular = np.ones(count, dtype=bool), np.ones(count, dtype=bool)
+        for k in range(d):
+            vanish = ~a[:, k, k].any(axis=-1)
+            lead[leading, k] = a[leading, k, k]
+            if vanish.any():
+                leading &= ~vanish
+                for r in range(k + 1, d):
+                    swap = vanish & a[:, r, k].any(axis=-1)
+                    a[swap, k], a[swap, r] = a[swap, r], a[swap, k]
+                    flips[swap] *= -1
+                    vanish &= ~swap
+                regular &= ~vanish
+            p = np.where(vanish[:, None], q, a[:, k, k])
+            if k + 1 < d:
+                rest = (self.mul(p[:, None, None], a[:, k + 1:, k + 1:])
+                        - self.mul(a[:, k + 1:, k, None], a[:, k, None, k + 1:]))
+                if k:  # the pivot before the first is 1
+                    c, norm = self._inverse(q)
+                    rest = self.mul(rest, c[:, None, None]) // norm[:, None, None, None]
+                a[:, k + 1:, k + 1:] = rest
+            q = p
+        return lead, np.where(regular[:, None], flips[:, None] * q, 0)
 
 
 class MapField(NamedTuple):
@@ -348,6 +416,19 @@ def map_field(maps, energy, radicands=()) -> MapField:
     roots = _radicands(a.ravel()) | _radicands(energy.ravel()) | set(radicands)
     fld = field_of(frozenset(roots), linalg.array_field(a).exact)
     return MapField(fld, fld.pack_array(a), fld.pack_array(energy))
+
+
+def minor_signs(mats) -> tuple[np.ndarray, np.ndarray]:
+    """The signs of the leading principal minors (N, d) and of the determinants (N,) of matrices (N, d, d).
+
+    The matrices are packed in the smallest field holding their entries and
+    eliminated together (:meth:`Multiquad.eliminate`); the leading minors
+    past the first that vanishes read 0.
+    """
+    a = np.array(mats)
+    fld = field_of(frozenset(_radicands(a.ravel())), linalg.array_field(a).exact)
+    lead, det = fld.eliminate(fld.pack_array(a)[0])
+    return fld.sign(lead), fld.sign(det)
 
 
 @lru_cache(maxsize=256)

@@ -236,25 +236,63 @@ class MartingaleRep:
         return out
 
 
+def _level_masses(m: KusuokaMeasure, fld, level: int, budget: int):
+    """The masses of every level cylinder as a stack (n^level, m) of ``fld``, which holds the kernel's field."""
+    q = m._quad
+    return fld._convert(q, *q.nu(m._level_table(level, budget)))
+
+
+def _split(m: KusuokaMeasure, fld, weighted, masses, level: int) -> MartingaleRep:
+    """The martingale components of f from its packed mass-weighted values f nu at the deepest level.
+
+    ``weighted`` and ``masses`` are stacks (n^level, m) of ``fld``, the
+    second from :func:`_level_masses`.  The sums of f nu and of nu over the
+    cylinders of each level are sums of strided slices of the deepest
+    stacks, and the level averages are the first sums divided by the
+    second, all levels at once (:meth:`~kusuoka.multiquad.Multiquad.divide`):
+    one inverse of the masses, one product and one division by their
+    rational norms.  The inverse skips every generator the masses do not
+    use, so the rational masses of the gaskets are inverted in Q.
+    Component j is the level-j average minus the level-(j-1) average
+    pulled back to depth j; each of its entries is unpacked once.
+    """
+    n, k = m.system.n_symbols, fld.m
+    (num, den), (mass, mass_den) = weighted, masses
+    # the coordinates of f nu and of nu as rows, whose words are summed level by level up to the root;
+    # the n children of a cylinder are n consecutive words
+    levels = [np.concatenate([num.T, mass.T])]
+    for _ in range(level):
+        words = levels[0]
+        total = words[:, 0::n]
+        for s in range(1, n):
+            total = total + words[:, s::n]
+        levels.insert(0, total)
+    sums = np.concatenate(levels, axis=1)
+    avg, avg_den = fld.divide((sums[:k].T, den), (sums[k:].T, mass_den))
+    # below level 0, less every level-j average but the deepest pulled back to depth j + 1
+    avg[1:] -= avg[:len(avg) - len(num)].repeat(n, axis=0)
+    vals = fld.unpack_array(avg, avg_den)
+    comps, start = [], 0
+    for j in range(len(levels)):
+        comps.append(CylinderFunction(j, n, vals[start:start + n ** j], m.system.backend))
+        start += n ** j
+    return MartingaleRep(m, tuple(comps))
+
+
 def martingale_decompose(m: KusuokaMeasure, f: CylinderFunction, budget: int = symbolic.DEFAULT_BUDGET) -> MartingaleRep:
     """Split f into martingale differences along the cylinder filtration.
 
     Level averages are taken with the cylinder masses; component j is the
     level-j average minus the level-(j-1) average pulled back to depth j.
+    f is packed in the kernel's field, extended by f's radicands, and
+    multiplied once by the packed masses of its level (:func:`_split`).
     """
     if f.n_symbols != m.system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    n = m.system.n_symbols
-    levels = [None] * (f.depth + 1)
-    levels[f.depth] = f.values
-    for j in range(f.depth, 0, -1):
-        mass = (levels[j] * m._nu_array(j, budget)).reshape(-1, n).sum(axis=1)
-        levels[j - 1] = mass / m._nu_array(j - 1, budget)
-    comps = [CylinderFunction(0, n, levels[0], f.backend)]
-    for j in range(1, f.depth + 1):
-        diff = levels[j] - np.repeat(levels[j - 1], n)
-        comps.append(CylinderFunction(j, n, diff, f.backend))
-    return MartingaleRep(m, tuple(comps))
+    fld = m._quad.holding(_radicands(f.values))
+    masses = _level_masses(m, fld, f.depth, budget)
+    fv, fv_den = fld.pack_array(f.values)
+    return _split(m, fld, (fld.mul(fv, masses[0]), fv_den * masses[1]), masses, f.depth)
 
 
 def project_Q(
@@ -274,8 +312,9 @@ def project_Q(
     Tr(Psi*_w(E) F(alpha) A(alpha)^T), one product of the rows
     (A(alpha) F(alpha)^T).ravel() with the beta-weights of the words w,
     row-major in alpha w.  It runs on the packed tables in the field of F,
-    which need not be the field of the maps; only the shadow is unpacked,
-    and divided by the masses in scalars of the backend.
+    which need not be the field of the maps.  The products q nu are the
+    mass-weighted values the packed split takes (:func:`_split`), so the
+    shadow is never divided by the masses on its own.
     """
     sys_ = m.system
     level = f.degree if up_to_level is None else max(f.degree, up_to_level)
@@ -287,9 +326,7 @@ def project_Q(
     # (A(alpha) F(alpha)^T).ravel() against one column per word w
     shadow, den = fld.matmul((rows.reshape(len(rows), -1, fld.m), rows_den),
                              (betas.reshape(len(betas), -1, fld.m).swapaxes(0, 1), beta_den))
-    arr = fld.unpack_array(shadow, den).ravel() / m._nu_array(level, budget)
-    qf = CylinderFunction(level, sys_.n_symbols, arr, sys_.backend)
-    return martingale_decompose(m, qf, budget)
+    return _split(m, fld, (shadow.reshape(-1, fld.m), den), _level_masses(m, fld, level, budget), level)
 
 
 def _norm_scalar(x, field):
@@ -360,25 +397,24 @@ def dilation_check(
         g = transfer_L(g)
     rep_a = project_Q(m, g, up_to_level=level, budget=budget)
 
-    dtype = sys_.field.dtype
     if k >= f.depth:
         vals = [
             measure.transfer_apply(m, f, k - f.depth, symbolic.index_word(i, level, n), budget)
             for i in range(n ** level)
         ]
+        g_b = CylinderFunction(level, n, np.array(vals, dtype=sys_.field.dtype), sys_.backend)
+        rep_b = martingale_decompose(m, g_b, budget)
     else:
         # a word of length big reads (k shifted symbols, level cylinder, rest)
         big = max(f.depth, k + level)
         symbolic.check_budget(n, big, budget)
-        q = m._quad
-        fld = q.holding(_radicands(f.values))
-        masses, mass_den = fld._convert(q, *q.nu(m._level_table(big, budget)))
+        fld = m._quad.holding(_radicands(f.values))
+        masses, mass_den = _level_masses(m, fld, big, budget)
         fv, fv_den = fld.pack_array(f.values)
         weighted = fld.mul(np.repeat(fv, n ** (big - f.depth), axis=0), masses)
+        # the transfer image times the level masses, the values the packed split takes
         num = weighted.reshape(n ** k, n ** level, -1, fld.m).sum(axis=(0, 2))
-        vals = fld.unpack_array(num, fv_den * mass_den) / m._nu_array(level, budget)
-    arr = np.array(vals, dtype=dtype)
-    rep_b = martingale_decompose(m, CylinderFunction(level, n, arr, sys_.backend), budget)
+        rep_b = _split(m, fld, (num, fv_den * mass_den), _level_masses(m, fld, level, budget), level)
 
     gaps = [a.values - b.values for a, b in zip(rep_a.components, rep_b.components)]
     return np.abs(np.concatenate(gaps)).max()

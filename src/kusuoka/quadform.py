@@ -151,10 +151,10 @@ def _trace_free_coords(fld: Multiquad, e, d: int):
     dd = len(e)
     inv, norm = fld._inverse(e[0])
     if norm < 0:
-        inv, norm = [-x for x in inv], -norm
+        inv, norm = -inv, -norm
     w = np.array([1 if i == j else 2 for i, j in packed_pairs(d)], dtype=e.dtype)
     out = np.zeros((dd, dd - 1, fld.m), dtype=e.dtype)
-    out[0] = -fld.mul(e[1:] * w[1:, None], np.array(inv, dtype=e.dtype))
+    out[0] = -fld.mul(e[1:] * w[1:, None], inv)
     for q in range(dd - 1):
         out[q + 1, q, 0] = norm
     return fld._reduce(out, norm)
@@ -300,7 +300,7 @@ class _Quad(Multiquad):
         (total, tden), anti = (fld._convert(prod, x, self.packed.den ** 2) for x in sums)
         basis, bden = _trace_free_coords(fld, fld._pack_scalars(self.e)[0], self.dim)
         rep = np.zeros(basis.shape, dtype=basis.dtype)
-        fld._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j])
+        fld._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j], total, basis)
         return fld.unpack_array(rep[1:], tden * bden), fld.unpack_array(*anti)
 
     @cached_property
@@ -456,7 +456,7 @@ class _Quad(Multiquad):
         xs = xn.reshape(len(xn), -1, self.m) * np.array(self.weight, dtype=xn.dtype)[:, None]
         ys = yn.reshape(len(yn), -1, self.m)
         out = np.zeros((len(xn), len(yn), self.m), dtype=xn.dtype)
-        return self._products(out, lambda i, j: xs[:, :, i] @ ys[:, :, j].T), xd * yd
+        return self._products(out, lambda i, j: xs[:, :, i] @ ys[:, :, j].T, xs, ys), xd * yd
 
     def gram(self, t):
         """sum_a t[a, i] t[a, j] for field elements t (a, b, m), as (b, b, m).
@@ -466,7 +466,7 @@ class _Quad(Multiquad):
         """
         num, den = t
         out = np.zeros((num.shape[1], num.shape[1], self.m), dtype=num.dtype)
-        return self._products(out, lambda i, j: num[:, :, i].T @ num[:, :, j]), den * den
+        return self._products(out, lambda i, j: num[:, :, i].T @ num[:, :, j], num, num), den * den
 
     def pack(self, mat):
         """One symmetric matrix as a stack of one row."""

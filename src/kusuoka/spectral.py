@@ -23,6 +23,7 @@ import numpy as np
 from . import linalg, matsys, quadform, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
+from .multiquad import minor_signs
 from .quadform import Theta1Result, _Quad
 
 __all__ = [
@@ -296,9 +297,8 @@ def _perron_exact(rep, d):
     tr = np.trace(form)
     if tr.sign() < 0:
         form = -1 * form
-    for mi in linalg.leading_minors(form):
-        if mi.sign() <= 0:
-            raise ValueError("Perron eigenvector is not positive definite; system is degenerate")
+    if (minor_signs([form])[0] <= 0).any():
+        raise ValueError("Perron eigenvector is not positive definite; system is degenerate")
     return rad_e, form
 
 
@@ -342,9 +342,8 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     rep_dual = quadform.averaging_matrix(mats)
 
     if field.exact:
-        for a in mats:
-            if linalg.det_exact(a).is_zero():
-                raise ValueError("raw maps must be injective")
+        if not minor_signs(mats)[1].all():
+            raise ValueError("raw maps must be injective")
         mu, e0 = _perron_exact(rep_primal, d)
         mu_dual, r0 = _perron_exact(rep_dual, d)
         if not (mu - mu_dual).is_zero():

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kusuoka import cli, multiquad
+from kusuoka import cli, linalg, multiquad
 from kusuoka.exactnum import Radical
+from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, FLOAT, as_matrix, frobenius_sq
 from kusuoka.matsys import (
     apply_M,
@@ -27,6 +28,7 @@ from kusuoka.matsys import (
 )
 from kusuoka.symbolic import all_words
 from kusuoka.systems import get_builtin
+from test_spectral import _diagonal_d3, _raw_system
 
 
 def _rand_sym(rng, d):
@@ -85,6 +87,54 @@ def test_offending_value_is_the_least_eigenvalue(backend, sg, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     assert validate(sg).ok and calls == []  # a valid exact weight computes no eigenvalue
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+def test_a_weight_that_is_not_symmetric_says_so(backend):
+    """eigvalsh reads one triangle only, so a non-symmetric weight reports no eigenvalue."""
+    e = [[Fraction(1, 2), Fraction(1, 4)], [0, Fraction(1, 2)]]
+    report = validate(make_system(("0",), [[[1, 0], [0, 1]]], e, backend))
+    assert not report.weight_symmetric and not report.positive_definite and not report.ok
+    assert report.offending_eigenvalue is None
+    assert report.lines()[3] == "weight positive definite [FAIL] (weight not symmetric)"
+
+
+def _validation_systems():
+    half = Fraction(1, 2)
+    return {
+        "sg": sg_system,
+        **{f"sg{n}": (lambda n=n: generate_system(n)) for n in range(3, 7)},
+        "bernoulli": lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]),
+        **{f"raw{b}": (lambda b=b: _raw_system(b)) for b in range(3)},
+        "diagonal-d3": _diagonal_d3,
+        "singular-map": lambda: make_system("ab", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[half, 0], [0, half]], EXACT),
+        "zero-leading-minor": lambda: make_system("a", [[[1, 0], [0, 1]]], [[0, 1], [1, 1]], EXACT),
+        "negative-leading-minor": lambda: make_system(
+            "ab", [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], [[-half, 1], [1, Fraction(3, 2)]], EXACT),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_validation_systems()))
+def test_exact_validation_decisions_equal_the_radical_reference(name):
+    """Trace one, positive definiteness and injectivity as the trace, leading_minors and det_exact decide them."""
+    system = _validation_systems()[name]()
+    e = system.energy
+    report = validate(system)
+    assert report.trace_ok == (np.trace(e) - 1).is_zero()
+    assert report.positive_definite == (
+        bool(np.array_equal(e, e.T)) and all(x.sign() > 0 for x in linalg.leading_minors(e)))
+    assert report.injective == tuple(not linalg.det_exact(a).is_zero() for a in system.maps)
+
+
+def test_exact_validation_takes_no_radical_arithmetic(sg3, monkeypatch):
+    """validate(sg3) decides every check on packed integer coordinates: no Radical product, division or inverse."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
+        orig = getattr(Radical, name)
+        monkeypatch.setattr(Radical, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
+    assert Radical(2) * Radical(3) / Radical(5) == Fraction(6, 5) and calls
+    calls.clear()
+    assert validate(sg3).ok and calls == []
 
 
 # 2/281, 3/281, ..., 43/281: sqrt(p/281) = sqrt(281 p)/281 for 14 primes p, so t = 14 and m = 16 384

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kusuoka import procspace
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix, frobenius_sq
-from kusuoka.matsys import sg_system
+from kusuoka.matsys import bernoulli_system, sg_system
 from kusuoka.measure import kusuoka_measure, nu
 from kusuoka.procspace import (
     FiniteProcess,
@@ -211,6 +212,73 @@ def test_project_q_float_equals_word_oracle(sg_float, sg_float_measure):
         got = project_Q(sg_float_measure, f, up_to_level=level).function().values
         want = _projection_oracle(sg_float_measure, f, level)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _radical_split(m, values, depth):
+    """Martingale components as the unpacked route split them: level averages in Radical arithmetic, divided by nu."""
+    n = m.system.n_symbols
+    levels = [None] * (depth + 1)
+    levels[depth] = np.asarray(values)
+    for j in range(depth, 0, -1):
+        mass = (levels[j] * m._nu_array(j)).reshape(-1, n).sum(axis=1)
+        levels[j - 1] = mass / m._nu_array(j - 1)
+    return [list(levels[0])] + [list(levels[j] - np.repeat(levels[j - 1], n)) for j in range(1, depth + 1)]
+
+
+_SPLIT_SYSTEMS = {
+    "sg": sg_system,
+    "sg3": lambda: generate_system(3),
+    "bernoulli": lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_SYSTEMS))
+def test_packed_split_equals_the_radical_split(name):
+    """martingale_decompose and project_Q give the components the Radical level averages give."""
+    system = _SPLIT_SYSTEMS[name]()
+    m, n = kusuoka_measure(system), system.n_symbols
+    rng = np.random.default_rng(n)
+    for depth in (0, 1, 3):
+        vals = [Fraction(int(x), 7) for x in rng.integers(-9, 10, n ** depth)]
+        vals[-1] = vals[-1] + Radical.root(7)  # a radicand outside the kernel's field
+        f = cylinder_from_values(system, depth, vals)
+        got = [list(c.values) for c in martingale_decompose(m, f).components]
+        assert got == _radical_split(m, f.values, depth), depth
+    if system.dim == 2:
+        for degree, level in ((0, 2), (1, 3)):
+            proc = _random_process(system, rng, degree)
+            got = [list(c.values) for c in project_Q(m, proc, up_to_level=level).components]
+            assert got == _radical_split(m, _projection_oracle(m, proc, level), level), (degree, level)
+
+
+def test_packed_split_of_a_process_outside_the_field_of_the_maps(sg, sg_measure):
+    """A table with sqrt(7) entries: the shadows leave the field of the maps and the split stays exact."""
+    f = _sqrt7_process(sg, np.random.default_rng(46), 1)
+    got = [list(c.values) for c in project_Q(sg_measure, f, up_to_level=3).components]
+    assert got == _radical_split(sg_measure, _projection_oracle(sg_measure, f, 3), 3)
+
+
+def test_split_forms_its_levels_with_no_radical_arithmetic(sg_measure, monkeypatch):
+    """The packed split sums, divides and differences on integer coordinates: no Radical product, division or inverse."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
+        orig = getattr(Radical, name)
+        monkeypatch.setattr(Radical, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
+    split = procspace._split
+
+    def spied(*args):
+        calls.clear()
+        rep = split(*args)
+        spied.calls.append(list(calls))
+        return rep
+
+    spied.calls = []
+    monkeypatch.setattr(procspace, "_split", spied)
+    f = cylinder_from_values(sg_measure.system, 3, [Fraction(int(x), 3) for x in np.random.default_rng(47).integers(-5, 6, 27)])
+    martingale_decompose(sg_measure, f)
+    project_Q(sg_measure, embed_phi(sg_measure.system, f), up_to_level=4)
+    assert dilation_check(sg_measure, f, 1).is_zero()
+    assert len(spied.calls) == 4 and all(c == [] for c in spied.calls)
 
 
 def test_martingale_components_of_indicator(sg_measure):
