@@ -5,7 +5,8 @@ The layers, from the scalar up:
 
   scalar     2x2 matrix product (Radical entries on exact, float64 on float)
   tables     level_nu(sg3, 5): every depth-5 cylinder mass
-  operation  generate_system(6);
+  operation  generate_system(6); harmonic_extension(build_graph(n)) for
+             n = 6, 10, the Dirichlet solve of generate_system (exact only);
              mixing_bound_check(sg, k, nmax=12) for k = 2, 3, and
              mixing_bound_check(sg3, k=1, nmax=8);
              kusuoka correlate --builtin sg --alpha 01 --beta 2 --nmax 50,
@@ -200,6 +201,9 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
                      ["report", "--builtin", "sg5"]):
             argv = argv + ["--backend", backend]
             add_child("kusuoka " + " ".join(argv), backend, ["-m", "kusuoka.cli", *argv])
+    for n in (6, 10):
+        graph = gasket.build_graph(n)
+        add("operation", f"harmonic_extension(build_graph({n}))", EXACT, lambda: gasket.harmonic_extension(graph))
     add_child("theta2(sg6, 2), fresh process", EXACT, ["-c", COLD_THETA2])
     return records
 

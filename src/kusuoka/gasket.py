@@ -20,6 +20,7 @@ from . import linalg, spectral
 from .exactnum import Radical, sqrt_fraction
 from .linalg import EXACT
 from .matsys import MatrixSystem
+from .multiquad import field_of
 
 __all__ = [
     "GasketGraph",
@@ -114,31 +115,25 @@ def harmonic_extension(g: GasketGraph) -> np.ndarray:
 
     Column j is the harmonic function with value 1 at corner j and 0 at the
     other two corners; rows follow vertex order, so boundary rows are unit
-    vectors and every row sums to 1.
+    vectors and every row sums to 1.  The integer Laplacian's interior block
+    is solved by :meth:`~kusuoka.multiquad.Multiquad.solve` over Q.
     """
     nv = len(g.vertices)
-    lap = linalg.zeros((nv, nv), EXACT)
+    lap = np.zeros((nv, nv), dtype=object)
     for i, j in g.edges:
-        lap[i, j] = lap[i, j] - Radical(1)
-        lap[j, i] = lap[j, i] - Radical(1)
-        lap[i, i] = lap[i, i] + Radical(1)
-        lap[j, j] = lap[j, j] + Radical(1)
-
+        lap[i, j] -= 1
+        lap[j, i] -= 1
+        lap[i, i] += 1
+        lap[j, j] += 1
     interior = [i for i in range(nv) if i not in g.boundary]
-    ext = linalg.zeros((nv, 3), EXACT)
-    for col, b in enumerate(g.boundary):
-        ext[b, col] = Radical(1)
-    if interior:
-        lap_ii = lap[np.ix_(interior, interior)]
-        rhs = linalg.zeros((len(interior), 3), EXACT)
-        for r, i in enumerate(interior):
-            for col, b in enumerate(g.boundary):
-                rhs[r, col] = -lap[i, b]
-        sol = linalg.solve_exact(lap_ii, rhs)
-        for r, i in enumerate(interior):
-            for col in range(3):
-                ext[i, col] = sol[r, col]
-    return ext
+    rationals = field_of(frozenset(), True)
+    lap_ii = lap[np.ix_(interior, interior)][None, ..., None]
+    rhs = -lap[np.ix_(interior, g.boundary)][None, ..., None]
+    sol, den = rationals.solve((lap_ii, 1), (rhs, 1))
+    ext = np.zeros((nv, 3, 1), dtype=object)
+    ext[list(g.boundary), range(3)] = den
+    ext[interior] = sol[0]
+    return rationals.unpack_array(ext, den)
 
 
 def cell_restrictions(g: GasketGraph, basis: HarmonicBasis) -> list:

@@ -13,6 +13,9 @@ Faddeev-LeVerrier for the coefficients, rational root reconstruction
 exact deflation) for certified eigenvalues, and the quadratic formula
 for what remains.  This is enough to certify spectral radii of the
 small operator representations this package produces.
+
+Exact determinants, solves and null spaces are one packed fraction-free
+elimination, :meth:`kusuoka.multiquad.Multiquad.eliminate`.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ __all__ = [
     "rational_roots",
     "certified_spectral_radius",
     "exact_eigenvalues_symmetric",
-    "nullspace_exact",
-    "solve_exact",
-    "det_exact",
-    "leading_minors",
     "cholesky_exact",
 ]
 
@@ -315,76 +314,6 @@ def exact_eigenvalues_symmetric(m: np.ndarray) -> list[Radical] | None:
     """
     reals, moduli, rest = _split_spectrum(m)
     return None if moduli or rest else reals
-
-
-def _gauss_jordan(a: list[list[Radical]], n_pivot: int):
-    """Reduce the rows ``a`` (consumed) to reduced row echelon form.
-
-    Pivots on the first ``n_pivot`` columns.  Each pivot is the first
-    remaining row with a nonzero entry in its column; that row is scaled
-    to a leading one and the column is cleared in every other row.
-    Returns (reduced rows, pivot columns, det), where det is the product
-    of the pivots signed by the row swaps: the determinant of a square
-    matrix, zero as soon as a column has no pivot.
-    """
-    pivots: list[int] = []
-    det = Radical(1)
-    for c in range(n_pivot):
-        r = len(pivots)
-        if r == len(a):
-            break
-        p = next((i for i in range(r, len(a)) if not a[i][c].is_zero()), None)
-        if p is None:
-            det = Radical(0)
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            det = -det
-        det = det * a[r][c]
-        inv = Radical(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots, det
-
-
-def _rows(m: np.ndarray) -> list[list[Radical]]:
-    return [[Radical(x) for x in row] for row in m]
-
-
-def nullspace_exact(m: np.ndarray) -> list[np.ndarray]:
-    """Basis of the kernel of an exact matrix (Gauss-Jordan elimination)."""
-    cols = m.shape[1]
-    a, pivots, _ = _gauss_jordan(_rows(m), cols)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Radical(0)] * cols
-        v[fc] = Radical(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(FIELDS[EXACT].array(v))
-    return basis
-
-
-def solve_exact(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b exactly; m square nonsingular, b a matrix or vector."""
-    n = m.shape[0]
-    bmat = b.reshape(n, -1)
-    a, pivots, _ = _gauss_jordan([row + rhs for row, rhs in zip(_rows(m), _rows(bmat))], n)
-    if len(pivots) < n:
-        raise ValueError("singular system in exact solve")
-    return FIELDS[EXACT].array([row[n:] for row in a]).reshape(b.shape)
-
-
-def det_exact(m: np.ndarray) -> Radical:
-    return _gauss_jordan(_rows(m), m.shape[0])[2]
-
-
-def leading_minors(m: np.ndarray) -> list[Radical]:
-    return [det_exact(m[: k + 1, : k + 1]) for k in range(m.shape[0])]
 
 
 def cholesky_exact(m: np.ndarray) -> np.ndarray:

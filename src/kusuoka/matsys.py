@@ -217,7 +217,7 @@ def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
         inv_ok, norm_ok = inv_zero, norm_zero
         trace = e.diagonal(axis1=0, axis2=1).sum(axis=-1)
         trace_ok = bool(trace[0] == e_den and not trace[1:].any())
-        lead, det = fld.eliminate(np.concatenate([e[None], mf.maps[0]]))
+        lead, det, _ = fld.eliminate(np.concatenate([e[None], mf.maps[0]]))
         pd = sym and bool((fld.sign(lead[0]) > 0).all())
         inj = tuple(bool(x) for x in det[1:].any(axis=-1))
     else:

@@ -7,8 +7,9 @@ by integer array products and no ``Radical`` is built until a result is
 read.  :class:`_Span` is such a list of roots, :class:`Multiquad` the field
 Q(sqrt g_1, ..., sqrt g_t) with its product, exact sign and inverse,
 :meth:`Multiquad.matmul` the stacked d x d matrix product every word table
-and process table is built by, and :meth:`Multiquad.eliminate` the
-fraction-free elimination that finds leading minors and determinants.
+and process table is built by, and :meth:`Multiquad.eliminate` the one
+fraction-free elimination: leading minors, determinants, solves and null
+spaces.
 :class:`MapField` packs a system's maps and weight in one such field.  The
 float backend is the same code with the one root sqrt(1) and float64
 coordinates.
@@ -344,50 +345,92 @@ class Multiquad(_Span):
         return self._reduce(self.mul(xn, inv) * (yd * (lcm // norm))[:, None], xd * lcm)
 
     def eliminate(self, a):
-        """Leading principal minors and determinants of a stack of matrices a (N, d, d, m) with integer coordinates.
+        """Fraction-free (Bareiss) elimination of stacked [A | B] (N, d, d + r, m) with integer coordinates.
 
-        Fraction-free (Bareiss) elimination: step k takes the pivot p =
-        a[k, k] and replaces every entry x past row and column k by
-        (p x - a[i, k] a[k, j]) / q, q the pivot before it.  By Sylvester's
-        identity the quotient is a minor of a, so it has integer coordinates;
-        it is formed exactly as (p x - a[i, k] a[k, j]) c / (q c), c the
-        product of q's conjugates, whose norm q c is an integer.  Pivot k is
-        the leading minor of order k + 1 until a pivot vanishes.  There the
-        first row below with a nonzero entry in the pivot column moves up and
-        the determinant changes sign, and the leading minors past that order
-        are returned as 0.  A matrix where no row moves up is singular; it
-        keeps the previous pivot, so its later steps stay exact, and its
-        determinant is 0.  Returns (lead (N, d, m), det (N, m)), both
-        elements of this field with integer coordinates.
+        Step k takes as pivot p the first row without a pivot that is nonzero
+        in column k, moves it to row k (the determinant changes sign if it
+        moved), and replaces each x of every other row without a pivot by
+        (p x - a[i, k] a[k, j]) / q, q the pivot before (1 before the first).
+        By Sylvester's identity the quotient is a minor of [A | B], so it has
+        integer coordinates; it is formed as (p x - a[i, k] a[k, j]) c / (q c),
+        c the product of q's conjugates, whose norm q c is an integer.  A
+        column with no such row is free and keeps q, so the pivot columns are
+        the first independent columns of A.  Back substitution is fraction-free
+        too: with D the last pivot, y = D x has rows (D b_j - sum_(l > j)
+        a[j, l] y_l) / a[j, j], exact by Cramer's rule, for every column b that
+        is not a pivot column throughout; D is inverted once.
+
+        Returns (lead (N, d, m), det (N, m), rref): A's leading principal
+        minors up to the first that vanishes or needs an exchange (0 past it)
+        and determinants, with integer coordinates; and the reduced row
+        echelon form (num (N, d, d + r, m), den) of [A | B], pivot column j's
+        row in row j and zero rows at free columns: [I | A^-1 B] where A is
+        invertible, and column f of A's part, f free, is e_f minus the kernel
+        vector whose free coordinates are 0 but the f-th, which is 1.
         """
         a = a.copy()
-        count, d = a.shape[:2]
+        count, d, cols = a.shape[:3]
+        rows, each = np.arange(d), np.arange(count)
         q = np.zeros((count, self.m), dtype=a.dtype)
         q[:, 0] = 1
         lead = np.zeros((count, d, self.m), dtype=a.dtype)
         flips = np.ones(count, dtype=int)
-        leading, regular = np.ones(count, dtype=bool), np.ones(count, dtype=bool)
+        leading = np.ones((count, d + 1), dtype=bool)  # lead[:, k] is a leading minor where leading[:, k]
+        pivot = np.zeros((count, d), dtype=bool)  # row j holds the pivot of column j
         for k in range(d):
-            vanish = ~a[:, k, k].any(axis=-1)
-            lead[leading, k] = a[leading, k, k]
-            if vanish.any():
-                leading &= ~vanish
-                for r in range(k + 1, d):
-                    swap = vanish & a[:, r, k].any(axis=-1)
-                    a[swap, k], a[swap, r] = a[swap, r], a[swap, k]
-                    flips[swap] *= -1
-                    vanish &= ~swap
-                regular &= ~vanish
-            p = np.where(vanish[:, None], q, a[:, k, k])
-            if k + 1 < d:
-                rest = (self.mul(p[:, None, None], a[:, k + 1:, k + 1:])
-                        - self.mul(a[:, k + 1:, k, None], a[:, k, None, k + 1:]))
+            lead[:, k] = a[:, k, k]
+            open_ = ~pivot & a[:, :, k].any(axis=-1)
+            leading[:, k + 1] = leading[:, k] & open_[:, k]
+            pivot[:, k] = found = open_.any(axis=1)
+            if leading[:, k + 1].all():  # every pivot so far sat in its row: rows k + 1 on take the step
+                lo, live = k + 1, None
+            else:
+                src = open_.argmax(axis=1)
+                move = found & (src != k)
+                n, s = each[move], src[move]
+                a[n, k], a[n, s] = a[n, s], a[n, k]
+                flips[move] *= -1
+                live = found[:, None] & ~pivot
+                lo = live.any(axis=0).argmax() if live.any() else d
+            if lo < d:
+                rest = (self.mul(a[:, k, k, None, None], a[:, lo:, k:])
+                        - self.mul(a[:, lo:, k, None], a[:, k, None, k:]))
                 if k:  # the pivot before the first is 1
                     c, norm = self._inverse(q)
                     rest = self.mul(rest, c[:, None, None]) // norm[:, None, None, None]
-                a[:, k + 1:, k + 1:] = rest
-            q = p
-        return lead, np.where(regular[:, None], flips[:, None] * q, 0)
+                a[:, lo:, k:] = rest if live is None else np.where(live[:, lo:, None, None], rest, a[:, lo:, k:])
+            q = np.where(found[:, None], a[:, k, k], q)
+        num, den = np.zeros_like(a), 1
+        span = np.ones(cols, dtype=bool)  # the columns that are not a pivot column throughout
+        span[:d] = ~pivot.all(axis=0)
+        if span.any():
+            c, norm = self._inverse(np.where(pivot[..., None], a[:, rows, rows], q[:, None]))
+            y = self.mul(q[:, None, None], np.where(pivot[..., None, None], a[:, :, span], 0))
+            for j in reversed(range(d)):
+                y[:, j] = self.mul(y[:, j], c[:, j, None]) // norm[:, j, None, None]
+                y[:, :j] -= self.mul(a[:, :j, j, None], y[:, j, None])
+            c, norm = self._inverse(q)
+            den = math.lcm(*norm.tolist())
+            num[:, :, span] = self.mul(y, c[:, None, None]) * (den // norm)[:, None, None, None]
+        diagonal = np.zeros((count, d), dtype=object)
+        diagonal[pivot] = den
+        num[:, rows, rows, 0] = diagonal
+        lead = np.where(leading[:, :d, None], lead, 0)
+        det = np.where(pivot.all(axis=1)[:, None], flips[:, None] * q, 0)
+        return lead, det, self._reduce(num, den)
+
+    def solve(self, a, b):
+        """x with A x = B for stacks A (N, d, d, m) and B (N, d, r, m), as one stack (N, d, r, m) over one denominator.
+
+        [A | B] over the lcm of their denominators goes through
+        :meth:`eliminate`; ValueError when some A is singular.
+        """
+        (an, ad), (bn, bd) = a, b
+        lcm = math.lcm(ad, bd)
+        _, det, (num, den) = self.eliminate(np.concatenate([an * (lcm // ad), bn * (lcm // bd)], axis=2))
+        if not det.any(axis=-1).all():
+            raise ValueError("singular system in exact solve")
+        return self._reduce(num[:, :, an.shape[1]:], den)
 
 
 class MapField(NamedTuple):
@@ -418,6 +461,12 @@ def map_field(maps, energy, radicands=()) -> MapField:
     return MapField(fld, fld.pack_array(a), fld.pack_array(energy))
 
 
+def _smallest_field(*arrays) -> Multiquad:
+    """The smallest field holding the entries of these exact arrays."""
+    roots = set().union(*(_radicands(np.ravel(a)) for a in arrays))
+    return field_of(frozenset(roots), linalg.array_field(arrays[0]).exact)
+
+
 def minor_signs(mats) -> tuple[np.ndarray, np.ndarray]:
     """The signs of the leading principal minors (N, d) and of the determinants (N,) of matrices (N, d, d).
 
@@ -425,10 +474,30 @@ def minor_signs(mats) -> tuple[np.ndarray, np.ndarray]:
     eliminated together (:meth:`Multiquad.eliminate`); the leading minors
     past the first that vanishes read 0.
     """
-    a = np.array(mats)
-    fld = field_of(frozenset(_radicands(a.ravel())), linalg.array_field(a).exact)
-    lead, det = fld.eliminate(fld.pack_array(a)[0])
+    fld = _smallest_field(mats)
+    lead, det, _ = fld.eliminate(fld.pack_array(mats)[0])
     return fld.sign(lead), fld.sign(det)
+
+
+def solve(m, b) -> np.ndarray:
+    """x with m x = b for an exact nonsingular matrix m (d, d) and b (d, r) or (d,), of b's shape.
+
+    Solved by :meth:`Multiquad.solve` in the smallest field holding both;
+    ValueError when m is singular.
+    """
+    fld = _smallest_field(m, b)
+    x, den = fld.solve(fld.pack_array(m[None]), fld.pack_array(np.reshape(b, (len(m), -1))[None]))
+    return fld.unpack_array(x[0], den).reshape(np.shape(b))
+
+
+def nullspace(m) -> list:
+    """A basis of the kernel of an exact square matrix: for each free column f of :meth:`Multiquad.eliminate`, in order, the vector whose coordinate f is 1 and whose other free coordinates are 0."""
+    fld = _smallest_field(m)
+    _, _, (rref, den) = fld.eliminate(fld.pack_array(m[None])[0])
+    free = [f for f in range(len(m)) if not rref[0, f, f].any()]
+    rref[0, free, free, 0] = -den  # -(I - rref) on the free columns
+    kernel = fld.unpack_array(-rref[0], den)
+    return [kernel[:, f] for f in free]
 
 
 @lru_cache(maxsize=256)

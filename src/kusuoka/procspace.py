@@ -452,20 +452,23 @@ def innovation_part(f: FiniteProcess) -> FiniteProcess:
     The constraint sum_s K_s X_s = 0 has Gram matrix G (x) I with
     G = sum_s K_s K_s^T, so the projection is
     X_s - K_s^T G^-1 sum_t K_t X_t: one d x d solve for all parents.
-    Only G and the sums are unpacked for the solve; the result lies in
-    the field of f.
+    The exact backend solves the packed G and sums in the field of f
+    (:meth:`~kusuoka.multiquad.Multiquad.solve`), the float backend numpy.
     """
     sys_ = f.system
     if f.degree == 0:
         return f
     d, fld = sys_.dim, f._maps.fld
-    k, blocks, sums = _freshness_sums(f)
+    k, blocks, (sums, sums_den) = _freshness_sums(f)
     kt = _transposed(k)
     gram, gram_den = fld.matmul(k, kt)
-    gram = fld.unpack_array(gram.sum(axis=0), gram_den)
-    rhs = fld.unpack_array(*sums).transpose(1, 0, 2).reshape(d, -1)  # [Y_0 | Y_1 | ...]
-    solve = linalg.solve_exact if sys_.field.exact else np.linalg.solve
-    z, z_den = fld.pack_array(solve(gram, rhs).reshape(d, -1, d).transpose(1, 0, 2))
+    gram = gram.sum(axis=0)[None], gram_den
+    rhs = sums.transpose(1, 0, 2, 3).reshape(1, d, -1, fld.m), sums_den  # [Y_0 | Y_1 | ...]
+    if sys_.field.exact:
+        z, z_den = fld.solve(gram, rhs)
+    else:
+        z, z_den = fld.pack_array(np.linalg.solve(fld.unpack_array(*gram), fld.unpack_array(*rhs)))
+    z = z.reshape(d, -1, d, fld.m).transpose(1, 0, 2, 3)
     out, den = fld.sub(blocks, fld.matmul((kt[0][None], kt[1]), (z[:, None], z_den)))
     return FiniteProcess._packed(sys_, f.degree, f._maps, (out.reshape(f._table[0].shape), den))
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg, matsys, quadform, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
-from .multiquad import minor_signs
+from .multiquad import minor_signs, nullspace, solve
 from .quadform import Theta1Result, _Quad
 
 __all__ = [
@@ -155,7 +155,7 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = N
 def _smallest_eigenvalue(k: int, h, gram) -> CkResult:
     """The least root of det(G' - lambda H): the least eigenvalue of H^-1 G'."""
     if linalg.array_field(h).exact:
-        eigs = linalg.exact_eigenvalues_symmetric(linalg.solve_exact(h, gram))
+        eigs = linalg.exact_eigenvalues_symmetric(solve(h, gram))
         if eigs is not None:
             low = min(eigs)
             return CkResult(k, True, float(low), low)
@@ -290,7 +290,7 @@ def _perron_exact(rep, d):
     shifted = rep.copy()
     for i in range(m):
         shifted[i, i] = shifted[i, i] - rad_e
-    null = linalg.nullspace_exact(shifted)
+    null = nullspace(shifted)
     if len(null) != 1:
         raise ValueError("Perron eigenspace is degenerate; the raw maps are reducible")
     form = quadform.unpack_symmetric(null[0], d, linalg.FIELDS[EXACT])
@@ -354,7 +354,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
                 "scaling factor mu^(-1/2) leaves the exact scalar field; use the float backend"
             )
         upper = linalg.cholesky_exact(r0)  # r0 = U^T U
-        upper_inv = linalg.solve_exact(upper, field.identity(d))
+        upper_inv = solve(upper, field.identity(d))
     else:
         for a in mats:
             if abs(np.linalg.det(a)) < tol:

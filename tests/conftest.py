@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kusuoka import matsys, measure
+from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import FLOAT
 
@@ -40,3 +41,25 @@ def sg_float_measure(sg_float):
 @pytest.fixture(scope="session")
 def bern_measure(bern):
     return measure.kusuoka_measure(bern)
+
+
+def laplace_det(m) -> Radical:
+    """The determinant of a square exact matrix by cofactor expansion along the first row.
+
+    The reference the packed elimination is tested against: no pivoting,
+    no division, one signed product per term of the expansion.
+    """
+    rows = [[Radical(x) for x in row] for row in m]
+    if not rows:
+        return Radical(1)
+    total = Radical(0)
+    for j, x in enumerate(rows[0]):
+        if not x.is_zero():
+            term = x * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def laplace_minors(m) -> list:
+    """The leading principal minors of a square exact matrix, each by :func:`laplace_det`."""
+    return [laplace_det(m[: k + 1, : k + 1]) for k in range(len(m))]

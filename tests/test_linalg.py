@@ -1,12 +1,14 @@
 """Exact matrix kernels: characteristic polynomials, solves, factorizations."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kusuoka import multiquad
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import (
     _split_spectrum,
@@ -17,17 +19,15 @@ from kusuoka.linalg import (
     certified_spectral_radius,
     char_poly,
     cholesky_exact,
-    det_exact,
     exact_eigenvalues_symmetric,
     frobenius_sq,
     identity,
-    leading_minors,
-    nullspace_exact,
     poly_eval,
     rational_roots,
-    solve_exact,
     to_float_matrix,
 )
+from kusuoka.multiquad import nullspace, solve
+from conftest import laplace_det, laplace_minors
 
 
 def _exact(rows):
@@ -43,19 +43,74 @@ def _square(draw, max_n=3):
     return _exact(draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 
 
+_SURDS = (Radical(1), Radical.root(2), Radical.root(3), Radical.root(6))
+_sparse = st.one_of(st.just(Fraction(0)), _entries)
+
+
+@st.composite
+def _surd(draw):
+    """An element of Q(sqrt 2, sqrt 3) with small rational coordinates, often rational or zero."""
+    return sum((c * r for c, r in zip(draw(st.lists(_sparse, min_size=4, max_size=4)), _SURDS) if c), Radical(0))
+
+
+@st.composite
+def _surd_system(draw, max_n=4):
+    """(m, b): m n x n over Q(sqrt 2, sqrt 3), b n x r, r = 1..3.
+
+    Some draws zero m's leading entry, so the elimination needs a row
+    exchange, and some make a column other than the last a combination of
+    the columns before it, so a free column comes before a pivot column.
+    """
+    shape = draw(st.sampled_from(("any", "zero pivot", "free column")))
+    n = draw(st.integers(min_value=1 if shape == "any" else 2, max_value=max_n))
+    r = draw(st.integers(min_value=1, max_value=3))
+    m = np.array([[draw(_surd()) for _ in range(n)] for _ in range(n)], dtype=object)
+    b = np.array([[draw(_surd()) for _ in range(r)] for _ in range(n)], dtype=object)
+    if shape == "zero pivot":
+        m[0, 0] = Radical(0)
+    elif shape == "free column":
+        f = draw(st.integers(min_value=0, max_value=n - 2))
+        m[:, f] = sum((draw(_surd()) * m[:, j] for j in range(f)), np.full(n, Radical(0), dtype=object))
+    return m, b
+
+
+def _rank(m) -> int:
+    """The order of the largest minor of m that the cofactor reference finds nonzero."""
+    rows, cols = m.shape
+    for k in range(min(rows, cols), 0, -1):
+        if any(not laplace_det(m[np.ix_(i, j)]).is_zero()
+               for i in combinations(range(rows), k) for j in combinations(range(cols), k)):
+            return k
+    return 0
+
+
 @settings(max_examples=60, deadline=None)
-@given(_square(), st.lists(_entries, min_size=3, max_size=3))
-def test_elimination_views_agree(m, rhs):
-    n = m.shape[0]
-    b = as_matrix([[x] for x in rhs[:n]], EXACT)
-    singular = det_exact(m).is_zero()
-    assert singular == (len(nullspace_exact(m)) > 0)
-    if singular:
+@given(_surd_system())
+def test_elimination_views_agree(system):
+    """Solve, null space and determinant of one packed elimination, against the cofactor reference.
+
+    m x = b exactly where m is invertible; otherwise the solve raises and
+    the null space has d - rank vectors, one per free column (a column that
+    does not raise the rank of the columns before it), each with m v = 0,
+    that free coordinate 1 and the other free coordinates 0.
+    """
+    m, b = system
+    n = len(m)
+    det = laplace_det(m)
+    assert multiquad.minor_signs([m])[1].tolist() == [det.sign()]
+    null = nullspace(m)
+    if det.is_zero():
+        ranks = [_rank(m[:, :j]) for j in range(n + 1)]
+        free = [j for j in range(n) if ranks[j + 1] == ranks[j]]
+        assert len(null) == len(free) == n - ranks[n] > 0
+        for f, v in zip(free, null):
+            assert all(x.is_zero() for x in m @ v)
+            assert [v[j] for j in free] == [Radical(int(j == f)) for j in free]
         with pytest.raises(ValueError):
-            solve_exact(m, b)
+            solve(m, b)
     else:
-        x = solve_exact(m, b)
-        assert all(e.is_zero() for e in (m @ x - b).ravel())
+        assert null == []
+        assert all(e.is_zero() for e in (m @ solve(m, b) - b).ravel())
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,21 +181,20 @@ def test_exact_eigenvalues_symmetric():
 
 def test_nullspace_exact():
     m = _exact([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    basis = nullspace_exact(m)
+    basis = nullspace(m)
     assert len(basis) == 1
-    v = basis[0]
-    residual = m @ v
-    assert all(x.is_zero() for x in residual)
+    assert list(basis[0]) == [Radical(1), Radical(-2), Radical(1)]
+    assert all(x.is_zero() for x in m @ basis[0])
 
 
 def test_nullspace_trivial():
-    assert nullspace_exact(_exact([[1, 0], [0, 1]])) == []
+    assert nullspace(_exact([[1, 0], [0, 1]])) == []
 
 
 def test_solve_exact_roundtrip():
     m = _exact([[3, 1], [1, 2]])
     b = as_matrix([[Fraction(1)], [Fraction(7, 3)]], EXACT)
-    x = solve_exact(m, b)
+    x = solve(m, b)
     residual = m @ x - b
     assert all(e.is_zero() for e in residual.ravel())
 
@@ -149,14 +203,18 @@ def test_solve_exact_singular_raises():
     m = _exact([[1, 2], [2, 4]])
     b = as_matrix([[Fraction(1)], [Fraction(0)]], EXACT)
     with pytest.raises(ValueError):
-        solve_exact(m, b)
+        solve(m, b)
 
 
 def test_det_and_minors():
+    """The cofactor reference, and the packed elimination on the same matrix."""
     m = _exact([[2, 1], [1, 2]])
-    assert det_exact(m) == Radical(3)
-    minors = leading_minors(m)
-    assert [float(x) for x in minors] == [2.0, 3.0]
+    assert laplace_det(m) == Radical(3)
+    assert laplace_minors(m) == [Radical(2), Radical(3)]
+    assert laplace_det(_exact([[0, 1, 2], [0, 3, 4], [5, 6, 7]])) == Radical(-10)
+    fld = multiquad.field_of(frozenset(), True)
+    lead, det, _ = fld.eliminate(fld.pack_array(m[None])[0])
+    assert lead.tolist() == [[[2], [3]]] and det.tolist() == [[3]]
 
 
 def test_cholesky_exact():
@@ -294,10 +352,10 @@ def _surd_2x2(draw):
     if draw(st.booleans()):
         return as_matrix([[surd(), surd()], [surd(), surd()]], EXACT)
     s = _exact(draw(st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=2, max_size=2)))
-    if det_exact(s).is_zero():
+    if laplace_det(s).is_zero():
         s = identity(2, EXACT)
     d = as_matrix([[surd(), 0], [0, surd()]], EXACT)
-    return s @ d @ solve_exact(s, identity(2, EXACT))
+    return s @ d @ solve(s, identity(2, EXACT))
 
 
 @settings(max_examples=80, deadline=None)

@@ -37,6 +37,40 @@ def test_unused_import_is_reported():
     assert _unused_imports(src) == ["line 1: os", "line 2: Fraction"]
 
 
+def _undefined_exports(source: str) -> list[str]:
+    """Names in the module's ``__all__`` that no top-level statement of the module binds.
+
+    A binding is a ``def``, a ``class``, an assignment target or an import;
+    ``__all__`` must be a literal list or tuple of strings.
+    """
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda p: str(p.relative_to(ROOT)))
+def test_exports_are_defined(path):
+    assert _undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_undefined_export_is_reported():
+    src = ("from .linalg import EXACT as E, solve\nimport numpy.linalg\n\n"
+           "__all__ = ['E', 'EXACT', 'solve', 'numpy', 'f', 'C', 'X', 'Y', 'gone']\nX, (Y, _) = 1, (2, 3)\n\n"
+           "def f():\n    gone = 1\n\nclass C:\n    pass\n")
+    assert _undefined_exports(src) == ["EXACT", "gone"]
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kusuoka import cli, linalg, multiquad
+from kusuoka import cli, multiquad
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, FLOAT, as_matrix, frobenius_sq
@@ -28,6 +28,7 @@ from kusuoka.matsys import (
 )
 from kusuoka.symbolic import all_words
 from kusuoka.systems import get_builtin
+from conftest import laplace_det, laplace_minors
 from test_spectral import _diagonal_d3, _raw_system
 
 
@@ -116,14 +117,14 @@ def _validation_systems():
 
 @pytest.mark.parametrize("name", sorted(_validation_systems()))
 def test_exact_validation_decisions_equal_the_radical_reference(name):
-    """Trace one, positive definiteness and injectivity as the trace, leading_minors and det_exact decide them."""
+    """Trace one, positive definiteness and injectivity as the trace and the cofactor reference decide them."""
     system = _validation_systems()[name]()
     e = system.energy
     report = validate(system)
     assert report.trace_ok == (np.trace(e) - 1).is_zero()
     assert report.positive_definite == (
-        bool(np.array_equal(e, e.T)) and all(x.sign() > 0 for x in linalg.leading_minors(e)))
-    assert report.injective == tuple(not linalg.det_exact(a).is_zero() for a in system.maps)
+        bool(np.array_equal(e, e.T)) and all(x.sign() > 0 for x in laplace_minors(e)))
+    assert report.injective == tuple(not laplace_det(a).is_zero() for a in system.maps)
 
 
 def test_exact_validation_takes_no_radical_arithmetic(sg3, monkeypatch):

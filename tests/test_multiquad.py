@@ -1,13 +1,14 @@
-"""The multiquadratic field: products over the support, stacked inverses and fraction-free elimination."""
+"""The multiquadratic field: products over the support, stacked inverses, fraction-free elimination and solves."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kusuoka import linalg, multiquad
+from kusuoka import gasket, multiquad
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import EXACT, as_matrix
+from conftest import laplace_det, laplace_minors
 
 # sqrt(p/129) = sqrt(129 p)/129 for ten primes p: the field of the 10-symbol Bernoulli maps, t = 10, m = 1 024
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -105,21 +106,21 @@ def _random_matrix(rng, d, singular):
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_elimination_equals_the_radical_reference(d):
-    """Leading minors up to the first that vanishes, and every determinant, as Gauss-Jordan finds them."""
+    """Leading minors up to the first that vanishes, and every determinant, as cofactor expansion finds them."""
     rng = np.random.default_rng(d)
     mats = [_random_matrix(rng, d, singular=k % 3 == 0) for k in range(24)]
     fld = multiquad.field_of(frozenset({2, 3}), True)
     num, den = fld.pack_array(np.array(mats))
-    lead, det = fld.eliminate(num)
+    lead, det, _ = fld.eliminate(num)
     for a, minors, dt in zip(mats, lead, det):
-        assert fld.unpack([dt], 1)[0] / Fraction(den) ** d == linalg.det_exact(a)
-        for k, (got, want) in enumerate(zip(fld.unpack(minors, 1), linalg.leading_minors(a))):
+        assert fld.unpack([dt], 1)[0] / Fraction(den) ** d == laplace_det(a)
+        for k, (got, want) in enumerate(zip(fld.unpack(minors, 1), laplace_minors(a))):
             assert got / Fraction(den) ** (k + 1) == want
             if want.is_zero():
                 assert not minors[k + 1:].any()
                 break
     _, det_signs = multiquad.minor_signs(mats)
-    assert det_signs.tolist() == [linalg.det_exact(a).sign() for a in mats]
+    assert det_signs.tolist() == [laplace_det(a).sign() for a in mats]
 
 
 def test_elimination_exchanges_rows_where_a_pivot_vanishes():
@@ -129,4 +130,22 @@ def test_elimination_exchanges_rows_where_a_pivot_vanishes():
     lead, det = multiquad.minor_signs([a])
     assert lead.tolist() == [[0, 0]] and det.tolist() == [-1]
     lead, det = multiquad.minor_signs([b])
-    assert lead.tolist() == [[0, 0, 0]] and det.tolist() == [linalg.det_exact(b).sign()] == [-1]
+    assert lead.tolist() == [[0, 0, 0]] and det.tolist() == [laplace_det(b).sign()] == [-1]
+
+
+def test_packed_solves_take_no_radical_arithmetic(monkeypatch):
+    """The gasket Dirichlet solve and a packed solve over Q(sqrt 2, sqrt 3) form no Radical product or quotient."""
+    fld, vals = _field_and_values()
+    m = np.array([[vals[1], vals[0], vals[2]], [vals[3], vals[4], vals[0]], [vals[2], vals[1], vals[3]]], dtype=object)
+    b = np.array([[vals[0], vals[4]], [vals[2], vals[1]], [vals[3], vals[3]]], dtype=object)
+
+    def refuse(*_):
+        raise AssertionError("Radical arithmetic in a packed solve")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Radical, name, refuse)
+    ext = gasket.harmonic_extension(gasket.build_graph(6))
+    x, den = fld.solve(fld.pack_array(m[None]), fld.pack_array(b[None]))
+    monkeypatch.undo()
+    assert all(sum(row, Radical(0)) == 1 for row in ext)
+    assert (m @ fld.unpack_array(x[0], den) == b).all()

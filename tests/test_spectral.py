@@ -12,10 +12,8 @@ from kusuoka.linalg import (
     EXACT,
     FLOAT,
     as_matrix,
-    det_exact,
     exact_eigenvalues_symmetric,
     frobenius_sq,
-    solve_exact,
     to_float_matrix,
 )
 from kusuoka.matsys import (
@@ -39,6 +37,7 @@ from kusuoka.spectral import (
     theta2,
 )
 from kusuoka.symbolic import DEFAULT_BUDGET, BudgetError, all_words, word_matrix
+from conftest import laplace_det
 from test_measure import _two_radicand_system
 
 
@@ -491,7 +490,7 @@ def test_trace_free_basis(build):
     assert len(mats) == 2
     for a in mats:
         assert inner_e(system, a, ident).is_zero()
-    assert det_exact(system.field.array([[inner_e(system, a, b) for b in mats] for a in mats])).sign() > 0
+    assert laplace_det(system.field.array([[inner_e(system, a, b) for b in mats] for a in mats])).sign() > 0
 
 
 def _projected_units(system):
@@ -535,7 +534,7 @@ def _ck_reference(system, k):
         return CkResult(k, False, None, None)
     h, gram = _per_word_forms(system, k, basis)
     if system.backend == EXACT:
-        eigs = exact_eigenvalues_symmetric(solve_exact(h, gram))
+        eigs = exact_eigenvalues_symmetric(multiquad.solve(h, gram))
         if eigs is not None:
             low = min(eigs)
             return CkResult(k, True, float(low), low)
