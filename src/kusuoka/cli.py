@@ -348,81 +348,60 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_common(p: argparse.ArgumentParser, system_source: bool) -> None:
+    if system_source:
+        p.add_argument("--builtin", help=f"builtin system name ({', '.join(systems.BUILTIN_NAMES)})")
+        p.add_argument("--in", dest="infile", help="system JSON file")
+    p.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget-k", dest="budget_k", type=int, default=0,
+                   help="cap word enumeration at |S|^K words")
+
+
+# name: (help, reads a system, its own arguments as (flag, options) after the common ones)
+_PARSERS = {
+    "validate": ("check the two fixed-point identities", True,
+                 (("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "csv"}),
+                  ("--tol", {"type": float, "default": 1e-12}))),
+    "theta1": ("certified contraction rate of the averaging map", True, ()),
+    "ck": ("level-k irreducibility constant", True, (("--k", {"type": int, "required": True}),)),
+    "theta2": ("projection decay rates", True, (("--kmax", {"type": int, "default": 2}),)),
+    "measure": ("cylinder masses at one depth (CSV)", True, (("--depth", {"type": int, "default": 2}),)),
+    "gfun": ("finite backward-density approximants (CSV)", True, (("--depth", {"type": int, "default": 2}),)),
+    "sample": ("draw words from the measure", True,
+               (("--length", {"type": int, "default": 8}), ("--count", {"type": int, "default": 10}))),
+    "correlate": ("correlation gaps for one cylinder pair (CSV)", True,
+                  (("--alpha", {"required": True}), ("--beta", {"required": True}),
+                   ("--nmax", {"type": int, "default": 8}))),
+    "mixing-bound": ("worst-case gap table vs geometric bound (CSV)", True,
+                     (("--k", {"type": int, "default": 1}), ("--nmax", {"type": int, "default": 6}))),
+    "gasket": ("generate a subdivision-gasket system (JSON)", False, (("--n", {"type": int, "required": True}),)),
+    "renormalize": ("normalize raw restriction maps into a system (JSON)", True, ()),
+    "dilation": ("dual-path transfer/projection residual", True,
+                 (("--k", {"type": int, "required": True}), ("--f", {"help": "cylinder function JSON file"}),
+                  ("--level", {"type": int, "default": None}))),
+    "qdecay": ("Monte Carlo martingale decay table (CSV)", True,
+               (("--k", {"type": int, "required": True}), ("--jmax", {"type": int, "required": True}),
+                ("--trials", {"type": int, "default": 100}))),
+    "report": ("single-system reproduction summary (JSON)", True, ()),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and the arguments of ``command`` alone.
+
+    The top-level help lists only names and help strings, and a run parses
+    one subcommand, so the others get neither their arguments nor ``--help``.
+    """
     top = argparse.ArgumentParser(prog="kusuoka", description="Kusuoka measure toolkit")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, system_source: bool = True):
-        if system_source:
-            p.add_argument("--builtin", help=f"builtin system name ({', '.join(systems.BUILTIN_NAMES)})")
-            p.add_argument("--in", dest="infile", help="system JSON file")
-        p.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-k", dest="budget_k", type=int, default=0,
-                       help="cap word enumeration at |S|^K words")
-
-    p = sub.add_parser("validate", help="check the two fixed-point identities")
-    common(p)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("theta1", help="certified contraction rate of the averaging map")
-    common(p)
-
-    p = sub.add_parser("ck", help="level-k irreducibility constant")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("theta2", help="projection decay rates")
-    common(p)
-    p.add_argument("--kmax", type=int, default=2)
-
-    p = sub.add_parser("measure", help="cylinder masses at one depth (CSV)")
-    common(p)
-    p.add_argument("--depth", type=int, default=2)
-
-    p = sub.add_parser("gfun", help="finite backward-density approximants (CSV)")
-    common(p)
-    p.add_argument("--depth", type=int, default=2)
-
-    p = sub.add_parser("sample", help="draw words from the measure")
-    common(p)
-    p.add_argument("--length", type=int, default=8)
-    p.add_argument("--count", type=int, default=10)
-
-    p = sub.add_parser("correlate", help="correlation gaps for one cylinder pair (CSV)")
-    common(p)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--nmax", type=int, default=8)
-
-    p = sub.add_parser("mixing-bound", help="worst-case gap table vs geometric bound (CSV)")
-    common(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=6)
-
-    p = sub.add_parser("gasket", help="generate a subdivision-gasket system (JSON)")
-    common(p, system_source=False)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("renormalize", help="normalize raw restriction maps into a system (JSON)")
-    common(p)
-
-    p = sub.add_parser("dilation", help="dual-path transfer/projection residual")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", help="cylinder function JSON file")
-    p.add_argument("--level", type=int, default=None)
-
-    p = sub.add_parser("qdecay", help="Monte Carlo martingale decay table (CSV)")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jmax", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = sub.add_parser("report", help="single-system reproduction summary (JSON)")
-    common(p)
+    for name, (text, system_source, own) in _PARSERS.items():
+        p = sub.add_parser(name, help=text, add_help=name == command)
+        if name == command:
+            _add_common(p, system_source)
+            for flag, options in own:
+                p.add_argument(flag, **options)
     return top
 
 
@@ -432,7 +411,8 @@ def main(argv=None) -> int:
         given = argv[0] if argv else "(none)"
         print(f"unknown subcommand {given}; expected one of: {', '.join(SUBCOMMANDS)}", file=sys.stderr)
         return EXIT_UNKNOWN
-    parser = _build_parser()
+    # the subcommand is the first word, since the top level takes no option with a value
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

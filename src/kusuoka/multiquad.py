@@ -28,9 +28,25 @@ from . import linalg
 from .exactnum import Radical
 
 
+def _terms(xs):
+    """The (radicand, coefficient) terms of each scalar of xs, or None for float scalars.
+
+    One walk over the entries serves both their radicands (:func:`_radicands_of`)
+    and their coordinates (:meth:`_Span._pack_scalars`).
+    """
+    if not linalg.array_field(xs).exact:
+        return None
+    return [(x if type(x) is Radical else Radical(x)).terms() for x in xs]
+
+
+def _radicands_of(terms) -> set:
+    """The squarefree radicands in the :func:`_terms` of some scalars."""
+    return {r for t in terms for r, _ in t} if terms is not None else set()
+
+
 def _radicands(xs) -> set:
     """The squarefree radicands of the terms of the scalars xs; none for float scalars."""
-    return {r for x in xs for r, _ in Radical(x).terms()} if linalg.array_field(xs).exact else set()
+    return _radicands_of(_terms(xs))
 
 
 def _support(num) -> list:
@@ -61,30 +77,38 @@ class _Span:
         radicand = sorted(radicands or {1})
         return cls(radicand, [1] * len(radicand), exact)
 
-    def _pack_scalars(self, xs):
-        """Scalars -> (num, den): their coordinates (len, m) over one denominator."""
+    def _pack_scalars(self, xs, terms=None):
+        """Scalars -> (num, den): their coordinates (len, m) over one denominator.
+
+        ``terms``, when given, is :func:`_terms` of xs, already walked.
+        """
         if not self.exact:
             return np.asarray(xs, dtype=float).reshape(-1, 1), 1
-        # coordinate b of x is c / scale[b] for its term c sqrt(radicand[b]): (k, b, numerator, denominator)
-        coords = []
-        for k, x in enumerate(xs):
-            for r, c in Radical(x).terms():
-                b = self.where.get(r)
-                if b is None:
-                    raise ValueError(f"{x} lies outside the field of the quadratic forms")
-                coords.append((k, b, c.numerator, c.denominator * self.scale[b]))
-        den = math.lcm(*(q for *_, q in coords))
-        num = np.zeros((len(xs), self.m), dtype=object)
-        for k, b, p, q in coords:
-            num[k, b] = p * (den // q)
-        return self._reduce(num, den)
+        # coordinate b of x is c / scale[b] for its term c sqrt(radicand[b]): (flat index, numerator, denominator)
+        where, scale, m = self.where, self.scale, self.m
+        terms = _terms(xs) if terms is None else terms
+        try:
+            coords = [(k * m + where[r], *c.as_integer_ratio()) for k, t in enumerate(terms) for r, c in t]
+        except KeyError:
+            bad = next(x for x, t in zip(xs, terms) if any(r not in where for r, _ in t))
+            raise ValueError(f"{bad} lies outside the field of the quadratic forms") from None
+        if any(s != 1 for s in scale):
+            coords = [(i, p, q * scale[i % m]) for i, p, q in coords]
+        den = math.lcm(*{q for *_, q in coords})
+        flat = [0] * (len(xs) * m)
+        for i, p, q in coords:
+            flat[i] = p * (den // q)
+        g = math.gcd(den, *flat)
+        if g > 1:
+            flat, den = [x // g for x in flat], den // g
+        return np.array(flat, dtype=object).reshape(len(xs), m), den
 
-    def pack_array(self, xs):
-        """An array of scalars -> (num, den), num of shape xs.shape + (m,)."""
+    def pack_array(self, xs, terms=None):
+        """An array of scalars -> (num, den), num of shape xs.shape + (m,); ``terms`` as for :meth:`_pack_scalars`."""
         if not self.exact:
             return np.asarray(xs, dtype=float)[..., None], 1
         xs = np.asarray(xs)
-        num, den = self._pack_scalars(xs.ravel())
+        num, den = self._pack_scalars(xs.ravel(), terms)
         return num.reshape(xs.shape + (self.m,)), den
 
     def _convert(self, src: "_Span", num, den):
@@ -456,15 +480,16 @@ class MapField(NamedTuple):
 def map_field(maps, energy, radicands=()) -> MapField:
     """Pack the maps and E in the smallest field holding their entries and sqrt(r) for each r of ``radicands``."""
     a = np.array(maps)
-    roots = _radicands(a.ravel()) | _radicands(energy.ravel()) | set(radicands)
-    fld = field_of(frozenset(roots), linalg.array_field(a).exact)
-    return MapField(fld, fld.pack_array(a), fld.pack_array(energy))
+    ta, te = _terms(a.ravel()), _terms(energy.ravel())
+    fld = field_of(frozenset(_radicands_of(ta) | _radicands_of(te) | set(radicands)), linalg.array_field(a).exact)
+    return MapField(fld, fld.pack_array(a, ta), fld.pack_array(energy, te))
 
 
-def _smallest_field(*arrays) -> Multiquad:
-    """The smallest field holding the entries of these exact arrays."""
-    roots = set().union(*(_radicands(np.ravel(a)) for a in arrays))
-    return field_of(frozenset(roots), linalg.array_field(arrays[0]).exact)
+def _smallest_field(*arrays):
+    """The smallest field holding the entries of these exact arrays, and each array packed in it: (field, stacks)."""
+    terms = [_terms(np.ravel(a)) for a in arrays]
+    fld = field_of(frozenset(set().union(*map(_radicands_of, terms))), linalg.array_field(arrays[0]).exact)
+    return fld, [fld.pack_array(a, t) for a, t in zip(arrays, terms)]
 
 
 def minor_signs(mats) -> tuple[np.ndarray, np.ndarray]:
@@ -474,8 +499,8 @@ def minor_signs(mats) -> tuple[np.ndarray, np.ndarray]:
     eliminated together (:meth:`Multiquad.eliminate`); the leading minors
     past the first that vanishes read 0.
     """
-    fld = _smallest_field(mats)
-    lead, det, _ = fld.eliminate(fld.pack_array(mats)[0])
+    fld, ((num, _),) = _smallest_field(mats)
+    lead, det, _ = fld.eliminate(num)
     return fld.sign(lead), fld.sign(det)
 
 
@@ -485,15 +510,15 @@ def solve(m, b) -> np.ndarray:
     Solved by :meth:`Multiquad.solve` in the smallest field holding both;
     ValueError when m is singular.
     """
-    fld = _smallest_field(m, b)
-    x, den = fld.solve(fld.pack_array(m[None]), fld.pack_array(np.reshape(b, (len(m), -1))[None]))
+    fld, ((mn, md), (bn, bd)) = _smallest_field(m, b)
+    x, den = fld.solve((mn[None], md), (bn.reshape(1, len(m), -1, fld.m), bd))
     return fld.unpack_array(x[0], den).reshape(np.shape(b))
 
 
 def nullspace(m) -> list:
     """A basis of the kernel of an exact square matrix: for each free column f of :meth:`Multiquad.eliminate`, in order, the vector whose coordinate f is 1 and whose other free coordinates are 0."""
-    fld = _smallest_field(m)
-    _, _, (rref, den) = fld.eliminate(fld.pack_array(m[None])[0])
+    fld, ((num, _),) = _smallest_field(m)
+    _, _, (rref, den) = fld.eliminate(num[None])
     free = [f for f in range(len(m)) if not rref[0, f, f].any()]
     rref[0, free, free, 0] = -den  # -(I - rref) on the free columns
     kernel = fld.unpack_array(-rref[0], den)

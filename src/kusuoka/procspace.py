@@ -482,8 +482,12 @@ def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Gener
         raise ValueError("random tables are drawn on the float backend")
     if k < 0:
         raise ValueError("degree must be >= 0")
+    return _random_innovation(system, k, rng, map_field(system.maps, system.energy))
+
+
+def _random_innovation(system: MatrixSystem, k: int, rng: np.random.Generator, maps: MapField) -> FiniteProcess:
+    """:func:`random_innovation_process` on the system's maps as the caller packed them, once for many draws."""
     n, d = system.n_symbols, system.dim
-    maps = map_field(system.maps, system.energy)
     f = FiniteProcess._packed(system, k, maps, maps.fld.pack_array(rng.standard_normal((n ** k, d, d))))
     return innovation_part(f) if k >= 1 else f
 
@@ -512,8 +516,8 @@ def q_decay_check(
     it to a scalar martingale and records ||component_j|| / ||G|| for
     k <= j <= j_max.  Rates come from the one-step irreducibility constant;
     the comparison allows 1e-12 of float slack.  Trials are independently
-    seeded streams.  ``trials * n^j_max`` words must fit in the budget,
-    checked before any trial is seeded.
+    seeded streams over the maps packed once.  ``trials * n^j_max`` words
+    must fit in the budget, checked before any trial is seeded.
     """
     if k < 0 or j_max < k:
         raise ValueError("need 0 <= k <= j_max")
@@ -533,7 +537,7 @@ def q_decay_check(
     results = []
     for trial_seed in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.Generator(np.random.Philox(trial_seed))
-        g = random_innovation_process(fsys, k, rng)
+        g = _random_innovation(fsys, k, rng, m._maps)
         norm = float(process_norm_sq(g, budget)) ** 0.5
         rep = project_Q(m, g, up_to_level=j_max, budget=budget)
         results.append([float(rep.component_norm_sq(j)) ** 0.5 / norm for j in range(k, j_max + 1)])

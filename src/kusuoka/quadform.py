@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .exactnum import Radical, format_exact
 from .matsys import MatrixSystem
-from .multiquad import Multiquad, _radicands, _Span
+from .multiquad import Multiquad, _radicands, _radicands_of, _Span, _terms, field_of
 
 _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
 
@@ -67,8 +67,9 @@ class _PackedMaps(NamedTuple):
 def _pack_maps(maps) -> _PackedMaps:
     """Pack the maps once; every Psi_s is then formed on their coordinates (:func:`_psi`)."""
     a = np.array(maps)
-    span = _Span.roots(_radicands(a.ravel()), linalg.array_field(a).exact)
-    num, den = span._pack_scalars(a.ravel())
+    terms = _terms(a.ravel())
+    span = _Span.roots(_radicands_of(terms), linalg.array_field(a).exact)
+    num, den = span._pack_scalars(a.ravel(), terms)
     a = num.reshape(a.shape + (span.m,))
     # only roots that one map uses together are multiplied, so the cost grows
     # with the roots each map uses, not with the field they all generate
@@ -286,6 +287,24 @@ class _Quad(Multiquad):
         return basis.transpose(1, 0, 2).reshape(len(self.e) - 1, -1), den
 
     @cached_property
+    def trace_free_gram(self):
+        """H_ij = <f_i, f_j>_E = Tr(f_i E f_j) over the trace-free basis, as field elements (r, r, m) over a den.
+
+        Formed as the entry sum of f_i * (E f_j) on the full d x d matrices
+        of the packed rows, with no ``Radical`` product; the float backend
+        adds in the order of ``(f_i * (E @ f_j)).sum()``.
+        """
+        (fnum, fden), (enum, eden), d = self.trace_free, self.energy, self.dim
+        full = list(symmetric_index(d))
+        f = fnum.reshape(len(fnum), -1, self.m)[:, full].reshape(len(fnum), d, d, self.m)
+        w, wden = self.matmul((enum.reshape(-1, self.m)[full].reshape(d, d, self.m), eden), (f, fden))
+        out = np.zeros((len(f), len(f), self.m), dtype=f.dtype)
+        # one entry sum per pair: a batched sum may add the d*d terms in another order
+        self._products(out, lambda i, j: np.array([[(a * b).sum() for b in w[..., j]] for a in f[..., i]],
+                                                  dtype=f.dtype), f, w)
+        return self._reduce(out, fden * wden)
+
+    @cached_property
     def theta1_reps(self) -> tuple[np.ndarray, np.ndarray]:
         """M on the trace-free symmetric and on the antisymmetric matrices, as matrices of the backend.
 
@@ -296,7 +315,7 @@ class _Quad(Multiquad):
         """
         sums = [x.sum(axis=0) for x in (self.sym, self.anti)]
         prod = self.packed.prod
-        fld = Multiquad(set().union(_radicands(self.e), *map(prod.used, sums)), self.exact)
+        fld = field_of(frozenset(set().union(_radicands(self.e), *map(prod.used, sums))), self.exact)
         (total, tden), anti = (fld._convert(prod, x, self.packed.den ** 2) for x in sums)
         basis, bden = _trace_free_coords(fld, fld._pack_scalars(self.e)[0], self.dim)
         rep = np.zeros(basis.shape, dtype=basis.dtype)

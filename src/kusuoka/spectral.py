@@ -16,14 +16,16 @@ one kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, matsys, quadform, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
-from .multiquad import minor_signs, nullspace, solve
+from .multiquad import Multiquad, field_of, minor_signs, nullspace, solve
 from .quadform import Theta1Result, _Quad
 
 __all__ = [
@@ -128,41 +130,74 @@ class CkResult:
     exact: Radical | None
 
 
-def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = None):
-    """The forms of ``c_k`` for every k in ``levels``: (H, {k: G'_k}).
+class _Forms(NamedTuple):
+    """The forms of ``c_k`` packed in the kernel field ``fld``: [H | G'_k for k in ``levels``].
+
+    ``num`` (r, (K + 1) r, m) over ``den`` puts H and each G'_k side by side,
+    r = D - 1 the trace-free dimension.
+    """
+
+    fld: Multiquad
+    levels: tuple
+    num: np.ndarray
+    den: object
+
+    def unpack(self):
+        """(H, {k: G'_k}) as matrices of the backend."""
+        forms, r = self.fld.unpack_array(self.num, self.den), len(self.num)
+        return forms[:, :r], {k: forms[:, (i + 1) * r:(i + 2) * r] for i, k in enumerate(self.levels)}
+
+
+def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = None) -> _Forms | None:
+    """The forms of ``c_k`` for every k in ``levels``, packed side by side over one denominator.
 
     Both are Gram matrices over the kernel's trace-free basis f_q: H_ij =
-    <f_i, f_j>_E and G'_ij = sum_{|alpha|=k} t_i(alpha) t_j(alpha).  None when
-    d = 1.  The budget is checked before the kernel is built (or the caller's
-    kernel ``q`` of ``system`` is used); one beta-weight chain serves all k.
+    <f_i, f_j>_E (``_Quad.trace_free_gram``) and G'_ij = sum_{|alpha|=k}
+    t_i(alpha) t_j(alpha).  None when d = 1.  The budget is checked before
+    the kernel is built (or the caller's kernel ``q`` of ``system`` is used);
+    one beta-weight chain serves all k.
     """
     if system.dim == 1:
         return None
-    symbolic.check_budget(system.n_symbols, max(levels), budget)
+    levels = tuple(sorted(levels))
+    symbolic.check_budget(system.n_symbols, levels[-1], budget)
     q = q or _Quad(system)
-    field, fs = system.field, q.trace_free
-    mats = q.unpack_matrices(*fs, field)
-    weighted = [system.energy @ f for f in mats]
-    h = field.array([[(a * b).sum() for b in weighted] for a in mats])  # Tr(f_i E f_j)
-    grams = {}
-    for k, weights in enumerate(q.betas(max(levels))):
-        if k in levels:
-            num, den = q.gram(q.pair(weights, fs))
-            grams[k] = np.array(q.unpack(num.reshape(-1, q.m), den), dtype=field.dtype).reshape(len(mats), -1)
-    return h, grams
+    fs = q.trace_free
+    forms = [q.trace_free_gram] + [q.gram(q.pair(weights, fs))
+                                   for k, weights in enumerate(q.betas(levels[-1])) if k in levels]
+    den = math.lcm(*(d for _, d in forms))
+    return _Forms(q, levels, np.concatenate([num * (den // d) for num, d in forms], axis=1), den)
 
 
-def _smallest_eigenvalue(k: int, h, gram) -> CkResult:
-    """The least root of det(G' - lambda H): the least eigenvalue of H^-1 G'."""
-    if linalg.array_field(h).exact:
-        eigs = linalg.exact_eigenvalues_symmetric(solve(h, gram))
-        if eigs is not None:
-            low = min(eigs)
-            return CkResult(k, True, float(low), low)
-    # L^-1 G' L^-T with H = L L^T is symmetric and has the same eigenvalues
-    low = np.linalg.cholesky(linalg.to_float_matrix(h))
-    half = np.linalg.solve(low, linalg.to_float_matrix(gram))
-    return CkResult(k, True, float(np.linalg.eigvalsh(np.linalg.solve(low, half.T))[0]), None)
+def _smallest_eigenvalues(forms: _Forms) -> dict:
+    """c_k for every level of ``forms``: the least root of det(G'_k - lambda H), the least eigenvalue of H^-1 G'_k.
+
+    Exact forms go through one elimination of [H | G'_1 | ... | G'_K], in
+    the smallest field their coordinates use (Q for every gasket), and only
+    each r x r solution is unpacked for its exact eigenvalues.  A level whose
+    polynomial does not split, and the float backend, take L^-1 G' L^-T with
+    H = L L^T instead: it is symmetric with the same eigenvalues.
+    """
+    fld, r = forms.fld, len(forms.num)
+    out = {}
+    if fld.exact:
+        small = field_of(frozenset(fld.used(forms.num)), True)
+        _, det, (x, den) = small.eliminate(small._convert(fld, forms.num, forms.den)[0][None])
+        if not det.any():
+            raise ValueError("singular system in exact solve")
+        for i, k in enumerate(forms.levels, 1):
+            eigs = linalg.exact_eigenvalues_symmetric(small.unpack_array(x[0, :, i * r:(i + 1) * r], den))
+            if eigs is not None:
+                low = min(eigs)
+                out[k] = CkResult(k, True, float(low), low)
+    rest = [k for k in forms.levels if k not in out]
+    if rest:
+        h, grams = forms.unpack()
+        low = np.linalg.cholesky(linalg.to_float_matrix(h))
+        for k in rest:
+            half = np.linalg.solve(low, linalg.to_float_matrix(grams[k]))
+            out[k] = CkResult(k, True, float(np.linalg.eigvalsh(np.linalg.solve(low, half.T))[0]), None)
+    return {k: out[k] for k in forms.levels}
 
 
 def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> CkResult:
@@ -184,8 +219,7 @@ def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDG
     forms = _grams(system, (k,), budget)
     if forms is None:
         return CkResult(k, False, None, None)
-    h, grams = forms
-    return _smallest_eigenvalue(k, h, grams[k])
+    return _smallest_eigenvalues(forms)[k]
 
 
 @dataclass(frozen=True)
@@ -214,8 +248,7 @@ def _theta2(system: matsys.MatrixSystem, k_max: int, budget: int, q: _Quad | Non
     if forms is None:
         cs = {k: CkResult(k, False, None, None) for k in range(1, k_max + 1)}
         return Theta2Result(False, True, None, None, None, None, cs)
-    h, grams = forms
-    cs = {k: _smallest_eigenvalue(k, h, g) for k, g in grams.items()}
+    cs = _smallest_eigenvalues(forms)
 
     irreducibility_ok = all(r.value is not None and r.value > 0 for r in cs.values())
 

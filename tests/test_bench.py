@@ -19,3 +19,14 @@ def test_bench_only_times_the_named_row(tmp_path):
     for r in records:
         assert r["cpu_s"] > 0 and r["repeats"] == 1
         assert r["inner"] >= 1 and r["inner"] * r["cpu_s"] >= 0.1
+
+
+def test_bench_records_the_host_calibration_rows(tmp_path):
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--label", "t", "--only", "integer loop",
+         "--repeats", "1", "--out-dir", str(tmp_path)],
+        check=True, stdout=subprocess.DEVNULL,
+    )
+    records = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))["records"]
+    assert [(r["layer"], r["backend"]) for r in records] == [("calibration", "host")]
+    assert records[0]["cpu_s"] > 0

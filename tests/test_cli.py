@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end, in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,25 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "theta1", "--help")
     assert code == 0
     assert "--builtin" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ("top",) + cli.SUBCOMMANDS)
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *([] if command == "top" else [command]), "--help")
+    assert code == 0
+    assert out == (GOLDEN / f"help-{command}.txt").read_text(encoding="utf-8")
+
+
+def test_parser_adds_only_the_named_arguments():
+    sub = next(a for a in cli._build_parser("ck")._actions if a.dest == "command")
+    assert tuple(sub.choices) == cli.SUBCOMMANDS
+    flags = {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
+    assert flags.pop("ck") == ["-h", "--help", "--builtin", "--in", "--backend", "--out", "--seed", "--budget-k", "--k"]
+    assert not any(flags.values())
 
 
 def test_bad_flag_is_config_error(capsys):

@@ -441,6 +441,26 @@ def test_q_decay_rows(sg):
         assert r.max_ratio <= r.bound + 1e-12
 
 
+def test_q_decay_packs_the_maps_once(sg, monkeypatch):
+    """A check packs the maps once for all its trials, and its rows are those of one public draw per trial."""
+    from kusuoka import matsys, measure
+
+    packed = []
+    for module in (procspace, measure, matsys):
+        monkeypatch.setattr(module, "map_field", lambda *a, real=module.map_field: packed.append(1) or real(*a))
+    rows = q_decay_check(sg, k=1, j_max=3, trials=7, seed=5)
+    assert len(packed) == 1
+    monkeypatch.undo()
+    fsys = matsys.to_float_system(sg)
+    m = kusuoka_measure(fsys, check=False)
+    ratios = []
+    for trial_seed in np.random.SeedSequence(5).spawn(7):
+        g = random_innovation_process(fsys, 1, np.random.Generator(np.random.Philox(trial_seed)))
+        rep = project_Q(m, g, up_to_level=3)
+        ratios.append([float(rep.component_norm_sq(j)) ** 0.5 / float(process_norm_sq(g)) ** 0.5 for j in (1, 2, 3)])
+    assert [r.max_ratio for r in rows] == [max(col) for col in zip(*ratios)]
+
+
 def test_q_decay_guards(sg, bern):
     with pytest.raises(ValueError):
         q_decay_check(sg, k=3, j_max=2, trials=5, seed=0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kusuoka import cli, multiquad, quadform, spectral
+from kusuoka import cli, linalg, multiquad, quadform, spectral
 from kusuoka.exactnum import Radical, parse_exact
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import (
@@ -564,6 +564,7 @@ _CK_SYSTEMS = {
     "two-radicand": (_two_radicand_system, 2),
     "pythagorean": (_pythagorean_system, 2),
     **{f"raw{b}": ((lambda b=b: _raw_system(b)), 2) for b in range(len(RAW_BASES))},
+    "diagonal-d3": (_diagonal_d3, 2),
 }
 
 
@@ -579,9 +580,10 @@ def test_ck_equals_per_word_reference(name):
         if not want.applicable:
             assert forms is None
         else:
+            h, grams = forms.unpack()
             want_h, want_gram = _per_word_forms(system, k, _packed_basis(system))
-            assert (forms[0] == want_h).all()
-            assert (forms[1][k] == want_gram).all()
+            assert (h == want_h).all()
+            assert (grams[k] == want_gram).all()
     assert theta2(system, k_max).c_values == {k: c_k(system, k) for k in range(1, k_max + 1)}
 
 
@@ -594,12 +596,56 @@ def test_ck_solves_against_a_non_identity_h():
     energy = [[Fraction(1, 4), 0], [0, Fraction(3, 4)]]
     system = make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
     for k in (1, 2):
-        h, grams = spectral._grams(system, (k,), DEFAULT_BUDGET)
+        h, grams = spectral._grams(system, (k,), DEFAULT_BUDGET).unpack()
         want_h, want_gram = _per_word_forms(system, k, _packed_basis(system))
         assert (h == as_matrix([[1, 0], [0, 3]], EXACT)).all() and (h == want_h).all()
         assert not want_gram[0, 1].is_zero()
         assert (grams[k] == want_gram).all()
         _assert_ck_matches(c_k(system, k), _ck_reference(system, k))
+
+
+@pytest.mark.parametrize("name", ["sg", "sg5", "raw0", "raw1", "two-radicand", "pythagorean", "diagonal-d3"])
+def test_exact_ck_has_no_radical_arithmetic_before_the_unpack(name, monkeypatch):
+    """c_k and theta2 stay on packed stacks until each level's r x r solution is unpacked."""
+    build, k_max = _CK_SYSTEMS[name]
+    system = build()
+    r = system.dim * (system.dim + 1) // 2 - 1
+    events = []
+    for op in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
+        monkeypatch.setattr(Radical, op, lambda *a, real=getattr(Radical, op), op=op: events.append(op) or real(*a))
+    real_unpack, real_eigs = multiquad._Span.unpack, linalg.exact_eigenvalues_symmetric
+    monkeypatch.setattr(multiquad._Span, "unpack", lambda self, num, den: events.append(("unpack", len(num)))
+                        or real_unpack(self, num, den))
+    monkeypatch.setattr(linalg, "exact_eigenvalues_symmetric", lambda m: events.append("eigen") or real_eigs(m))
+    for call in (lambda: c_k(system, 1), lambda: theta2(system, k_max)):
+        events.clear()
+        call()
+        assert events[:events.index("eigen")] == [("unpack", r * r)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float_h_adds_in_the_matrix_order(seed):
+    """The packed float H is, bit for bit, [(f_i * (E @ f_j)).sum()] over the unpacked trace-free basis."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    energy = rng.standard_normal((d, d))
+    system = make_system("abc", [rng.standard_normal((d, d)) for _ in range(3)],
+                         energy @ energy.T + d * np.eye(d), FLOAT)
+    q = quadform._Quad(system)
+    mats = q.unpack_matrices(*q.trace_free, system.field)
+    want = np.array([[(a * (system.energy @ b)).sum() for b in mats] for a in mats])
+    assert q.unpack_array(*q.trace_free_gram).tobytes() == want.tobytes()
+
+
+def test_theta2_eliminates_once_in_the_smallest_field(monkeypatch):
+    """theta2(sg5, 2) solves [H | G'_1 | G'_2] in one elimination over Q, though its kernel carries sqrt 3."""
+    system = generate_system(5)
+    assert quadform._Quad(system).gens == [3]
+    shapes = []
+    real = multiquad.Multiquad.eliminate
+    monkeypatch.setattr(multiquad.Multiquad, "eliminate", lambda self, a: shapes.append(a.shape) or real(self, a))
+    theta2(system, 2)
+    assert shapes == [(1, 2, 6, 1)]
 
 
 @pytest.mark.parametrize("system", [sg_system(FLOAT), generate_system(3, FLOAT), _raw_system(1, FLOAT)],
@@ -608,7 +654,7 @@ def test_ck_float_matches_reference(system):
     for k in (1, 2):
         want = _ck_reference(system, k)
         want_h, want_gram = _per_word_forms(system, k, _packed_basis(system))
-        got_h, grams = spectral._grams(system, (k,), DEFAULT_BUDGET)
+        got_h, grams = spectral._grams(system, (k,), DEFAULT_BUDGET).unpack()
         assert np.max(np.abs(got_h - want_h)) <= 1e-12 * np.max(np.abs(want_h))
         assert np.max(np.abs(grams[k] - want_gram)) <= 1e-12 * np.max(np.abs(want_gram))
         assert abs(c_k(system, k).value - want.value) <= 1e-12 * abs(want.value)
