@@ -20,6 +20,8 @@ The layers, from the host up:
              dilation_check(sg, f, k=3) for a seeded depth-6 f with values
              in -3 .. 3, dilation_check(sg, f, k=1) for a seeded depth-3 f
              (the shape of the benchmark's k < depth dilation job),
+             dilation_check(sg, f, k=2) for a seeded depth-1 f (the shape of
+             its k >= depth dilation job),
              martingale_decompose(sg, f) for a seeded depth-4 f (the
              benchmark's martingale job), and
              q_decay_check(sg, 1, 6, 100 trials, seed 0);
@@ -178,8 +180,8 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         sg6 = gasket.generate_system(6, backend)
         a, b = sg.maps[0], sg.maps[1]
         sg4 = gasket.generate_system(4, backend)
-        f3, f4, f6 = (symbolic.cylinder_from_values(
-            sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (3, 4, 6))
+        f1, f3, f4, f6 = (symbolic.cylinder_from_values(
+            sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (1, 3, 4, 6))
         add("scalar", "2x2 matmul", backend, lambda: a @ b)
         add("tables", "level_nu(sg3, 5)", backend, lambda: measure.kusuoka_measure(sg3).level_nu(5))
         add("operation", "generate_system(6)", backend, lambda: gasket.generate_system(6, backend))
@@ -198,6 +200,8 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
             lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f6, 3))
         add("operation", "dilation_check(sg, depth-3 f, k=1)", backend,
             lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f3, 1))
+        add("operation", "dilation_check(sg, depth-1 f, k=2)", backend,
+            lambda: procspace.dilation_check(measure.kusuoka_measure(sg), f1, 2))
         add("operation", "martingale_decompose(sg, depth-4 f)", backend,
             lambda: procspace.martingale_decompose(measure.kusuoka_measure(sg), f4))
         add("operation", "q_decay_check(sg, 1, 6, 100, seed=0)", backend,

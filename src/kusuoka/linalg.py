@@ -243,15 +243,17 @@ def _split_spectrum(m: np.ndarray):
     Returns (reals, moduli, rest): the exact real eigenvalues found, the
     exact moduli of the complex-conjugate pairs found, and the factor of
     the characteristic polynomial left unsplit (empty when it split
-    completely).  A 2x2 matrix with real eigenvalues takes the closed form
-    (tr +- sqrt(tr^2 - 4 det)) / 2 first, whatever its coefficients.  Other
-    roots come from the rational root search, a linear or quadratic
-    rational remainder, or, for surd coefficients, the 1x1 closed form;
-    ``rest`` is rational whenever ``reals`` is not empty.  A square root
+    completely).  A 1x1 matrix is its own eigenvalue, and a 2x2 matrix
+    with real eigenvalues takes the closed form (tr +- sqrt(tr^2 - 4 det)) / 2
+    first, whatever its coefficients.  Other roots come from the rational
+    root search or a linear or quadratic rational remainder; ``rest`` is
+    rational whenever ``reals`` is not empty.  A square root
     whose radicand bounded trial division cannot split leaves its factor
     in ``rest``.
     """
     n = m.shape[0]
+    if n == 1:
+        return [Radical(m[0, 0])], [], []
     if n == 2:
         tr = m[0, 0] + m[1, 1]
         disc = tr * tr - 4 * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -263,8 +265,6 @@ def _split_spectrum(m: np.ndarray):
             return [(tr + sq) / 2, (tr - sq) / 2], [], []
     coeffs = char_poly(m)
     if not all(c.is_rational() for c in coeffs):
-        if n == 1:
-            return [m[0, 0]], [], []
         return [], [], coeffs
     roots, rem = rational_roots([c.as_fraction() for c in coeffs])
     reals = [Radical(r) for r in roots]

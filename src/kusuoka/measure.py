@@ -5,8 +5,8 @@ cylinder named by a word alpha; the two fixed-point equations make this a
 consistent shift-invariant probability measure.  This module evaluates nu and
 its conditionals, the finite approximants of the backward transition density,
 exact correlation gaps and their geometric bounds, the normalized prefix
-states that drive the trace formula for iterated transfer operators, and a
-reproducible sequential sampler.
+states, the trace formula for iterated transfer operators on a stack of
+packed weights at once, and a reproducible sequential sampler.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import matsys, symbolic
 from .exactnum import Radical
 from .matsys import MatrixSystem
 from .multiquad import MapField, map_field
-from .quadform import _Quad, symmetric_index
+from .quadform import _Quad
 from .symbolic import BudgetError, CylinderFunction, Word
 
 __all__ = [
@@ -127,13 +127,10 @@ class KusuokaMeasure:
         return self._level_mass_array[k]
 
     def _beta_table(self, k: int, budget: int = symbolic.DEFAULT_BUDGET):
-        """beta-weights A(w)^T E A(w) of every length-k word as full packed matrices (n^k, d, d, m) of the kernel, cached."""
+        """beta-weights A(w)^T E A(w) of every length-k word as packed rows (n^k, D*m) of the kernel, cached."""
         if k not in self._level_beta:
             symbolic.check_budget(self.system.n_symbols, k, budget)
-            q = self._quad
-            num, den = q.betas(k)[-1]
-            full = num.reshape(len(num), -1, q.m)[:, symmetric_index(q.dim)]
-            self._level_beta[k] = full.reshape(len(num), q.dim, q.dim, q.m), den
+            self._level_beta[k] = self._quad.betas(k)[-1]
         return self._level_beta[k]
 
 
@@ -389,23 +386,30 @@ def transfer_apply(
 
     This is the trace expansion of the (mshift + depth)-fold transfer
     operator applied to f, evaluated at any point extending ``prefix``
-    (the prefix state stands in for the exact conditioning).  The adjoint
-    identity moves M^mshift onto the prefix state, so the per-word work
-    is one pairing with the cached level table regardless of mshift.
+    (the prefix state stands in for the exact conditioning).  It is the
+    one-row call of :func:`_transfer_values`, on the packed prefix state.
     """
     if mshift < 0:
         raise ValueError("mshift must be >= 0")
     if f.n_symbols != m.system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
+    fld, fv = m._quad.pack_holding(f.values)
+    return fld.unpack_array(*_transfer_values(m, m._quad.pack(h_state(m, prefix).h), mshift, fld, fv, f.depth, budget))[0]
+
+
+def _transfer_values(m: KusuokaMeasure, weights, mshift: int, fld, fv, depth: int, budget: int):
+    """sum_alpha f(alpha) <M*^mshift(w), P(alpha)> for every packed weight row w of the kernel, as a stack (rows, m) of ``fld``.
+
+    The trace formula: M^mshift moves onto the weights by the adjoint
+    identity, and one bilinear product pairs them with the cached P(alpha)
+    of f's level; ``fv`` is f's values packed in ``fld``, which holds the
+    kernel.  The beta-weight of a word w gives nu(w) times the image on w.
+    """
     q = m._quad
-    h = q.pack(h_state(m, prefix).h)
     for _ in range(mshift):
-        h = q.apply(h, q.m_star_sum)
-    num, den = q.pair(h, m._level_table(f.depth, budget))
-    total = m.system.field.zero
-    for v, x in zip(f.values, q.unpack(num[0], den)):
-        total = total + v * x
-    return total
+        weights = q.apply(weights, q.m_star_sum)
+    num, den = fld._convert(q, *q.pair(weights, m._level_table(depth, budget)))
+    return fld._reduce(fld.mul(num, fv[0]).sum(axis=1), den * fv[1])
 
 
 # -- sampling ----------------------------------------------------------------

@@ -205,11 +205,12 @@ class Multiquad(_Span):
         self.by_radicand = sorted(range(m), key=radicand.__getitem__)
         self.root = [math.sqrt(r) for r in radicand]
 
-    def holding(self, radicands) -> "Multiquad":
-        """This field if it holds sqrt(r) for every r of ``radicands``, else the smallest field holding both."""
-        if self.where.keys() >= set(radicands):
-            return self
-        return field_of(frozenset(self.radicand) | frozenset(radicands), self.exact)
+    def pack_holding(self, xs):
+        """(field, stack): this field, or the smallest holding it and the scalars xs (1-d), and xs packed there in one walk."""
+        terms = _terms(xs)
+        radicands = _radicands_of(terms)
+        fld = self if self.where.keys() >= radicands else field_of(frozenset(self.radicand) | radicands, self.exact)
+        return fld, fld.pack_array(xs, terms)
 
     def _mul_table(self, x):
         """Multiplication by each element of x (..., m): out[..., j, k] is the e_k part of x e_j."""

@@ -32,7 +32,8 @@ from . import linalg, matsys, measure, spectral, symbolic
 from .exactnum import Radical
 from .matsys import MatrixSystem
 from .measure import KusuokaMeasure
-from .multiquad import MapField, _radicands, map_field
+from .multiquad import MapField, _radicands_of, _terms, map_field
+from .quadform import symmetric_index
 from .symbolic import CylinderFunction
 
 __all__ = [
@@ -86,9 +87,10 @@ class FiniteProcess:
         if vals.shape != shape:
             raise ValueError(f"table has shape {vals.shape}, expected {shape}")
         vals.setflags(write=False)
-        maps = map_field(system.maps, system.energy, _radicands(vals.ravel()))
+        terms = _terms(vals.ravel())
+        maps = map_field(system.maps, system.energy, _radicands_of(terms))
         # the frozen fields, and ``values`` already read
-        self.__dict__.update(system=system, degree=degree, _maps=maps, _table=maps.fld.pack_array(vals), values=vals)
+        self.__dict__.update(system=system, degree=degree, _maps=maps, _table=maps.fld.pack_array(vals, terms), values=vals)
 
     @classmethod
     def _packed(cls, system: MatrixSystem, degree: int, maps: MapField, table) -> "FiniteProcess":
@@ -193,10 +195,11 @@ def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.
     """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha)."""
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    maps = map_field(system.maps, system.energy, _radicands(f.values))
+    terms = _terms(f.values)
+    maps = map_field(system.maps, system.energy, _radicands_of(terms))
     fld, (num, den) = maps.fld, maps.identity
     words = extend(FiniteProcess._packed(system, 0, maps, (num[None], den)), f.depth, budget)._table
-    vals, vals_den = fld.pack_array(f.values)
+    vals, vals_den = fld.pack_array(f.values, terms)
     table = fld._reduce(fld.mul(vals[:, None, None], words[0]), vals_den * words[1])
     return FiniteProcess._packed(system, f.depth, maps, table)
 
@@ -223,23 +226,16 @@ class MartingaleRep:
         return (comp.values * comp.values * self.measure._nu_array(comp.depth)).sum()
 
     def norm_sq(self):
-        total = self.component_norm_sq(0)
-        for j in range(1, len(self.components)):
-            total = total + self.component_norm_sq(j)
-        return total
+        return sum(map(self.component_norm_sq, range(1, len(self.components))), self.component_norm_sq(0))
 
     def function(self) -> CylinderFunction:
         """Sum of the components, refined to the deepest level."""
-        out = self.components[0].refine(self.depth)
-        for comp in self.components[1:]:
-            out = out + comp.refine(self.depth)
-        return out
+        return sum((c.refine(self.depth) for c in self.components[1:]), self.components[0].refine(self.depth))
 
 
 def _level_masses(m: KusuokaMeasure, fld, level: int, budget: int):
     """The masses of every level cylinder as a stack (n^level, m) of ``fld``, which holds the kernel's field."""
-    q = m._quad
-    return fld._convert(q, *q.nu(m._level_table(level, budget)))
+    return fld._convert(m._quad, *m._quad.nu(m._level_table(level, budget)))
 
 
 def _split(m: KusuokaMeasure, fld, weighted, masses, level: int) -> MartingaleRep:
@@ -289,9 +285,8 @@ def martingale_decompose(m: KusuokaMeasure, f: CylinderFunction, budget: int = s
     """
     if f.n_symbols != m.system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    fld = m._quad.holding(_radicands(f.values))
+    fld, (fv, fv_den) = m._quad.pack_holding(f.values)
     masses = _level_masses(m, fld, f.depth, budget)
-    fv, fv_den = fld.pack_array(f.values)
     return _split(m, fld, (fld.mul(fv, masses[0]), fv_den * masses[1]), masses, f.depth)
 
 
@@ -319,13 +314,13 @@ def project_Q(
     sys_ = m.system
     level = f.degree if up_to_level is None else max(f.degree, up_to_level)
     symbolic.check_budget(sys_.n_symbols, level, budget)
-    fld = f._maps.fld
+    fld, q = f._maps.fld, m._quad
     words = fld._convert(m._maps.fld, *m._word_table(f.degree, budget))
     rows, rows_den = fld.matmul(words, _transposed(f._table))
-    betas, beta_den = fld._convert(m._quad, *m._beta_table(level - f.degree, budget))
-    # (A(alpha) F(alpha)^T).ravel() against one column per word w
-    shadow, den = fld.matmul((rows.reshape(len(rows), -1, fld.m), rows_den),
-                             (betas.reshape(len(betas), -1, fld.m).swapaxes(0, 1), beta_den))
+    num, den = m._beta_table(level - f.degree, budget)
+    betas, beta_den = fld._convert(q, num.reshape(len(num), -1, q.m)[:, symmetric_index(sys_.dim)], den)
+    # (A(alpha) F(alpha)^T).ravel() against the full beta-weight of each word w, one column per w
+    shadow, den = fld.matmul((rows.reshape(len(rows), -1, fld.m), rows_den), (betas.swapaxes(0, 1), beta_den))
     return _split(m, fld, (shadow.reshape(-1, fld.m), den), _level_masses(m, fld, level, budget), level)
 
 
@@ -374,47 +369,39 @@ def dilation_check(
     """Residual of the dilation identity: transfer-then-project vs direct.
 
     Path (a) embeds f, applies the process transfer operator k times and
-    projects back, keeping components up to ``level``.  Path (b) computes
-    the k-step scalar transfer image directly on every level cylinder:
-    through the prefix-state trace formula when the shift consumes all of
-    f's depth, through a common-refinement sum otherwise.  The two
+    projects back, keeping components up to ``level``.  Path (b) forms the
+    k-step scalar transfer image times the level masses, for every level
+    cylinder at once and for one packed split (:func:`_split`): by the trace
+    formula on the beta-weights of the level words when the shift consumes
+    all of f's depth, by a common-refinement sum otherwise.  The two
     martingale representations agree; the returned max component gap is
     zero on the exact backend.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    sys_ = m.system
-    if f.n_symbols != sys_.n_symbols:
+    sys_, n = m.system, m.system.n_symbols
+    if f.n_symbols != n:
         raise ValueError("cylinder function and system disagree on the alphabet")
-    if level is None:
-        level = f.depth
+    level = f.depth if level is None else level
     if level < 0:
         raise ValueError("level must be >= 0")
-    n = sys_.n_symbols
 
     g = embed_phi(sys_, f, budget)
     for _ in range(k):
         g = transfer_L(g)
     rep_a = project_Q(m, g, up_to_level=level, budget=budget)
 
+    fld, fv = m._quad.pack_holding(f.values)
+    # the transfer image times the level masses, the values the packed split takes
     if k >= f.depth:
-        vals = [
-            measure.transfer_apply(m, f, k - f.depth, symbolic.index_word(i, level, n), budget)
-            for i in range(n ** level)
-        ]
-        g_b = CylinderFunction(level, n, np.array(vals, dtype=sys_.field.dtype), sys_.backend)
-        rep_b = martingale_decompose(m, g_b, budget)
+        weighted = measure._transfer_values(m, m._beta_table(level, budget), k - f.depth, fld, fv, f.depth, budget)
     else:
         # a word of length big reads (k shifted symbols, level cylinder, rest)
         big = max(f.depth, k + level)
-        symbolic.check_budget(n, big, budget)
-        fld = m._quad.holding(_radicands(f.values))
         masses, mass_den = _level_masses(m, fld, big, budget)
-        fv, fv_den = fld.pack_array(f.values)
-        weighted = fld.mul(np.repeat(fv, n ** (big - f.depth), axis=0), masses)
-        # the transfer image times the level masses, the values the packed split takes
-        num = weighted.reshape(n ** k, n ** level, -1, fld.m).sum(axis=(0, 2))
-        rep_b = _split(m, fld, (num, fv_den * mass_den), _level_masses(m, fld, level, budget), level)
+        num = fld.mul(np.repeat(fv[0], n ** (big - f.depth), axis=0), masses)
+        weighted = num.reshape(n ** k, n ** level, -1, fld.m).sum(axis=(0, 2)), fv[1] * mass_den
+    rep_b = _split(m, fld, weighted, _level_masses(m, fld, level, budget), level)
 
     gaps = [a.values - b.values for a, b in zip(rep_a.components, rep_b.components)]
     return np.abs(np.concatenate(gaps)).max()

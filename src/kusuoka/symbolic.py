@@ -88,9 +88,17 @@ def enumerate_words(system: MatrixSystem, k: int, budget: int = DEFAULT_BUDGET):
     return list(all_words(system.n_symbols, k))
 
 
+def _checked(word: Word, n_symbols: int) -> Word:
+    """The word, after a ValueError if a symbol lies outside 0 .. n_symbols - 1."""
+    for s in word:
+        if not 0 <= s < n_symbols:
+            raise ValueError(f"symbol {s} is outside the alphabet of {n_symbols} symbols")
+    return word
+
+
 def word_index(word: Word, n_symbols: int) -> int:
     i = 0
-    for s in word:
+    for s in _checked(word, n_symbols):
         i = i * n_symbols + s
     return i
 
@@ -105,7 +113,7 @@ def index_word(i: int, k: int, n_symbols: int) -> Word:
 def word_matrix(system: MatrixSystem, word: Word) -> np.ndarray:
     """Product matrix of a word: later symbols multiply on the left."""
     out = linalg.identity(system.dim, system.backend)
-    for s in word:
+    for s in _checked(word, system.n_symbols):
         out = system.maps[s] @ out
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kusuoka import multiquad
+from kusuoka import linalg, multiquad
 from kusuoka.exactnum import Radical
 from kusuoka.linalg import (
     _split_spectrum,
@@ -170,6 +170,21 @@ def test_certified_radius_irrational():
     m = _exact([[0, 2], [1, 0]])  # eigenvalues +-sqrt(2)
     val, exact = certified_spectral_radius(m)
     assert exact == Radical.root(2)
+
+
+@pytest.mark.parametrize("entry", [Radical(Fraction(92979, 327611)), Radical.root(15) / 15 + 2 * Radical.root(30) / 15])
+def test_one_by_one_part_takes_no_root_search(monkeypatch, entry):
+    """A 1x1 matrix is its own eigenvalue: no characteristic polynomial and no rational root search."""
+
+    def refuse(*args):
+        raise AssertionError("root search on a 1x1 matrix")
+
+    monkeypatch.setattr(linalg, "char_poly", refuse)
+    monkeypatch.setattr(linalg, "rational_roots", refuse)
+    m = as_matrix([[entry]], EXACT)
+    assert _split_spectrum(m) == ([entry], [], [])
+    assert certified_spectral_radius(m) == (float(entry), entry)
+    assert exact_eigenvalues_symmetric(m) == [entry]
 
 
 def test_exact_eigenvalues_symmetric():

@@ -151,6 +151,17 @@ def test_mixing_bound_rows(sg_measure):
     assert (rows1[0].max_gap - Radical(Fraction(16, 225))).is_zero()
 
 
+@pytest.mark.parametrize("symbol", [-1, 3])
+def test_words_outside_the_alphabet_are_rejected(sg_measure, symbol):
+    sg = sg_measure.system
+    message = f"symbol {symbol} is outside the alphabet of 3 symbols"
+    for call in (lambda: nu(sg_measure, (symbol,)), lambda: h_state(sg_measure, (0, symbol)),
+                 lambda: indicator(sg, (symbol,)), lambda: correlation_gap(sg_measure, (0,), (symbol,), 1),
+                 lambda: correlation_gap(sg_measure, (symbol,), (0,), 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_transfer_apply_values(sg_measure):
     ind0 = indicator(sg_measure.system, (0,))
     assert transfer_apply(sg_measure, ind0, 0, (0,)) == Fraction(41, 75)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kusuoka import procspace
+from kusuoka import measure, procspace, symbolic
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix, frobenius_sq
@@ -376,18 +376,53 @@ def test_dilation_identity_bernoulli(bern_measure):
         assert dilation_check(bern_measure, f, k).is_zero()
 
 
-@pytest.mark.parametrize("system_name", ["sg", "sg3", "bern"])
-@pytest.mark.parametrize("depth, k, level", [
-    (2, 2, 2), (2, 3, 1),  # k >= depth: prefix-state trace formula
+_DILATION_REGIMES = pytest.mark.parametrize("depth, k, level", [
+    (2, 2, 2), (2, 3, 1),  # k >= depth: trace formula on the beta-weights
     (2, 1, 1), (2, 1, 2), (2, 0, 3),  # k < depth <= k + level
     (3, 1, 1), (3, 0, 1), (3, 1, 0),  # k + level < depth
 ])
-def test_dilation_identity_every_regime(request, system_name, depth, k, level):
-    system = request.getfixturevalue(system_name)
+
+
+@pytest.fixture(scope="module")
+def two_radicand():
+    return _two_radicand_system()
+
+
+def _dilation_f(system, depth, k):
     rng = np.random.default_rng(depth * 10 + k)
     vals = [Fraction(int(x), 3) for x in rng.integers(-5, 6, size=system.n_symbols ** depth)]
-    f = cylinder_from_values(system, depth, vals)
+    return cylinder_from_values(system, depth, vals)
+
+
+@pytest.mark.parametrize("system_name", ["sg", "sg3", "bern", "two_radicand"])
+@_DILATION_REGIMES
+def test_dilation_identity_every_regime(request, system_name, depth, k, level):
+    system = request.getfixturevalue(system_name)
+    f = _dilation_f(system, depth, k)
     assert dilation_check(kusuoka_measure(system), f, k, level=level).is_zero()
+
+
+@_DILATION_REGIMES
+def test_dilation_identity_every_regime_float(sg_float, depth, k, level):
+    f = _dilation_f(sg_float, depth, k)
+    assert dilation_check(kusuoka_measure(sg_float), f, k, level=level) <= 1e-13
+
+
+@pytest.mark.parametrize("system_name", ["sg", "two_radicand"])
+@_DILATION_REGIMES
+def test_dilation_takes_no_radical_arithmetic_and_no_word_matrix(request, monkeypatch, system_name, depth, k, level):
+    """Both paths run on packed stacks: no Radical product, division or inverse, and no per-word state."""
+    m = kusuoka_measure(request.getfixturevalue(system_name))
+    f = _dilation_f(m.system, depth, k)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
+        orig = getattr(Radical, name)
+        monkeypatch.setattr(Radical, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
+    for module, name in ((measure, "transfer_apply"), (measure, "h_state"), (symbolic, "word_matrix")):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
+    assert dilation_check(m, f, k, level=level).is_zero()
+    assert calls == []
 
 
 def test_innovation_projection(sg_float):
