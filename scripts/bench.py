@@ -9,8 +9,11 @@ The layers, from the host up:
                two files (backend "host")
   scalar     2x2 matrix product (Radical entries on exact, float64 on float)
   tables     level_nu(sg3, 5): every depth-5 cylinder mass
-  operation  generate_system(6); harmonic_extension(build_graph(n)) for
-             n = 6, 10, the Dirichlet solve of generate_system (exact only);
+  operation  generate_system(3), generate_system(6) and renormalize(RAW),
+             the raw maps RAW below; harmonic_extension(build_graph(n)) for
+             n = 6, 10, the Dirichlet solve of generate_system, and
+             cell_restrictions(build_graph(6)) (exact only);
+             correlation_gap(sg, 01, 2, 50), on a fresh measure;
              mixing_bound_check(sg, k, nmax=12) for k = 2, 3, and
              mixing_bound_check(sg3, k=1, nmax=8);
              kusuoka correlate --builtin sg --alpha 01 --beta 2 --nmax 50,
@@ -171,6 +174,7 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
             record("cli", name, backend, _timed_child(args, src, repeats))
 
     product = np.random.default_rng(0).standard_normal((128, 128))
+    raw_maps = [[list(row) for row in a] for a in RAW]
     add("calibration", "pure-Python integer loop, 10^4 steps", "host", _integer_loop)
     add("calibration", "numpy 128x128 float64 product", "host", lambda: product @ product)
     for backend in (EXACT, FLOAT):
@@ -184,7 +188,11 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
             sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (1, 3, 4, 6))
         add("scalar", "2x2 matmul", backend, lambda: a @ b)
         add("tables", "level_nu(sg3, 5)", backend, lambda: measure.kusuoka_measure(sg3).level_nu(5))
-        add("operation", "generate_system(6)", backend, lambda: gasket.generate_system(6, backend))
+        for n in (3, 6):
+            add("operation", f"generate_system({n})", backend, lambda: gasket.generate_system(n, backend))
+        add("operation", "renormalize(RAW)", backend, lambda: spectral.renormalize(raw_maps, backend))
+        add("operation", "correlation_gap(sg, (0, 1), (2,), 50)", backend,
+            lambda: measure.correlation_gap(measure.kusuoka_measure(sg), (0, 1), (2,), 50))
         for k in (2, 3):
             add("operation", f"mixing_bound_check(sg, k={k}, nmax=12)", backend,
                 lambda: measure.mixing_bound_check(measure.kusuoka_measure(sg), k, 12))
@@ -213,7 +221,7 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         for name, system, k in (("sg5", sg5, 1), ("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2)):
             add("operation", f"c_k({name}, {k})", backend, lambda: spectral.c_k(system, k))
         add("operation", "theta2(sg5, 2)", backend, lambda: spectral.theta2(sg5, 2))
-        raw = spectral.renormalize([[list(row) for row in a] for a in RAW], backend)
+        raw = spectral.renormalize(raw_maps, backend)
         add("operation", "theta1(raw)", backend, lambda: spectral.theta1(raw))
         add("operation", "c_k(raw, 1)", backend, lambda: spectral.c_k(raw, 1))
         for argv in (["mixing-bound", "--builtin", "sg4", "--k", "2", "--nmax", "6"],
@@ -224,6 +232,9 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
     for n in (6, 10):
         graph = gasket.build_graph(n)
         add("operation", f"harmonic_extension(build_graph({n}))", EXACT, lambda: gasket.harmonic_extension(graph))
+    graph = gasket.build_graph(6)
+    basis = gasket.harmonic_basis()
+    add("operation", "cell_restrictions(build_graph(6))", EXACT, lambda: gasket.cell_restrictions(graph, basis))
     add_child("theta2(sg6, 2), fresh process", EXACT, ["-c", COLD_THETA2])
     return records
 

@@ -204,21 +204,11 @@ def _cmd_correlate(cfg: RunConfig, args) -> int:
     beta = symbolic.parse_word(args.beta, sys_.alphabet)
     if args.nmax < 0:
         raise ValueError("separation --nmax must be >= 0")
-    q = m._quad
-    t1 = q.theta1
+    t1 = m._quad.theta1
     rate = t1.exact if t1.exact is not None else t1.value
-    # the gap at separation n pairs P(alpha) with M*^n of the beta-weight, advanced one step per row
-    a, b = symbolic.word_matrix(sys_, alpha), symbolic.word_matrix(sys_, beta)
-    p_alpha, weight = q.pack(a @ a.T), q.pack(b.T @ sys_.energy @ b)
-    product = measure.nu(m, alpha) * measure.nu(m, beta)
     rows = ["n,alpha,beta,gap,bound"]
-    for n in range(args.nmax + 1):
-        if n > 0:
-            weight = q.apply(weight, q.m_star_sum)
-        num, den = q.pair(p_alpha, weight)
-        gap = q.unpack(num[0], den)[0] - product
-        bound = 2 * rate**n
-        rows.append(f"{n},{args.alpha},{args.beta},{_fmt_scalar(gap)},{_fmt_scalar(bound)}")
+    for n, gap in enumerate(measure._correlation_gaps(m, alpha, beta, args.nmax)):
+        rows.append(f"{n},{args.alpha},{args.beta},{_fmt_scalar(gap)},{_fmt_scalar(2 * rate**n)}")
     _emit(cfg, "\n".join(rows))
     return EXIT_OK
 

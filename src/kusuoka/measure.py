@@ -201,18 +201,30 @@ def correlation_gap(m: KusuokaMeasure, alpha: Word, beta: Word, n: int):
 
     Evaluated through the trace formula: the middle sum over n free symbols
     collapses to n applications of the adjoint averaging map to the
-    beta-weight A(beta)* E A(beta).
+    beta-weight A(beta)* E A(beta) (:func:`_correlation_gaps`).
     """
     if n < 0:
         raise ValueError("separation n must be >= 0")
-    sys_ = m.system
-    b = symbolic.word_matrix(sys_, beta)
-    x = b.T @ sys_.energy @ b
-    for _ in range(n):
-        x = matsys.apply_M_star(sys_, x)
-    a = symbolic.word_matrix(sys_, alpha)
-    joint = np.trace(a.T @ x @ a)
-    return joint - nu(m, alpha) * nu(m, beta)
+    return _correlation_gaps(m, alpha, beta, n)[-1]
+
+
+def _correlation_gaps(m: KusuokaMeasure, alpha: Word, beta: Word, nmax: int) -> list:
+    """The correlation gaps at separations 0 ... nmax, in the system's scalars.
+
+    P(alpha) = A(alpha) A(alpha)^T is paired with M*^n of the beta-weight A(beta)^T E A(beta),
+    both packed in the kernel ``m._quad``, one M* step per separation.
+    """
+    q, sys_ = m._quad, m.system
+    a, b = symbolic.word_matrix(sys_, alpha), symbolic.word_matrix(sys_, beta)
+    p_alpha, weight = q.pack(a @ a.T), q.pack(b.T @ sys_.energy @ b)
+    product = nu(m, alpha) * nu(m, beta)
+    gaps = []
+    for n in range(nmax + 1):
+        if n > 0:
+            weight = q.apply(weight, q.m_star_sum)
+        num, den = q.pair(p_alpha, weight)
+        gaps.append(q.unpack(num[0], den)[0] - product)
+    return gaps
 
 
 def correlation_gap_brute(

@@ -517,13 +517,17 @@ def solve(m, b) -> np.ndarray:
 
 
 def nullspace(m) -> list:
-    """A basis of the kernel of an exact square matrix: for each free column f of :meth:`Multiquad.eliminate`, in order, the vector whose coordinate f is 1 and whose other free coordinates are 0."""
+    """A basis of the kernel of an exact square matrix: for each free column f of :meth:`Multiquad.eliminate`, in order, the vector whose coordinate f is 1 and whose other free coordinates are 0.
+
+    A stack of matrices (N, d, d) is eliminated at once and gives one such list per matrix.
+    """
     fld, ((num, _),) = _smallest_field(m)
-    _, _, (rref, den) = fld.eliminate(num[None])
-    free = [f for f in range(len(m)) if not rref[0, f, f].any()]
-    rref[0, free, free, 0] = -den  # -(I - rref) on the free columns
-    kernel = fld.unpack_array(-rref[0], den)
-    return [kernel[:, f] for f in free]
+    _, _, (rref, den) = fld.eliminate(num.reshape((-1,) + num.shape[-3:]))
+    frees = [[f for f in range(len(r)) if not r[f, f].any()] for r in rref]
+    for r, free in zip(rref, frees):
+        r[free, free, 0] = -den  # -(I - rref) on the free columns
+    bases = [[k[:, f] for f in free] for k, free in zip(fld.unpack_array(-rref, den), frees)]
+    return bases if num.ndim == 4 else bases[0]
 
 
 @lru_cache(maxsize=256)

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg, matsys, quadform, symbolic
 from .exactnum import Radical
 from .linalg import EXACT
-from .multiquad import Multiquad, field_of, minor_signs, nullspace, solve
+from .multiquad import Multiquad, _smallest_field, field_of, minor_signs, nullspace, solve
 from .quadform import Theta1Result, _Quad
 
 __all__ = [
@@ -312,27 +312,42 @@ def spectral_report(system: matsys.MatrixSystem | _Quad, k_max: int = 2, gamma: 
 # -- renormalization ---------------------------------------------------------
 
 
-def _perron_exact(rep, d):
-    """Perron eigenvalue and positive definite fixed form, certified exactly."""
-    rad_f, rad_e = linalg.certified_spectral_radius(rep)
+def _perron_exact(rep_primal, rep_dual, d):
+    """Perron eigenvalue and the positive definite fixed forms of both operators, certified exactly.
+
+    rep_primal = W^-1 rep_dual^T W, W the packed weights, so the root is searched once, on the primal;
+    each form is the kernel of its operator minus mu I, both from one elimination.
+    """
+    rad_f, rad_e = linalg.certified_spectral_radius(rep_primal)
     if rad_e is None:
         raise ValueError(
             "Perron eigenvalue is not certifiable in the exact scalar field; use the float backend"
         )
-    m = rep.shape[0]
-    shifted = rep.copy()
-    for i in range(m):
-        shifted[i, i] = shifted[i, i] - rad_e
-    null = nullspace(shifted)
-    if len(null) != 1:
-        raise ValueError("Perron eigenspace is degenerate; the raw maps are reducible")
-    form = quadform.unpack_symmetric(null[0], d, linalg.FIELDS[EXACT])
-    tr = np.trace(form)
-    if tr.sign() < 0:
-        form = -1 * form
-    if (minor_signs([form])[0] <= 0).any():
+    shifted = np.stack([rep_primal, rep_dual])
+    for i in range(len(rep_primal)):
+        shifted[:, i, i] -= rad_e
+    forms = []
+    for null, dual in zip(nullspace(shifted), (False, True)):
+        if len(null) != 1:
+            raise ValueError("primal and dual Perron eigenvalues disagree" if dual and not null
+                             else "Perron eigenspace is degenerate; the raw maps are reducible")
+        form = quadform.unpack_symmetric(null[0], d, linalg.FIELDS[EXACT])
+        forms.append(-1 * form if np.trace(form).sign() < 0 else form)
+    if (minor_signs(forms)[0] <= 0).any():
         raise ValueError("Perron eigenvector is not positive definite; system is degenerate")
-    return rad_e, form
+    return rad_e, forms
+
+
+def _basis_change(mats, lam, upper, e0):
+    """lam U^-T A_s U^T for every map and U E0 U^T over its trace, by stacked products in the smallest field holding them."""
+    upper_inv = solve(upper, linalg.FIELDS[EXACT].identity(len(upper)))
+    fld, (a, x, u, u_t, e, (lm, ld)) = _smallest_field(np.array(mats), upper_inv.T, upper, upper.T, e0,
+                                                       np.array([lam]))
+    maps, den = fld.matmul(fld.matmul(x, a), u_t)
+    energy, e_den = fld.matmul(fld.matmul(u, e), u_t)
+    tr = np.broadcast_to(np.trace(energy), (energy[..., 0].size, fld.m))
+    energy = fld.unpack_array(*fld.divide((energy.reshape(tr.shape), e_den), (tr, e_den))).reshape(e0.shape)
+    return list(fld.unpack_array(fld.mul(maps, lm[0]), den * ld)), energy
 
 
 def _perron_float(rep):
@@ -377,17 +392,13 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
     if field.exact:
         if not minor_signs(mats)[1].all():
             raise ValueError("raw maps must be injective")
-        mu, e0 = _perron_exact(rep_primal, d)
-        mu_dual, r0 = _perron_exact(rep_dual, d)
-        if not (mu - mu_dual).is_zero():
-            raise ValueError("primal and dual Perron eigenvalues disagree")
+        mu, (e0, r0) = _perron_exact(rep_primal, rep_dual, d)
         lam = field.sqrt(Radical(1) / mu)
         if lam is None:
             raise ValueError(
                 "scaling factor mu^(-1/2) leaves the exact scalar field; use the float backend"
             )
-        upper = linalg.cholesky_exact(r0)  # r0 = U^T U
-        upper_inv = solve(upper, field.identity(d))
+        new_maps, energy = _basis_change(mats, lam, linalg.cholesky_exact(r0), e0)  # r0 = U^T U
     else:
         for a in mats:
             if abs(np.linalg.det(a)) < tol:
@@ -405,12 +416,11 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None, tol: float = 1e-1
         if np.linalg.eigvalsh(e0)[0] <= tol or np.linalg.eigvalsh(r0)[0] <= tol:
             raise ValueError("Perron eigenvector is not positive definite; system is degenerate")
         lam = mu ** -0.5
-        lower = np.linalg.cholesky(r0)
-        upper = lower.T  # r0 = U^T U
+        upper = np.linalg.cholesky(r0).T  # r0 = U^T U
         upper_inv = np.linalg.inv(upper)
-    new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
-    energy = upper @ e0 @ upper.T
-    energy = field.div(energy, np.trace(energy))
+        new_maps = [lam * (upper_inv.T @ a @ upper.T) for a in mats]
+        energy = upper @ e0 @ upper.T
+        energy = (energy + energy.T) / 2 / np.trace(energy)  # symmetric to the last bit
 
     if alphabet is None:
         alphabet = tuple(str(i) for i in range(len(new_maps)))

@@ -1,11 +1,13 @@
 """Triangle-lattice graphs, Dirichlet extension, and generated map families."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kusuoka.exactnum import Radical
+from kusuoka.exactnum import Radical, format_exact
 from kusuoka.gasket import (
     basis_rotation,
     build_graph,
@@ -204,3 +206,53 @@ def test_generate_rejects_out_of_range():
         generate_system(1)
     with pytest.raises(ValueError):
         generate_system(7)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+               "__rtruediv__", "_inverse")
+
+
+def _spy_radical_arithmetic(monkeypatch) -> list:
+    """Record every Radical sum, difference, product, division and inverse from here on."""
+    calls = []
+    for name in _ARITHMETIC:
+        orig = getattr(Radical, name)
+        monkeypatch.setattr(Radical, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generated_systems_match_golden(n):
+    """Exact maps and weight (format_exact) and the float reprs, as the Radical pipeline produced them."""
+    want = json.loads((GOLDEN / "gasket-systems.json").read_text(encoding="utf-8"))[str(n)]
+    exact, fl = generate_system(n), generate_system(n, FLOAT)
+    assert [[[format_exact(x) for x in row] for row in a] for a in exact.maps] == want["maps"]
+    assert [[format_exact(x) for x in row] for row in exact.energy] == want["energy"]
+    assert [repr(a.tolist()) for a in fl.maps] == want["float_maps"]
+    assert repr(fl.energy.tolist()) == want["float_energy"]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_cell_restrictions_take_no_radical_arithmetic(n, monkeypatch):
+    """Every cell's B^T L_3 ext[s] B is formed on packed coordinates; Radicals are only built on unpacking."""
+    g, basis = build_graph(n), harmonic_basis()
+    want = cell_restrictions(g, basis)
+    calls = _spy_radical_arithmetic(monkeypatch)
+    got = cell_restrictions(g, basis)
+    assert calls == []
+    assert all((a == b).all() for a, b in zip(got, want))
+
+
+def test_cell_restrictions_check_the_basis():
+    basis = harmonic_basis()
+    with pytest.raises(ValueError, match="not energy-orthonormal"):
+        cell_restrictions(build_graph(2), type(basis)(basis.h1, 2 * basis.h2))
+
+
+def test_template_energy_is_the_pairwise_sum():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        u, v = ([Radical(Fraction(int(x), 7)) for x in rng.integers(-9, 10, 3)] for _ in range(2))
+        want = sum((u[i] - u[j]) * (v[i] - v[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        assert template_energy(u, v) == want

@@ -28,6 +28,7 @@ from kusuoka.linalg import (
 )
 from kusuoka.multiquad import nullspace, solve
 from conftest import laplace_det, laplace_minors
+from test_gasket import _spy_radical_arithmetic
 
 
 def _exact(rows):
@@ -138,6 +139,37 @@ def test_char_poly_annihilates_eigenvalue():
     coeffs = char_poly(m)
     assert poly_eval(coeffs, Radical(Fraction(4, 5))).is_zero()
     assert poly_eval(coeffs, Radical(Fraction(3, 5))).is_zero()
+
+
+def _radical_char_poly(m):
+    """Faddeev-LeVerrier on Radical entries, the route char_poly took before it packed."""
+    n = m.shape[0]
+    coeffs, a = [Radical(0)] * n + [Radical(1)], m.copy()
+    for k in range(1, n + 1):
+        coeffs[n - k] = -np.trace(a) / k
+        if k < n:
+            a = m @ (a + coeffs[n - k] * identity(n, EXACT))
+    return coeffs
+
+
+def test_char_poly_matches_the_radical_recurrence_and_takes_no_radical_arithmetic(monkeypatch):
+    """Coefficients identical to the Radical recurrence on seeded matrices over Q, Q(sqrt 2) and Q(sqrt 2, sqrt 3); 0 x 0 through 5 x 5."""
+    rng = np.random.default_rng(20)
+    roots = [Radical.root(2), Radical.root(3)]
+    cases = []
+    for t in range(30):
+        n = t % 6
+        m = np.zeros((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                m[i, j] = Radical(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))))
+                for r in roots[: t % 3]:
+                    m[i, j] = m[i, j] + int(rng.integers(-2, 3)) * r
+        cases.append((m, _radical_char_poly(m)))
+    calls = _spy_radical_arithmetic(monkeypatch)
+    for m, want in cases:
+        assert char_poly(m) == want
+    assert calls == []
 
 
 def test_certified_radius_rational():

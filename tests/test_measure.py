@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kusuoka import cli, matsys, spectral
+from kusuoka import cli, matsys, measure, spectral
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix
@@ -131,6 +131,19 @@ def test_correlation_gap_matches_brute(sg_measure):
                 fast = correlation_gap(sg_measure, alpha, beta, n)
                 slow = correlation_gap_brute(sg_measure, alpha, beta, n)
                 assert (fast - slow).is_zero()
+
+
+def test_correlation_gaps_are_one_packed_trace_formula(sg3, monkeypatch):
+    """correlation_gap and `kusuoka correlate` read one packed loop: no Radical M* step, and the gaps are the brute sums."""
+    m = kusuoka_measure(sg3)
+    want = [correlation_gap_brute(m, (0, 1), (2,), n) for n in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("Radical M* step")
+
+    monkeypatch.setattr(matsys, "apply_M_star", refuse)
+    assert measure._correlation_gaps(m, (0, 1), (2,), 2) == want
+    assert [correlation_gap(m, (0, 1), (2,), n) for n in range(3)] == want
 
 
 def test_correlation_gap_bernoulli_is_zero(bern_measure):

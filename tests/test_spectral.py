@@ -1,12 +1,14 @@
 """Contraction rates, irreducibility constants, and map renormalization."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kusuoka import cli, linalg, multiquad, quadform, spectral
-from kusuoka.exactnum import Radical, parse_exact
+from kusuoka.exactnum import Radical, format_exact, parse_exact
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import (
     EXACT,
@@ -682,3 +684,87 @@ def test_ck_budget_checked_before_the_kernel(sg, monkeypatch):
     monkeypatch.undo()
     assert cli.main(["ck", "--builtin", "sg", "--k", "3", "--budget-k", "2"]) == 3
 
+
+
+# -- renormalization against the Radical pipeline's outputs --------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _random_raw(seed):
+    """Seeded raw maps: for seed % 4 == 0 a scaled unimodular conjugate of a raw base, else 2..4 integer
+    2 x 2 maps with entries in -3..3, symmetrized for seed % 4 == 1."""
+    rng = np.random.default_rng(seed)
+    if seed % 4 == 0:
+        u = np.eye(2, dtype=np.int64)
+        for _ in range(2):
+            a, b = (int(x) for x in rng.choice([-2, -1, 1, 2], 2))
+            u = u @ np.array([[1, a], [0, 1]]) @ np.array([[1, 0], [b, 1]])
+        inv = np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]])
+        base, scale = RAW_BASES[int(rng.integers(3))], int(rng.integers(1, 4))
+        return [(scale * u @ np.array(base[s]) @ inv).tolist() for s in rng.permutation(3)]
+    maps = rng.integers(-3, 4, (int(rng.integers(2, 5)), 2, 2))
+    if seed % 4 == 1:
+        maps = maps + maps.transpose(0, 2, 1)
+    return maps.tolist()
+
+
+def _formatted(a):
+    return [[format_exact(x) for x in row] for row in a]
+
+
+def test_renormalize_matches_golden_on_seeded_raw_maps():
+    """Systems or ValueError texts of 60 seeded raw systems, as the Radical pipeline gave them (15 renormalize)."""
+    cases = json.loads((GOLDEN / "renormalize-random.json").read_text(encoding="utf-8"))
+    assert [c["seed"] for c in cases] == list(range(60))
+    for case in cases:
+        assert case["raw"] == _random_raw(case["seed"])
+        try:
+            out = renormalize(case["raw"], EXACT)
+        except ValueError as exc:
+            assert str(exc) == case.get("error"), case["seed"]
+            continue
+        assert [_formatted(a) for a in out.maps] == case["maps"], case["seed"]
+        assert _formatted(out.energy) == case["energy"], case["seed"]
+    assert sum("error" not in c for c in cases) == 15
+
+
+@pytest.mark.parametrize("raws", [
+    lambda: [[list(r) for r in a] for a in RAW_BASES[0]],
+    _raw_gasket_maps,
+    lambda: _random_raw(8),
+], ids=["raw0", "raw-gasket", "seed8"])
+def test_renormalize_searches_the_perron_root_once(raws, monkeypatch):
+    calls = []
+    orig = linalg.certified_spectral_radius
+    monkeypatch.setattr(linalg, "certified_spectral_radius", lambda rep: calls.append(rep) or orig(rep))
+    assert validate(renormalize(raws(), EXACT)).ok
+    assert len(calls) == 1
+
+
+def test_primal_operator_is_the_weighted_transpose_of_the_dual():
+    """rep_primal = W^-1 rep_dual^T W exactly, W the packed weights (1 on the diagonal pairs, 2 off it)."""
+    rng = np.random.default_rng(7)
+    systems = [_random_raw(seed) for seed in range(12)] + [_raw_gasket_maps()]
+    systems += [rng.integers(-3, 4, (3, 3, 3)).tolist() for _ in range(4)]
+    for raws in systems:
+        mats = [as_matrix(a, EXACT) if not isinstance(a, np.ndarray) else a for a in raws]
+        d = mats[0].shape[0]
+        w = np.diag([1 if i == j else 2 for i, j in quadform.packed_pairs(d)]).astype(object)
+        primal = quadform.averaging_matrix([a.T for a in mats])
+        dual = quadform.averaging_matrix(mats)
+        assert (w @ primal == dual.T @ w).all()
+
+
+def test_float_renormalize_weight_is_symmetric():
+    """The float weight is (W + W^T) / 2 over its trace: raw base 0's measure builds, and weights that
+    were already symmetric (raw bases 1 and 2 here, the gaskets in test_gasket) keep every bit."""
+    want = json.loads((GOLDEN / "renormalize-raw-bases-float.json").read_text(encoding="utf-8"))
+    for base in (1, 2):
+        out = _raw_system(base, FLOAT)
+        assert repr([a.tolist() for a in out.maps]) == want[str(base)]["maps"]
+        assert repr(out.energy.tolist()) == want[str(base)]["energy"]
+    raw0 = _raw_system(0, FLOAT)
+    assert (raw0.energy == raw0.energy.T).all()
+    assert validate(raw0).ok
+    kusuoka_measure(raw0)
