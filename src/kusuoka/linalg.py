@@ -42,7 +42,6 @@ __all__ = [
     "to_float_matrix",
     "frobenius_sq",
     "char_poly",
-    "poly_eval",
     "rational_roots",
     "certified_spectral_radius",
     "exact_eigenvalues_symmetric",
@@ -174,13 +173,6 @@ def char_poly(m: np.ndarray) -> list[Radical]:
         if k < n:  # A + c I over the denominator k a[1]
             a = fld.matmul(x, (a[0] * k - np.eye(n, dtype=int)[..., None] * tr, a[1] * k))
     return fld.unpack(*fld.join(coeffs[::-1]))
-
-
-def poly_eval(coeffs, x: Radical) -> Radical:
-    acc = Radical(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _poly_deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:

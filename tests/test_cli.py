@@ -283,6 +283,16 @@ def test_renormalize_reads_decimals_and_integers(capsys, tmp_path):
             assert float(out.split()[0]) == pytest.approx(0.8, abs=1e-12)
 
 
+def test_renormalize_float_accepts_ill_conditioned_raw(capsys, tmp_path):
+    # the certify raw whose float Perron roots of the two operators differ in the seventh digit
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps([[[-333, 461], [-242, 335]], [[153, -209], [112, -153]],
+                               [[267, -368], [193, -266]]]))
+    code, out, err = run(capsys, "renormalize", "--in", str(raw), "--backend", "float")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["backend"] == "float"
+
+
 @pytest.mark.parametrize("content", ["5", '{"maps": [[[1, 2], [3]]]}'])
 def test_renormalize_malformed_file_is_config_error(capsys, tmp_path, content):
     raw = tmp_path / "raw.json"

@@ -22,7 +22,6 @@ from kusuoka.linalg import (
     exact_eigenvalues_symmetric,
     frobenius_sq,
     identity,
-    poly_eval,
     rational_roots,
     to_float_matrix,
 )
@@ -33,6 +32,14 @@ from test_gasket import _spy_radical_arithmetic
 
 def _exact(rows):
     return as_matrix([[Fraction(x) for x in row] for row in rows], EXACT)
+
+
+def poly_eval(coeffs, x: Radical) -> Radical:
+    """The polynomial with coefficients [c_0, ..., c_n] at x, by Horner's rule: the reference for roots."""
+    acc = Radical(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 _entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
