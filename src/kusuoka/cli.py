@@ -338,7 +338,9 @@ _HANDLERS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, system_source: bool) -> None:
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """The common flags, then ``command``'s own arguments."""
+    _, system_source, own = _PARSERS[command]
     if system_source:
         p.add_argument("--builtin", help=f"builtin system name ({', '.join(systems.BUILTIN_NAMES)})")
         p.add_argument("--in", dest="infile", help="system JSON file")
@@ -347,6 +349,8 @@ def _add_common(p: argparse.ArgumentParser, system_source: bool) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-k", dest="budget_k", type=int, default=0,
                    help="cap word enumeration at |S|^K words")
+    for flag, options in own:
+        p.add_argument(flag, **options)
 
 
 # name: (help, reads a system, its own arguments as (flag, options) after the common ones)
@@ -378,20 +382,26 @@ _PARSERS = {
 }
 
 
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, as the whole tree would build it: prog ``kusuoka <command>``."""
+    p = argparse.ArgumentParser(prog=f"kusuoka {command}")
+    _add_arguments(p, command)
+    return p
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every subcommand with its help, and the arguments of ``command`` alone.
 
-    The top-level help lists only names and help strings, and a run parses
-    one subcommand, so the others get neither their arguments nor ``--help``.
+    The top-level help lists only names and help strings.  ``main`` builds
+    this tree only for top-level flags and to report arguments that the
+    subcommand's own parser leaves over.
     """
     top = argparse.ArgumentParser(prog="kusuoka", description="Kusuoka measure toolkit")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (text, system_source, own) in _PARSERS.items():
+    for name, (text, _, _) in _PARSERS.items():
         p = sub.add_parser(name, help=text, add_help=name == command)
         if name == command:
-            _add_common(p, system_source)
-            for flag, options in own:
-                p.add_argument(flag, **options)
+            _add_arguments(p, command)
     return top
 
 
@@ -401,10 +411,15 @@ def main(argv=None) -> int:
         given = argv[0] if argv else "(none)"
         print(f"unknown subcommand {given}; expected one of: {', '.join(SUBCOMMANDS)}", file=sys.stderr)
         return EXIT_UNKNOWN
-    # the subcommand is the first word, since the top level takes no option with a value
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
-        args = parser.parse_args(argv)
+        if argv[0].startswith("-"):
+            # top-level flags: the whole tree, with the arguments of the first word that is no flag
+            args = _build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+        else:
+            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+            args.command = argv[0]
+            if extra:  # argparse reports them against the top level, with its usage
+                args = _build_parser(argv[0]).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 

@@ -7,12 +7,16 @@ scalar operators, so most callers never branch on the backend.  The rest
 (zero and one, lifting, square roots, division, JSON scalars) is asked of
 the backend's :class:`Field` in ``FIELDS``.
 
-The exact eigen machinery works through characteristic polynomials:
-Faddeev-LeVerrier for the coefficients, rational root reconstruction
-(float approximation, continued-fraction rounding, exact verification,
-exact deflation) for certified eigenvalues, and the quadratic formula
-for what remains.  This is enough to certify spectral radii of the
-small operator representations this package produces.
+The exact eigen machinery splits a quadratic by one packed closed form
+(:func:`_quadratic_spectra`): the pencil det(G - tH) of two 2x2 matrices
+(:func:`pencil_spectra`), a 2x2 matrix, and the quadratic factor a larger
+characteristic polynomial leaves.  Larger matrices go through their
+characteristic polynomials: Faddeev-LeVerrier for the coefficients,
+rational root reconstruction (float approximation, continued-fraction
+rounding, exact verification, exact deflation) for factors of degree 3 or
+more, and exact solution of what deflation leaves at degree 1 or 2.  This
+is enough to certify spectral radii of the small operator representations
+this package produces.
 
 Exact determinants, solves and null spaces are one packed fraction-free
 elimination, :meth:`kusuoka.multiquad.Multiquad.eliminate`.
@@ -26,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import multiquad
-from .exactnum import Radical, format_exact, parse_exact
+from .exactnum import Radical, _rational_sqrt, format_exact, parse_exact
 
 EXACT = "exact"
 FLOAT = "float"
@@ -191,16 +195,19 @@ def rational_roots(coeffs: list[Fraction]):
     """All rational roots (with multiplicity) of a rational polynomial.
 
     Returns (roots, remainder) where remainder is the deflated
-    coefficient list containing no rational roots.  Candidates come from
-    float root finding plus continued-fraction reconstruction, and every
-    accepted root is verified exactly, so the output is certified.
+    coefficient list containing no rational roots.  A factor of degree 3
+    or more takes its candidates from float root finding plus
+    continued-fraction reconstruction, and every accepted root is
+    verified exactly, so the output is certified.  A factor of degree 1
+    or 2, given or left by deflation, is solved exactly: the linear root,
+    or the quadratic's roots when its discriminant is a rational square.
     """
     work = [Fraction(c) for c in coeffs]
     while len(work) > 1 and work[-1] == 0:
         work.pop()
     roots: list[Fraction] = []
     progress = True
-    while progress and len(work) > 1:
+    while progress and len(work) > 3:
         progress = False
         lead = work[-1]
         monic = [c / lead for c in work]
@@ -221,6 +228,16 @@ def rational_roots(coeffs: list[Fraction]):
                 work = [c * lead for c in _poly_deflate(monic, cand)]
                 progress = True
                 break
+    if len(work) == 2:
+        roots.append(-work[0] / work[1])
+        work = work[1:]
+    elif len(work) == 3:
+        c, b, a = work
+        disc = b * b - 4 * a * c
+        sq = _rational_sqrt(disc) if disc >= 0 else None
+        if sq is not None:
+            roots += [(sq - b) / (2 * a), (-sq - b) / (2 * a)]
+            work = work[2:]
     return roots, work
 
 
@@ -229,53 +246,102 @@ def _cauchy_bound(coeffs: list[Fraction]) -> float:
     return 1.0 + max(abs(float(c / lead)) for c in coeffs[:-1])
 
 
+# the products of det(G - tH) = a t^2 - b t + c over a pencil's entries h00 h01 h10 h11 g00 g01 g10 g11,
+# and the signs that sum them to a, b and c
+_PENCIL_LEFT, _PENCIL_RIGHT = [0, 1, 3, 0, 1, 2, 4, 5], [3, 2, 4, 7, 6, 5, 7, 6]
+_PENCIL_SIGNS = np.array([[1, -1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, -1, -1, 0, 0], [0, 0, 0, 0, 0, 0, 1, -1]], dtype=object)
+
+
+def pencil_spectra(fld, g, h) -> list:
+    """The spectra of H^-1 G for stacked 2x2 pencils, as :func:`_split_spectrum` gives them.
+
+    g and h are integer coordinates (N, 2, 2, m) in the field ``fld`` over
+    one shared denominator, which cancels.  det(G - tH) = a t^2 - b t + c
+    with a = det H, b = h11 g00 + h00 g11 - h01 g10 - h10 g01 and c = det G,
+    formed on the coordinates and split by :func:`_quadratic_spectra`.
+    """
+    n = len(g)
+    e = np.concatenate([h.reshape(n, 4, -1), g.reshape(n, 4, -1)], axis=1)
+    return _quadratic_spectra(fld, *(_PENCIL_SIGNS @ fld.mul(e[:, _PENCIL_LEFT], e[:, _PENCIL_RIGHT])).swapaxes(0, 1))
+
+
+def _quadratic_spectra(fld, a, b, c) -> list:
+    """The roots of a t^2 - b t + c, a != 0, for stacks a, b, c (N, m) of ``fld``, by the closed form.
+
+    The sum of the roots tr = b/a, their product det = c/a and the
+    discriminant disc = (b^2 - 4ac) / a^2 are formed on the coordinates,
+    1/a as a's conjugates over their rational norm, and only they are
+    unpacked, tr halved.  A real pair is (tr +- sqrt(disc)) / 2, larger
+    first, the root taken of the discriminant itself; a complex pair with
+    rational tr and det has modulus sqrt(det).  A pair whose root leaves
+    the field, or a complex pair with surd coefficients, is left as the
+    factor [det, -tr, 1].  Returns (reals, moduli, rest) per stacked
+    polynomial.
+    """
+    inv, norm = fld._inverse(a)  # 1/a = inv / norm, and norm = 0 where a = 0
+    if not norm.all():
+        raise ValueError("singular system in exact solve")
+    tr, det = fld.mul(np.stack([b, c]), inv)  # over norm
+    disc = fld.mul(tr, tr) - 4 * norm[:, None] * det  # over norm^2
+    return [_pair_split(*fld.unpack(tr[i, None], 2 * den), *fld.unpack(det[i, None], den),
+                        *fld.unpack(disc[i, None], den * den))
+            for i, den in enumerate(norm.tolist())]
+
+
+_HALF = Radical(Fraction(1, 2))
+
+
+def _pair_split(half_tr: Radical, det: Radical, disc: Radical):
+    """(reals, moduli, rest) of t^2 - 2 half_tr t + det, whose discriminant is disc."""
+    if disc.sign() >= 0:
+        try:
+            half_sq = disc.sqrt() * _HALF
+        except ValueError:
+            return [], [], [det, half_tr * -2, Radical(1)]
+        return [half_tr + half_sq, half_tr - half_sq], [], []
+    if half_tr.is_rational() and det.is_rational():
+        try:
+            return [], [Radical.root(det.as_fraction())], []
+        except ValueError:  # a radicand that bounded trial division cannot split
+            pass
+    return [], [], [det, half_tr * -2, Radical(1)]
+
+
 def _split_spectrum(m: np.ndarray):
     """Split the characteristic polynomial of an exact matrix into exact roots.
 
     Returns (reals, moduli, rest): the exact real eigenvalues found, the
     exact moduli of the complex-conjugate pairs found, and the factor of
     the characteristic polynomial left unsplit (empty when it split
-    completely).  A 1x1 matrix is its own eigenvalue, and a 2x2 matrix
-    with real eigenvalues takes the closed form (tr +- sqrt(tr^2 - 4 det)) / 2
-    first, whatever its coefficients.  Other roots come from the rational
-    root search or a linear or quadratic rational remainder; ``rest`` is
-    rational whenever ``reals`` is not empty.  A square root
-    whose radicand bounded trial division cannot split leaves its factor
-    in ``rest``.
+    completely).  A 1x1 matrix is its own eigenvalue (a 0x0 one has none),
+    and a 2x2 matrix is the pencil with H = I, split by the closed form of
+    :func:`_quadratic_spectra` whatever its coefficients.  Other roots come
+    from the rational root search, and a quadratic remainder takes the same
+    closed form; ``rest`` is rational whenever ``reals`` is not empty.  A
+    square root whose radicand bounded trial division cannot split leaves
+    its factor in ``rest``.
     """
     n = m.shape[0]
-    if n == 1:
-        return [Radical(m[0, 0])], [], []
-    if n == 2:
-        tr = m[0, 0] + m[1, 1]
-        disc = tr * tr - 4 * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        if disc.sign() >= 0:
-            try:
-                sq = disc.sqrt()
-            except ValueError:
-                return [], [], char_poly(m)
-            return [(tr + sq) / 2, (tr - sq) / 2], [], []
+    if n <= 1:
+        return [Radical(x) for x in m.ravel()], [], []
+    if n == 2:  # the pencil with H = den I: a = den^2, b = den tr and c = det, all over den^2
+        fld, ((num, den),) = multiquad._smallest_field(m)
+        a = np.zeros((1, fld.m), dtype=object)
+        a[0, 0] = den * den
+        det = fld.mul(num[0, 0], num[1, 1]) - fld.mul(num[0, 1], num[1, 0])
+        return _quadratic_spectra(fld, a, den * (num[0, 0] + num[1, 1])[None], det[None])[0]
     coeffs = char_poly(m)
     if not all(c.is_rational() for c in coeffs):
         return [], [], coeffs
     roots, rem = rational_roots([c.as_fraction() for c in coeffs])
     reals = [Radical(r) for r in roots]
-    moduli: list[Radical] = []
-    deg = len(rem) - 1
-    if deg == 1:
-        reals.append(Radical(-rem[0] / rem[1]))
-    elif deg == 2:
-        a, b, c = rem[2], rem[1], rem[0]
-        disc = Fraction(b * b - 4 * a * c)
-        try:
-            if disc >= 0:
-                sq = Radical.root(disc)
-                reals += [(sq - b) / (2 * a), (-sq - b) / (2 * a)]
-            else:
-                moduli.append(Radical.root(Fraction(c, a)))
-        except ValueError:  # a radicand that bounded trial division cannot split
-            return reals, moduli, rem
-    return reals, moduli, (rem if deg > 2 else [])
+    if len(rem) != 3:
+        return reals, [], rem if len(rem) > 3 else []
+    # the quadratic left, rem[2] t^2 + rem[1] t + rem[0], on integer coordinates over Q
+    den = math.lcm(*(x.denominator for x in rem))
+    a, b, c = (np.array([[x.numerator * (den // x.denominator)]], dtype=object) for x in (rem[2], -rem[1], rem[0]))
+    more, moduli, rest = _quadratic_spectra(multiquad.field_of(frozenset(), True), a, b, c)[0]
+    return reals + more, moduli, rest
 
 
 def certified_spectral_radius(rep: np.ndarray):

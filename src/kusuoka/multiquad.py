@@ -156,10 +156,10 @@ class _Span:
         """Elements (N, m) back to scalars of the backend."""
         if not self.exact:
             return self.unpack_array(num, den).tolist()
+        radicand, scale = self.radicand, self.scale
         return [
-            Radical.from_terms({self.radicand[b]: Fraction(self.scale[b] * x[b], den)
-                                for b in range(self.m) if x[b]})
-            for x in num
+            Radical.from_terms({radicand[b]: Fraction(scale[b] * x, den) for b, x in enumerate(row) if x})
+            for row in np.asarray(num).tolist()
         ]
 
     def unpack_array(self, num, den) -> np.ndarray:

@@ -236,8 +236,8 @@ class _Quad(Multiquad):
 
     The constructor packs the maps and forms every Psi_s once (:func:`_psi`),
     with no ``Radical`` product.  The other members are derived on first use
-    and kept: the tables ``psi`` and ``psi_star``, ``energy``, ``ident``, the
-    trace-free basis, theta1's two reps and theta1.
+    and kept: the table ``psi``, the entries ``psi_star_entries``, ``energy``,
+    ``ident``, the trace-free basis, theta1's two reps and theta1.
     """
 
     def __init__(self, system: MatrixSystem):
@@ -265,12 +265,17 @@ class _Quad(Multiquad):
         return self._reduce(mul.transpose(0, 2, 3, 1, 4).reshape(self.n, len(self.e) * self.m, -1), den)
 
     @cached_property
-    def psi_star(self):
-        """Psi*_s, the adjoint of Psi_s under <., .>: Psi*[q, p] = w_p / w_q Psi[p, q]."""
-        mul, den = self._psi_mul
-        w = np.array(self.weight, dtype=mul.dtype)
-        adj = mul * (2 * w[:, None] // w[None, :])[None, :, :, None, None]
-        return self._reduce(adj.transpose(0, 1, 3, 2, 4).reshape(self.n, len(self.e) * self.m, -1), 2 * den)
+    def psi_star_entries(self):
+        """Psi*_s, the adjoint of Psi_s under <., .>, as field elements (D, n*D, m) over a den.
+
+        Entry [p, s*D + q] is 2 w_p / w_q Psi_s[p, q] over 2 den, since
+        Psi*_s(x)[q] = sum_p w_p / w_q Psi_s[p, q] x_p: rows x (rows, D, m)
+        times this stack, one field product, give every Psi*_s(x) side by side.
+        """
+        num, den = self._convert(self.packed.prod, self.sym, self.packed.den ** 2)
+        w = np.array(self.weight, dtype=num.dtype)
+        adj = num * (2 * w[:, None] // w[None, :])[None, :, :, None]
+        return self._reduce(adj.transpose(1, 0, 2, 3).reshape(len(w), -1, self.m), 2 * den)
 
     @cached_property
     def energy(self):
@@ -334,7 +339,10 @@ class _Quad(Multiquad):
     @cached_property
     def m_star_sum(self):
         """M* = sum_s Psi*_s as one operator."""
-        return self.psi_star[0].sum(axis=0), self.psi_star[1]
+        num, den = self.psi_star_entries
+        dd = len(self.pairs)
+        mul = self._mul_table(num.reshape(dd, self.n, dd, self.m).sum(axis=1))  # [p, q, j, k]
+        return mul.transpose(0, 2, 1, 3).reshape(dd * self.m, -1), den
 
     @cached_property
     def nu_op(self):
@@ -357,21 +365,18 @@ class _Quad(Multiquad):
     def apply(self, x, op):
         return self._reduce(x[0] @ op[0], x[1] * op[1])
 
-    def _each(self, table, ops):
-        """Every map of ``ops`` on every row, as (rows, n, D*m) numerators and a den."""
-        (num, den), (op, dop) = table, ops
-        out = num @ op.transpose(1, 0, 2).reshape(op.shape[1], -1)
-        return out.reshape(len(num), self.n, -1), den * dop
-
     def children(self, table):
         """Psi_s on every row: row i * n + s of the result is Psi_s(row i)."""
-        out, den = self._each(table, self.psi)
-        return self._reduce(out.reshape(-1, out.shape[2]), den)
+        (num, den), (op, dop) = table, self.psi
+        out = num @ op.transpose(1, 0, 2).reshape(op.shape[1], -1)
+        return self._reduce(out.reshape(len(num) * self.n, -1), den * dop)
 
     def parents(self, table):
         """Psi*_s on every row: row s * rows + i of the result is Psi*_s(row i)."""
-        out, den = self._each(table, self.psi_star)
-        return self._reduce(out.transpose(1, 0, 2).reshape(-1, out.shape[2]), den)
+        num, den = table
+        dd = len(self.pairs)
+        out, den = self.matmul((num.reshape(len(num), dd, self.m), den), self.psi_star_entries)
+        return out.reshape(len(num), self.n, dd * self.m).transpose(1, 0, 2).reshape(-1, dd * self.m), den
 
     def betas(self, k: int) -> list:
         """The beta-weights Psi*_w(E) = A(w)^T E A(w) of every word length 0 .. k.

@@ -172,9 +172,12 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = N
 def _smallest_eigenvalues(forms: _Forms) -> dict:
     """c_k for every level of ``forms``: the least root of det(G'_k - lambda H), the least eigenvalue of H^-1 G'_k.
 
-    Exact forms go through one elimination of [H | G'_1 | ... | G'_K], in
-    the smallest field their coordinates use (Q for every gasket), and only
-    each r x r solution is unpacked for its exact eigenvalues.  A level whose
+    Exact forms move to the smallest field their coordinates use (Q for
+    every gasket).  For r = 2 (d = 2) every level takes the closed form of
+    the pencil det(G'_k - lambda H) (``linalg.pencil_spectra``), and only
+    its trace, determinant and discriminant are unpacked.  Larger r go
+    through one elimination of [H | G'_1 | ... | G'_K], and each r x r
+    solution is unpacked for its exact eigenvalues.  A level whose
     polynomial does not split, and the float backend, take L^-1 G' L^-T with
     H = L L^T instead: it is symmetric with the same eigenvalues.
     """
@@ -182,13 +185,20 @@ def _smallest_eigenvalues(forms: _Forms) -> dict:
     out = {}
     if fld.exact:
         small = field_of(frozenset(fld.used(forms.num)), True)
-        _, det, (x, den) = small.eliminate(small._convert(fld, forms.num, forms.den)[0][None])
-        if not det.any():
-            raise ValueError("singular system in exact solve")
-        for i, k in enumerate(forms.levels, 1):
-            eigs = linalg.exact_eigenvalues_symmetric(small.unpack_array(x[0, :, i * r:(i + 1) * r], den))
-            if eigs is not None:
-                low = min(eigs)
+        num = small._convert(fld, forms.num, forms.den)[0]
+        if r == 2:  # a real pair comes larger root first: c_k = (tr - sqrt(disc)) / 2
+            grams = np.stack([num[:, i * r:(i + 1) * r] for i in range(1, len(forms.levels) + 1)])
+            lows = [reals[-1] if reals else None for reals, _, _ in
+                    linalg.pencil_spectra(small, grams, np.broadcast_to(num[:, :r], grams.shape))]
+        else:
+            _, det, (x, den) = small.eliminate(num[None])
+            if not det.any():
+                raise ValueError("singular system in exact solve")
+            eigs = [linalg.exact_eigenvalues_symmetric(small.unpack_array(x[0, :, i * r:(i + 1) * r], den))
+                    for i in range(1, len(forms.levels) + 1)]
+            lows = [min(ks) if ks is not None else None for ks in eigs]
+        for k, low in zip(forms.levels, lows):
+            if low is not None:
                 out[k] = CkResult(k, True, float(low), low)
     rest = [k for k in forms.levels if k not in out]
     if rest:

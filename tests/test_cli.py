@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -45,6 +46,29 @@ def test_parser_adds_only_the_named_arguments():
     flags = {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
     assert flags.pop("ck") == ["-h", "--help", "--builtin", "--in", "--backend", "--out", "--seed", "--budget-k", "--k"]
     assert not any(flags.values())
+
+
+def test_a_run_builds_only_its_subcommand_parser(capsys, monkeypatch):
+    """A subcommand run builds one parser, prog "kusuoka <command>"; the whole tree is left unbuilt."""
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    assert run(capsys, "theta1", "--builtin", "sg")[:2] == (0, "4/5 (exact)\n")
+    assert built == ["kusuoka theta1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta1", "--builtin", "sg", "extra"], ["ck", "--builtin", "sg"], ["ck", "--k", "x"], ["validate", "--nope"],
+    ["sample", "--b", "sg"], ["report", "-h"], ["-h"], ["--nope", "ck", "--k", "1"], ["--", "ck", "-h"],
+])
+def test_parse_output_matches_the_whole_tree(argv, capsys, monkeypatch):
+    """Help, usage, error text and exit code of a parse are those of the whole tree holding the subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+    assert (out, err) == tuple(capsys.readouterr())
+    assert code == (0 if exc.value.code == 0 else 65)
 
 
 def test_bad_flag_is_config_error(capsys):

@@ -427,3 +427,77 @@ def test_split_2x2_closed_form(m):
     assert (exact is None) == (old is None)
     if old is not None:
         assert exact == old
+
+
+def _float_search_roots(coeffs):
+    """rational_roots before factors of degree 1 and 2 were solved exactly: np.roots and limit_denominator
+    candidates on every factor, whatever its degree.  The reference the exact route must contain."""
+    work = [Fraction(c) for c in coeffs]
+    while len(work) > 1 and work[-1] == 0:
+        work.pop()
+    roots, progress = [], True
+    while progress and len(work) > 1:
+        progress = False
+        lead = work[-1]
+        monic = [c / lead for c in work]
+        candidates = {Fraction(z.real).limit_denominator(cap) for z in np.roots([float(c) for c in reversed(monic)])
+                      if abs(z.imag) <= 1e-7 for cap in (10**6, 10**9, 10**12, 10**15)}
+        for cand in candidates:
+            if poly_eval(monic, Radical(cand)).is_zero():
+                roots.append(cand)
+                work = [c * lead for c in linalg._poly_deflate(monic, cand)]
+                progress = True
+                break
+    return roots, work
+
+
+def _expand(roots, tail=(Fraction(1),)):
+    """Coefficients [c_0, ..., c_n] of tail(t) * prod (t - r)."""
+    coeffs = [Fraction(c) for c in tail]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))] + [coeffs[-1]]
+    return coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=40), max_size=4, unique=True),
+       st.sampled_from([(1,), (-2, 0, 1), (1, 1, 1), (3, 0, -1), (-5, 3)]), st.integers(1, 5))
+def test_rational_roots_finds_what_the_float_search_finds(roots, tail, lead):
+    """Every rational root with multiplicity, exact on the factors of degree <= 2; a superset of the float search."""
+    coeffs = [lead * c for c in _expand(roots, tail)]
+    got, rem = rational_roots(coeffs)
+    want = sorted(roots + ([Fraction(5, 3)] if tail == (-5, 3) else []))
+    assert sorted(got) == want
+    quadratic = len(tail) == 3  # t^2 - 2, t^2 + t + 1 and 3 - t^2 have no rational root
+    assert rem == ([lead * c for c in tail] if quadratic else [lead * tail[-1]])
+    old, _ = _float_search_roots(coeffs)
+    assert all(got.count(r) >= old.count(r) for r in old)
+
+
+def test_rational_roots_solves_low_degree_factors_exactly(monkeypatch):
+    """Linear and quadratic factors take no np.roots, and roots past the float search's reach are found."""
+    big = [Fraction(10**20 + 1, 10**20 + 3), Fraction(-(10**18) - 7, 10**19)]
+    sg6_perron = _expand([Fraction(7025, 21559)], (-2, 0, 1))  # one rational root and a surd pair, as sg6's
+
+    calls, real = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p) - 1) or real(p))
+    assert rational_roots(_expand(big)) == (big, [1])
+    assert rational_roots(_expand(big[:1] * 2)) == (big[:1] * 2, [1])  # a double root
+    assert rational_roots([Fraction(-2), 0, 1]) == ([], [-2, 0, 1])
+    assert rational_roots([3, 0]) == ([], [3])  # a constant after the zero leading coefficient goes
+    assert calls == []
+    assert rational_roots(sg6_perron) == ([Fraction(7025, 21559)], [-2, 0, 1])
+    assert calls == [3]
+    assert _float_search_roots(_expand(big))[0] != big
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gasket_perron_search_runs_one_float_round(n, monkeypatch):
+    """generate_system(n) certifies its Perron cubic with one np.roots round: the deflated quadratic is
+    solved exactly."""
+    from kusuoka.gasket import generate_system
+
+    calls, real = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p) - 1) or real(p))
+    generate_system(n)
+    assert calls == [3]

@@ -403,7 +403,7 @@ _KERNEL_SYSTEMS = {
 
 @pytest.mark.parametrize("name", _KERNEL_SYSTEMS)
 def test_kernel_is_the_packing_of_psi_products(name):
-    """gens, Psi, Psi*, E and I of the kernel equal the packing of Psi_s built from products of map entries."""
+    """gens, Psi, the Psi* entries, E and I of the kernel equal the packing of Psi_s built from products of map entries."""
     system = _KERNEL_SYSTEMS[name]()
     q = quadform._Quad(system)
     d, n, m = system.dim, system.n_symbols, q.m
@@ -415,11 +415,15 @@ def test_kernel_is_the_packing_of_psi_products(name):
     assert q.gens == ref.gens
     if name.startswith("sg") and name != "sg-float":
         assert q.gens == [3]
-    for (op, den), table in ((q.psi, psi), (q.psi_star, psi_star)):
-        num, want_den = ref._pack_scalars(list(table.ravel()))
-        # row q*m of an operator is its image of u_q, with coordinates (p, k) on the columns
-        want = num.reshape(n, dd, dd, m).transpose(0, 2, 1, 3).reshape(n, dd, dd * m)
-        assert den == want_den and op[:, ::m].tolist() == want.tolist()
+    op, den = q.psi
+    num, want_den = ref._pack_scalars(list(psi.ravel()))
+    # row q*m of an operator is its image of u_q, with coordinates (p, k) on the columns
+    want = num.reshape(n, dd, dd, m).transpose(0, 2, 1, 3).reshape(n, dd, dd * m)
+    assert den == want_den and op[:, ::m].tolist() == want.tolist()
+    # entry [p, s*D + q] of the adjoint stack is coordinate q of Psi*_s(u_p)
+    num, want_den = ref._pack_scalars(list(psi_star.transpose(2, 0, 1).ravel()))
+    entries, den = q.psi_star_entries
+    assert den == want_den and entries.tolist() == num.reshape(dd, n * dd, m).tolist()
     for (num, den), mat in ((q.energy, system.energy), (q.ident, system.field.identity(d))):
         want, want_den = ref._pack_scalars([mat[i, j] for i, j in quadform.packed_pairs(d)])
         assert den == want_den and num.tolist() == want.reshape(1, -1).tolist()
@@ -458,24 +462,51 @@ def test_psi_takes_no_radical_product(monkeypatch):
     assert Radical(2) * Radical(3) == 3 * Radical(2) and len(calls) == 2
     calls.clear()
     q = quadform._Quad(sg6)
-    assert [q.psi, q.psi_star, q.energy, q.ident] and calls == []
+    assert [q.psi, q.psi_star_entries, q.m_star_sum, q.energy, q.ident] and calls == []
     assert q.theta1_reps and calls == []
     assert q.theta1.exact is not None
 
 
 def test_theta1_alone_builds_no_operator_table(monkeypatch):
-    """theta1 reads Psi summed in its own field: no Psi or Psi* operator table of the kernel is built."""
+    """theta1 reads Psi summed in its own field: no Psi operator table or Psi* entries of the kernel are built."""
     sg6 = generate_system(6)
     want = theta1(sg6)
 
     def table(self):
         raise AssertionError("operator table built for theta1")
 
-    for name in ("_psi_mul", "psi", "psi_star"):
+    for name in ("_psi_mul", "psi", "psi_star_entries", "m_star_sum"):
         monkeypatch.setattr(quadform._Quad, name, property(table))
     assert theta1(sg6) == want and want.exact is not None
     with pytest.raises(AssertionError):
         quadform._Quad(sg6).psi
+
+
+def _psi_star_table(q):
+    """Psi*_s as the (n, D*m, D*m) operator table the kernel built before it read the adjoint off its entries."""
+    mul, den = q._psi_mul
+    w = np.array(q.weight, dtype=mul.dtype)
+    adj = mul * (2 * w[:, None] // w[None, :])[None, :, :, None, None]
+    return q._reduce(adj.transpose(0, 1, 3, 2, 4).reshape(q.n, len(q.e) * q.m, -1), 2 * den)
+
+
+def _same_stack(x, y):
+    """Two stacks agree in numerators and denominator: exactly on exact coordinates, bit for bit on floats."""
+    (xn, xd), (yn, yd) = x, y
+    return xd == yd and xn.shape == yn.shape and (
+        xn.tolist() == yn.tolist() if xn.dtype == object else xn.tobytes() == yn.tobytes())
+
+
+@pytest.mark.parametrize("name", _KERNEL_SYSTEMS)
+def test_adjoint_entries_act_as_the_operator_table(name):
+    """parents and M* from the Psi* entries equal the table's products, in the same bits on the float backend."""
+    q = quadform._Quad(_KERNEL_SYSTEMS[name]())
+    table, den = _psi_star_table(q)
+    rows = q.join([q.energy, q.ident, q.children(q.energy)])
+    out = rows[0] @ table.transpose(1, 0, 2).reshape(table.shape[1], -1)
+    want = q._reduce(out.reshape(len(out), q.n, -1).transpose(1, 0, 2).reshape(-1, table.shape[1]), rows[1] * den)
+    assert _same_stack(q.parents(rows), want)
+    assert _same_stack(q.m_star_sum, (table.sum(axis=0), den))
 
 
 def test_betas_are_the_word_beta_weights(sg3):
@@ -613,7 +644,12 @@ def test_ck_solves_against_a_non_identity_h():
 
 @pytest.mark.parametrize("name", ["sg", "sg5", "raw0", "raw1", "two-radicand", "pythagorean", "diagonal-d3"])
 def test_exact_ck_has_no_radical_arithmetic_before_the_unpack(name, monkeypatch):
-    """c_k and theta2 stay on packed stacks until each level's r x r solution is unpacked."""
+    """c_k and theta2 stay on packed stacks until the final scalars are unpacked.
+
+    For d = 2 these are each level's half-trace, determinant and discriminant of H^-1 G'_k, unpacked one
+    at a time and split by ``linalg._pair_split``: no elimination and no ``np.roots``.  For d = 3
+    (diagonal-d3) they are each level's r x r solution of the one elimination.
+    """
     build, k_max = _CK_SYSTEMS[name]
     system = build()
     r = system.dim * (system.dim + 1) // 2 - 1
@@ -621,13 +657,25 @@ def test_exact_ck_has_no_radical_arithmetic_before_the_unpack(name, monkeypatch)
     for op in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
         monkeypatch.setattr(Radical, op, lambda *a, real=getattr(Radical, op), op=op: events.append(op) or real(*a))
     real_unpack, real_eigs = multiquad._Span.unpack, linalg.exact_eigenvalues_symmetric
+    real_split, real_elim, real_roots = linalg._pair_split, multiquad.Multiquad.eliminate, np.roots
     monkeypatch.setattr(multiquad._Span, "unpack", lambda self, num, den: events.append(("unpack", len(num)))
                         or real_unpack(self, num, den))
     monkeypatch.setattr(linalg, "exact_eigenvalues_symmetric", lambda m: events.append("eigen") or real_eigs(m))
-    for call in (lambda: c_k(system, 1), lambda: theta2(system, k_max)):
+    monkeypatch.setattr(linalg, "_pair_split", lambda *x: events.append("split") or real_split(*x))
+    monkeypatch.setattr(multiquad.Multiquad, "eliminate", lambda self, a: events.append("eliminate")
+                        or real_elim(self, a))
+    monkeypatch.setattr(np, "roots", lambda p: events.append("roots") or real_roots(p))
+    for levels, call in ((1, lambda: c_k(system, 1)), (k_max, lambda: theta2(system, k_max))):
         events.clear()
         call()
-        assert events[:events.index("eigen")] == [("unpack", r * r)]
+        if r == 2:
+            assert "eliminate" not in events and "roots" not in events
+            assert events[:events.index("split")] == [("unpack", 1)] * 3
+            last = len(events) - events[::-1].index("split")
+            assert [e for e in events[:last] if e == "split" or e[0] == "unpack"] == \
+                ([("unpack", 1)] * 3 + ["split"]) * levels
+        else:
+            assert events[:events.index("eigen")] == ["eliminate", ("unpack", r * r)]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -645,14 +693,161 @@ def test_float_h_adds_in_the_matrix_order(seed):
 
 
 def test_theta2_eliminates_once_in_the_smallest_field(monkeypatch):
-    """theta2(sg5, 2) solves [H | G'_1 | G'_2] in one elimination over Q, though its kernel carries sqrt 3."""
-    system = generate_system(5)
-    assert quadform._Quad(system).gens == [3]
+    """theta2 of the d = 3 diagonal system solves [H | G'_1 | G'_2] in one elimination over Q, though its
+    kernel carries four square roots."""
+    system = _diagonal_d3()
+    assert len(quadform._Quad(system).gens) == 4
     shapes = []
     real = multiquad.Multiquad.eliminate
-    monkeypatch.setattr(multiquad.Multiquad, "eliminate", lambda self, a: shapes.append(a.shape) or real(self, a))
+    monkeypatch.setattr(multiquad.Multiquad, "eliminate", lambda self, a: shapes.append((a.shape, self.gens))
+                        or real(self, a))
     theta2(system, 2)
-    assert shapes == [(1, 2, 6, 1)]
+    assert shapes == [((1, 5, 15, 1), [])]
+
+
+def test_theta2_splits_every_level_by_one_pencil_in_the_smallest_field(monkeypatch):
+    """theta2(sg5, 2) takes the closed form of both pencils det(G'_k - t H) in one call over Q, though its
+    kernel carries sqrt 3; nothing is eliminated."""
+    system = generate_system(5)
+    assert quadform._Quad(system).gens == [3]
+    calls = []
+    real = linalg.pencil_spectra
+    monkeypatch.setattr(linalg, "pencil_spectra", lambda fld, g, h: calls.append((fld.gens, g.shape, h.shape))
+                        or real(fld, g, h))
+    monkeypatch.setattr(multiquad.Multiquad, "eliminate", None)
+    res = theta2(system, 2)
+    assert calls == [([], (2, 2, 2, 1), (2, 2, 2, 1))]
+    assert [format_exact(res.c_values[k].exact) for k in (1, 2)] == [
+        "17477622230/321986901963", "326399361013190165320/34558521678576857751123"]
+
+
+def _radical_split_2x2(m):
+    """(reals, moduli, certified) of a 2 x 2 Radical matrix by Radical arithmetic, the route before the
+    packed closed form.  A complex pair went through char_poly, whose coefficients are det and -tr, and a
+    rational root search that finds no root of it."""
+    tr = m[0, 0] + m[1, 1]
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    disc = tr * tr - 4 * det
+    if disc.sign() >= 0:
+        try:
+            sq = disc.sqrt()
+        except ValueError:
+            return [], [], False
+        return [(tr + sq) / 2, (tr - sq) / 2], [], True
+    if not (tr.is_rational() and det.is_rational()):
+        return [], [], False
+    try:
+        return [], [Radical.root(det.as_fraction())], True
+    except ValueError:
+        return [], [], False
+
+
+def _eliminated_ck(forms) -> dict:
+    """Exact c_k of every level by the route before the closed form: one elimination of [H | G'_1 | ...]
+    in the smallest field, then each r x r solution unpacked and split in Radical arithmetic; None where
+    the split declines."""
+    fld, r = forms.fld, len(forms.num)
+    small = multiquad.field_of(frozenset(fld.used(forms.num)), True)
+    _, det, (x, den) = small.eliminate(small._convert(fld, forms.num, forms.den)[0][None])
+    out = {}
+    for i, k in enumerate(forms.levels, 1):
+        sol = small.unpack_array(x[0, :, i * r:(i + 1) * r], den)
+        if r == 2:
+            reals, moduli, ok = _radical_split_2x2(sol)
+            eigs = reals if ok and not moduli else None
+        else:
+            eigs = exact_eigenvalues_symmetric(sol)
+        out[k] = min(eigs) if eigs is not None else None
+    return out
+
+
+def _split_systems() -> dict:
+    """sg ... sg6, the 15 seeded raws that exact renormalize accepts among seeds 0-59 (the golden's, all
+    unimodular conjugates of the raw bases, as the certify benchmark's raws are), the first 10 it accepts
+    from seed 60 on, and the two-radicand system: 31 systems."""
+    out = {"sg": sg_system(), **{f"sg{n}": generate_system(n) for n in range(3, 7)}}
+    for seed in range(100):
+        if len(out) == 30:
+            break
+        try:
+            out[f"seed{seed}"] = renormalize(_random_raw(seed), EXACT)
+        except ValueError:
+            continue
+    out["two-radicand"] = _two_radicand_system()
+    assert len(out) == 31 and sum(name.startswith("seed") for name in out) == 25
+    return out
+
+
+def test_closed_form_agrees_with_the_elimination_route():
+    """c_1 ... c_3 by the packed pencil and theta1's 2 x 2 parts by the packed closed form equal, bit for
+    bit, the elimination route and the Radical split on 31 systems and the d = 3 diagonal system; the
+    set holds a complex-pair theta1 (6/13 sqrt 2) and a surd discriminant that declines (c_2 of raw base 1's
+    conjugates)."""
+    systems = {**_split_systems(), "diagonal-d3": _diagonal_d3()}
+    declined, complex_pairs = 0, 0
+    for name, system in systems.items():
+        forms = spectral._grams(system, (1, 2, 3), DEFAULT_BUDGET)
+        want = _eliminated_ck(forms)
+        for k, got in spectral._smallest_eigenvalues(forms).items():
+            assert got.exact == want[k], (name, k)
+            if want[k] is None:
+                declined += 1
+                assert got.value == pytest.approx(c_k(to_float_system(system), k).value, rel=1e-6)
+            else:
+                assert format_exact(got.exact) == format_exact(want[k]) and got.value == float(want[k])
+        for rep in quadform._Quad(system).theta1_reps:
+            if rep.shape != (2, 2):
+                continue
+            reals, moduli, ok = _radical_split_2x2(rep)
+            got = linalg._split_spectrum(rep)
+            assert (got[0], got[1], not got[2]) == (reals, moduli, ok), name
+            complex_pairs += bool(moduli)
+            radius = max([abs(x) for x in reals] + moduli) if ok else None
+            assert linalg.certified_spectral_radius(rep)[1] == radius
+    assert declined >= 4 and complex_pairs >= 4
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, Radical.root(2)]], [[Radical.root(2), -1], [1, 0]]],
+                         ids=["surd-discriminant", "complex-surd-trace"])
+def test_a_surd_discriminant_declines_as_before(rows):
+    """[[1, 1], [1, sqrt 2]] has discriminant 7 - 2 sqrt 2, no square in the field; [[sqrt 2, -1], [1, 0]]
+    is a complex pair of modulus 1 with trace sqrt 2, and a complex pair needs rational coefficients.
+    Neither is certified."""
+    m = as_matrix(rows, EXACT)
+    assert _radical_split_2x2(m) == ([], [], False)
+    reals, moduli, rest = linalg._split_spectrum(m)
+    assert (reals, moduli) == ([], []) and rest == linalg.char_poly(m)
+    value, exact = linalg.certified_spectral_radius(m)
+    assert exact is None and value == max(abs(np.linalg.eigvals(to_float_matrix(m))))
+
+
+def test_theta1_takes_no_characteristic_polynomial(monkeypatch):
+    """theta1 of d <= 2 systems splits each part in closed form: no char_poly, rational_roots or np.roots,
+    and no Radical product or division before the half-trace, determinant and discriminant are unpacked."""
+    systems = [sg_system(), generate_system(4), generate_system(6), _raw_system(0), _raw_system(1),
+               _raw_system(2), bernoulli_system([Fraction(1, 3), Fraction(2, 3)])]
+    want = [theta1(s) for s in systems]
+    assert want[4].part_exact["traceless-symmetric"] == parse_exact("6/13*sqrt(2)")  # a complex pair
+
+    def refuse(*args):
+        raise AssertionError("root search in theta1")
+
+    monkeypatch.setattr(linalg, "char_poly", refuse)
+    monkeypatch.setattr(linalg, "rational_roots", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    events = []
+    for op in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
+        monkeypatch.setattr(Radical, op, lambda *a, real=getattr(Radical, op), op=op: events.append(op) or real(*a))
+    real_split = linalg._pair_split
+    monkeypatch.setattr(linalg, "_pair_split", lambda *x: events.append("split") or real_split(*x))
+    for system, res in zip(systems, want):
+        events.clear()
+        assert theta1(system) == res
+        if system.dim == 2:
+            assert "split" in events and "split" not in events[:events.index("split")] and \
+                not events[:events.index("split")]
+
+
 
 
 @pytest.mark.parametrize("system", [sg_system(FLOAT), generate_system(3, FLOAT), _raw_system(1, FLOAT)],
