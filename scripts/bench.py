@@ -16,8 +16,12 @@ The layers, from the host up:
              correlation_gap(sg, 01, 2, 50), on a fresh measure;
              mixing_bound_check(sg, k, nmax=12) for k = 2, 3, and
              mixing_bound_check(sg3, k=1, nmax=8);
-             kusuoka correlate --builtin sg --alpha 01 --beta 2 --nmax 50,
-             in process with its output discarded;
+             kusuoka correlate --builtin sg --alpha 01 --beta 2 --nmax 50 and
+             kusuoka gfun --builtin sg --depth 7, in process with their
+             output discarded;
+             nu and h_state of the length-8 word WORD below on sg, on one
+             measure made before the row: the warm-up batch builds its
+             kernel, and the queries cache nothing else;
              sample_many(sg): 1000 words of length 16 and 10000 words of
              length 20, seed 0;
              dilation_check(sg, f, k=3) for a seeded depth-6 f with values
@@ -43,8 +47,8 @@ first of these batches warms the call up), then times ``--repeats`` runs of
 that many calls.  A record keeps the minimum over the runs of the wall time
 (perf_counter) and of the process CPU time (process_time) per call, and
 ``inner``; a CLI row runs one child per repeat and keeps the child's CPU
-time.  Every call builds a fresh measure, so no level table or sampler node
-is reused between calls; c_k and theta2 build their kernel per call.
+time.  Every call but those of the nu and h_state rows builds a fresh
+measure, so no level table or sampler node is reused between calls; c_k and theta2 build their kernel per call.
 Square roots factor their radicands once per process, so an in-process row
 is the warm time; the fresh-process theta2(sg6, 2) row is the cold time.  A
 row whose call raises ValueError records the message instead of a time.
@@ -75,6 +79,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Integer raw maps whose renormalized weight is not diagonal (the second raw
 # base of the certify benchmark); exact theta1 6/13*sqrt(2).
 RAW = (((1, -3), (0, -1)), ((1, 3), (-2, 1)), ((0, -2), (1, 1)))
+
+# The word of the nu and h_state rows: every symbol of sg, length 8.
+WORD = (0, 1, 2, 2, 1, 0, 0, 2)
 
 MIN_REPEAT_S = 0.2  # CPU seconds of one repeat of an in-process row
 
@@ -201,6 +208,11 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         correlate = ["correlate", "--builtin", "sg", "--alpha", "01", "--beta", "2", "--nmax", "50",
                      "--backend", backend]
         add("operation", "kusuoka " + " ".join(correlate), backend, lambda: _quiet(cli.main, correlate))
+        gfun = ["gfun", "--builtin", "sg", "--depth", "7", "--backend", backend]
+        add("operation", "kusuoka " + " ".join(gfun), backend, lambda: _quiet(cli.main, gfun))
+        sg_measure = measure.kusuoka_measure(sg)
+        add("operation", "nu(sg, length-8 word)", backend, lambda: measure.nu(sg_measure, WORD))
+        add("operation", "h_state(sg, length-8 word)", backend, lambda: measure.h_state(sg_measure, WORD))
         for length, count in ((16, 1000), (20, 10000)):
             add("operation", f"sample_many(sg, {length}, {count}, seed=0)", backend,
                 lambda: measure.sample_many(measure.kusuoka_measure(sg), length, count, 0))

@@ -161,16 +161,16 @@ def _cmd_theta2(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _level_items(sys_: matsys.MatrixSystem, depth: int, values) -> list:
+    """(word, formatted value) for every word of one level, in word-index order."""
+    return [(symbolic.format_word(w, sys_.alphabet), _fmt_scalar(x))
+            for w, x in zip(symbolic.all_words(sys_.n_symbols, depth), values)]
+
+
 def _cmd_measure(cfg: RunConfig, args) -> int:
     sys_ = _load_system(cfg)
-    m = measure.kusuoka_measure(sys_)
-    budget = _budget_for(cfg, sys_)
-    masses = m.level_nu(args.depth, budget)
-    rows = ["word,nu"]
-    for i, massval in enumerate(masses):
-        w = symbolic.index_word(i, args.depth, sys_.n_symbols)
-        rows.append(f"{symbolic.format_word(w, sys_.alphabet)},{_fmt_scalar(massval)}")
-    _emit(cfg, "\n".join(rows))
+    masses = measure.kusuoka_measure(sys_).level_nu(args.depth, _budget_for(cfg, sys_))
+    _emit(cfg, "\n".join(["word,nu"] + [",".join(item) for item in _level_items(sys_, args.depth, masses)]))
     return EXIT_OK
 
 
@@ -178,14 +178,8 @@ def _cmd_gfun(cfg: RunConfig, args) -> int:
     if args.depth < 1:
         raise ValueError("gfun needs --depth >= 1")
     sys_ = _load_system(cfg)
-    m = measure.kusuoka_measure(sys_)
-    budget = _budget_for(cfg, sys_)
-    symbolic.check_budget(sys_.n_symbols, args.depth, budget)
-    rows = ["prefix,g"]
-    for i in range(sys_.n_symbols**args.depth):
-        w = symbolic.index_word(i, args.depth, sys_.n_symbols)
-        rows.append(f"{symbolic.format_word(w, sys_.alphabet)},{_fmt_scalar(measure.g_approx(m, w))}")
-    _emit(cfg, "\n".join(rows))
+    ratios = measure.kusuoka_measure(sys_).level_g(args.depth, _budget_for(cfg, sys_))
+    _emit(cfg, "\n".join(["prefix,g"] + [",".join(item) for item in _level_items(sys_, args.depth, ratios)]))
     return EXIT_OK
 
 
@@ -298,11 +292,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         body["theta2_theorem"] = _fmt_certified(t2.thm_exact, t2.thm_value)
 
     for depth in (1, 2):
-        masses = m.level_nu(depth, budget)
-        body[f"nu_depth{depth}"] = {
-            symbolic.format_word(symbolic.index_word(i, depth, sys_.n_symbols), sys_.alphabet): _fmt_scalar(x)
-            for i, x in enumerate(masses)
-        }
+        body[f"nu_depth{depth}"] = dict(_level_items(sys_, depth, m.level_nu(depth, budget)))
     mix = measure.mixing_bound_check(m, 1, 4, budget)
     body["mixing_k1"] = [
         {

@@ -416,16 +416,16 @@ def format_exact(x: Radical) -> str:
 
 _TERM_RE = re.compile(
     r"""^
-    (?:(?P<coeff>[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)\*?)?
+    (?:(?P<coeff>[0-9]+(?:/[0-9]*[1-9][0-9]*)?|[0-9]*\.[0-9]+)\*?)?
     (?:sqrt\((?P<rad>[0-9]+)\))?
-    (?:/(?P<div>[0-9]+))?
+    (?:/(?P<div>[0-9]*[1-9][0-9]*))?
     $""",
     re.VERBOSE,
 )
 
 
 def parse_exact(text: str) -> Radical:
-    """Parse 'p/q', 'p/q*sqrt(r)', 'sqrt(r)/q', decimals, and sums thereof."""
+    """Parse 'p/q', 'p/q*sqrt(r)', 'sqrt(r)/q' (q > 0), decimals, and sums thereof."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty exact scalar")

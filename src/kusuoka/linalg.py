@@ -42,7 +42,6 @@ __all__ = [
     "array_field",
     "as_matrix",
     "identity",
-    "zeros",
     "to_float_matrix",
     "frobenius_sq",
     "char_poly",
@@ -59,7 +58,7 @@ class Field:
     ``FIELDS[EXACT]`` holds :class:`~kusuoka.exactnum.Radical` entries in
     object arrays, ``FIELDS[FLOAT]`` float64.  Arithmetic needs no field:
     ``Radical`` overloads the operators.  What does differ between the two
-    backends (lifting a number, square roots, division, JSON) lives here,
+    backends (lifting a number, square roots, JSON) lives here,
     and ``exact`` is the one answer to "exact or float".
     """
 
@@ -111,10 +110,6 @@ class _ExactField(Field):
         except ValueError:
             return None
 
-    def div(self, a, c):
-        """a / c for a scalar or an array a, through one inverse of c."""
-        return (Radical(1) / c) * a
-
 
 class _FloatField(Field):
     __slots__ = ()
@@ -124,9 +119,6 @@ class _FloatField(Field):
 
     def sqrt(self, x):
         return math.sqrt(x)
-
-    def div(self, a, c):
-        return a / c
 
 
 FIELDS = {EXACT: _ExactField(), FLOAT: _FloatField()}
@@ -144,10 +136,6 @@ def as_matrix(rows, backend: str) -> np.ndarray:
 
 def identity(d: int, backend: str) -> np.ndarray:
     return FIELDS[backend].identity(d)
-
-
-def zeros(shape, backend: str) -> np.ndarray:
-    return FIELDS[backend].zeros(shape)
 
 
 def to_float_matrix(a: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "MixingRow",
     "kusuoka_measure",
     "nu",
-    "level_masses",
     "conditional",
     "g_approx",
     "correlation_gap",
@@ -117,6 +116,18 @@ class KusuokaMeasure:
             self._level_mass[k] = self._quad.unpack(*self._quad.nu(self._level_table(k, budget)))
         return self._level_mass[k]
 
+    def level_g(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> list:
+        """g_k(w) = nu(w) / nu(w[1:]) over all length-k words in word-index order, k >= 1.
+
+        One packed division by the level-(k-1) masses tiled n times: w[1:] of word i is word i mod n^(k-1).
+        """
+        if k < 1:
+            raise ValueError("the density approximant needs a nonempty prefix")
+        q = self._quad
+        num, den = q.nu(self._level_table(k, budget))
+        shorter, shorter_den = q.nu(self._level_table(k - 1, budget))
+        return q.unpack(*q.divide((num, den), (np.tile(shorter, (self.system.n_symbols, 1)), shorter_den)))
+
     def _nu_array(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
         """``level_nu(k)`` as one read-only array of the backend, cached."""
         masses = self.level_nu(k, budget)
@@ -142,22 +153,35 @@ def kusuoka_measure(system: MatrixSystem, check: bool = True, tol: float = 1e-12
     return KusuokaMeasure(system)
 
 
+def _prefix(m: KusuokaMeasure, word: Word):
+    """P(word) = A(word) A(word)^T packed: Psi_s in word order from I."""
+    p = m._quad.ident
+    for s in symbolic._checked(tuple(word), m.system.n_symbols):
+        p = m._quad.child(p, s)
+    return p
+
+
+def _beta(m: KusuokaMeasure, word: Word):
+    """The beta-weight Psi*_word(E) = A(word)^T E A(word) packed: Psi*_s in reverse word order from E."""
+    w = m._quad.energy
+    for s in reversed(symbolic._checked(tuple(word), m.system.n_symbols)):
+        num, den = m._quad.parents(w)
+        w = m._quad._reduce(num[s:s + 1], den)
+    return w
+
+
 def nu(m: KusuokaMeasure, word: Word):
     """Mass of the cylinder named by ``word``."""
-    a = symbolic.word_matrix(m.system, word)
-    return np.trace(a.T @ m.system.energy @ a)
-
-
-def level_masses(m: KusuokaMeasure, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> list:
-    return list(m.level_nu(k, budget))
+    return m._quad.unpack(*m._quad.nu(_prefix(m, word)))[0]
 
 
 def conditional(m: KusuokaMeasure, word: Word, s: int):
     """nu(word + s) / nu(word)."""
-    base = nu(m, word)
-    if base == 0:
+    q = m._quad
+    base = q.nu(_prefix(m, word))
+    if not base[0].any():
         raise ValueError("conditioning on a zero-mass cylinder")
-    return nu(m, tuple(word) + (s,)) / base
+    return q.unpack(*q.divide(q.nu(_prefix(m, tuple(word) + (s,))), base))[0]
 
 
 def g_approx(m: KusuokaMeasure, prefix: Word):
@@ -171,7 +195,8 @@ def g_approx(m: KusuokaMeasure, prefix: Word):
     prefix = tuple(prefix)
     if len(prefix) < 1:
         raise ValueError("the density approximant needs a nonempty prefix")
-    return nu(m, prefix) / nu(m, prefix[1:])
+    q = m._quad
+    return q.unpack(*q.divide(q.nu(_prefix(m, prefix)), q.nu(_prefix(m, prefix[1:]))))[0]
 
 
 @dataclass(frozen=True)
@@ -186,14 +211,19 @@ class HState:
     h: np.ndarray
 
 
-def h_state(m: KusuokaMeasure, prefix: Word) -> HState:
-    prefix = tuple(prefix)
-    a = symbolic.word_matrix(m.system, prefix)
-    h = a.T @ m.system.energy @ a
-    mass = np.trace(h)
-    if mass == 0:
+def _h_packed(m: KusuokaMeasure, prefix: Word):
+    """The prefix state as one packed row: the beta-weight over its trace nu(prefix), one packed division."""
+    q = m._quad
+    num, den = _beta(m, prefix)
+    mass, mass_den = q.pair(q.ident, (num, den))
+    if not mass.any():
         raise ValueError("prefix has zero mass")
-    return HState(prefix, m.system.field.div(h, mass))
+    num, den = q.divide((num.reshape(-1, q.m), den), (mass[0], mass_den))
+    return num.reshape(1, -1), den
+
+
+def h_state(m: KusuokaMeasure, prefix: Word) -> HState:
+    return HState(tuple(prefix), m._quad.unpack_matrices(*_h_packed(m, prefix), m.system.field)[0])
 
 
 def correlation_gap(m: KusuokaMeasure, alpha: Word, beta: Word, n: int):
@@ -212,19 +242,16 @@ def _correlation_gaps(m: KusuokaMeasure, alpha: Word, beta: Word, nmax: int) -> 
     """The correlation gaps at separations 0 ... nmax, in the system's scalars.
 
     P(alpha) = A(alpha) A(alpha)^T is paired with M*^n of the beta-weight A(beta)^T E A(beta),
-    both packed in the kernel ``m._quad``, one M* step per separation.
+    both packed in the kernel ``m._quad``, one M* step per separation; one pairing, one
+    subtraction of nu(alpha) nu(beta) and one unpack take every separation at once.
     """
-    q, sys_ = m._quad, m.system
-    a, b = symbolic.word_matrix(sys_, alpha), symbolic.word_matrix(sys_, beta)
-    p_alpha, weight = q.pack(a @ a.T), q.pack(b.T @ sys_.energy @ b)
-    product = nu(m, alpha) * nu(m, beta)
-    gaps = []
-    for n in range(nmax + 1):
-        if n > 0:
-            weight = q.apply(weight, q.m_star_sum)
-        num, den = q.pair(p_alpha, weight)
-        gaps.append(q.unpack(num[0], den)[0] - product)
-    return gaps
+    q = m._quad
+    p_alpha, weights = _prefix(m, alpha), [_beta(m, beta)]
+    for _ in range(nmax):
+        weights.append(q.apply(weights[-1], q.m_star_sum))
+    (an, ad), (bn, bd) = q.nu(p_alpha), q.nu(_prefix(m, beta))
+    num, den = q.sub(q.pair(p_alpha, q.join(weights)), (q.mul(an, bn), ad * bd))
+    return q.unpack(num[0], den)
 
 
 def correlation_gap_brute(
@@ -406,7 +433,7 @@ def transfer_apply(
     if f.n_symbols != m.system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
     fld, fv = m._quad.pack_holding(f.values)
-    return fld.unpack_array(*_transfer_values(m, m._quad.pack(h_state(m, prefix).h), mshift, fld, fv, f.depth, budget))[0]
+    return fld.unpack_array(*_transfer_values(m, _h_packed(m, prefix), mshift, fld, fv, f.depth, budget))[0]
 
 
 def _transfer_values(m: KusuokaMeasure, weights, mshift: int, fld, fv, depth: int, budget: int):

@@ -161,14 +161,6 @@ def _trace_free_coords(fld: Multiquad, e, d: int):
     return fld._reduce(out, norm)
 
 
-def unpack_symmetric(coords, d: int, field) -> np.ndarray:
-    """The symmetric d x d matrix of the backend with these packed coordinates."""
-    out = field.zeros((d, d))
-    for c, (i, j) in zip(coords, packed_pairs(d)):
-        out[i, j] = out[j, i] = c
-    return out
-
-
 def _real_spectrum(rep_float: np.ndarray) -> tuple[float, ...]:
     if rep_float.shape[0] == 0:
         return ()

@@ -412,7 +412,7 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None) -> matsys.MatrixS
             raise ValueError("leading eigenvalue is not real; raw maps admit no Perron form")
         mu = float(vals[0, lead].real)
         vecs = [vecs[0, :, lead].real, vecs[1, :, np.abs(vals[1] - mu).argmin()].real]
-    forms = [quadform.unpack_symmetric(v, d, field) for v in vecs]
+    forms = [v[list(quadform.symmetric_index(d))].reshape(d, d) for v in vecs]
     e0, r0 = forms = [-1 * f if np.trace(f) < 0 else f for f in forms]
     if field.exact:
         positive = (minor_signs(forms)[0] > 0).all()

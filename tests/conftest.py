@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kusuoka import matsys, measure
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
-from kusuoka.linalg import FLOAT
+from kusuoka.linalg import EXACT, FLOAT, as_matrix
+from kusuoka.symbolic import word_matrix
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +28,21 @@ def sg3():
 @pytest.fixture(scope="session")
 def bern():
     return matsys.bernoulli_system([Fraction(1, 4), Fraction(3, 4)])
+
+
+def two_radicand_system():
+    """Psi needs sqrt(15) and sqrt(30), so the kernel's field is Q(sqrt 15, sqrt 30)."""
+    maps = [
+        [[Radical.root(Fraction(1, 3)), 0], [0, Radical.root(Fraction(1, 5))]],
+        [[Radical.root(Fraction(2, 3)), 0], [0, Radical.root(Fraction(4, 5))]],
+    ]
+    energy = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    return matsys.make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
+
+
+@pytest.fixture(scope="session")
+def two_radicand():
+    return two_radicand_system()
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +80,44 @@ def laplace_det(m) -> Radical:
 def laplace_minors(m) -> list:
     """The leading principal minors of a square exact matrix, each by :func:`laplace_det`."""
     return [laplace_det(m[: k + 1, : k + 1]) for k in range(len(m))]
+
+
+# -- word-matrix references for the packed single-word queries of measure -----
+
+
+def nu_reference(m, word):
+    """nu(word) = Tr(A(word)^T E A(word)) from the word matrix, in the backend's scalars."""
+    a = word_matrix(m.system, word)
+    return np.trace(a.T @ m.system.energy @ a)
+
+
+def g_reference(m, prefix):
+    """nu(prefix) / nu(prefix[1:]) from two word matrices."""
+    return nu_reference(m, prefix) / nu_reference(m, prefix[1:])
+
+
+def h_reference(m, prefix):
+    """A(prefix)^T E A(prefix) over its trace, from the word matrix."""
+    a = word_matrix(m.system, prefix)
+    h = a.T @ m.system.energy @ a
+    return h / np.trace(h)
+
+
+def correlation_gaps_reference(m, alpha, beta, nmax):
+    """The correlation gaps at separations 0 ... nmax from the word matrices of alpha and beta.
+
+    P(alpha) and the beta-weight are packed from word-matrix products, the
+    beta-weight advances by the kernel's M*, and nu(alpha) nu(beta) is taken
+    in the backend's scalars.
+    """
+    q, sys_ = m._quad, m.system
+    a, b = word_matrix(sys_, alpha), word_matrix(sys_, beta)
+    p_alpha, weight = q.pack(a @ a.T), q.pack(b.T @ sys_.energy @ b)
+    product = nu_reference(m, alpha) * nu_reference(m, beta)
+    gaps = []
+    for n in range(nmax + 1):
+        if n > 0:
+            weight = q.apply(weight, q.m_star_sum)
+        num, den = q.pair(p_alpha, weight)
+        gaps.append(q.unpack(num[0], den)[0] - product)
+    return gaps

@@ -327,6 +327,26 @@ def test_renormalize_malformed_file_is_config_error(capsys, tmp_path, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", ["1/0", "sqrt(2)/0", "1/2*sqrt(3)/00"])
+def test_zero_denominator_is_config_error(capsys, tmp_path, entry):
+    """An exact scalar with a zero denominator leaves through exit 65, from every reader of exact scalars."""
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "alphabet": ["a", "b"], "dim": 1, "maps": {"a": [[entry]], "b": [["1/2"]]},
+        "energy": [["1"]], "backend": "exact",
+    }))
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps({"maps": [[[entry, "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]}))
+    ffile = tmp_path / "f.json"
+    ffile.write_text(json.dumps({"depth": 1, "values": {"0": entry, "1": "1", "2": "0"}}))
+    for argv in (["validate", "--in", str(system)], ["renormalize", "--in", str(raw)],
+                 ["dilation", "--builtin", "sg", "--k", "1", "--f", str(ffile)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 65, argv
+        assert out == ""
+        assert err.startswith("error: malformed exact scalar") and err.count("\n") == 1
+
+
 def test_renormalize_needs_file(capsys):
     code, _, err = run(capsys, "renormalize", "--builtin", "sg")
     assert code == 65

@@ -130,6 +130,12 @@ def test_parse_simple_forms():
     assert parse_exact("0") == Radical(0)
 
 
+@pytest.mark.parametrize("text", ["1/0", "sqrt(2)/0", "3/00", "1/2*sqrt(3)/0", "0.5/0", "1 + 2/0"])
+def test_parse_exact_rejects_zero_denominators(text):
+    with pytest.raises(ValueError, match="malformed exact scalar"):
+        parse_exact(text)
+
+
 def test_float_input_rejected():
     with pytest.raises(TypeError):
         Radical(0.5)

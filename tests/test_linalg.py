@@ -355,17 +355,6 @@ def test_field_arrays_agree_across_backends(rows, cols, data):
     assert flt.dtype == np.float64
 
 
-@settings(max_examples=60, deadline=None)
-@given(_square(), _entries.filter(lambda c: c != 0))
-def test_field_div_matches_true_division(m, c):
-    ce = Radical(c)
-    assert np.array_equal(FIELDS[EXACT].div(m, ce), m / ce)
-    assert FIELDS[EXACT].div(ce * ce, ce) == ce
-    mf, cf = to_float_matrix(m), float(c)
-    got, want = FIELDS[FLOAT].div(mf, cf), mf / cf
-    assert got.tobytes() == want.tobytes()
-
-
 def test_field_sqrt():
     assert FIELDS[EXACT].sqrt(Radical(Fraction(9, 4))) == Radical(Fraction(3, 2))
     assert FIELDS[EXACT].sqrt(Radical(2)) == Radical.root(2)

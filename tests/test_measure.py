@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kusuoka import cli, matsys, measure, spectral
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
-from kusuoka.linalg import EXACT, as_matrix
 from kusuoka.linalg import FLOAT
 from kusuoka.matsys import bernoulli_system, make_system, sg_system
 from kusuoka.measure import (
@@ -25,7 +24,6 @@ from kusuoka.measure import (
     g_approx,
     h_state,
     kusuoka_measure,
-    level_masses,
     mixing_bound_check,
     nu,
     sample,
@@ -35,6 +33,13 @@ from kusuoka.measure import (
 from kusuoka.multiquad import Multiquad
 from kusuoka.spectral import renormalize
 from kusuoka.symbolic import BudgetError, CylinderFunction, all_words, indicator, word_index, word_matrix
+from conftest import (
+    correlation_gaps_reference,
+    g_reference,
+    h_reference,
+    nu_reference,
+    two_radicand_system,
+)
 
 
 def test_invalid_system_rejected(sg):
@@ -63,7 +68,7 @@ def test_symmetry_across_symbols(sg_measure):
 
 def test_total_mass_and_additivity(sg_measure):
     for k in range(5):
-        masses = level_masses(sg_measure, k)
+        masses = sg_measure.level_nu(k)
         total = sum(masses[1:], masses[0])
         assert (total - Radical(1)).is_zero()
     # two-sided refinement: nu(w) = sum_s nu(ws) = sum_s nu(sw)
@@ -283,16 +288,7 @@ def test_h_state_sweep_trace_one_and_psd(sg_measure):
 # -- the quadratic-form kernel against the word-matrix oracles ----------------
 
 RAW_170 = (((0, 3), (1, -2)), ((2, -1), (0, -3)), ((-2, -1), (1, 2)))
-
-
-def _two_radicand_system():
-    """Psi needs sqrt(15) and sqrt(30), so the kernel's field is Q(sqrt 15, sqrt 30)."""
-    maps = [
-        [[Radical.root(Fraction(1, 3)), 0], [0, Radical.root(Fraction(1, 5))]],
-        [[Radical.root(Fraction(2, 3)), 0], [0, Radical.root(Fraction(4, 5))]],
-    ]
-    energy = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    return make_system(("a", "b"), [as_matrix(a, EXACT) for a in maps], as_matrix(energy, EXACT), EXACT)
+FLOAT_RTOL = 1e-14
 
 
 _ORACLE_SYSTEMS = {
@@ -301,7 +297,7 @@ _ORACLE_SYSTEMS = {
     "sg4": (lambda: generate_system(4), 2, 1),
     "bernoulli": (lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]), 3, 2),
     "raw170": (lambda: renormalize([[list(r) for r in a] for a in RAW_170]), 3, 2),
-    "two-radicand": (_two_radicand_system, 3, 2),
+    "two-radicand": (two_radicand_system, 3, 2),
 }
 
 
@@ -315,14 +311,14 @@ def test_kernel_fields():
     assert kusuoka_measure(sg_system())._quad.gens == [3]
     assert kusuoka_measure(generate_system(4))._quad.gens == [3]
     assert kusuoka_measure(renormalize([[list(r) for r in a] for a in RAW_170]))._quad.gens == [170]
-    assert kusuoka_measure(_two_radicand_system())._quad.radicand == [1, 15, 30, 2]
+    assert kusuoka_measure(two_radicand_system())._quad.radicand == [1, 15, 30, 2]
 
 
 def test_level_nu_equals_word_oracle(oracle_case):
     _, m, depth, _ = oracle_case
     n = m.system.n_symbols
     for k in range(depth + 1):
-        assert m.level_nu(k) == [nu(m, w) for w in all_words(n, k)]
+        assert m.level_nu(k) == [nu_reference(m, w) for w in all_words(n, k)]
 
 
 def test_mixing_max_gap_equals_pair_oracle(oracle_case):
@@ -355,8 +351,110 @@ def test_transfer_apply_equals_preimage_sum(oracle_case):
             assert transfer_apply(m, f, mshift, prefix) == brute
 
 
+# -- single-word queries on the kernel against the word-matrix references -----
+
+_WORD_SYSTEMS = {
+    "sg": sg_system,
+    **{f"sg{k}": (lambda k=k: generate_system(k)) for k in (3, 4, 5)},
+    "bernoulli": lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]),
+    "raw170": lambda: renormalize([[list(r) for r in a] for a in RAW_170]),
+    "two-radicand": two_radicand_system,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_WORD_SYSTEMS))
+def word_measures(request):
+    """The exact measure of one system and the measure of its float copy."""
+    system = _WORD_SYSTEMS[request.param]()
+    return kusuoka_measure(system), kusuoka_measure(matsys.to_float_system(system))
+
+
+def _query_words(n: int) -> list:
+    """(word, beta, s): two seeded words of each length 0 .. 8, a beta of length 0 .. 2 and a symbol."""
+    rng = np.random.default_rng(29)
+    return [(tuple(rng.integers(0, n, k).tolist()), tuple(rng.integers(0, n, k % 3).tolist()), int(rng.integers(n)))
+            for k in range(9) for _ in range(2)]
+
+
+def test_word_queries_equal_word_matrix_reference(word_measures):
+    m = word_measures[0]
+    for word, beta, s in _query_words(m.system.n_symbols):
+        assert nu(m, word) == nu_reference(m, word)
+        assert conditional(m, word, s) == nu_reference(m, word + (s,)) / nu_reference(m, word)
+        assert (h_state(m, word).h == h_reference(m, word)).all()
+        if word:
+            assert g_approx(m, word) == g_reference(m, word)
+        gaps = correlation_gaps_reference(m, word, beta, 3)
+        assert measure._correlation_gaps(m, word, beta, 3) == gaps
+        assert correlation_gap(m, word, beta, 3) == gaps[-1]
+
+
+def test_float_word_queries_agree_with_word_matrix_reference(word_measures):
+    """Relative to the value; a gap relative to nu(alpha) nu(beta), the size of the terms it is the difference of.
+
+    The float quadratic forms carry the squared conditioning of the maps:
+    over a few hundred random words of length 6 to 8 on sg3 .. sg5 the
+    deviation reaches about 1e-12, so this seeded set is a spot check, not a bound.
+    """
+    m = word_measures[1]
+    for word, beta, s in _query_words(m.system.n_symbols):
+        assert nu(m, word) == pytest.approx(nu_reference(m, word), rel=FLOAT_RTOL, abs=0)
+        want = nu_reference(m, word + (s,)) / nu_reference(m, word)
+        assert conditional(m, word, s) == pytest.approx(want, rel=FLOAT_RTOL, abs=0)
+        h, want = h_state(m, word).h, h_reference(m, word)
+        assert np.abs(h - want).max() <= FLOAT_RTOL * np.abs(want).max()
+        if word:
+            assert g_approx(m, word) == pytest.approx(g_reference(m, word), rel=FLOAT_RTOL, abs=0)
+        scale = nu_reference(m, word) * nu_reference(m, beta)
+        got, want = measure._correlation_gaps(m, word, beta, 3), correlation_gaps_reference(m, word, beta, 3)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * scale
+
+
+def test_level_g_equals_per_word_g_approx(word_measures):
+    for m in word_measures:
+        n = m.system.n_symbols
+        for k in range(1, 5):
+            if n ** k > 1296:
+                break
+            want = [g_approx(m, w) for w in all_words(n, k)]
+            if m.system.field.exact:
+                assert m.level_g(k) == want
+            else:
+                assert m.level_g(k) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_level_g_guards(sg_measure):
+    with pytest.raises(ValueError):
+        sg_measure.level_g(0)
+    with pytest.raises(BudgetError):
+        sg_measure.level_g(3, budget=26)
+
+
+@pytest.mark.parametrize("name", ["sg", "sg3", "two-radicand", "raw170", "bernoulli"])
+def test_word_queries_take_no_radical_arithmetic(name, monkeypatch):
+    """nu, conditional, g_approx, h_state, transfer_apply, the correlation gaps and the level g table stay packed."""
+    m = kusuoka_measure(_WORD_SYSTEMS[name]())
+    n = m.system.n_symbols
+    word, f = tuple(i % n for i in range(1, 7)), indicator(m.system, (n - 1, 0))
+
+    def refuse(*args):
+        raise AssertionError("Radical arithmetic")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+               "__neg__", "__pow__", "_inverse", "sqrt"):
+        monkeypatch.setattr(Radical, op, refuse)
+    nu(m, word)
+    conditional(m, word, n - 1)
+    g_approx(m, word)
+    h_state(m, word)
+    transfer_apply(m, f, 2, word)
+    measure._correlation_gaps(m, word[:2], word[2:], 4)
+    correlation_gap(m, word[:3], word[3:], 2)
+    m.level_g(3)
+
+
 def test_kernel_sign_matches_radical_sign():
-    q = kusuoka_measure(_two_radicand_system())._quad
+    q = kusuoka_measure(two_radicand_system())._quad
     rng = np.random.default_rng(11)
     # near-cancelling elements: a + b sqrt15 + c sqrt30 + d sqrt2 with a ~ -c sqrt30, etc.
     coords = rng.integers(-40, 41, (400, 4)).astype(object)
@@ -410,7 +508,7 @@ def test_kernel_budget_checked_before_allocating(capsys):
 def test_mixing_bounds_are_floats_when_theta1_is_uncertified():
     # theta1 of this system is 1 but not certified (ROADMAP item 2): the bound
     # columns are floats, the maxima stay exact
-    m = kusuoka_measure(_two_radicand_system())
+    m = kusuoka_measure(two_radicand_system())
     assert spectral.theta1(m.system).exact is None
     rows = mixing_bound_check(m, 1, 2)
     assert len(rows) == 3

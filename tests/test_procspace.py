@@ -10,7 +10,7 @@ from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix, frobenius_sq
 from kusuoka.matsys import bernoulli_system, sg_system
-from kusuoka.measure import kusuoka_measure, nu
+from kusuoka.measure import kusuoka_measure
 from kusuoka.procspace import (
     FiniteProcess,
     constant_process,
@@ -32,7 +32,7 @@ from kusuoka.procspace import (
 )
 from kusuoka.spectral import renormalize
 from kusuoka.symbolic import BudgetError, all_words, cylinder_from_values, indicator, word_index, word_matrix
-from test_measure import _two_radicand_system
+from conftest import nu_reference, two_radicand_system
 
 
 def _sigma_z():
@@ -171,7 +171,7 @@ def _projection_oracle(m, f, level):
     """q(alpha) = Tr(A(alpha)^T E F(alpha)) / nu(alpha), word by word on the extended table."""
     sys_ = m.system
     ext = extend(f, level - f.degree)
-    return [np.trace(word_matrix(sys_, w).T @ sys_.energy @ v) / nu(m, w)
+    return [np.trace(word_matrix(sys_, w).T @ sys_.energy @ v) / nu_reference(m, w)
             for w, v in zip(all_words(sys_.n_symbols, level), ext.values)]
 
 
@@ -383,11 +383,6 @@ _DILATION_REGIMES = pytest.mark.parametrize("depth, k, level", [
 ])
 
 
-@pytest.fixture(scope="module")
-def two_radicand():
-    return _two_radicand_system()
-
-
 def _dilation_f(system, depth, k):
     rng = np.random.default_rng(depth * 10 + k)
     vals = [Fraction(int(x), 3) for x in rng.integers(-5, 6, size=system.n_symbols ** depth)]
@@ -575,7 +570,7 @@ def _sqrt7_process(system, rng, degree):
 
 _PACKED_TABLE_CASES = {
     "sg": (sg_system, _random_process),
-    "two-radicand": (_two_radicand_system, _random_process),
+    "two-radicand": (two_radicand_system, _random_process),
     "sg-sqrt7": (sg_system, _sqrt7_process),
 }
 
@@ -645,7 +640,7 @@ def test_packed_inner_product_and_projection_equal_word_products(packed_case):
             alpha, w = word[:proc.degree], word[proc.degree:]
             fw = word_matrix(system, w) @ proc.values[word_index(alpha, n)]
             a = word_matrix(system, word)
-            shadow.append(np.trace(a.T @ e @ fw) / nu(m, word))
+            shadow.append(np.trace(a.T @ e @ fw) / nu_reference(m, word))
         assert list(got) == shadow, level
 
 

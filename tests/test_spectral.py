@@ -39,8 +39,7 @@ from kusuoka.spectral import (
     theta2,
 )
 from kusuoka.symbolic import DEFAULT_BUDGET, BudgetError, all_words, word_matrix
-from conftest import laplace_det
-from test_measure import _two_radicand_system
+from conftest import laplace_det, two_radicand_system
 
 
 def test_theta1_sg_exact(sg):
@@ -599,7 +598,7 @@ _CK_SYSTEMS = {
     "sg": (sg_system, 3),
     **{f"sg{n}": ((lambda n=n: generate_system(n)), 2) for n in (3, 4, 5, 6)},
     "bernoulli": (lambda: bernoulli_system([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]), 2),
-    "two-radicand": (_two_radicand_system, 2),
+    "two-radicand": (two_radicand_system, 2),
     "pythagorean": (_pythagorean_system, 2),
     **{f"raw{b}": ((lambda b=b: _raw_system(b)), 2) for b in range(len(RAW_BASES))},
     "diagonal-d3": (_diagonal_d3, 2),
@@ -773,7 +772,7 @@ def _split_systems() -> dict:
             out[f"seed{seed}"] = renormalize(_random_raw(seed), EXACT)
         except ValueError:
             continue
-    out["two-radicand"] = _two_radicand_system()
+    out["two-radicand"] = two_radicand_system()
     assert len(out) == 31 and sum(name.startswith("seed") for name in out) == 25
     return out
 
