@@ -20,7 +20,7 @@ The layers, from the host up:
              kusuoka gfun --builtin sg --depth 7, in process with their
              output discarded;
              nu and h_state of the length-8 word WORD below on sg, on one
-             measure made before the row: the warm-up batch builds its
+             measure made before the row: the warm-up call builds its
              kernel, and the queries cache nothing else;
              sample_many(sg): 1000 words of length 16 and 10000 words of
              length 20, seed 0;
@@ -33,18 +33,20 @@ The layers, from the host up:
              benchmark's martingale job), and
              q_decay_check(sg, 1, 6, 100 trials, seed 0);
              validate(sg), validate(sg3) and validate(sg4);
-             theta1(sg5), theta1(sg6), c_k(sg5, 1) (the median job class of
-             the certify benchmark), c_k(sg5, 2), c_k(sg6, 1), c_k(sg6, 2)
-             and theta2(sg5, 2); theta1 and c_k(., 1) of the renormalized
-             raw maps RAW below
+             theta1(sg5), theta1(sg6), c_k(sg, 2) (n = 3, the fewest
+             symbols), c_k(sg5, 1) (the median job class of the certify
+             benchmark), c_k(sg5, 2), c_k(sg6, 1), c_k(sg6, 2), c_k(sg6, 3),
+             theta2(sg5, 2) and theta2(sg6, 3); theta1 and c_k(., 1) of the
+             renormalized raw maps RAW below
   cli        kusuoka mixing-bound --builtin sg4 --k 2 --nmax 6 and
              kusuoka report --builtin sg3 | sg4 | sg5, as subprocesses;
              theta2(sg6, 2) on the exact backend, alone in a fresh process
 
 Each layer runs on both backends.  An in-process row first finds how many
-back-to-back calls take at least MIN_REPEAT_S of CPU time (``inner``; the
-first of these batches warms the call up), then times ``--repeats`` runs of
-that many calls.  A record keeps the minimum over the runs of the wall time
+back-to-back calls take at least MIN_REPEAT_S of CPU time (``inner``; one
+untimed call first warms the call up, so a cold first call such as theta2's
+first square root of a large radicand does not size the batch), then times
+``--repeats`` runs of that many calls.  A record keeps the minimum over the runs of the wall time
 (perf_counter) and of the process CPU time (process_time) per call, and
 ``inner``; a CLI row runs one child per repeat and keeps the child's CPU
 time.  Every call but those of the nu and h_state rows builds a fresh
@@ -99,8 +101,9 @@ def _integer_loop() -> int:
 def _inner(fn) -> int:
     """The number of back-to-back calls of ``fn`` that take at least ``MIN_REPEAT_S`` of CPU time.
 
-    Found by timing growing batches, the first of which also warms ``fn`` up.
+    Found by timing growing batches after one untimed call that warms ``fn`` up.
     """
+    fn()
     inner = 1
     while True:
         c0 = time.process_time()
@@ -230,9 +233,11 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
             add("operation", f"validate({name})", backend, lambda: matsys.validate(system))
         for name, system in (("sg5", sg5), ("sg6", sg6)):
             add("operation", f"theta1({name})", backend, lambda: spectral.theta1(system))
-        for name, system, k in (("sg5", sg5, 1), ("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2)):
+        for name, system, k in (("sg", sg, 2), ("sg5", sg5, 1), ("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2),
+                                ("sg6", sg6, 3)):
             add("operation", f"c_k({name}, {k})", backend, lambda: spectral.c_k(system, k))
-        add("operation", "theta2(sg5, 2)", backend, lambda: spectral.theta2(sg5, 2))
+        for name, system, k in (("sg5", sg5, 2), ("sg6", sg6, 3)):
+            add("operation", f"theta2({name}, {k})", backend, lambda: spectral.theta2(system, k))
         raw = spectral.renormalize(raw_maps, backend)
         add("operation", "theta1(raw)", backend, lambda: spectral.theta1(raw))
         add("operation", "c_k(raw, 1)", backend, lambda: spectral.c_k(raw, 1))

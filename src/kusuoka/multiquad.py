@@ -50,8 +50,12 @@ def _radicands(xs) -> set:
 
 
 def _support(num) -> list:
-    """The coordinates of a stack (..., m') that are nonzero somewhere."""
-    return num.reshape(-1, num.shape[-1]).any(axis=0).nonzero()[0].tolist()
+    """The coordinates of a stack (..., m') that are nonzero somewhere.
+
+    ``logical_or.reduce`` reads the entries' own truth values, where ``any``
+    first casts every Python int of an object stack to bool.
+    """
+    return np.logical_or.reduce(num.reshape(-1, num.shape[-1]), axis=0).nonzero()[0].tolist()
 
 
 class _Span:

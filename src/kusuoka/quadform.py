@@ -1,12 +1,13 @@
 """Packed coordinates of symmetric matrices and the quadratic-form kernel.
 
-Cylinder masses, the beta-weights A(beta)^T E A(beta) of the mixing tables
-and of the irreducibility constants, transfer values and the sampler's
-conditionals all go through the quadratic forms Psi_s(B) = A_s B A_s^T,
-their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.  :class:`_Quad`
-holds them as integer arrays over one multiquadratic field
+Cylinder masses, the beta-weights A(beta)^T E A(beta) of the mixing tables,
+the second moments of the irreducibility constants, transfer values and the
+sampler's conditionals all go through the quadratic forms Psi_s(B) = A_s B
+A_s^T, their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.
+:class:`_Quad` holds them as integer arrays over one multiquadratic field
 (:class:`~kusuoka.multiquad.Multiquad`), so a whole level of words
-advances by one matrix product.  Every Psi_s entry is formed once per
+advances by one matrix product, and a form summed over a level by one
+congruence (:meth:`_Quad.congruence`).  Every Psi_s entry is formed once per
 kernel, on integer coordinates of the map entries in the square roots they
 use (:func:`_psi`); the same kernel derives theta1's reps of M = sum_s
 Psi_s, the trace-free basis and theta1, so one kernel serves a whole
@@ -28,7 +29,7 @@ import numpy as np
 from . import linalg
 from .exactnum import Radical, format_exact
 from .matsys import MatrixSystem
-from .multiquad import Multiquad, _radicands, _radicands_of, _Span, _terms, field_of
+from .multiquad import Multiquad, _radicands, _radicands_of, _Span, _support, _terms, field_of
 
 _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
 
@@ -381,6 +382,45 @@ class _Quad(Multiquad):
             out.append(self.parents(out[-1]))
         return out
 
+    def congruence(self, forms, ops):
+        """sum_s R_s^T B R_s for every symmetric form B of a stack (K, D, D, m), as (K, c, c, m) over a den.
+
+        ``ops`` = [R_1 ... R_n] is (D, n*c, m) over a den in the layout of
+        ``psi_star_entries``, R_s its columns s*c .. s*c + c - 1.  For each
+        coordinate j of B and k of R, X = B_j [R_1 ... R_n]_k is one integer
+        product, and one more over the (p, s) axis pairs it with each
+        coordinate i of R (:meth:`_symmetric_sum`); a field of one coordinate
+        takes its two products directly.
+        """
+        (b, bden), (op, oden), dd = forms, ops, len(self.pairs)
+        c = op.shape[1] // self.n
+        rows = op.reshape(dd * self.n, c, self.m)
+        if self.m == 1:
+            x = (b[..., 0] @ op[..., 0]).reshape(len(b), dd * self.n, c)
+            return self._reduce((rows[..., 0].T @ x)[..., None], bden * oden * oden)
+        out = np.zeros((len(b), c, c, self.m), dtype=b.dtype)
+        for j in _support(b) if self.m > 1 else [0]:
+            self._symmetric_sum(out, rows, lambda k: (b[..., j] @ op[..., k]).reshape(len(b), dd * self.n, c), j)
+        return self._reduce(out, bden * oden * oden)
+
+    def _symmetric_sum(self, out, rows, right, j=0):
+        """Add e_i e_j e_k rows_i^T right(k) at coordinate i ^ j ^ k of ``out`` for the coordinates i, k of ``rows`` (N, c, m).
+
+        right(k) is an integer stack (..., N, c) whose term (k, i) is the
+        transpose of term (i, k), as for a Gram matrix or a congruence of a
+        symmetric form: each unordered pair is formed once.
+        """
+        coords = _support(rows) if self.m > 1 else [0]
+        for a, k in enumerate(coords):
+            x = right(k)
+            for i in coords[:a + 1]:
+                t = rows[..., i].T @ x
+                if i != k:
+                    t = t + t.swapaxes(-1, -2)
+                coef = self.common[j & k] * self.common[(j ^ k) & i]
+                out[..., i ^ j ^ k] += t if coef == 1 else coef * t
+        return out
+
     def nu(self, table):
         """<E, P> for every row, as field elements (rows, m)."""
         return self.apply(table, self.nu_op)
@@ -477,12 +517,13 @@ class _Quad(Multiquad):
     def gram(self, t):
         """sum_a t[a, i] t[a, j] for field elements t (a, b, m), as (b, b, m).
 
-        One matrix product over the row axis per pair of coordinates, so no
-        (a, b, b) intermediate is built.
+        One matrix product over the row axis per unordered pair of
+        coordinates (:meth:`_symmetric_sum`), so no (a, b, b) intermediate is
+        built.
         """
         num, den = t
         out = np.zeros((num.shape[1], num.shape[1], self.m), dtype=num.dtype)
-        return self._products(out, lambda i, j: num[:, :, i].T @ num[:, :, j], num, num), den * den
+        return self._symmetric_sum(out, num, lambda k: num[:, :, k]), den * den
 
     def pack(self, mat):
         """One symmetric matrix as a stack of one row."""

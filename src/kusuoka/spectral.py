@@ -154,19 +154,43 @@ def _grams(system: matsys.MatrixSystem, levels, budget: int, q: _Quad | None = N
     Both are Gram matrices over the kernel's trace-free basis f_q: H_ij =
     <f_i, f_j>_E (``_Quad.trace_free_gram``) and G'_ij = sum_{|alpha|=k}
     t_i(alpha) t_j(alpha).  None when d = 1.  The budget is checked before
-    the kernel is built (or the caller's kernel ``q`` of ``system`` is used);
-    one beta-weight chain serves all k.
+    the kernel is built (or the caller's kernel ``q`` of ``system`` is used).
+
+    No level past the first enumerates its words.  With b(w) the packed row
+    of Psi*_w(E) and S_s the packed Psi*_s, b(sw) = b(w) S_s, so the second
+    moment B_j = sum_{|w|=j} b(w)^T b(w) obeys B_(j+1) = sum_s S_s^T B_j S_s,
+    and G'_(j+1) = sum_s P_s^T B_j P_s with P_s = S_s W F, W the packed
+    weights and F the basis as columns.  Level 1 pairs its n rows b(s) with
+    the basis and sums them (``_Quad.pair``, ``_Quad.gram``), and B_1 is
+    their Gram matrix; each further B_j is one ``_Quad.congruence`` by the
+    S_s, P is one field product of the rows of S with W F, and one
+    congruence by the P_s of the stacked B_(k-1) gives every G'_k, k >= 2.
     """
     if system.dim == 1:
         return None
     levels = tuple(sorted(levels))
     symbolic.check_budget(system.n_symbols, levels[-1], budget)
     q = q or _Quad(system)
-    fs = q.trace_free
-    forms = [q.trace_free_gram] + [q.gram(q.pair(weights, fs))
-                                   for k, weights in enumerate(q.betas(levels[-1])) if k in levels]
+    rows = q.parents(q.energy)
+    forms = [q.trace_free_gram]
+    if levels[0] == 1:
+        forms.append(q.gram(q.pair(rows, q.trace_free)))
+    if levels[-1] > 1:
+        (snum, sden), (fnum, fden), dd = q.psi_star_entries, q.trace_free, len(q.pairs)
+        wf = fnum.reshape(len(fnum), dd, q.m) * np.array(q.weight, dtype=fnum.dtype)[:, None]  # W F, one f_i a row
+        pnum, pden = q.matmul((snum.reshape(dd * q.n, dd, q.m), sden), (wf.transpose(1, 0, 2), fden))
+        pushed = pnum.reshape(dd, -1, q.m), pden  # [P_1 ... P_n]: row p * n + s of S times W F
+        num, den = q.gram((rows[0].reshape(q.n, dd, q.m), rows[1]))
+        moment = num[None], den  # B_1
+        moments = [moment] if 2 in levels else []
+        for j in range(2, levels[-1]):
+            moment = q.congruence(moment, q.psi_star_entries)  # B_j
+            if j + 1 in levels:
+                moments.append(moment)
+        num, den = q.congruence(q.join(moments) if len(moments) > 1 else moments[0], pushed)
+        forms += [(g, den) for g in num]
     den = math.lcm(*(d for _, d in forms))
-    return _Forms(q, levels, np.concatenate([num * (den // d) for num, d in forms], axis=1), den)
+    return _Forms(q, levels, np.concatenate([num if d == den else num * (den // d) for num, d in forms], axis=1), den)
 
 
 def _smallest_eigenvalues(forms: _Forms) -> dict:
@@ -217,12 +241,12 @@ def c_k(system: matsys.MatrixSystem, k: int, budget: int = symbolic.DEFAULT_BUDG
     whose entries lie in the field of E, the sum is y^T G' y with
     G'_ij = sum_alpha t_i(alpha) t_j(alpha), t_i(alpha) = Tr(Psi*_alpha(E) f_i),
     and the constraint is y^T H y = 1 with H_ij = <f_i, f_j>_E.  So c_k is the
-    least eigenvalue of H^-1 G', which is similar to a symmetric matrix.  The
-    level-k beta-weights Psi*_alpha(E) = A(alpha)^T E A(alpha) come from k
-    adjoint steps of the packed kernel, starting at E; one pairing with the
-    packed f_q gives every t_i(alpha), and one product over the word axis
-    sums them to G'.  No square root and no iterative optimization is
-    involved.
+    least eigenvalue of H^-1 G', which is similar to a symmetric matrix.
+    G' is the congruence of the second moment sum_alpha b(alpha)^T
+    b(alpha) of the packed beta-weights b(alpha) = Psi*_alpha(E) = A(alpha)^T
+    E A(alpha), and that moment follows one congruence by the packed Psi*_s
+    per level (:func:`_grams`): no word of length k >= 2 is enumerated.  No
+    square root and no iterative optimization is involved.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -246,7 +270,7 @@ class Theta2Result:
 
 
 def theta2(system: matsys.MatrixSystem, k_max: int, budget: int = symbolic.DEFAULT_BUDGET) -> Theta2Result:
-    """Both decay rates from c_1 ... c_k_max, read off one chain of beta-weights."""
+    """Both decay rates from c_1 ... c_k_max, every level's form from one second-moment recursion."""
     return _theta2(system, k_max, budget)
 
 

@@ -806,6 +806,89 @@ def test_closed_form_agrees_with_the_elimination_route():
     assert declined >= 4 and complex_pairs >= 4
 
 
+def _enumerated_forms(system, levels) -> list:
+    """[H, G'_k for k in levels] as (num, den) stacks in the kernel's field, by the route before the second-moment
+    recursion: the beta-weight row of every word up to the deepest level (``_Quad.betas``), each paired with the
+    trace-free basis (``_Quad.pair``) and the pairings summed by one product over the word axis per pair of
+    coordinates."""
+    q = quadform._Quad(system)
+    forms = [q.trace_free_gram]
+    for k, weights in enumerate(q.betas(max(levels))):
+        if k in levels:
+            num, den = q.pair(weights, q.trace_free)
+            out = np.zeros((num.shape[1], num.shape[1], q.m), dtype=num.dtype)
+            forms.append((q._products(out, lambda i, j: num[:, :, i].T @ num[:, :, j], num, num), den * den))
+    return forms
+
+
+def _moment_systems() -> dict:
+    """The 31 systems of the closed-form test (sg ... sg6, 25 renormalized raws, two-radicand) and the d = 3
+    diagonal system."""
+    return {**_split_systems(), "diagonal-d3": _diagonal_d3()}
+
+
+def test_moment_recursion_equals_the_word_enumeration():
+    """[H | G'_1 ... G'_4] by the second-moment recursion equal the word enumeration's exactly on 32 systems.
+    On the float backend H and G'_1 take the same route and bits; G'_2 ... G'_4 agree within 1e-14 relative."""
+    levels = (1, 2, 3, 4)
+    for name, system in _moment_systems().items():
+        forms = spectral._grams(system, levels, DEFAULT_BUDGET)
+        r = len(forms.num)
+        for i, (num, den) in enumerate(_enumerated_forms(system, levels)):
+            got = forms.num[:, i * r:(i + 1) * r]
+            assert got.shape == num.shape and (got * den == num * forms.den).all(), (name, i)
+        fsys = to_float_system(system)
+        fh, fgrams = spectral._grams(fsys, levels, DEFAULT_BUDGET).unpack()
+        (hnum, _), *want = _enumerated_forms(fsys, levels)
+        assert fh.tobytes() == hnum[..., 0].tobytes() and fgrams[1].tobytes() == want[0][0][..., 0].tobytes()
+        for k, (num, _) in zip(levels[1:], want[1:]):
+            ref = num[..., 0]
+            assert np.max(np.abs(fgrams[k] - ref)) <= 1e-14 * np.max(np.abs(ref)), (name, k)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("weights", [(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))])
+def test_bernoulli_constants_stay_not_applicable(weights, backend):
+    system = bernoulli_system(list(weights), backend)
+    assert spectral._grams(system, (1, 2, 3, 4), DEFAULT_BUDGET) is None
+    for k in (1, 2, 3, 4):
+        assert c_k(system, k) == CkResult(k, False, None, None)
+    res = theta2(system, 4)
+    assert not res.applicable and res.c_values == {k: CkResult(k, False, None, None) for k in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("call", ["c_k", "theta2"])
+def test_deeper_levels_add_products_not_words(call, monkeypatch):
+    """c_k(sg6, k) and theta2(sg6, k), k = 1 ... 4, step Psi* once (one ``parents`` of E, no ``betas``); each
+    level past the first adds one ``congruence``, the ``matmul`` count is the same at every level past the
+    first (level 2 adds the one product of S with W F), and no stack handed to a field product has more than
+    n * D rows, however deep the level."""
+    system = generate_system(6)
+    n, dd = system.n_symbols, 3
+    events = []
+
+    def spy(cls, name, rows):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a: events.append((name, rows(*a))) or real(self, *a))
+
+    spy(quadform._Quad, "parents", lambda table: len(table[0]))
+    spy(quadform._Quad, "betas", lambda k: n ** k)
+    spy(quadform._Quad, "pair", lambda x, y: len(x[0]))
+    spy(quadform._Quad, "gram", lambda t: len(t[0]))
+    spy(quadform._Quad, "congruence", lambda forms, ops: len(forms[0]))
+    spy(multiquad.Multiquad, "matmul", lambda x, y: x[0].size // (x[0].shape[-2] * x[0].shape[-1]))
+    counts = []
+    for k in (1, 2, 3, 4):
+        events.clear()
+        c_k(system, k) if call == "c_k" else theta2(system, k)
+        names = [e[0] for e in events]
+        assert names.count("parents") == 1 and "betas" not in names
+        assert max(rows for _, rows in events) <= n * dd
+        counts.append((names.count("matmul"), names.count("congruence")))
+    matmuls = [m for m, _ in counts]
+    assert matmuls[1:] == [matmuls[0] + 1] * 3 and [c for _, c in counts] == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("rows", [[[1, 1], [1, Radical.root(2)]], [[Radical.root(2), -1], [1, 0]]],
                          ids=["surd-discriminant", "complex-surd-trace"])
 def test_a_surd_discriminant_declines_as_before(rows):
