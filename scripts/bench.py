@@ -8,7 +8,8 @@ The layers, from the host up:
                row by them takes out most of the host's own drift between
                two files (backend "host")
   scalar     2x2 matrix product (Radical entries on exact, float64 on float)
-  tables     level_nu(sg3, 5): every depth-5 cylinder mass
+  tables     level_nu(sg3, 5): every depth-5 cylinder mass, and
+             level_nu(sg3, 3) (the shape of the benchmark's level-nu job)
   operation  generate_system(3), generate_system(6) and renormalize(RAW),
              the raw maps RAW below; harmonic_extension(build_graph(n)) for
              n = 6, 10, the Dirichlet solve of generate_system, and
@@ -197,7 +198,8 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
         f1, f3, f4, f6 = (symbolic.cylinder_from_values(
             sg, depth, [int(x) for x in np.random.default_rng(0).integers(-3, 4, 3**depth)]) for depth in (1, 3, 4, 6))
         add("scalar", "2x2 matmul", backend, lambda: a @ b)
-        add("tables", "level_nu(sg3, 5)", backend, lambda: measure.kusuoka_measure(sg3).level_nu(5))
+        for depth in (5, 3):
+            add("tables", f"level_nu(sg3, {depth})", backend, lambda: measure.kusuoka_measure(sg3).level_nu(depth))
         for n in (3, 6):
             add("operation", f"generate_system({n})", backend, lambda: gasket.generate_system(n, backend))
         add("operation", "renormalize(RAW)", backend, lambda: spectral.renormalize(raw_maps, backend))

@@ -108,6 +108,18 @@ class Radical:
         return obj
 
     @classmethod
+    def _from_sorted(cls, terms: list) -> "Radical":
+        """The element of (radicand, coefficient) terms already in canonical form, taken as they are.
+
+        The caller guarantees what :meth:`from_terms` establishes: squarefree,
+        distinct radicands in increasing order and nonzero ``Fraction``
+        coefficients.
+        """
+        obj = object.__new__(cls)
+        obj._t = tuple(terms)
+        return obj
+
+    @classmethod
     def _from_int(cls, n: int) -> "Radical":
         obj = object.__new__(cls)
         obj._t = ((1, Fraction(n)),) if n else ()

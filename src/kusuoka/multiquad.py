@@ -74,6 +74,9 @@ class _Span:
         self.radicand, self.scale = radicand, scale
         self.m = len(radicand)
         self.where = {r: b for b, r in enumerate(radicand)}
+        self.by_radicand = sorted(range(self.m), key=radicand.__getitem__)
+        # (coordinate, radicand, scale) by increasing radicand: the order of a Radical's terms
+        self._terms_plan = [(b, radicand[b], scale[b]) for b in self.by_radicand]
 
     @classmethod
     def roots(cls, radicands, exact: bool) -> "_Span":
@@ -157,14 +160,19 @@ class _Span:
         return {r for b, r in enumerate(self.radicand) if (num[..., b] != 0).any()}
 
     def unpack(self, num, den) -> list:
-        """Elements (N, m) back to scalars of the backend."""
+        """Elements (N, m) back to scalars of the backend.
+
+        An exact row is read one coordinate at a time by increasing radicand,
+        with each coordinate's scale fixed when the span is made: one
+        ``Fraction`` per nonzero coordinate, and the terms, already in
+        ``Radical``'s order, go to its trusted constructor with no dict and
+        no sort.
+        """
         if not self.exact:
             return self.unpack_array(num, den).tolist()
-        radicand, scale = self.radicand, self.scale
-        return [
-            Radical.from_terms({radicand[b]: Fraction(scale[b] * x, den) for b, x in enumerate(row) if x})
-            for row in np.asarray(num).tolist()
-        ]
+        plan, build = self._terms_plan, Radical._from_sorted
+        return [build([(r, Fraction(s * row[b], den)) for b, r, s in plan if row[b]])
+                for row in np.asarray(num).tolist()]
 
     def unpack_array(self, num, den) -> np.ndarray:
         """Elements (..., m) back to one array of the backend's scalars, of shape (...)."""
@@ -206,14 +214,16 @@ class Multiquad(_Span):
             common[b] = common[low] * g
         super().__init__(radicand, scale, exact)
         self.common = common
-        self.by_radicand = sorted(range(m), key=radicand.__getitem__)
         self.root = [math.sqrt(r) for r in radicand]
+
+    def holding(self, radicands) -> "Multiquad":
+        """This field when it holds sqrt(r) for every r of ``radicands``, else the smallest field holding both."""
+        return self if self.where.keys() >= radicands else field_of(frozenset(self.radicand) | radicands, self.exact)
 
     def pack_holding(self, xs):
         """(field, stack): this field, or the smallest holding it and the scalars xs (1-d), and xs packed there in one walk."""
         terms = _terms(xs)
-        radicands = _radicands_of(terms)
-        fld = self if self.where.keys() >= radicands else field_of(frozenset(self.radicand) | radicands, self.exact)
+        fld = self.holding(_radicands_of(terms))
         return fld, fld.pack_array(xs, terms)
 
     def _mul_table(self, x):
@@ -480,6 +490,13 @@ class MapField(NamedTuple):
         num = np.zeros_like(self.energy[0])
         num[..., 0] = np.eye(len(num), dtype=int)
         return num, 1
+
+    def holding(self, radicands) -> "MapField":
+        """These maps and E, moved into the smallest field also holding sqrt(r) for each r of ``radicands`` if this one does not."""
+        fld = self.fld.holding(radicands)
+        if fld is self.fld:
+            return self
+        return MapField(fld, fld._convert(self.fld, *self.maps), fld._convert(self.fld, *self.energy))
 
 
 def map_field(maps, energy, radicands=()) -> MapField:

@@ -192,16 +192,33 @@ def transfer_L(f: FiniteProcess) -> FiniteProcess:
 
 
 def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.DEFAULT_BUDGET) -> FiniteProcess:
-    """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha)."""
+    """Isometric embedding of a cylinder function: alpha -> f(alpha) A(alpha).
+
+    The maps are packed afresh in a field that holds f's values, and the
+    word matrices of f's depth extended from I there (:func:`_embed`).
+    """
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
     terms = _terms(f.values)
     maps = map_field(system.maps, system.energy, _radicands_of(terms))
-    fld, (num, den) = maps.fld, maps.identity
+    num, den = maps.identity
     words = extend(FiniteProcess._packed(system, 0, maps, (num[None], den)), f.depth, budget)._table
+    return _embed(system, f, terms, maps, words)
+
+
+def _embed(system: MatrixSystem, f: CylinderFunction, terms, maps: MapField, words) -> FiniteProcess:
+    """The embedding of f from the packed word matrices ``words`` (n^depth, d, d, m) of f's depth in the field of ``maps``.
+
+    ``terms`` is :func:`_terms` of f's values.  When they add a radicand,
+    the maps and the words are first moved into the field that holds them
+    (:meth:`MapField.holding`); then each word matrix is multiplied by its
+    packed value, one field product for the whole table.
+    """
+    held = maps.holding(_radicands_of(terms))
+    fld = held.fld
+    num, den = fld._convert(maps.fld, *words)
     vals, vals_den = fld.pack_array(f.values, terms)
-    table = fld._reduce(fld.mul(vals[:, None, None], words[0]), vals_den * words[1])
-    return FiniteProcess._packed(system, f.depth, maps, table)
+    return FiniteProcess._packed(system, f.depth, held, fld._reduce(fld.mul(vals[:, None, None], num), vals_den * den))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +255,8 @@ def _level_masses(m: KusuokaMeasure, fld, level: int, budget: int):
     return fld._convert(m._quad, *m._quad.nu(m._level_table(level, budget)))
 
 
-def _split(m: KusuokaMeasure, fld, weighted, masses, level: int) -> MartingaleRep:
-    """The martingale components of f from its packed mass-weighted values f nu at the deepest level.
+def _components(m: KusuokaMeasure, fld, weighted, masses, level: int):
+    """The martingale components of f from its packed mass-weighted values f nu at the deepest level, as one stack.
 
     ``weighted`` and ``masses`` are stacks (n^level, m) of ``fld``, the
     second from :func:`_level_masses`.  The sums of f nu and of nu over the
@@ -250,7 +267,8 @@ def _split(m: KusuokaMeasure, fld, weighted, masses, level: int) -> MartingaleRe
     rational norms.  The inverse skips every generator the masses do not
     use, so the rational masses of the gaskets are inverted in Q.
     Component j is the level-j average minus the level-(j-1) average
-    pulled back to depth j; each of its entries is unpacked once.
+    pulled back to depth j.  The result (1 + n + ... + n^level, m) holds
+    component 0, then component 1, and so on, each in word order.
     """
     n, k = m.system.n_symbols, fld.m
     (num, den), (mass, mass_den) = weighted, masses
@@ -267,9 +285,20 @@ def _split(m: KusuokaMeasure, fld, weighted, masses, level: int) -> MartingaleRe
     avg, avg_den = fld.divide((sums[:k].T, den), (sums[k:].T, mass_den))
     # below level 0, less every level-j average but the deepest pulled back to depth j + 1
     avg[1:] -= avg[:len(avg) - len(num)].repeat(n, axis=0)
-    vals = fld.unpack_array(avg, avg_den)
+    return avg, avg_den
+
+
+def _split(m: KusuokaMeasure, fld, weighted, masses, level: int) -> MartingaleRep:
+    """The martingale components of f as a :class:`MartingaleRep`: the packed core :func:`_components`, each entry unpacked once.
+
+    :func:`martingale_decompose` and :func:`project_Q` end here;
+    :func:`dilation_check` compares the two cores' stacks and unpacks only
+    a nonzero gap.
+    """
+    n = m.system.n_symbols
+    vals = fld.unpack_array(*_components(m, fld, weighted, masses, level))
     comps, start = [], 0
-    for j in range(len(levels)):
+    for j in range(level + 1):
         comps.append(CylinderFunction(j, n, vals[start:start + n ** j], m.system.backend))
         start += n ** j
     return MartingaleRep(m, tuple(comps))
@@ -311,8 +340,14 @@ def project_Q(
     mass-weighted values the packed split takes (:func:`_split`), so the
     shadow is never divided by the masses on its own.
     """
-    sys_ = m.system
     level = f.degree if up_to_level is None else max(f.degree, up_to_level)
+    fld = f._maps.fld
+    return _split(m, fld, _shadows(m, f, level, budget), _level_masses(m, fld, level, budget), level)
+
+
+def _shadows(m: KusuokaMeasure, f: FiniteProcess, level: int, budget: int):
+    """The products q nu of f's shadow and the masses at ``level`` >= f.degree, as a stack (n^level, m) of f's field."""
+    sys_ = m.system
     symbolic.check_budget(sys_.n_symbols, level, budget)
     fld, q = f._maps.fld, m._quad
     words = fld._convert(m._maps.fld, *m._word_table(f.degree, budget))
@@ -321,7 +356,7 @@ def project_Q(
     betas, beta_den = fld._convert(q, num.reshape(len(num), -1, q.m)[:, symmetric_index(sys_.dim)], den)
     # (A(alpha) F(alpha)^T).ravel() against the full beta-weight of each word w, one column per w
     shadow, den = fld.matmul((rows.reshape(len(rows), -1, fld.m), rows_den), (betas.swapaxes(0, 1), beta_den))
-    return _split(m, fld, (shadow.reshape(-1, fld.m), den), _level_masses(m, fld, level, budget), level)
+    return shadow.reshape(-1, fld.m), den
 
 
 def _norm_scalar(x, field):
@@ -368,14 +403,23 @@ def dilation_check(
 ):
     """Residual of the dilation identity: transfer-then-project vs direct.
 
-    Path (a) embeds f, applies the process transfer operator k times and
-    projects back, keeping components up to ``level``.  Path (b) forms the
+    Path (a) embeds f from the measure's own packed maps and its cached
+    word table of f's depth (:func:`_embed`; a value outside the field of
+    the maps moves both into a field that holds it), so the projection
+    finds the shallower word tables it reads already built.  It applies
+    the process transfer operator k times and forms the projection's
+    shadows times the masses (:func:`_shadows`).  Path (b) forms the
     k-step scalar transfer image times the level masses, for every level
-    cylinder at once and for one packed split (:func:`_split`): by the trace
-    formula on the beta-weights of the level words when the shift consumes
-    all of f's depth, by a common-refinement sum otherwise.  The two
-    martingale representations agree; the returned max component gap is
-    zero on the exact backend.
+    cylinder at once: by the trace formula on the beta-weights of the
+    level words when the shift consumes all of f's depth, by a
+    common-refinement sum otherwise.  The shadows are moved into the field
+    of path (b) extended by the roots they use, which holds both, and each
+    path ends in the packed split there (:func:`_components`), with the
+    masses of each level read once.  The components of levels 0 ...
+    ``level`` are subtracted once: when every coordinate of the gap is 0,
+    the result is the backend's zero and nothing is unpacked.  A nonzero
+    gap (float rounding, or a broken identity) is unpacked and its largest
+    absolute entry returned.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -385,26 +429,40 @@ def dilation_check(
     level = f.depth if level is None else level
     if level < 0:
         raise ValueError("level must be >= 0")
-
-    g = embed_phi(sys_, f, budget)
+    terms = _terms(f.values)
+    g = _embed(sys_, f, terms, m._maps, m._word_table(f.depth, budget))
     for _ in range(k):
         g = transfer_L(g)
-    rep_a = project_Q(m, g, up_to_level=level, budget=budget)
+    deep, fld_a = max(g.degree, level), g._maps.fld
+    shadows, shadows_den = _shadows(m, g, deep, budget)
+    fld = m._quad.holding(_radicands_of(terms) | fld_a.used(shadows))
+    masses = {}
 
-    fld, fv = m._quad.pack_holding(f.values)
+    def level_masses(j):
+        """The masses of level j as a stack of fld, read once."""
+        if j not in masses:
+            masses[j] = _level_masses(m, fld, j, budget)
+        return masses[j]
+
+    comps_a = _components(m, fld, fld._convert(fld_a, shadows, shadows_den), level_masses(deep), deep)
+
+    fv = fld.pack_array(f.values, terms)
     # the transfer image times the level masses, the values the packed split takes
     if k >= f.depth:
         weighted = measure._transfer_values(m, m._beta_table(level, budget), k - f.depth, fld, fv, f.depth, budget)
     else:
         # a word of length big reads (k shifted symbols, level cylinder, rest)
         big = max(f.depth, k + level)
-        masses, mass_den = _level_masses(m, fld, big, budget)
-        num = fld.mul(np.repeat(fv[0], n ** (big - f.depth), axis=0), masses)
+        big_masses, mass_den = level_masses(big)
+        num = fld.mul(np.repeat(fv[0], n ** (big - f.depth), axis=0), big_masses)
         weighted = num.reshape(n ** k, n ** level, -1, fld.m).sum(axis=(0, 2)), fv[1] * mass_den
-    rep_b = _split(m, fld, weighted, _level_masses(m, fld, level, budget), level)
+    comps_b = _components(m, fld, weighted, level_masses(level), level)
 
-    gaps = [a.values - b.values for a, b in zip(rep_a.components, rep_b.components)]
-    return np.abs(np.concatenate(gaps)).max()
+    rows = len(comps_b[0])  # path (a) splits deeper when g's degree exceeds level
+    num, den = fld.sub((comps_a[0][:rows], comps_a[1]), comps_b)
+    if not num.any():
+        return sys_.field.zero
+    return np.abs(fld.unpack_array(num, den)).max()
 
 
 # -- fresh-innovation subspace ------------------------------------------------

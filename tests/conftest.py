@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kusuoka import matsys, measure
+from kusuoka import matsys, measure, procspace, symbolic
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, FLOAT, as_matrix
@@ -121,3 +121,33 @@ def correlation_gaps_reference(m, alpha, beta, nmax):
         num, den = q.pair(p_alpha, weight)
         gaps.append(q.unpack(num[0], den)[0] - product)
     return gaps
+
+
+# -- the dilation residual as the component route formed it --------------------
+
+
+def dilation_reference(m, f, k, level=None, budget=symbolic.DEFAULT_BUDGET):
+    """The dilation residual by unpacked martingale representations, the reference for the packed comparison.
+
+    Path (a) is ``embed_phi``, k transfers and ``project_Q``; path (b) is the
+    k-step transfer image times the level masses, through ``_split``.  The
+    residual is the largest |a.values - b.values| over the components of
+    levels 0 ... ``level``, both sides unpacked.
+    """
+    sys_, n = m.system, m.system.n_symbols
+    level = f.depth if level is None else level
+    g = procspace.embed_phi(sys_, f, budget)
+    for _ in range(k):
+        g = procspace.transfer_L(g)
+    rep_a = procspace.project_Q(m, g, up_to_level=level, budget=budget)
+    fld, fv = m._quad.pack_holding(f.values)
+    if k >= f.depth:
+        weighted = measure._transfer_values(m, m._beta_table(level, budget), k - f.depth, fld, fv, f.depth, budget)
+    else:
+        big = max(f.depth, k + level)
+        masses, mass_den = procspace._level_masses(m, fld, big, budget)
+        num = fld.mul(np.repeat(fv[0], n ** (big - f.depth), axis=0), masses)
+        weighted = num.reshape(n ** k, n ** level, -1, fld.m).sum(axis=(0, 2)), fv[1] * mass_den
+    rep_b = procspace._split(m, fld, weighted, procspace._level_masses(m, fld, level, budget), level)
+    gaps = [a.values - b.values for a, b in zip(rep_a.components, rep_b.components)]
+    return np.abs(np.concatenate(gaps)).max()

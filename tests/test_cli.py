@@ -359,6 +359,17 @@ def test_dilation_residual(capsys):
     assert out.strip() == "residual = 0"
 
 
+@pytest.mark.parametrize("argv, residual", [
+    (["--builtin", "sg", "--k", "2"], "5.5511151231257827e-17"),
+    (["--builtin", "sg3", "--k", "1", "--level", "2"], "0"),
+])
+def test_dilation_residual_float(capsys, argv, residual):
+    """The float gap, unpacked and maxed, prints to the bit: a rounding residual and an exact float zero."""
+    code, out, _ = run(capsys, "dilation", *argv, "--backend", "float")
+    assert code == 0
+    assert out == f"residual = {residual}\n"
+
+
 def test_dilation_custom_function(capsys, tmp_path):
     ffile = tmp_path / "f.json"
     ffile.write_text(json.dumps({"depth": 2, "values": {"01": "1", "20": "-1/2"}}))

@@ -62,6 +62,33 @@ def _field_and_values():
     return multiquad.Multiquad({2, 3}, True), vals
 
 
+def _unpack_reference(fld, num, den):
+    """Rows (N, m) as scalars the dict way: a Fraction per nonzero coordinate, sorted by Radical.from_terms."""
+    return [Radical.from_terms({fld.radicand[b]: Fraction(fld.scale[b] * x, den) for b, x in enumerate(row) if x})
+            for row in np.asarray(num).tolist()]
+
+
+@pytest.mark.parametrize("radicands", [frozenset(), frozenset({2}), frozenset({2, 3}), frozenset({6, 10})],
+                         ids=["m1", "m2", "m4", "m4-scaled"])
+def test_unpack_equals_the_dict_route(radicands):
+    """Unpacked rows equal the dict-and-sort route's, term for term and in hash, with zero rows, signs and den > 1."""
+    fld = multiquad.field_of(radicands, True)
+    assert fld.m == 1 << len(radicands)
+    if radicands == {6, 10}:
+        assert fld.scale == [1, 1, 1, 2]
+    rng = np.random.default_rng(fld.m + len(fld.gens))
+    for den in (1, 2, 35, 360):
+        num = np.array(rng.integers(-40, 41, (60, fld.m)).tolist(), dtype=object)
+        num[::7] = 0  # zero rows
+        num[1::5, 0] = 0  # rows with no rational part
+        num[2] = [10**30 + 7, -(10**25)] * (fld.m // 2) if fld.m > 1 else [-(10**30)]
+        got, want = fld.unpack(num, den), _unpack_reference(fld, num, den)
+        assert [x.terms() for x in got] == [x.terms() for x in want]
+        assert [hash(x) for x in got] == [hash(x) for x in want]
+        assert got == want and all(x.is_zero() for x in got[::7])
+        assert all(type(c) is Fraction for x in got for _, c in x.terms())
+
+
 def test_stacked_inverse_is_the_reciprocal():
     fld, vals = _field_and_values()
     num, den = fld.pack_array(np.array(vals, dtype=object))

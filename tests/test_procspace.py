@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kusuoka import measure, procspace, symbolic
+from kusuoka import measure, multiquad, procspace, symbolic
 from kusuoka.exactnum import Radical
 from kusuoka.gasket import generate_system
 from kusuoka.linalg import EXACT, as_matrix, frobenius_sq
@@ -32,7 +32,7 @@ from kusuoka.procspace import (
 )
 from kusuoka.spectral import renormalize
 from kusuoka.symbolic import BudgetError, all_words, cylinder_from_values, indicator, word_index, word_matrix
-from conftest import nu_reference, two_radicand_system
+from conftest import dilation_reference, nu_reference, two_radicand_system
 
 
 def _sigma_z():
@@ -259,21 +259,25 @@ def test_packed_split_of_a_process_outside_the_field_of_the_maps(sg, sg_measure)
 
 
 def test_split_forms_its_levels_with_no_radical_arithmetic(sg_measure, monkeypatch):
-    """The packed split sums, divides and differences on integer coordinates: no Radical product, division or inverse."""
+    """The packed split sums, divides and differences on integer coordinates: no Radical product, division or inverse.
+
+    The packed core is spied, so the two splits of the dilation check, which
+    never unpack, count with those of martingale_decompose and project_Q.
+    """
     calls = []
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse"):
         orig = getattr(Radical, name)
         monkeypatch.setattr(Radical, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
-    split = procspace._split
+    core = procspace._components
 
     def spied(*args):
         calls.clear()
-        rep = split(*args)
+        out = core(*args)
         spied.calls.append(list(calls))
-        return rep
+        return out
 
     spied.calls = []
-    monkeypatch.setattr(procspace, "_split", spied)
+    monkeypatch.setattr(procspace, "_components", spied)
     f = cylinder_from_values(sg_measure.system, 3, [Fraction(int(x), 3) for x in np.random.default_rng(47).integers(-5, 6, 27)])
     martingale_decompose(sg_measure, f)
     project_Q(sg_measure, embed_phi(sg_measure.system, f), up_to_level=4)
@@ -403,6 +407,61 @@ def test_dilation_identity_every_regime_float(sg_float, depth, k, level):
     assert dilation_check(kusuoka_measure(sg_float), f, k, level=level) <= 1e-13
 
 
+@pytest.mark.parametrize("system_name", ["sg", "sg3", "bern", "two_radicand", "sg_float"])
+@_DILATION_REGIMES
+def test_packed_residual_equals_the_component_route(request, system_name, depth, k, level):
+    """The residual decided on packed stacks is the one the unpacked components give.
+
+    Exact: the Radical zero.  Float: the same bits, the gap unpacked and maxed.
+    """
+    m = kusuoka_measure(request.getfixturevalue(system_name))
+    f = _dilation_f(m.system, depth, k)
+    got, want = dilation_check(m, f, k, level=level), dilation_reference(m, f, k, level)
+    if m.system.field.exact:
+        assert isinstance(got, Radical) and got.is_zero()
+        assert got == want and got.terms() == want.terms()
+    else:
+        assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("system_name", ["sg", "two_radicand"])
+@pytest.mark.parametrize("depth, k, level", [(2, 2, 2), (2, 1, 2), (3, 1, 0)])
+def test_values_outside_the_field_of_the_maps(request, system_name, depth, k, level):
+    """f with a sqrt(7) value: the measure's maps and word table move into a field holding it, and embed_phi agrees."""
+    m = kusuoka_measure(request.getfixturevalue(system_name))
+    vals = list(_dilation_f(m.system, depth, k).values)
+    vals[-1] = vals[-1] + Radical.root(7)
+    f = cylinder_from_values(m.system, depth, vals)
+    got = procspace._embed(m.system, f, multiquad._terms(f.values), m._maps, m._word_table(depth))
+    assert 7 in got._maps.fld.radicand and 7 not in m._maps.fld.radicand
+    assert (got.values == embed_phi(m.system, f).values).all()
+    residual = dilation_check(m, f, k, level=level)
+    assert residual.is_zero() and residual == dilation_reference(m, f, k, level)
+
+
+@pytest.mark.parametrize("system_name", ["sg", "sg3", "two_radicand", "sg_float"])
+@pytest.mark.parametrize("depth, k, level", [(2, 2, 2), (2, 3, 1), (1, 2, 3)])
+def test_broken_identity_gives_the_component_gap(request, monkeypatch, system_name, depth, k, level):
+    """A nonzero gap is unpacked and maxed: path (b) off by one at its first cylinder reads as the component route reads it."""
+    m = kusuoka_measure(request.getfixturevalue(system_name))
+    f = _dilation_f(m.system, depth, k)
+    transfer_values = measure._transfer_values
+
+    def broken(*args):
+        num, den = transfer_values(*args)
+        num = num.copy()
+        num[0, 0] += den
+        return num, den
+
+    monkeypatch.setattr(measure, "_transfer_values", broken)
+    got, want = dilation_check(m, f, k, level=level), dilation_reference(m, f, k, level)
+    assert float(got) > 0.1
+    if m.system.field.exact:
+        assert got == want and got.terms() == want.terms()
+    else:
+        assert float(got).hex() == float(want).hex()
+
+
 @pytest.mark.parametrize("system_name", ["sg", "two_radicand"])
 @_DILATION_REGIMES
 def test_dilation_takes_no_radical_arithmetic_and_no_word_matrix(request, monkeypatch, system_name, depth, k, level):
@@ -416,8 +475,35 @@ def test_dilation_takes_no_radical_arithmetic_and_no_word_matrix(request, monkey
     for module, name in ((measure, "transfer_apply"), (measure, "h_state"), (symbolic, "word_matrix")):
         orig = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
-    assert dilation_check(m, f, k, level=level).is_zero()
+    # an exact zero is decided on the packed gap: nothing is unpacked and no Radical is built
+    for owner, name in ((multiquad._Span, "unpack"), (multiquad._Span, "unpack_array"), (Radical, "__init__")):
+        orig = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, orig=orig, name=name: calls.append(name) or orig(*a))
+    for name in ("from_terms", "_from_sorted", "_from_int"):
+        orig = getattr(Radical, name)
+        monkeypatch.setattr(Radical, name, classmethod(lambda cls, *a, orig=orig, name=name: calls.append(name) or orig(*a)))
+    residual = dilation_check(m, f, k, level=level)
     assert calls == []
+    assert residual is m.system.field.zero
+
+
+@_DILATION_REGIMES
+def test_dilation_reads_the_word_table_the_measure_holds(sg_measure, monkeypatch, depth, k, level):
+    """Path (a) embeds f from the measure's cached word table: no word table is extended again.
+
+    The only deeper steps left are those the transfer operator takes on a
+    degree-0 process, one for each of the k - depth steps past f's depth.
+    """
+    f = _dilation_f(sg_measure.system, depth, k)
+    sg_measure._word_table(depth)
+    held = dict(sg_measure._level_mats)
+    steps = []
+    next_level = symbolic.next_level
+    monkeypatch.setattr(symbolic, "next_level", lambda *a: steps.append(1) or next_level(*a))
+    assert dilation_check(sg_measure, f, k, level=level).is_zero()
+    assert len(steps) == max(k - depth, 0)
+    assert sg_measure._level_mats.keys() == held.keys()
+    assert all(sg_measure._level_mats[j] is held[j] for j in held)
 
 
 def test_innovation_projection(sg_float):
