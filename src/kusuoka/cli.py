@@ -1,7 +1,7 @@
 """Command-line front end.
 
-One subcommand per capability, shared flags for system source, backend,
-budget, seed, and output.  Exit codes: 0 success, 2 validation failure,
+One subcommand per capability, each one ``_COMMANDS`` entry; shared flags
+for system source, backend, budget, seed, and output.  Exit codes: 0 success, 2 validation failure,
 3 budget exceeded, 64 unknown subcommand, 65 malformed configuration or
 unreadable input.  Every number printed from the exact backend is a
 radical string; floats are printed with 17 significant digits.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import gasket, linalg, matsys, measure, procspace, spectral, symbolic, systems
 from .exactnum import Radical, format_exact
@@ -20,40 +19,11 @@ from .linalg import EXACT, FLOAT
 from .measure import SystemInvalidError
 from .symbolic import BudgetError
 
-SUBCOMMANDS = (
-    "validate",
-    "theta1",
-    "ck",
-    "theta2",
-    "measure",
-    "gfun",
-    "sample",
-    "correlate",
-    "mixing-bound",
-    "gasket",
-    "renormalize",
-    "dilation",
-    "qdecay",
-    "report",
-)
-
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_UNKNOWN = 64
 EXIT_CONFIG = 65
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run options, resolved from flags."""
-
-    builtin: str | None
-    infile: str | None
-    backend: str
-    out: str | None
-    seed: int
-    budget_k: int
 
 
 def _fmt_float(x: float) -> str:
@@ -71,26 +41,26 @@ def _fmt_certified(exact, value) -> str:
     return format_exact(exact) if exact is not None else _fmt_float(value)
 
 
-def _load_system(cfg: RunConfig) -> matsys.MatrixSystem:
-    if cfg.builtin is not None and cfg.infile is not None:
+def _load_system(args) -> matsys.MatrixSystem:
+    if args.builtin is not None and args.infile is not None:
         raise ValueError("give either --builtin or --in, not both")
-    if cfg.builtin is not None:
-        return systems.get_builtin(cfg.builtin, cfg.backend)
-    if cfg.infile is not None:
-        with open(cfg.infile, encoding="utf-8") as fh:
+    if args.builtin is not None:
+        return systems.get_builtin(args.builtin, args.backend)
+    if args.infile is not None:
+        with open(args.infile, encoding="utf-8") as fh:
             data = json.load(fh)
         sys_ = matsys.system_from_json(data)
-        if cfg.backend == FLOAT and sys_.backend == EXACT:
+        if args.backend == FLOAT and sys_.backend == EXACT:
             sys_ = matsys.to_float_system(sys_)
-        elif cfg.backend == EXACT and sys_.backend == FLOAT:
+        elif args.backend == EXACT and sys_.backend == FLOAT:
             raise ValueError("file holds a float system; it cannot be promoted to exact")
         return sys_
     raise ValueError("no system given; pass --builtin NAME or --in FILE")
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -102,53 +72,53 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _budget_for(cfg: RunConfig, system: matsys.MatrixSystem) -> int:
-    if cfg.budget_k:
-        return system.n_symbols ** cfg.budget_k
+def _budget_for(args, system: matsys.MatrixSystem) -> int:
+    if args.budget_k:
+        return system.n_symbols ** args.budget_k
     return symbolic.DEFAULT_BUDGET
 
 
 # -- subcommand bodies --------------------------------------------------------
 
 
-def _cmd_validate(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
+def _cmd_validate(args) -> int:
+    sys_ = _load_system(args)
     report = matsys.validate(sys_, args.tol)
     if args.fmt == "json":
-        _emit(cfg, _json_dump({"ok": report.ok, "checks": report.lines()}))
+        _emit(args, _json_dump({"ok": report.ok, "checks": report.lines()}))
     else:
-        _emit(cfg, "\n".join(report.lines() + [f"overall: {'pass' if report.ok else 'FAIL'}"]))
+        _emit(args, "\n".join(report.lines() + [f"overall: {'pass' if report.ok else 'FAIL'}"]))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _cmd_theta1(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
+def _cmd_theta1(args) -> int:
+    sys_ = _load_system(args)
     res = spectral.theta1(sys_)
     print(res.describe())
-    if cfg.out:
+    if args.out:
         body = {
             "value": _fmt_float(res.value),
             "exact": format_exact(res.exact) if res.exact is not None else None,
             "irreducible": res.irreducible,
             "parts": {p: _fmt_float(v) for p, v in res.part_radius.items()},
         }
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_json_dump(body) + "\n")
     return EXIT_OK
 
 
-def _cmd_ck(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
-    res = spectral.c_k(sys_, args.k, _budget_for(cfg, sys_))
+def _cmd_ck(args) -> int:
+    sys_ = _load_system(args)
+    res = spectral.c_k(sys_, args.k, _budget_for(args, sys_))
     if not res.applicable:
         raise ValueError("c_k is undefined: no trace-free symmetric directions (dim 1)")
-    _emit(cfg, f"c_{args.k} = {_fmt_certified(res.exact, res.value)}")
+    _emit(args, f"c_{args.k} = {_fmt_certified(res.exact, res.value)}")
     return EXIT_OK
 
 
-def _cmd_theta2(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
-    res = spectral.theta2(sys_, args.kmax, _budget_for(cfg, sys_))
+def _cmd_theta2(args) -> int:
+    sys_ = _load_system(args)
+    res = spectral.theta2(sys_, args.kmax, _budget_for(args, sys_))
     if not res.applicable:
         raise ValueError("theta2 is undefined: c_1 = 0 for this system")
     lines = [
@@ -157,7 +127,7 @@ def _cmd_theta2(cfg: RunConfig, args) -> int:
     ]
     if not res.irreducibility_ok:
         lines.append("warning: some c_k vanished; rates may be vacuous")
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return EXIT_OK
 
 
@@ -167,32 +137,32 @@ def _level_items(sys_: matsys.MatrixSystem, depth: int, values) -> list:
             for w, x in zip(symbolic.all_words(sys_.n_symbols, depth), values)]
 
 
-def _cmd_measure(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
-    masses = measure.kusuoka_measure(sys_).level_nu(args.depth, _budget_for(cfg, sys_))
-    _emit(cfg, "\n".join(["word,nu"] + [",".join(item) for item in _level_items(sys_, args.depth, masses)]))
+def _cmd_measure(args) -> int:
+    sys_ = _load_system(args)
+    masses = measure.kusuoka_measure(sys_).level_nu(args.depth, _budget_for(args, sys_))
+    _emit(args, "\n".join(["word,nu"] + [",".join(item) for item in _level_items(sys_, args.depth, masses)]))
     return EXIT_OK
 
 
-def _cmd_gfun(cfg: RunConfig, args) -> int:
+def _cmd_gfun(args) -> int:
     if args.depth < 1:
         raise ValueError("gfun needs --depth >= 1")
-    sys_ = _load_system(cfg)
-    ratios = measure.kusuoka_measure(sys_).level_g(args.depth, _budget_for(cfg, sys_))
-    _emit(cfg, "\n".join(["prefix,g"] + [",".join(item) for item in _level_items(sys_, args.depth, ratios)]))
+    sys_ = _load_system(args)
+    ratios = measure.kusuoka_measure(sys_).level_g(args.depth, _budget_for(args, sys_))
+    _emit(args, "\n".join(["prefix,g"] + [",".join(item) for item in _level_items(sys_, args.depth, ratios)]))
     return EXIT_OK
 
 
-def _cmd_sample(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
+def _cmd_sample(args) -> int:
+    sys_ = _load_system(args)
     m = measure.kusuoka_measure(sys_)
-    words = measure.sample_many(m, args.length, args.count, cfg.seed, _budget_for(cfg, sys_))
-    _emit(cfg, "\n".join(symbolic.format_word(w, sys_.alphabet) for w in words))
+    words = measure.sample_many(m, args.length, args.count, args.seed, _budget_for(args, sys_))
+    _emit(args, "\n".join(symbolic.format_word(w, sys_.alphabet) for w in words))
     return EXIT_OK
 
 
-def _cmd_correlate(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
+def _cmd_correlate(args) -> int:
+    sys_ = _load_system(args)
     m = measure.kusuoka_measure(sys_)
     alpha = symbolic.parse_word(args.alpha, sys_.alphabet)
     beta = symbolic.parse_word(args.beta, sys_.alphabet)
@@ -203,81 +173,81 @@ def _cmd_correlate(cfg: RunConfig, args) -> int:
     rows = ["n,alpha,beta,gap,bound"]
     for n, gap in enumerate(measure._correlation_gaps(m, alpha, beta, args.nmax)):
         rows.append(f"{n},{args.alpha},{args.beta},{_fmt_scalar(gap)},{_fmt_scalar(2 * rate**n)}")
-    _emit(cfg, "\n".join(rows))
+    _emit(args, "\n".join(rows))
     return EXIT_OK
 
 
-def _cmd_mixing_bound(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
+def _cmd_mixing_bound(args) -> int:
+    sys_ = _load_system(args)
     m = measure.kusuoka_measure(sys_)
-    table = measure.mixing_bound_check(m, args.k, args.nmax, _budget_for(cfg, sys_))
+    table = measure.mixing_bound_check(m, args.k, args.nmax, _budget_for(args, sys_))
     rows = ["n,max_gap,bound,gap_ok,pointwise_max,pointwise_bound,pointwise_ok"]
     for r in table:
         rows.append(
             f"{r.n},{_fmt_scalar(r.max_gap)},{_fmt_scalar(r.gap_bound)},{r.gap_ok},"
             f"{_fmt_scalar(r.pointwise_max)},{_fmt_scalar(r.pointwise_bound)},{r.pointwise_ok}"
         )
-    _emit(cfg, "\n".join(rows))
+    _emit(args, "\n".join(rows))
     return EXIT_OK
 
 
-def _cmd_gasket(cfg: RunConfig, args) -> int:
-    sys_ = gasket.generate_system(args.n, cfg.backend)
+def _cmd_gasket(args) -> int:
+    sys_ = gasket.generate_system(args.n, args.backend)
     body = _json_dump(matsys.system_to_json(sys_))
-    _emit(cfg, body)
+    _emit(args, body)
     return EXIT_OK
 
 
-def _cmd_renormalize(cfg: RunConfig, args) -> int:
-    if cfg.infile is None:
+def _cmd_renormalize(args) -> int:
+    if args.infile is None:
         raise ValueError("renormalize needs --in FILE with raw maps")
-    with open(cfg.infile, encoding="utf-8") as fh:
+    with open(args.infile, encoding="utf-8") as fh:
         data = json.load(fh)
     raw = data["maps"] if isinstance(data, dict) else data
     alphabet = sorted(raw) if isinstance(raw, dict) else None
     try:
         mats = [raw[k] for k in alphabet] if alphabet is not None else list(raw)
-        parsed = [matsys.matrix_from_json(mat, linalg.FIELDS[cfg.backend]) for mat in mats]
+        parsed = [matsys.matrix_from_json(mat, linalg.FIELDS[args.backend]) for mat in mats]
     except TypeError as exc:
         raise ValueError(f"malformed raw maps: {exc}") from exc
-    sys_ = spectral.renormalize(parsed, backend=cfg.backend, alphabet=alphabet)
-    _emit(cfg, _json_dump(matsys.system_to_json(sys_)))
+    sys_ = spectral.renormalize(parsed, backend=args.backend, alphabet=alphabet)
+    _emit(args, _json_dump(matsys.system_to_json(sys_)))
     return EXIT_OK
 
 
-def _cmd_dilation(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
+def _cmd_dilation(args) -> int:
+    sys_ = _load_system(args)
     m = measure.kusuoka_measure(sys_)
     if args.f:
         with open(args.f, encoding="utf-8") as fh:
             f = symbolic.cylinder_from_json(json.load(fh), sys_)
     else:
         f = symbolic.indicator(sys_, (0,))
-    res = procspace.dilation_check(m, f, args.k, args.level, _budget_for(cfg, sys_))
-    _emit(cfg, f"residual = {_fmt_scalar(res)}")
+    res = procspace.dilation_check(m, f, args.k, args.level, _budget_for(args, sys_))
+    _emit(args, f"residual = {_fmt_scalar(res)}")
     return EXIT_OK
 
 
-def _cmd_qdecay(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
-    table = procspace.q_decay_check(sys_, args.k, args.jmax, args.trials, cfg.seed, _budget_for(cfg, sys_))
+def _cmd_qdecay(args) -> int:
+    sys_ = _load_system(args)
+    table = procspace.q_decay_check(sys_, args.k, args.jmax, args.trials, args.seed, _budget_for(args, sys_))
     rows = ["j,max_ratio,bound,ok"]
     for r in table:
         rows.append(f"{r.j},{_fmt_float(r.max_ratio)},{_fmt_float(r.bound)},{r.ok}")
-    _emit(cfg, "\n".join(rows))
+    _emit(args, "\n".join(rows))
     return EXIT_OK
 
 
-def _cmd_report(cfg: RunConfig, args) -> int:
-    sys_ = _load_system(cfg)
-    budget = _budget_for(cfg, sys_)
+def _cmd_report(args) -> int:
+    sys_ = _load_system(args)
+    budget = _budget_for(args, sys_)
     m = measure.kusuoka_measure(sys_)
-    rep = spectral.spectral_report(m._quad, 2, budget=budget, seed=cfg.seed)
+    rep = spectral.spectral_report(m._quad, 2, budget=budget, seed=args.seed)
     t1, t2 = rep.theta1, rep.theta2
     body: dict = {
-        "system": cfg.builtin or cfg.infile,
+        "system": args.builtin or args.infile,
         "backend": sys_.backend,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "valid": True,
         "theta1": _fmt_certified(t1.exact, t1.value),
         "theta1_float": _fmt_float(t1.value),
@@ -304,33 +274,47 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         for r in mix
     ]
     body["samples_len5"] = [
-        symbolic.format_word(w, sys_.alphabet) for w in measure.sample_many(m, 5, 5, cfg.seed, budget)
+        symbolic.format_word(w, sys_.alphabet) for w in measure.sample_many(m, 5, 5, args.seed, budget)
     ]
-    _emit(cfg, _json_dump(body))
+    _emit(args, _json_dump(body))
     return EXIT_OK
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "theta1": _cmd_theta1,
-    "ck": _cmd_ck,
-    "theta2": _cmd_theta2,
-    "measure": _cmd_measure,
-    "gfun": _cmd_gfun,
-    "sample": _cmd_sample,
-    "correlate": _cmd_correlate,
-    "mixing-bound": _cmd_mixing_bound,
-    "gasket": _cmd_gasket,
-    "renormalize": _cmd_renormalize,
-    "dilation": _cmd_dilation,
-    "qdecay": _cmd_qdecay,
-    "report": _cmd_report,
+# name: (handler, help, reads a system, its own arguments as (flag, options) after the common ones)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the two fixed-point identities", True,
+                 (("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "csv"}),
+                  ("--tol", {"type": float, "default": 1e-12}))),
+    "theta1": (_cmd_theta1, "certified contraction rate of the averaging map", True, ()),
+    "ck": (_cmd_ck, "level-k irreducibility constant", True, (("--k", {"type": int, "required": True}),)),
+    "theta2": (_cmd_theta2, "projection decay rates", True, (("--kmax", {"type": int, "default": 2}),)),
+    "measure": (_cmd_measure, "cylinder masses at one depth (CSV)", True, (("--depth", {"type": int, "default": 2}),)),
+    "gfun": (_cmd_gfun, "finite backward-density approximants (CSV)", True,
+             (("--depth", {"type": int, "default": 2}),)),
+    "sample": (_cmd_sample, "draw words from the measure", True,
+               (("--length", {"type": int, "default": 8}), ("--count", {"type": int, "default": 10}))),
+    "correlate": (_cmd_correlate, "correlation gaps for one cylinder pair (CSV)", True,
+                  (("--alpha", {"required": True}), ("--beta", {"required": True}),
+                   ("--nmax", {"type": int, "default": 8}))),
+    "mixing-bound": (_cmd_mixing_bound, "worst-case gap table vs geometric bound (CSV)", True,
+                     (("--k", {"type": int, "default": 1}), ("--nmax", {"type": int, "default": 6}))),
+    "gasket": (_cmd_gasket, "generate a subdivision-gasket system (JSON)", False,
+               (("--n", {"type": int, "required": True}),)),
+    "renormalize": (_cmd_renormalize, "normalize raw restriction maps into a system (JSON)", True, ()),
+    "dilation": (_cmd_dilation, "dual-path transfer/projection residual", True,
+                 (("--k", {"type": int, "required": True}), ("--f", {"help": "cylinder function JSON file"}),
+                  ("--level", {"type": int, "default": None}))),
+    "qdecay": (_cmd_qdecay, "Monte Carlo martingale decay table (CSV)", True,
+               (("--k", {"type": int, "required": True}), ("--jmax", {"type": int, "required": True}),
+                ("--trials", {"type": int, "default": 100}))),
+    "report": (_cmd_report, "single-system reproduction summary (JSON)", True, ()),
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     """The common flags, then ``command``'s own arguments."""
-    _, system_source, own = _PARSERS[command]
+    _, _, system_source, own = _COMMANDS[command]
     if system_source:
         p.add_argument("--builtin", help=f"builtin system name ({', '.join(systems.BUILTIN_NAMES)})")
         p.add_argument("--in", dest="infile", help="system JSON file")
@@ -341,35 +325,6 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
                    help="cap word enumeration at |S|^K words")
     for flag, options in own:
         p.add_argument(flag, **options)
-
-
-# name: (help, reads a system, its own arguments as (flag, options) after the common ones)
-_PARSERS = {
-    "validate": ("check the two fixed-point identities", True,
-                 (("--format", {"dest": "fmt", "choices": ("json", "csv"), "default": "csv"}),
-                  ("--tol", {"type": float, "default": 1e-12}))),
-    "theta1": ("certified contraction rate of the averaging map", True, ()),
-    "ck": ("level-k irreducibility constant", True, (("--k", {"type": int, "required": True}),)),
-    "theta2": ("projection decay rates", True, (("--kmax", {"type": int, "default": 2}),)),
-    "measure": ("cylinder masses at one depth (CSV)", True, (("--depth", {"type": int, "default": 2}),)),
-    "gfun": ("finite backward-density approximants (CSV)", True, (("--depth", {"type": int, "default": 2}),)),
-    "sample": ("draw words from the measure", True,
-               (("--length", {"type": int, "default": 8}), ("--count", {"type": int, "default": 10}))),
-    "correlate": ("correlation gaps for one cylinder pair (CSV)", True,
-                  (("--alpha", {"required": True}), ("--beta", {"required": True}),
-                   ("--nmax", {"type": int, "default": 8}))),
-    "mixing-bound": ("worst-case gap table vs geometric bound (CSV)", True,
-                     (("--k", {"type": int, "default": 1}), ("--nmax", {"type": int, "default": 6}))),
-    "gasket": ("generate a subdivision-gasket system (JSON)", False, (("--n", {"type": int, "required": True}),)),
-    "renormalize": ("normalize raw restriction maps into a system (JSON)", True, ()),
-    "dilation": ("dual-path transfer/projection residual", True,
-                 (("--k", {"type": int, "required": True}), ("--f", {"help": "cylinder function JSON file"}),
-                  ("--level", {"type": int, "default": None}))),
-    "qdecay": ("Monte Carlo martingale decay table (CSV)", True,
-               (("--k", {"type": int, "required": True}), ("--jmax", {"type": int, "required": True}),
-                ("--trials", {"type": int, "default": 100}))),
-    "report": ("single-system reproduction summary (JSON)", True, ()),
-}
 
 
 def _command_parser(command: str) -> argparse.ArgumentParser:
@@ -388,7 +343,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """
     top = argparse.ArgumentParser(prog="kusuoka", description="Kusuoka measure toolkit")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _PARSERS.items():
+    for name, (_, text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, add_help=name == command)
         if name == command:
             _add_arguments(p, command)
@@ -413,22 +368,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
-    budget_k = getattr(args, "budget_k", 0)
-    if budget_k < 0:
+    if args.budget_k < 0:
         print("--budget-k must be positive", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = RunConfig(
-        builtin=getattr(args, "builtin", None),
-        infile=getattr(args, "infile", None),
-        backend=getattr(args, "backend", EXACT),
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        budget_k=budget_k,
-    )
-
-    handler = _HANDLERS[args.command]
     try:
-        return handler(cfg, args)
+        return _COMMANDS[args.command][0](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

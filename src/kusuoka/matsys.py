@@ -255,16 +255,20 @@ def schatten_norm(b: np.ndarray, p):
 
     p may be a number >= 1 or ``float('inf')`` / ``'inf'``.  Exact
     matrices take the exact eigenvalue route when symmetric (p in
-    {1, 2, inf}; p = 2 works for any exact matrix via the Frobenius
-    identity); other exact cases fall back to float singular values.
+    {1, 2, inf}); p = 2 works for any exact matrix via the Frobenius
+    identity, a float when the root leaves the field; other exact cases
+    fall back to float singular values.
     """
     if p == "inf":
         p = float("inf")
     if not (p == float("inf") or p >= 1):
         raise ValueError("Schatten norms need p >= 1")
-    if linalg.array_field(b).exact:
+    fld = linalg.array_field(b)
+    if fld.exact:
         if p == 2:
-            return linalg.frobenius_sq(b).sqrt()
+            sq = linalg.frobenius_sq(b)
+            root = fld.sqrt(sq)
+            return root if root is not None else math.sqrt(float(sq))
         eigs = linalg.exact_eigenvalues_symmetric(b) if _is_sym(b) else None
         if eigs is not None:
             mags = [abs(x) for x in eigs]

@@ -145,9 +145,9 @@ class KusuokaMeasure:
         return self._level_beta[k]
 
 
-def kusuoka_measure(system: MatrixSystem, check: bool = True, tol: float = 1e-12) -> KusuokaMeasure:
+def kusuoka_measure(system: MatrixSystem, check: bool = True) -> KusuokaMeasure:
     if check:
-        report = matsys.validate(system, tol)
+        report = matsys.validate(system)
         if not report.ok:
             raise SystemInvalidError(report)
     return KusuokaMeasure(system)

@@ -162,13 +162,14 @@ def _trace_free_coords(fld: Multiquad, e, d: int):
     return fld._reduce(out, norm)
 
 
-def _real_spectrum(rep_float: np.ndarray) -> tuple[float, ...]:
-    if rep_float.shape[0] == 0:
-        return ()
-    eigs = np.linalg.eigvals(rep_float)
+def _float_radius(rep: np.ndarray) -> float:
+    """Largest |eigenvalue| of a float rep: of the real parts when every |imag| < 1e-9, else of the moduli."""
+    if rep.shape[0] == 0:
+        return 0.0
+    eigs = np.linalg.eigvals(rep)
     if np.max(np.abs(eigs.imag)) < 1e-9:
-        return tuple(sorted(float(x) for x in eigs.real))
-    return tuple(sorted(float(abs(z)) for z in eigs))
+        eigs = eigs.real
+    return max(float(abs(z)) for z in eigs)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,6 @@ class Theta1Result:
     exact: Radical | None
     part_radius: dict
     part_exact: dict
-    part_spectrum: dict
     irreducible: bool
 
     def describe(self) -> str:
@@ -197,18 +197,17 @@ class Theta1Result:
 def _theta1_of(reps) -> Theta1Result:
     """The spectral radius of M on both parts ``reps``, each certified when its polynomial splits (exact backend)."""
     exact = linalg.array_field(reps[0]).exact
-    radius, certified, spectrum = {}, {}, {}
+    radius, certified = {}, {}
     for part, rep in zip(("traceless-symmetric", "antisymmetric"), reps):
-        spectrum[part] = _real_spectrum(linalg.to_float_matrix(rep))
         radius[part], certified[part] = (linalg.certified_spectral_radius(rep) if exact
-                                         else (max(map(abs, spectrum[part]), default=0.0), None))
+                                         else (_float_radius(rep), None))
     value = max(radius.values())
     if any(x is None for x in certified.values()):
         overall, irreducible = None, value < 1.0 - 1e-9
     else:
         overall = max(certified.values())
         irreducible = (Radical(1) - overall).sign() > 0
-    return Theta1Result(value, overall, radius, certified, spectrum, irreducible)
+    return Theta1Result(value, overall, radius, certified, irreducible)
 
 
 class _Quad(Multiquad):

@@ -295,21 +295,14 @@ def _theta2(system: matsys.MatrixSystem, k_max: int, budget: int, q: _Quad | Non
         lemma_exact = None
         lemma_value = (1.0 - c1.value) ** 0.5
 
-    # candidates (1 - c_k)^{1/k}; exact closed forms exist for k <= 2 only
-    cands: dict[int, tuple[float, Radical | None]] = {}
-    for k, r in cs.items():
-        fval = (1.0 - r.value) ** (1.0 / k)
-        ex = None
-        if r.exact is not None:
-            rem = Radical(1) - r.exact
-            if k == 1:
-                ex = rem
-            elif k == 2:
-                ex = system.field.sqrt(rem)
-        cands[k] = (fval, ex)
-    k_best = min(cands, key=lambda k: cands[k][0])
-    thm_value, thm_exact = cands[k_best]
-    return Theta2Result(True, irreducibility_ok, lemma_value, lemma_exact, thm_value, thm_exact, cs)
+    # candidates (1 - c_k)^{1/k}, ranked by float; exact closed forms exist for k <= 2 only
+    fvals = {k: (1.0 - r.value) ** (1.0 / k) for k, r in cs.items()}
+    k_best = min(fvals, key=fvals.get)
+    thm_exact, c_best = None, cs[k_best].exact
+    if c_best is not None and k_best <= 2:
+        rem = Radical(1) - c_best
+        thm_exact = rem if k_best == 1 else system.field.sqrt(rem)
+    return Theta2Result(True, irreducibility_ok, lemma_value, lemma_exact, fvals[k_best], thm_exact, cs)
 
 
 @dataclass(frozen=True)
@@ -320,27 +313,22 @@ class SpectralReport:
     theta1: Theta1Result
     theta1_p: dict
     theta2: Theta2Result
-    gamma: float | None
-    rho: float | None
 
 
-def spectral_report(system: matsys.MatrixSystem | _Quad, k_max: int = 2, gamma: float | None = None,
+def spectral_report(system: matsys.MatrixSystem | _Quad, k_max: int = 2,
                     budget: int = symbolic.DEFAULT_BUDGET, seed: int = 0) -> SpectralReport:
     """Compute theta1, the Schatten factors, c_k for k <= k_max, and theta2, all from one kernel.
 
     ``system`` is a system or its kernel (a measure's ``_quad``, as ``kusuoka
     report`` passes it).  A Schatten factor that M does not act on as a scalar
     is a maximum over 64 random probes drawn from ``seed``.
-    ``rho`` is max(gamma, theta1) when a gamma is supplied: the radius of the
-    disc that contains the non-peripheral transfer-operator spectrum.
     """
     q = system if isinstance(system, _Quad) else _Quad(system)
     system = q.system
     t1 = q.theta1
     t1p = {str(p): theta1_schatten(q, p, 64, seed) for p in (1, 2, "inf")} if system.symmetric else {}
     t2 = _theta2(system, k_max, budget, q)
-    rho = max(gamma, t1.value) if gamma is not None else None
-    return SpectralReport(system.backend, t1, t1p, t2, gamma, rho)
+    return SpectralReport(system.backend, t1, t1p, t2)
 
 
 # -- renormalization ---------------------------------------------------------

@@ -238,6 +238,14 @@ def test_schatten_norms_exact():
     assert schatten_norm(m, 2) == Radical(10).sqrt()
 
 
+def test_schatten_two_norm_is_exact_when_the_root_stays_in_the_field():
+    s2 = Radical.root(2)
+    m = as_matrix([[1 + s2, 1], [0, 0]], EXACT)  # |m|_F^2 = 4 + 2 sqrt(2), whose root leaves the field
+    norm = schatten_norm(m, 2)
+    assert isinstance(norm, float) and norm == pytest.approx(math.sqrt(4 + 2 * math.sqrt(2)), rel=1e-15)
+    assert schatten_norm(as_matrix([[s2, 1], [1, 0]], EXACT), 2) == Radical(2)
+
+
 def test_schatten_norms_float():
     m = np.array([[0.0, 2.0], [0.0, 0.0]])
     assert schatten_norm(m, 1) == pytest.approx(2.0)

@@ -56,8 +56,6 @@ def test_theta1_sg_part_spectra(sg):
     # with M(I) = I these are the four eigenvalues of M on 2 x 2 matrices
     res = theta1(sg)
     assert res.part_exact == {"traceless-symmetric": Fraction(4, 5), "antisymmetric": Fraction(3, 5)}
-    assert res.part_spectrum["traceless-symmetric"] == pytest.approx((0.8, 0.8), abs=1e-12)
-    assert res.part_spectrum["antisymmetric"] == pytest.approx((0.6,), abs=1e-12)
 
 
 def test_theta1_sg_float(sg_float):
@@ -177,6 +175,26 @@ def test_theta2_sg(sg):
     assert res.c_values[2].exact == Fraction(112, 1875)
 
 
+def test_theta2_takes_the_lemma_root_only(sg, monkeypatch):
+    """k = 1 wins on sg, so the one square root taken is the lemma's sqrt(1 - c_1)."""
+    roots, sqrt = [], linalg.FIELDS[EXACT].sqrt
+    monkeypatch.setattr(type(linalg.FIELDS[EXACT]), "sqrt", lambda self, x: roots.append(x) or sqrt(x))
+    res = theta2(sg, k_max=2)
+    assert roots == [Fraction(67, 75)]
+    assert res.thm_exact == Fraction(67, 75)
+
+
+def test_theta2_theorem_from_k2_when_it_wins():
+    """Raw maps whose sqrt(1 - c_2) undercuts 1 - c_1: the theorem rate is that exact root."""
+    raw = [[[2, 2], [0, -1]], [[1, 0], [-1, -2]], [[-2, 2], [-1, 2]]]
+    res = theta2(renormalize([as_matrix(m, EXACT) for m in raw]), k_max=2)
+    c1, c2 = res.c_values[1].exact, res.c_values[2].exact
+    assert (c1, c2) == (Fraction(521, 178802), Fraction(194333, 30217538))
+    assert res.thm_value < 1 - float(c1)
+    assert res.thm_exact.sign() > 0 and (res.thm_exact * res.thm_exact - (1 - c2)).is_zero()
+    assert res.thm_value == pytest.approx(float(res.thm_exact), abs=1e-15)
+
+
 def test_theta2_bernoulli(bern):
     res = theta2(bern, k_max=1)
     assert not res.applicable
@@ -184,10 +202,9 @@ def test_theta2_bernoulli(bern):
 
 
 def test_spectral_report_sg(sg):
-    rep = spectral_report(sg, k_max=2, gamma=0.9)
+    rep = spectral_report(sg, k_max=2)
     assert rep.theta1.exact == Fraction(4, 5)
     assert all(rep.theta1_p[p] == Fraction(4, 5) for p in ("1", "2", "inf"))
-    assert rep.rho == 0.9
     assert rep.theta2.thm_exact == Fraction(67, 75)
 
 
@@ -443,7 +460,7 @@ def test_averaging_reps_of_dimension_one_are_empty(bern, monkeypatch):
     monkeypatch.setattr(quadform, "_pack_maps", None)
     monkeypatch.setattr(quadform, "_psi", None)
     assert [(r.shape, r.dtype) for r in q.theta1_reps] == [((0, 0), object)] * 2
-    assert theta1(bern) == q.theta1 and q.theta1.part_spectrum == {"traceless-symmetric": (), "antisymmetric": ()}
+    assert theta1(bern) == q.theta1
 
 
 def test_psi_takes_no_radical_product(monkeypatch):
