@@ -34,6 +34,8 @@ The layers, from the host up:
              benchmark's martingale job), and
              q_decay_check(sg, 1, 6, 100 trials, seed 0);
              validate(sg), validate(sg3) and validate(sg4);
+             kusuoka_measure(sg3) and its kernel: validation on the kernel
+             the measure keeps, the fixed cost of every measure job;
              theta1(sg5), theta1(sg6), c_k(sg, 2) (n = 3, the fewest
              symbols), c_k(sg5, 1) (the median job class of the certify
              benchmark), c_k(sg5, 2), c_k(sg6, 1), c_k(sg6, 2), c_k(sg6, 3),
@@ -233,6 +235,8 @@ def run(src: Path, repeats: int, only: str = "") -> list[dict]:
             lambda: procspace.q_decay_check(sg, 1, 6, 100, 0))
         for name, system in (("sg", sg), ("sg3", sg3), ("sg4", sg4)):
             add("operation", f"validate({name})", backend, lambda: matsys.validate(system))
+        # the kernel too: a measure of an older tree may build it on first use
+        add("operation", "kusuoka_measure(sg3)", backend, lambda: measure.kusuoka_measure(sg3)._quad)
         for name, system in (("sg5", sg5), ("sg6", sg6)):
             add("operation", f"theta1({name})", backend, lambda: spectral.theta1(system))
         for name, system, k in (("sg", sg, 2), ("sg5", sg5, 1), ("sg5", sg5, 2), ("sg6", sg6, 1), ("sg6", sg6, 2),

@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .exactnum import Radical
 from .linalg import EXACT, FLOAT
-from .multiquad import map_field
+from .quadform import _Quad
 
 __all__ = [
     "MatrixSystem",
@@ -176,52 +176,45 @@ class ValidationReport:
         ]
 
 
-def _residuals(mf) -> list[tuple[bool, float]]:
-    """(vanishes, Frobenius norm) of M*(E) - E and of M(I) - I, from the maps and E packed in ``mf``.
-
-    Each residual is a stacked product over all symbols at once of the maps
-    packed in one field (m = 1 on the float backend), summed, and vanishes
-    exactly when its coordinates do; only a nonzero one is unpacked, for its
-    float norm.  (A_s^T E) A_s is formed in the order ``apply_M_star`` uses.
-    """
-    fld, (a, a_den) = mf.fld, mf.maps
-    at = a.swapaxes(-3, -2), a_den
-    out = []
-    for (num, den), target in ((fld.matmul(fld.matmul(at, mf.energy), mf.maps), mf.energy),
-                               (fld.matmul(mf.maps, at), mf.identity)):
-        res, res_den = fld.sub((num.sum(axis=0), den), target)
-        zero = not res.any()
-        out.append((zero, 0.0 if zero else math.sqrt(linalg.frobenius_sq(fld.unpack_array(res, res_den)))))
-    return out
-
-
 def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
     """Check both fundamental identities, weight properties, injectivity.
 
-    Both backends form the residuals by one packed route, from the maps and
-    E packed in one field (m = 1 on the float backend).  Exact backend:
-    residuals must vanish identically, and the trace, the leading minors
-    of E and the determinants of the maps are read off the packed stacks,
-    the minors and determinants by one fraction-free elimination
-    (:meth:`~kusuoka.multiquad.Multiquad.eliminate`), with no ``Radical``
-    arithmetic.  Float backend: residuals and the trace are compared
-    against ``tol``.  A symmetric weight that is not positive definite
-    reports its least eigenvalue, computed in floats, on both; a weight
-    that is not symmetric says so.
+    The checks run on the system's quadratic-form kernel
+    (:class:`~kusuoka.quadform._Quad`), built here; ``kusuoka_measure``
+    builds the same kernel, validates on it and keeps it for the measure.
+    Exact backend: every check is decided on the kernel's packed integer
+    coordinates with no ``Radical`` arithmetic
+    (:meth:`~kusuoka.quadform._Quad.validation`): the residuals must vanish
+    identically, and the trace, positive definiteness and the maps'
+    determinants are closed forms for d <= 2 and one fraction-free
+    elimination for d >= 3.  A residual that does not vanish is formed
+    from the full matrices, for its printed norm.  Float backend: the
+    residuals of ``apply_M_star`` and ``apply_M`` and the trace are
+    compared against ``tol``.  A symmetric weight that is not positive
+    definite reports its least eigenvalue, computed in floats, on both; a
+    weight that is not symmetric says so.
     """
-    mf = map_field(system.maps, system.energy)
-    (inv_zero, res1), (norm_zero, res2) = _residuals(mf)
-    fld, (e, e_den) = mf.fld, mf.energy
-    sym = bool((e == e.swapaxes(0, 1)).all())
+    return _validate_kernel(system, _Quad(system) if system.field.exact else None, tol)
+
+
+def _validate_kernel(system: MatrixSystem, q: _Quad | None, tol: float = 1e-12) -> ValidationReport:
+    """:func:`validate` of ``system``: exact checks run on its kernel ``q``, which the caller may keep.
+
+    The float backend reads no kernel, so ``q`` may be None there.
+    """
+    energy, ident = system.energy, system.field.identity(system.dim)
+    sym = _is_sym(energy)
+    invariance = lambda: apply_M_star(system, energy) - energy
+    normalization = lambda: apply_M(system, ident) - ident
     if system.field.exact:
-        inv_ok, norm_ok = inv_zero, norm_zero
-        trace = e.diagonal(axis1=0, axis2=1).sum(axis=-1)
-        trace_ok = bool(trace[0] == e_den and not trace[1:].any())
-        lead, det, _ = fld.eliminate(np.concatenate([e[None], mf.maps[0]]))
-        pd = sym and bool((fld.sign(lead[0]) > 0).all())
-        inj = tuple(bool(x) for x in det[1:].any(axis=-1))
+        inv_ok, norm_ok, trace_ok, pd, inj = q.validation()
+        if not sym:  # the kernel reads E's upper triangle
+            inv_ok = not invariance().any()
+        res1 = 0.0 if inv_ok else _frobenius(invariance())
+        res2 = 0.0 if norm_ok else _frobenius(normalization())
+        pd = sym and pd
     else:
-        energy = system.energy
+        res1, res2 = _frobenius(invariance()), _frobenius(normalization())
         inv_ok, norm_ok = res1 <= tol, res2 <= tol
         trace_ok = abs(np.trace(energy) - 1.0) <= tol
         pd = sym and bool(np.linalg.eigvalsh(energy).min() > 0)
@@ -229,7 +222,7 @@ def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
             bool(np.linalg.svd(m, compute_uv=False).min() > tol * max(1.0, float(np.abs(m).max())))
             for m in system.maps
         )
-    offending = None if pd or not sym else float(np.linalg.eigvalsh(linalg.to_float_matrix(system.energy)).min())
+    offending = None if pd or not sym else float(np.linalg.eigvalsh(linalg.to_float_matrix(energy)).min())
     return ValidationReport(
         backend=system.backend,
         dim=system.dim,
@@ -245,6 +238,10 @@ def validate(system: MatrixSystem, tol: float = 1e-12) -> ValidationReport:
         tol=tol,
         weight_symmetric=sym,
     )
+
+
+def _frobenius(a: np.ndarray) -> float:
+    return math.sqrt(linalg.frobenius_sq(a))
 
 
 # -- Schatten norms --------------------------------------------------------

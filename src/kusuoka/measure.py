@@ -56,25 +56,23 @@ class SystemInvalidError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KusuokaMeasure:
-    """Measure handle: a validated system plus evaluation caches.
+    """Measure handle: a validated system, its kernel and evaluation caches.
 
     The caches are value-level memoization only; all public operations
     stay pure functions of (system, arguments).  The quadratic-form kernel
-    (theta1 included), the maps packed in their field and the level tables
-    are built on first use, per measure.
+    ``_quad`` is the one :func:`kusuoka_measure` built and validated on;
+    its derived members (theta1 included), the maps packed in their field
+    and the level tables are built on first use, per measure.
     """
 
     system: MatrixSystem
+    _quad: _Quad = field(repr=False, compare=False)
     _level_mats: dict = field(default_factory=dict, repr=False, compare=False)
     _level_p: dict = field(default_factory=dict, repr=False, compare=False)
     _level_mass: dict = field(default_factory=dict, repr=False, compare=False)
     _level_mass_array: dict = field(default_factory=dict, repr=False, compare=False)
     _level_beta: dict = field(default_factory=dict, repr=False, compare=False)
     _sampler_nodes: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @cached_property
-    def _quad(self) -> _Quad:
-        return _Quad(self.system)
 
     @cached_property
     def _maps(self) -> MapField:
@@ -146,11 +144,20 @@ class KusuokaMeasure:
 
 
 def kusuoka_measure(system: MatrixSystem, check: bool = True) -> KusuokaMeasure:
+    """The measure of ``system``, validated unless ``check`` is False.
+
+    The quadratic-form kernel is built once, here: validation decides on it
+    (as :func:`~kusuoka.matsys.validate` does) and the measure keeps it, so
+    no call builds its kernel twice, every call validates, and nothing is
+    cached across calls.  Raises :class:`SystemInvalidError` with the report
+    when validation fails.
+    """
+    q = _Quad(system)
     if check:
-        report = matsys.validate(system)
+        report = matsys._validate_kernel(system, q)
         if not report.ok:
             raise SystemInvalidError(report)
-    return KusuokaMeasure(system)
+    return KusuokaMeasure(system, q)
 
 
 def _prefix(m: KusuokaMeasure, word: Word):

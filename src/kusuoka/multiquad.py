@@ -342,12 +342,17 @@ class Multiquad(_Span):
         Rounded as ``float(Radical)`` rounds: each rational coordinate of the
         exact quotient correctly rounded, times sqrt of its radicand, summed
         by increasing radicand.  Plain lists: these are a few numbers each.
+        A rational y (every gasket's masses) divides x by its one coordinate.
         """
-        inv, norm = self._inverse(y)
+        if y[1:].any():
+            inv, norm = self._inverse(y)
+            x = self.mul(x, inv)
+        else:
+            norm = y[0]
         den = dx * norm
         return [
             sum(self.scale[b] * row[b] * dy / den * self.root[b] for b in self.by_radicand if row[b])
-            for row in self.mul(x, inv).tolist()
+            for row in x.tolist()
         ]
 
     def _inverse(self, y):

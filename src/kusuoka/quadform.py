@@ -9,9 +9,9 @@ A_s^T, their adjoints Psi*_s(B) = A_s^T B A_s and the weight E.
 advances by one matrix product, and a form summed over a level by one
 congruence (:meth:`_Quad.congruence`).  Every Psi_s entry is formed once per
 kernel, on integer coordinates of the map entries in the square roots they
-use (:func:`_psi`); the same kernel derives theta1's reps of M = sum_s
-Psi_s, the trace-free basis and theta1, so one kernel serves a whole
-computation.
+use (:func:`_psi`); the same kernel decides exact validation and derives
+theta1's reps of M = sum_s Psi_s, the trace-free basis and theta1, so one
+kernel serves a whole computation.
 :func:`averaging_matrix` sums Psi for raw maps that have no weight E yet.
 This module owns the packed layout and is the only code that writes Psi_s
 in it.
@@ -22,14 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .exactnum import Radical, format_exact
-from .matsys import MatrixSystem
 from .multiquad import Multiquad, _radicands, _radicands_of, _Span, _support, _terms, field_of
+
+if TYPE_CHECKING:  # matsys validates on this module's kernel
+    from .matsys import MatrixSystem
 
 _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
 
@@ -227,9 +229,11 @@ class _Quad(Multiquad):
     linear map is a stack of right operators: ``x @ op`` applies it to rows x.
 
     The constructor packs the maps and forms every Psi_s once (:func:`_psi`),
-    with no ``Radical`` product.  The other members are derived on first use
-    and kept: the table ``psi``, the entries ``psi_star_entries``, ``energy``,
-    ``ident``, the trace-free basis, theta1's two reps and theta1.
+    with no ``Radical`` product; exact validation reads Psi and E off it
+    (:meth:`validation`), so a measure is validated on the kernel it keeps.
+    The other members are derived on first use and kept: the table ``psi``,
+    the entries ``psi_star_entries``, ``energy``, ``ident``, the trace-free
+    basis, theta1's two reps and theta1.
     """
 
     def __init__(self, system: MatrixSystem):
@@ -322,6 +326,44 @@ class _Quad(Multiquad):
     @cached_property
     def theta1(self) -> Theta1Result:
         return _theta1_of(self.theta1_reps)
+
+    def validation(self) -> tuple:
+        """(M*(E) = E, M(I) = I, Tr E = 1, E > 0, (det A_s != 0 for each s)), exact backend, from E's upper triangle.
+
+        With M = sum_s Psi_s on packed columns in this field, M(I) is the sum
+        of M's diagonal columns, and M*(E) = E reads sum_p w_p M[p, q] E_p =
+        w_q E_q, one field product (M* is M's adjoint under Tr(XY), which
+        weighs off-diagonal coordinates twice); the trace is E's packed
+        diagonal.  For d <= 2 the rest are closed forms: E > 0 when E_00 > 0
+        and det E > 0, and det A_s is Psi_s on the antisymmetric unit (d = 2)
+        or Psi_s itself (d = 1).  For d >= 3 one elimination of E, bordered
+        by I to D x D, and of the Psi_s gives E's leading minors and det Psi_s
+        = det(A_s)^(d+1).
+        """
+        d, dd, m = self.dim, len(self.pairs), self.m
+        diag = [q for q, (i, j) in enumerate(self.pairs) if i == j]
+        e, eden = self.energy
+        e = e.reshape(dd, m)
+        total, tden = self._convert(self.packed.prod, self.sym.sum(axis=0), self.packed.den ** 2)
+        we = e * np.array(self.weight, dtype=e.dtype)[:, None]
+        invariant = not (self.matmul((we[None], 1), (total, 1))[0][0] - tden * we).any()
+        ident = total[:, diag].sum(axis=1)
+        ident[diag, 0] -= tden
+        trace = e[diag].sum(axis=0)
+        if d <= 2:
+            minors = e[:1] if d == 1 else np.stack([e[0], self.mul(e[0], e[2]) - self.mul(e[1], e[1])])
+            definite = (self.sign(minors) > 0).all()
+            dets = (self.anti if d == 2 else self.sym)[:, 0, 0]
+        else:
+            stack = np.zeros((self.n + 1, dd, dd, m), dtype=e.dtype)
+            stack[0, :d, :d] = e[list(symmetric_index(d))].reshape(d, d, m)
+            stack[0, range(d, dd), range(d, dd), 0] = 1
+            stack[1:] = self._convert(self.packed.prod, self.sym, 1)[0]
+            lead, det, _ = self.eliminate(stack)
+            definite = (self.sign(lead[0, :d]) > 0).all()
+            dets = det[1:]
+        return (invariant, not ident.any(), bool(trace[0] == eden and not trace[1:].any()), bool(definite),
+                tuple(bool(x) for x in dets.any(axis=-1)))
 
     @cached_property
     def m_sum(self):

@@ -1,5 +1,6 @@
 """Map families, their validation, and the two averaging operators."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kusuoka import cli, multiquad
 from kusuoka.exactnum import Radical
@@ -26,10 +29,11 @@ from kusuoka.matsys import (
     to_float_system,
     validate,
 )
+from kusuoka.spectral import renormalize
 from kusuoka.symbolic import all_words
 from kusuoka.systems import get_builtin
 from conftest import laplace_det, laplace_minors
-from test_spectral import _diagonal_d3, _raw_system
+from test_spectral import RAW_BASES, _diagonal_d3, _raw_system
 
 
 def _rand_sym(rng, d):
@@ -125,6 +129,103 @@ def test_exact_validation_decisions_equal_the_radical_reference(name):
     assert report.positive_definite == (
         bool(np.array_equal(e, e.T)) and all(x.sign() > 0 for x in laplace_minors(e)))
     assert report.injective == tuple(not laplace_det(a).is_zero() for a in system.maps)
+
+
+def _report_systems():
+    """``_validation_systems()``, three that fail on sg's maps (a wrong weight, the maps 2 A_s, a weight not
+    symmetric), a singular weight with a positive corner and a weight whose trace is 1 + sqrt(2)/10, and
+    two d = 3 systems: a singular map, and a weight with a positive corner and a vanishing 2 x 2 minor."""
+    half, third, sg = Fraction(1, 2), Fraction(1, 3), sg_system()
+    eye3 = [[int(i == j) for j in range(3)] for i in range(3)]
+    return {
+        **_validation_systems(),
+        "d3-singular-map": lambda: make_system(
+            "ab", [eye3, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]], [[third * x for x in row] for row in eye3], EXACT),
+        "d3-singular-weight": lambda: make_system(
+            "a", [eye3], [[third, third, 0], [third, third, 0], [0, 0, third]], EXACT),
+        "singular-weight": lambda: make_system("a", [[[1, 0], [0, 1]]], [[half, half], [half, half]], EXACT),
+        "irrational-trace": lambda: make_system(
+            "a", [[[1, 0], [0, 1]]], [[half, 0], [0, half + Radical.root(2) / 10]], EXACT),
+        "sg-weight-9/10": lambda: make_system(
+            sg.alphabet, sg.maps, [[Fraction(9, 10), 0], [0, Fraction(1, 10)]], EXACT),
+        "sg-doubled-maps": lambda: make_system(sg.alphabet, [2 * a for a in sg.maps], sg.energy, EXACT),
+        "sg-weight-not-symmetric": lambda: make_system(
+            sg.alphabet, sg.maps, [[half, Fraction(1, 4)], [0, half]], EXACT),
+    }
+
+
+REPORTS = GOLDEN / "validation-reports.json"
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+@pytest.mark.parametrize("name", sorted(_report_systems()))
+def test_validation_report_is_pinned(name, backend):
+    """Every report field, the residual floats and the offending eigenvalue included, and the printed lines.
+
+    The golden holds the reports of the validation that packed the maps in
+    their own field and formed both residuals by stacked products there.
+    """
+    system = _report_systems()[name]()
+    report = validate(system if backend == EXACT else to_float_system(system))
+    got = json.loads(json.dumps({**dataclasses.asdict(report), "lines": report.lines()}, default=np.generic.item))
+    assert got == json.loads(REPORTS.read_text(encoding="utf-8"))[f"{name}/{backend}"]
+
+
+def _raw_maps(draw):
+    """Integer raw maps that exact ``renormalize`` accepts.
+
+    d = 1: 2..4 positive integers.  d = 2: an integer unimodular conjugate
+    (two random shears) of a raw base, rescaled and relabelled, as
+    ``_random_raw`` draws for seed % 4 == 0.
+    """
+    if draw(st.booleans()):
+        return [[[draw(st.integers(1, 9))]] for _ in range(draw(st.integers(2, 4)))]
+    u = np.eye(2, dtype=np.int64)
+    for _ in range(2):
+        a, b = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.sampled_from([-2, -1, 1, 2]))
+        u = u @ np.array([[1, a], [0, 1]]) @ np.array([[1, 0], [b, 1]])
+    inv = np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]])
+    base, scale = RAW_BASES[draw(st.integers(0, 2))], draw(st.integers(1, 3))
+    return [(scale * u @ np.array(base[s]) @ inv).tolist() for s in draw(st.permutations(range(3)))]
+
+
+@st.composite
+def _validation_inputs(draw):
+    """A renormalized system of random integer raw maps, or ``_diagonal_d3``; then, in most draws, one entry
+    of one map or of the weight moved by a small rational times 1, sqrt(2) or sqrt(3)."""
+    system = _diagonal_d3() if draw(st.integers(0, 5)) == 0 else renormalize(_raw_maps(draw), EXACT)
+    maps, energy = [np.array(a) for a in system.maps], np.array(system.energy)
+    d = system.dim
+    target = draw(st.sampled_from([None, "weight", *range(len(maps))]))
+    if target is not None:
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        step = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 7)))
+        step = step * Radical.root(draw(st.sampled_from([1, 2, 3])))
+        mat = energy if target == "weight" else maps[target]
+        mat[i, j] = mat[i, j] + step
+    return make_system(system.alphabet, maps, energy, EXACT)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_validation_inputs())
+def test_validation_equals_the_full_matrix_reference(system):
+    """Each decision as cofactors and full-matrix residuals decide it; the printed residuals are their norms."""
+    e, ident = system.energy, np.eye(system.dim, dtype=int).astype(object)
+    star = frobenius_sq(apply_M_star(system, e) - e)
+    norm = frobenius_sq(apply_M(system, ident) - ident)
+    report = validate(system)
+    assert (report.invariance_ok, report.normalization_ok) == (star.is_zero(), norm.is_zero())
+    assert (report.invariance_residual, report.normalization_residual) == (math.sqrt(star), math.sqrt(norm))
+    assert report.trace_ok == (np.trace(e) - 1).is_zero()
+    sym = bool(np.array_equal(e, e.T))
+    assert report.weight_symmetric == sym
+    assert report.positive_definite == (sym and all(x.sign() > 0 for x in laplace_minors(e)))
+    assert report.injective == tuple(not laplace_det(a).is_zero() for a in system.maps)
+    flt = to_float_system(system)
+    f_report = validate(flt)
+    assert f_report.invariance_residual == math.sqrt(frobenius_sq(apply_M_star(flt, flt.energy) - flt.energy))
+    assert f_report.normalization_residual == math.sqrt(
+        frobenius_sq(apply_M(flt, np.eye(system.dim)) - np.eye(system.dim)))
 
 
 def test_exact_validation_takes_no_radical_arithmetic(sg3, monkeypatch):

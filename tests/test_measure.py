@@ -51,6 +51,38 @@ def test_invalid_system_rejected(sg):
     kusuoka_measure(bad, check=False)
 
 
+_PACKING_SYSTEMS = {
+    "sg": (sg_system, 0),
+    "sg3": (lambda: generate_system(3), 0),
+    "bernoulli": (lambda: bernoulli_system([Fraction(1, 4), Fraction(3, 4)]), 0),
+    "two-radicand": (two_radicand_system, 0),
+    "sg-float": (lambda: sg_system(FLOAT), 0),
+    "diagonal-d3": (lambda: _from_test_spectral("_diagonal_d3")(), 1),
+}
+
+
+@pytest.mark.parametrize("name", _PACKING_SYSTEMS)
+def test_measure_validates_on_the_kernel_it_keeps(name, monkeypatch):
+    """One packing of the maps per measure, no map_field, and no elimination for d <= 2 (one for d = 3).
+
+    Validation and the measure share the one kernel that ``kusuoka_measure`` builds.
+    """
+    from kusuoka import multiquad, procspace, quadform
+
+    build, eliminations = _PACKING_SYSTEMS[name]
+    system = build()
+    calls, kernels = [], []
+    pack, eliminate, check = quadform._pack_maps, Multiquad.eliminate, matsys._validate_kernel
+    monkeypatch.setattr(quadform, "_pack_maps", lambda maps: calls.append("_pack_maps") or pack(maps))
+    monkeypatch.setattr(Multiquad, "eliminate", lambda *a: calls.append("eliminate") or eliminate(*a))
+    for module in (multiquad, measure, procspace):
+        monkeypatch.setattr(module, "map_field", lambda *a: calls.append("map_field"))
+    monkeypatch.setattr(matsys, "_validate_kernel", lambda s, q, *a: kernels.append(q) or check(s, q, *a))
+    m = kusuoka_measure(system)
+    assert sorted(calls) == ["_pack_maps"] + ["eliminate"] * eliminations
+    assert len(kernels) == 1 and kernels[0] is m._quad
+
+
 def test_frozen_cylinder_masses(sg_measure):
     assert nu(sg_measure, ()) == Radical(1)
     assert nu(sg_measure, (0,)) == Fraction(1, 3)

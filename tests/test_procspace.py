@@ -562,7 +562,7 @@ def test_q_decay_packs_the_maps_once(sg, monkeypatch):
     from kusuoka import matsys, measure
 
     packed = []
-    for module in (procspace, measure, matsys):
+    for module in (procspace, measure):  # matsys validates on the kernel, with no map_field
         monkeypatch.setattr(module, "map_field", lambda *a, real=module.map_field: packed.append(1) or real(*a))
     rows = q_decay_check(sg, k=1, j_max=3, trials=7, seed=5)
     assert len(packed) == 1
