@@ -302,22 +302,21 @@ def _split_spectrum(m: np.ndarray):
     exact moduli of the complex-conjugate pairs found, and the factor of
     the characteristic polynomial left unsplit (empty when it split
     completely).  A 1x1 matrix is its own eigenvalue (a 0x0 one has none),
-    and a 2x2 matrix is the pencil with H = I, split by the closed form of
-    :func:`_quadratic_spectra` whatever its coefficients.  Other roots come
-    from the rational root search, and a quadratic remainder takes the same
-    closed form; ``rest`` is rational whenever ``reals`` is not empty.  A
-    square root whose radicand bounded trial division cannot split leaves
-    its factor in ``rest``.
+    and a 2x2 matrix is the pencil with H = I, split by :func:`pencil_spectra`
+    whatever its coefficients.  Other roots come from the rational root
+    search, and a quadratic remainder takes the closed form of
+    :func:`_quadratic_spectra`; ``rest`` is rational whenever ``reals`` is
+    not empty.  A square root whose radicand bounded trial division cannot
+    split leaves its factor in ``rest``.
     """
     n = m.shape[0]
     if n <= 1:
         return [Radical(x) for x in m.ravel()], [], []
-    if n == 2:  # the pencil with H = den I: a = den^2, b = den tr and c = det, all over den^2
+    if n == 2:  # the pencil with H = den I, on the coordinates num over den
         fld, ((num, den),) = multiquad._smallest_field(m)
-        a = np.zeros((1, fld.m), dtype=object)
-        a[0, 0] = den * den
-        det = fld.mul(num[0, 0], num[1, 1]) - fld.mul(num[0, 1], num[1, 0])
-        return _quadratic_spectra(fld, a, den * (num[0, 0] + num[1, 1])[None], det[None])[0]
+        h = np.zeros_like(num)
+        h[[0, 1], [0, 1], 0] = den
+        return pencil_spectra(fld, num[None], h[None])[0]
     coeffs = char_poly(m)
     if not all(c.is_rational() for c in coeffs):
         return [], [], coeffs

@@ -61,8 +61,8 @@ class KusuokaMeasure:
     The caches are value-level memoization only; all public operations
     stay pure functions of (system, arguments).  The quadratic-form kernel
     ``_quad`` is the one :func:`kusuoka_measure` built and validated on;
-    its derived members (theta1 included), the maps packed in their field
-    and the level tables are built on first use, per measure.
+    its derived members (theta1 included), the maps moved from its packing
+    into their field and the level tables are built on first use, per measure.
     """
 
     system: MatrixSystem
@@ -76,7 +76,7 @@ class KusuokaMeasure:
 
     @cached_property
     def _maps(self) -> MapField:
-        return map_field(self.system.maps, self.system.energy)
+        return map_field(self._quad.packed, self.system.energy)
 
     def _word_table(self, k: int, budget: int = symbolic.DEFAULT_BUDGET):
         """Packed word matrices A(alpha) of every length-k word, (n^k, d, d, m) in ``_maps.fld``, cached per level."""
@@ -126,9 +126,9 @@ class KusuokaMeasure:
         shorter, shorter_den = q.nu(self._level_table(k - 1, budget))
         return q.unpack(*q.divide((num, den), (np.tile(shorter, (self.system.n_symbols, 1)), shorter_den)))
 
-    def _nu_array(self, k: int, budget: int = symbolic.DEFAULT_BUDGET) -> np.ndarray:
+    def _nu_array(self, k: int) -> np.ndarray:
         """``level_nu(k)`` as one read-only array of the backend, cached."""
-        masses = self.level_nu(k, budget)
+        masses = self.level_nu(k)
         if k not in self._level_mass_array:
             arr = np.array(masses, dtype=self.system.field.dtype)
             arr.setflags(write=False)
@@ -390,10 +390,10 @@ def mixing_bound_check(
     pa = m._level_table(k, budget)
     a_mass = [lift(x) for x in m.level_nu(k, budget)]
     max_mass = max(a_mass)
-    a_nu = q.nu(pa)
-    # beta weights Psi*_beta(E) at every depth j <= k, flattened in depth order
+    # the masses at every depth j <= k, the level-k ones once, and the beta weights Psi*_beta(E) in the same order
+    nus = [q.nu(m._level_table(j, budget)) for j in range(k + 1)]
+    a_nu, b_nu = nus[-1], q.join(nus)
     weights = q.join(q.betas(k))
-    b_nu = q.join([q.nu(m._level_table(j, budget)) for j in range(k + 1)])
     prod = q.mul(a_nu[0][:, None, :], b_nu[0][None, :, :]), a_nu[1] * b_nu[1]
     centered = q.sub(pa, q.scaled_ident(a_nu))
 

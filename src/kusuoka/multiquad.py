@@ -10,7 +10,7 @@ Q(sqrt g_1, ..., sqrt g_t) with its product, exact sign and inverse,
 and process table is built by, and :meth:`Multiquad.eliminate` the one
 fraction-free elimination: leading minors, determinants, solves and null
 spaces.
-:class:`MapField` packs a system's maps and weight in one such field.  The
+:class:`MapField` holds a system's maps and weight in one such field.  The
 float backend is the same code with the one root sqrt(1) and float64
 coordinates.
 """
@@ -42,11 +42,6 @@ def _terms(xs):
 def _radicands_of(terms) -> set:
     """The squarefree radicands in the :func:`_terms` of some scalars."""
     return {r for t in terms for r, _ in t} if terms is not None else set()
-
-
-def _radicands(xs) -> set:
-    """The squarefree radicands of the terms of the scalars xs; none for float scalars."""
-    return _radicands_of(_terms(xs))
 
 
 def _support(num) -> list:
@@ -504,12 +499,11 @@ class MapField(NamedTuple):
         return MapField(fld, fld._convert(self.fld, *self.maps), fld._convert(self.fld, *self.energy))
 
 
-def map_field(maps, energy, radicands=()) -> MapField:
-    """Pack the maps and E in the smallest field holding their entries and sqrt(r) for each r of ``radicands``."""
-    a = np.array(maps)
-    ta, te = _terms(a.ravel()), _terms(energy.ravel())
-    fld = field_of(frozenset(_radicands_of(ta) | _radicands_of(te) | set(radicands)), linalg.array_field(a).exact)
-    return MapField(fld, fld.pack_array(a, ta), fld.pack_array(energy, te))
+def map_field(packed, energy, radicands=()) -> MapField:
+    """The maps of ``packed`` (``quadform._pack_maps``), moved by one :meth:`_Span._convert`, and E, in the smallest field holding them and sqrt(r) for each r of ``radicands``."""
+    span, te = packed.span, _terms(energy.ravel())
+    fld = field_of(frozenset(set(span.radicand) | _radicands_of(te) | set(radicands)), span.exact)
+    return MapField(fld, fld._convert(span, packed.a, packed.den), fld.pack_array(energy, te))
 
 
 def _smallest_field(*arrays):

@@ -33,7 +33,7 @@ from .exactnum import Radical
 from .matsys import MatrixSystem
 from .measure import KusuokaMeasure
 from .multiquad import MapField, _radicands_of, _terms, map_field
-from .quadform import symmetric_index
+from .quadform import _pack_maps, symmetric_index
 from .symbolic import CylinderFunction
 
 __all__ = [
@@ -88,7 +88,7 @@ class FiniteProcess:
             raise ValueError(f"table has shape {vals.shape}, expected {shape}")
         vals.setflags(write=False)
         terms = _terms(vals.ravel())
-        maps = map_field(system.maps, system.energy, _radicands_of(terms))
+        maps = map_field(_pack_maps(system.maps), system.energy, _radicands_of(terms))
         # the frozen fields, and ``values`` already read
         self.__dict__.update(system=system, degree=degree, _maps=maps, _table=maps.fld.pack_array(vals, terms), values=vals)
 
@@ -128,7 +128,7 @@ def _one_field(f: FiniteProcess, g: FiniteProcess):
     ff, gf = f._maps.fld, g._maps.fld
     if ff.radicand == gf.radicand:
         return f._maps, f._table, g._table
-    maps = map_field(f.system.maps, f.system.energy, set(ff.radicand) | set(gf.radicand))
+    maps = f._maps.holding(set(gf.radicand))
     return maps, maps.fld._convert(ff, *f._table), maps.fld._convert(gf, *g._table)
 
 
@@ -200,7 +200,7 @@ def embed_phi(system: MatrixSystem, f: CylinderFunction, budget: int = symbolic.
     if f.n_symbols != system.n_symbols:
         raise ValueError("cylinder function and system disagree on the alphabet")
     terms = _terms(f.values)
-    maps = map_field(system.maps, system.energy, _radicands_of(terms))
+    maps = map_field(_pack_maps(system.maps), system.energy, _radicands_of(terms))
     num, den = maps.identity
     words = extend(FiniteProcess._packed(system, 0, maps, (num[None], den)), f.depth, budget)._table
     return _embed(system, f, terms, maps, words)
@@ -527,7 +527,7 @@ def random_innovation_process(system: MatrixSystem, k: int, rng: np.random.Gener
         raise ValueError("random tables are drawn on the float backend")
     if k < 0:
         raise ValueError("degree must be >= 0")
-    return _random_innovation(system, k, rng, map_field(system.maps, system.energy))
+    return _random_innovation(system, k, rng, map_field(_pack_maps(system.maps), system.energy))
 
 
 def _random_innovation(system: MatrixSystem, k: int, rng: np.random.Generator, maps: MapField) -> FiniteProcess:

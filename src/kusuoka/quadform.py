@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .exactnum import Radical, format_exact
-from .multiquad import Multiquad, _radicands, _radicands_of, _Span, _support, _terms, field_of
+from .multiquad import Multiquad, _radicands_of, _Span, _support, _terms
 
 if TYPE_CHECKING:  # matsys validates on this module's kernel
     from .matsys import MatrixSystem
@@ -37,9 +37,9 @@ _GAP_BLOCK = 1 << 14  # alpha-beta pairs per block of the gap table
 
 
 @lru_cache(maxsize=None)
-def packed_pairs(d: int, antisymmetric: bool = False) -> tuple[tuple[int, int], ...]:
-    """The (i, j) of each packed coordinate, row-major: i <= j, or i < j when antisymmetric."""
-    return tuple((i, j) for i in range(d) for j in range(i + antisymmetric, d))
+def packed_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """The (i, j) of each packed coordinate, row-major, i <= j."""
+    return tuple((i, j) for i in range(d) for j in range(i, d))
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +53,7 @@ def symmetric_index(d: int) -> tuple[int, ...]:
 
 
 class _PackedMaps(NamedTuple):
-    """The maps as integer coordinates a (n, d, d, m) over den on the square roots their entries use.
+    """The maps as integer coordinates a (n, d, d, m) over den on ``span``, the roots their entries use: their one walk.
 
     ``prod`` is the span of the products of the pairs of roots that one map
     uses together, and each (i, j, g, k) of ``terms`` says
@@ -63,6 +63,7 @@ class _PackedMaps(NamedTuple):
 
     a: np.ndarray
     den: object
+    span: _Span
     prod: _Span
     terms: list
 
@@ -81,7 +82,7 @@ def _pack_maps(maps) -> _PackedMaps:
     gcds = {(i, j): math.gcd(rad[i], rad[j]) for i, j in np.argwhere(used.T @ used).tolist()}
     prod = _Span.roots({rad[i] * rad[j] // g ** 2 for (i, j), g in gcds.items()}, span.exact)
     terms = [(i, j, g, prod.where[rad[i] * rad[j] // g ** 2]) for (i, j), g in sorted(gcds.items())]
-    return _PackedMaps(a, den, prod, terms)
+    return _PackedMaps(a, den, span, prod, terms)
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +138,8 @@ def _psi(maps: _PackedMaps):
 def averaging_matrix(maps) -> np.ndarray:
     """M = sum_s Psi_s on packed symmetric coordinates, as D x D of the maps' backend.
 
-    Column q is M(u_q) (see :func:`_psi`); M* is this function of the
-    transposed maps.
+    Column q is M(u_q) (see :func:`_psi`); M*, its adjoint under Tr(XY), is
+    W^-1 M^T W, W the packed weights (1 on the diagonal pairs, 2 off it).
     """
     packed = _pack_maps(maps)
     return packed.prod.unpack_array(_psi(packed)[0].sum(axis=0), packed.den ** 2)
@@ -229,7 +230,8 @@ class _Quad(Multiquad):
     linear map is a stack of right operators: ``x @ op`` applies it to rows x.
 
     The constructor packs the maps and forms every Psi_s once (:func:`_psi`),
-    with no ``Radical`` product; exact validation reads Psi and E off it
+    with no ``Radical`` product, and moves the symmetric Psi into this field
+    once, as ``sym``; exact validation reads Psi and E off it
     (:meth:`validation`), so a measure is validated on the kernel it keeps.
     The other members are derived on first use and kept: the table ``psi``,
     the entries ``psi_star_entries``, ``energy``, ``ident``, the trace-free
@@ -244,15 +246,16 @@ class _Quad(Multiquad):
         self.e = [system.energy[i, j] for i, j in pairs]
         self.packed = _pack_maps(system.maps)
         # sym[s, p, q] = Psi_s(u_q)[p], anti the same on the antisymmetric units, on the products of the maps' roots
-        self.sym, self.anti = _psi(self.packed)
+        sym, self.anti = _psi(self.packed)
         prod = self.packed.prod
-        super().__init__(prod.used(self.sym) | _radicands(self.e), system.field.exact)
+        super().__init__(prod.used(sym) | _radicands_of(_terms(self.e)), system.field.exact)
+        self.sym = self._convert(prod, sym, self.packed.den ** 2)  # (n, D, D, m) in this field, over a den
 
     @cached_property
     def _psi_mul(self):
         """mul[s, p, q, j, k], coordinate k of Psi_s[p, q] * e_j in this field, over a den."""
-        num, den = self._convert(self.packed.prod, self.sym, self.packed.den ** 2)
-        return self._mul_table(num.reshape(*self.sym.shape[:3], self.m)), den
+        num, den = self.sym
+        return self._mul_table(num), den
 
     @cached_property
     def psi(self):
@@ -268,7 +271,7 @@ class _Quad(Multiquad):
         Psi*_s(x)[q] = sum_p w_p / w_q Psi_s[p, q] x_p: rows x (rows, D, m)
         times this stack, one field product, give every Psi*_s(x) side by side.
         """
-        num, den = self._convert(self.packed.prod, self.sym, self.packed.den ** 2)
+        num, den = self.sym
         w = np.array(self.weight, dtype=num.dtype)
         adj = num * (2 * w[:, None] // w[None, :])[None, :, :, None]
         return self._reduce(adj.transpose(1, 0, 2, 3).reshape(len(w), -1, self.m), 2 * den)
@@ -285,7 +288,7 @@ class _Quad(Multiquad):
     def trace_free(self):
         """The basis f_q of :func:`_trace_free_coords` in this field, as a stack of D-1 packed rows."""
         basis, den = _trace_free_coords(self, self.energy[0].reshape(len(self.e), self.m), self.dim)
-        return basis.transpose(1, 0, 2).reshape(len(self.e) - 1, -1), den
+        return basis.transpose(1, 0, 2).reshape(len(self.e) - 1, len(self.e) * self.m), den
 
     @cached_property
     def trace_free_gram(self):
@@ -309,19 +312,16 @@ class _Quad(Multiquad):
     def theta1_reps(self) -> tuple[np.ndarray, np.ndarray]:
         """M on the trace-free symmetric and on the antisymmetric matrices, as matrices of the backend.
 
-        The first is (M F)[1:, :] in the basis F of :func:`_trace_free_coords`,
-        the second M on the antisymmetric packed coordinates: both from this
-        kernel's Psi, summed in the smallest field holding the sums and E (Q
-        for sg, whose Psi needs sqrt 3), with no operator table.
+        The first is (M F)[1:, :] in the trace-free basis F, the second M on
+        the antisymmetric packed coordinates: both sums of this kernel's Psi,
+        the second read off the products of the maps' roots, with no
+        operator table.
         """
-        sums = [x.sum(axis=0) for x in (self.sym, self.anti)]
-        prod = self.packed.prod
-        fld = field_of(frozenset(set().union(_radicands(self.e), *map(prod.used, sums))), self.exact)
-        (total, tden), anti = (fld._convert(prod, x, self.packed.den ** 2) for x in sums)
-        basis, bden = _trace_free_coords(fld, fld._pack_scalars(self.e)[0], self.dim)
+        (num, den), (fnum, fden), prod = self.sym, self.trace_free, self.packed.prod
+        total, basis = num.sum(axis=0), fnum.reshape(len(fnum), len(self.e), self.m).transpose(1, 0, 2)
         rep = np.zeros(basis.shape, dtype=basis.dtype)
-        fld._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j], total, basis)
-        return fld.unpack_array(rep[1:], tden * bden), fld.unpack_array(*anti)
+        self._products(rep, lambda i, j: total[:, :, i] @ basis[:, :, j], total, basis)
+        return self.unpack_array(rep[1:], den * fden), prod.unpack_array(self.anti.sum(axis=0), self.packed.den ** 2)
 
     @cached_property
     def theta1(self) -> Theta1Result:
@@ -344,7 +344,7 @@ class _Quad(Multiquad):
         diag = [q for q, (i, j) in enumerate(self.pairs) if i == j]
         e, eden = self.energy
         e = e.reshape(dd, m)
-        total, tden = self._convert(self.packed.prod, self.sym.sum(axis=0), self.packed.den ** 2)
+        total, tden = self.sym[0].sum(axis=0), self.sym[1]
         we = e * np.array(self.weight, dtype=e.dtype)[:, None]
         invariant = not (self.matmul((we[None], 1), (total, 1))[0][0] - tden * we).any()
         ident = total[:, diag].sum(axis=1)
@@ -353,12 +353,12 @@ class _Quad(Multiquad):
         if d <= 2:
             minors = e[:1] if d == 1 else np.stack([e[0], self.mul(e[0], e[2]) - self.mul(e[1], e[1])])
             definite = (self.sign(minors) > 0).all()
-            dets = (self.anti if d == 2 else self.sym)[:, 0, 0]
+            dets = (self.anti if d == 2 else self.sym[0])[:, 0, 0]
         else:
             stack = np.zeros((self.n + 1, dd, dd, m), dtype=e.dtype)
             stack[0, :d, :d] = e[list(symmetric_index(d))].reshape(d, d, m)
             stack[0, range(d, dd), range(d, dd), 0] = 1
-            stack[1:] = self._convert(self.packed.prod, self.sym, 1)[0]
+            stack[1:] = self.sym[0]
             lead, det, _ = self.eliminate(stack)
             definite = (self.sign(lead[0, :d]) > 0).all()
             dets = det[1:]
@@ -440,7 +440,7 @@ class _Quad(Multiquad):
             x = (b[..., 0] @ op[..., 0]).reshape(len(b), dd * self.n, c)
             return self._reduce((rows[..., 0].T @ x)[..., None], bden * oden * oden)
         out = np.zeros((len(b), c, c, self.m), dtype=b.dtype)
-        for j in _support(b) if self.m > 1 else [0]:
+        for j in _support(b):
             self._symmetric_sum(out, rows, lambda k: (b[..., j] @ op[..., k]).reshape(len(b), dd * self.n, c), j)
         return self._reduce(out, bden * oden * oden)
 

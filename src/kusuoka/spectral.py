@@ -342,8 +342,9 @@ COMPLEX_RTOL = 1e-9  # |Im mu| against |mu|
 def _perron_exact(rep_primal, rep_dual):
     """Perron eigenvalue, certified exactly, and the fixed vectors of both operators on packed coordinates.
 
-    rep_primal = W^-1 rep_dual^T W, W the packed weights, so the root is searched once, on the primal;
-    each vector spans the kernel of its operator minus mu I, both from one elimination.
+    rep_primal = W^-1 rep_dual^T W, W the packed weights (``renormalize`` forms it so from the one
+    ``quadform.averaging_matrix``), so the root is searched once, on the primal; each vector spans the
+    kernel of its operator minus mu I, both from one elimination.
     """
     _, mu = linalg.certified_spectral_radius(rep_primal)
     if mu is None:
@@ -378,8 +379,9 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None) -> matsys.MatrixS
     """Build a system satisfying both fixed-point equations from raw restriction maps.
 
     Finds the Perron eigenvalue mu and fixed forms of B -> sum A_s* B A_s and
-    its dual, both ``quadform.averaging_matrix`` on packed symmetric
-    coordinates, rescales the maps by mu^(-1/2), and changes basis so the dual
+    its dual on packed symmetric coordinates, the dual being
+    ``quadform.averaging_matrix`` and the first its weighted transpose;
+    rescales the maps by mu^(-1/2), and changes basis so the dual
     fixed form becomes the identity; the primal form, pushed through the same
     basis change and normalized to unit trace, is the energy.  The backends
     differ only in the root (certified, or one ``eig``) and in the Cholesky
@@ -404,9 +406,10 @@ def renormalize(raw_maps, backend: str = EXACT, alphabet=None) -> matsys.MatrixS
     for a in mats:
         if a.shape != (d, d):
             raise ValueError("raw maps must share one square shape")
-    # B -> sum_s A_s* B A_s and its dual B -> sum_s A_s B A_s*, on packed columns
-    rep_primal = quadform.averaging_matrix([a.T for a in mats])
+    # B -> sum_s A_s B A_s* on packed columns, and its adjoint B -> sum_s A_s* B A_s: W^-1 rep_dual^T W
     rep_dual = quadform.averaging_matrix(mats)
+    w = np.array([1 if i == j else 2 for i, j in quadform.packed_pairs(d)])
+    rep_primal = (rep_dual * w[:, None] / w[None, :]).T
 
     if field.exact:
         if not minor_signs(mats)[1].all():

@@ -368,6 +368,23 @@ def test_dilation_identity_exact(sg_measure):
         assert residual.is_zero()
 
 
+def test_dilation_walks_the_maps_once(sg, monkeypatch):
+    """A fresh exact measure's dilation check walks the maps' entries once: the kernel packs them, and the
+    map field moves that packing with no ``_terms`` of the maps."""
+    from kusuoka import quadform
+
+    packs, walked = [], []
+    pack, terms = quadform._pack_maps, multiquad._terms
+    monkeypatch.setattr(quadform, "_pack_maps", lambda maps: packs.append(1) or pack(maps))
+    for module in (multiquad, quadform, procspace):
+        monkeypatch.setattr(module, "_terms", lambda xs: walked.append(list(xs)) or terms(xs))
+    rng = np.random.default_rng(3)
+    f = cylinder_from_values(sg, 3, [Fraction(int(x)) for x in rng.integers(-3, 4, 27)])
+    assert dilation_check(kusuoka_measure(sg), f, 1).is_zero()
+    assert len(packs) == 1
+    assert walked.count(list(np.array(sg.maps).ravel())) == 1
+
+
 def test_dilation_identity_deeper_level(sg_measure):
     f = indicator(sg_measure.system, (1,))
     residual = dilation_check(sg_measure, f, 1, level=3)

@@ -275,9 +275,9 @@ def test_renormalize_float_path():
 
 
 def test_renormalize_rejects_singular():
-    bad = [as_matrix([[Fraction(1), 0], [0, Fraction(0)]], EXACT)]
-    with pytest.raises(ValueError):
-        renormalize(bad, EXACT)
+    for bad in ([[[Fraction(0)]], [[Fraction(1)]]], [[[Fraction(1), 0], [0, Fraction(0)]]]):  # d = 1, d = 2
+        with pytest.raises(ValueError, match="raw maps must be injective"):
+            renormalize([as_matrix(a, EXACT) for a in bad], EXACT)
     # float: singular against the size of the entries, at every scale
     for t in (1e-8, 1.0, 1e8):
         for small in (0.0, 1e-12):
@@ -427,7 +427,7 @@ def test_kernel_is_the_packing_of_psi_products(name):
     psi = _psi_products(system.maps)
     psi_star = _psi_products([a.T for a in system.maps])  # Psi*_s(u_q)[p]
     e = [system.energy[i, j] for i, j in quadform.packed_pairs(d)]
-    ref = multiquad.Multiquad(multiquad._radicands(list(psi.ravel()) + e), system.field.exact)
+    ref = multiquad.Multiquad(multiquad._radicands_of(multiquad._terms(list(psi.ravel()) + e)), system.field.exact)
     assert q.gens == ref.gens
     if name.startswith("sg") and name != "sg-float":
         assert q.gens == [3]
@@ -1046,8 +1046,33 @@ def test_renormalize_searches_the_perron_root_once(raws, monkeypatch):
     assert eigs == [(2, 3, 3)]
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_renormalize_forms_psi_once(backend, monkeypatch):
+    """renormalize packs the raw maps and forms their Psi once: the primal operator is the dual's weighted transpose."""
+    calls = []
+    for name in ("_pack_maps", "_psi"):
+        monkeypatch.setattr(quadform, name, lambda x, name=name, real=getattr(quadform, name): calls.append(name) or real(x))
+    out = renormalize([as_matrix(a, backend) for a in RAW_BASES[1]], backend)
+    assert sorted(calls) == ["_pack_maps", "_psi"]
+    monkeypatch.undo()
+    assert validate(out).ok
+
+
+@pytest.mark.parametrize("name", ["sg6", "raw0", "bernoulli", "diagonal-d3", "sg-float"])
+def test_kernel_converts_psi_once(name, monkeypatch):
+    """The kernel moves Psi out of the products of the maps' roots once: its tables, validation and theta1's reps read that stack."""
+    calls = []
+    convert = multiquad._Span._convert
+    monkeypatch.setattr(multiquad._Span, "_convert", lambda self, src, num, den: calls.append((src, num.shape)) or convert(self, src, num, den))
+    q = quadform._Quad(_KERNEL_SYSTEMS[name]())
+    assert [q.psi, q.psi_star_entries, q.m_sum, q.m_star_sum, q.theta1_reps, q.validation()]
+    dd = len(q.pairs)
+    assert [shape for src, shape in calls if src is q.packed.prod] == [(q.n, dd, dd, q.packed.prod.m)]
+
+
 def test_primal_operator_is_the_weighted_transpose_of_the_dual():
-    """rep_primal = W^-1 rep_dual^T W exactly, W the packed weights (1 on the diagonal pairs, 2 off it)."""
+    """rep_primal = W^-1 rep_dual^T W, W the packed weights (1 on the diagonal pairs, 2 off it): exactly, and bit
+    for bit on float maps of d = 1, 2, 3 with entries scaled by 10^-3 .. 10^3 and on the float gasket raw maps."""
     rng = np.random.default_rng(7)
     systems = [_random_raw(seed) for seed in range(12)] + [_raw_gasket_maps()]
     systems += [rng.integers(-3, 4, (3, 3, 3)).tolist() for _ in range(4)]
@@ -1058,6 +1083,12 @@ def test_primal_operator_is_the_weighted_transpose_of_the_dual():
         primal = quadform.averaging_matrix([a.T for a in mats])
         dual = quadform.averaging_matrix(mats)
         assert (w @ primal == dual.T @ w).all()
+    floats = [list(rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-3, 3, (n, d, d)))
+              for d in (1, 2, 3) for n in (1, 2, 3, 4) for _ in range(10)]
+    for mats in floats + [[to_float_matrix(a) for a in _raw_gasket_maps()]]:
+        w = np.array([1 if i == j else 2 for i, j in quadform.packed_pairs(mats[0].shape[0])])
+        primal = quadform.averaging_matrix([a.T for a in mats])
+        assert (quadform.averaging_matrix(mats) * w[:, None] / w[None, :]).T.tobytes() == primal.tobytes()
 
 
 def test_float_renormalize_weight_is_symmetric():
